@@ -148,7 +148,7 @@ def main(argv: list[str] | None = None) -> int:
 def _read_file(path: str) -> str:
     try:
         return Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise _Fail(f"cannot read {path}: {exc}") from exc
 
 

@@ -12,8 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Union
 
-from .clones import EXACT, CloneMatch, find_duplicates
-from .errors import NotComputable
+from .clones import CloneMatch, find_duplicates
+from .errors import LexError, NotComputable
 from .lexer import token_texts, tokenize
 from .metrics import MetricVector, Submetric, compute_vector, thresholds_for
 from .settings import Settings, SubmetricFlags
@@ -195,7 +195,7 @@ def evaluate_paste(session: "ProjectSession", event: PasteEvent, now: Timestamp)
         return DropRecord(event, INVALID_FRAGMENT, now)
     try:
         file_tokens = tokenize(text)
-    except Exception:
+    except LexError:
         return DropRecord(event, EDITED, now)
     if not _present_at_site(token_texts(file_tokens), [t.line for t in file_tokens],
                             token_texts(fragment.tokens), event.paste_line):
@@ -242,10 +242,6 @@ def _present_at_site(
         if file_texts[i : i + len(frag_texts)] == frag_texts:
             return True
     return False
-
-
-def exact_matches(matches: tuple[CloneMatch, ...]) -> tuple[CloneMatch, ...]:
-    return tuple(m for m in matches if m.kind == EXACT)
 
 
 # ---------------------------------------------------------------------------

@@ -21,13 +21,22 @@ from .clones import EXACT, CloneMatch, find_subsequence
 from .errors import (
     IllegalFlow,
     InvalidIdentifier,
+    LexError,
     MissingContext,
     NameCollision,
     StaleSite,
     TooManyOutputs,
     UnresolvedType,
 )
-from .lexer import JAVA_KEYWORDS, WORD_LITERALS, TokenKind, token_texts, tokenize
+from .lexer import (
+    JAVA_KEYWORDS,
+    WORD_LITERALS,
+    Token,
+    TokenKind,
+    match_delimiters,
+    token_texts,
+    tokenize,
+)
 from .source_model import (
     ClassContext,
     Fragment,
@@ -329,7 +338,7 @@ def _verify_site(plan: ExtractionPlan, sources: Mapping[str, str], site: TargetS
         raise StaleSite(f"{site.file_path} is missing")
     try:
         tokens = tokenize(text)
-    except Exception as exc:
+    except LexError as exc:
         raise StaleSite(f"{site.file_path} no longer lexes: {exc}") from exc
     site_texts = tuple(
         t.text for t in tokens if site.start_line <= t.line <= site.end_line
@@ -397,8 +406,8 @@ def verify_by_inlining(
             t.text for t in before_tokens if site.start_line <= t.line <= site.end_line
         )
         after_tokens = tokenize(after_sources[site.file_path])
-        call_texts = [t.text for t in after_tokens if t.line == applied.call_line]
-        rename = _argument_renaming(plan, call_texts)
+        call_tokens = [t for t in after_tokens if t.line == applied.call_line]
+        rename = _argument_renaming(plan, call_tokens)
         if rename is None:
             verdicts.append(SiteVerdict(site, False))
             continue
@@ -407,30 +416,30 @@ def verify_by_inlining(
     return InliningVerdict(tuple(verdicts))
 
 
-def _argument_renaming(plan: ExtractionPlan, call_texts: list[str]) -> dict[str, str] | None:
+def _argument_renaming(plan: ExtractionPlan, call_tokens: list[Token]) -> dict[str, str] | None:
+    texts = token_texts(call_tokens)
     try:
-        at = call_texts.index(plan.method_name)
+        at = texts.index(plan.method_name)
     except ValueError:
         return None
-    if at + 1 >= len(call_texts) or call_texts[at + 1] != "(":
+    if at + 1 >= len(texts) or texts[at + 1] != "(":
         return None
-    depth = 0
+    match = match_delimiters(call_tokens)
+    close = match[at + 1]
+    if close < 0:
+        return None
     args: list[str] = []
     current: list[str] = []
-    for text in call_texts[at + 1 :]:
-        if text == "(":
-            depth += 1
-            if depth == 1:
-                continue
-        elif text == ")":
-            depth -= 1
-            if depth == 0:
-                break
-        if depth == 1 and text == ",":
+    k = at + 2
+    while k < close:
+        if texts[k] == ",":
             args.append("".join(current))
             current = []
-        else:
-            current.append(text)
+            k += 1
+            continue
+        end = max(match[k], k) + 1
+        current.extend(texts[k:end])
+        k = end
     if current:
         args.append("".join(current))
     if len(args) != len(plan.parameter_list):

@@ -82,6 +82,9 @@ _MULTI = (
 _SINGLE_OPERATORS = frozenset("+-*/%=<>!&|^~?:.")
 _SINGLE_PUNCTUATION = frozenset(";,(){}[]@")
 
+# Numbers start only at ASCII digits: str.isdigit() also accepts '²' or
+# '٣', which no number rule consumes, and the scanner would stall there.
+_ASCII_DIGITS = frozenset("0123456789")
 _HEX_DIGITS = frozenset("0123456789abcdefABCDEF_")
 _BIN_DIGITS = frozenset("01_")
 _DEC_DIGITS = frozenset("0123456789_")
@@ -142,7 +145,7 @@ class _Scanner:
             if ch in "\"'":
                 self._emit(TokenKind.LITERAL, self._scan_quoted(ch))
                 continue
-            if ch.isdigit() or (ch == "." and self.pos + 1 < n and s[self.pos + 1].isdigit()):
+            if ch in _ASCII_DIGITS or (ch == "." and self.pos + 1 < n and s[self.pos + 1] in _ASCII_DIGITS):
                 self._emit(TokenKind.LITERAL, self._scan_number())
                 continue
             if _is_ident_start(ch):
@@ -206,7 +209,7 @@ class _Scanner:
         else:
             while j < n and s[j] in _DEC_DIGITS:
                 j += 1
-            if j < n and s[j] == "." and j + 1 < n and s[j + 1].isdigit():
+            if j < n and s[j] == "." and j + 1 < n and s[j + 1] in _ASCII_DIGITS:
                 j += 1
                 while j < n and s[j] in _DEC_DIGITS:
                     j += 1
@@ -214,7 +217,7 @@ class _Scanner:
                 k = j + 1
                 if k < n and s[k] in "+-":
                     k += 1
-                if k < n and s[k].isdigit():
+                if k < n and s[k] in _ASCII_DIGITS:
                     j = k
                     while j < n and s[j] in _DEC_DIGITS:
                         j += 1
@@ -235,3 +238,29 @@ def tokenize(text: str) -> list[Token]:
 def token_texts(tokens: list[Token]) -> tuple[str, ...]:
     """Normalized token sequence: verbatim lexemes, positions dropped."""
     return tuple(t.text for t in tokens)
+
+
+_OPENER_OF = {")": "(", "]": "[", "}": "{"}
+
+
+def match_delimiters(tokens: list[Token]) -> list[int]:
+    """Index of each delimiter's partner token, -1 where there is none.
+
+    `(`, `[` and `{` are each matched by their own depth, so a stray
+    token of one kind never shifts the pairs of another: in `( { ) }`
+    the parens pair and the braces pair. Unmatched delimiters and all
+    other tokens map to -1.
+    """
+    match = [-1] * len(tokens)
+    pending: dict[str, list[int]] = {"(": [], "[": [], "{": []}
+    for i, tok in enumerate(tokens):
+        text = tok.text
+        if text in pending:
+            pending[text].append(i)
+        elif text in _OPENER_OF:
+            stack = pending[_OPENER_OF[text]]
+            if stack:
+                j = stack.pop()
+                match[i] = j
+                match[j] = i
+    return match

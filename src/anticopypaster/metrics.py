@@ -15,7 +15,14 @@ from enum import Enum
 
 from .errors import EmptyDistribution, EmptyScope, InvalidSensitivity, MissingContext
 from .lexer import Token, TokenKind
-from .source_model import ClassContext, Fragment, MethodUnit, nesting_profile, scan_declarations
+from .source_model import (
+    ClassContext,
+    Fragment,
+    MethodUnit,
+    count_symbols,
+    nesting_profile,
+    scan_declarations,
+)
 
 # The configurable keyword catalogue: 31 statement/type/flow keywords,
 # visibility modifiers deliberately excluded.
@@ -155,10 +162,38 @@ def size_metrics(
         if enclosing is None:
             raise MissingContext("method-scoped size metrics need the enclosing method")
         lines = enclosing.line_count
-        symbols = sum(1 for ch in enclosing.body_text if not ch.isspace())
+        symbols = count_symbols(enclosing.body_text)
     if lines < 1:
         raise EmptyScope("size scope has no lines")
     return lines, symbols, symbols / lines
+
+
+def _vector(
+    keyword_total: int, coupling: CouplingCounts,
+    segment_lines: int, segment_symbols: int, segment_area: int,
+    method_lines: int, method_symbols: int, method_area: int,
+) -> MetricVector:
+    """The 18 submetric values; densities divide by their scope's lines."""
+    return {
+        Submetric.KEYWORD_TOTAL: keyword_total,
+        Submetric.KEYWORD_DENSITY: keyword_total / segment_lines,
+        Submetric.COUPLING_TOTAL_TOTAL: coupling.total,
+        Submetric.COUPLING_TOTAL_FIELD: coupling.field,
+        Submetric.COUPLING_TOTAL_METHOD: coupling.method,
+        Submetric.COUPLING_DENSITY_TOTAL: coupling.total / segment_lines,
+        Submetric.COUPLING_DENSITY_FIELD: coupling.field / segment_lines,
+        Submetric.COUPLING_DENSITY_METHOD: coupling.method / segment_lines,
+        Submetric.COMPLEXITY_TOTAL_AREA: segment_area,
+        Submetric.COMPLEXITY_AREA_DENSITY: segment_area / segment_lines,
+        Submetric.COMPLEXITY_METHOD_AREA: method_area,
+        Submetric.COMPLEXITY_METHOD_DEPTH_DENSITY: method_area / method_lines,
+        Submetric.SIZE_LINES_SEGMENT: segment_lines,
+        Submetric.SIZE_SYMBOLS_SEGMENT: segment_symbols,
+        Submetric.SIZE_SYMBOL_DENSITY_SEGMENT: segment_symbols / segment_lines,
+        Submetric.SIZE_LINES_METHOD: method_lines,
+        Submetric.SIZE_SYMBOLS_METHOD: method_symbols,
+        Submetric.SIZE_SYMBOL_DENSITY_METHOD: method_symbols / method_lines,
+    }
 
 
 def compute_vector(
@@ -168,63 +203,26 @@ def compute_vector(
     keywords: frozenset[str],
 ) -> MetricVector:
     """All submetric values for a fragment pasted inside a method."""
-    kw_total, kw_density = keyword_metrics(fragment, keywords)
-    coupling = coupling_counts(fragment.tokens, owner)
-    area, area_density, method_area, method_depth_density = complexity_metrics(
-        fragment, enclosing
+    keyword_total, _ = keyword_metrics(fragment, keywords)
+    area, _, method_area, _ = complexity_metrics(fragment, enclosing)
+    return _vector(
+        keyword_total, coupling_counts(fragment.tokens, owner),
+        fragment.line_count, fragment.symbol_count, area,
+        enclosing.line_count, count_symbols(enclosing.body_text), method_area,
     )
-    seg_lines, seg_symbols, seg_density = size_metrics(fragment, enclosing, "segment")
-    m_lines, m_symbols, m_density = size_metrics(fragment, enclosing, "methodDeclaration")
-    lc = fragment.line_count
-    return {
-        Submetric.KEYWORD_TOTAL: kw_total,
-        Submetric.KEYWORD_DENSITY: kw_density,
-        Submetric.COUPLING_TOTAL_TOTAL: coupling.total,
-        Submetric.COUPLING_TOTAL_FIELD: coupling.field,
-        Submetric.COUPLING_TOTAL_METHOD: coupling.method,
-        Submetric.COUPLING_DENSITY_TOTAL: coupling.total / lc,
-        Submetric.COUPLING_DENSITY_FIELD: coupling.field / lc,
-        Submetric.COUPLING_DENSITY_METHOD: coupling.method / lc,
-        Submetric.COMPLEXITY_TOTAL_AREA: area,
-        Submetric.COMPLEXITY_AREA_DENSITY: area_density,
-        Submetric.COMPLEXITY_METHOD_AREA: method_area,
-        Submetric.COMPLEXITY_METHOD_DEPTH_DENSITY: method_depth_density,
-        Submetric.SIZE_LINES_SEGMENT: seg_lines,
-        Submetric.SIZE_SYMBOLS_SEGMENT: seg_symbols,
-        Submetric.SIZE_SYMBOL_DENSITY_SEGMENT: seg_density,
-        Submetric.SIZE_LINES_METHOD: m_lines,
-        Submetric.SIZE_SYMBOLS_METHOD: m_symbols,
-        Submetric.SIZE_SYMBOL_DENSITY_METHOD: m_density,
-    }
 
 
 def method_vector(method: MethodUnit, keywords: frozenset[str]) -> MetricVector:
     """Submetric values of a method, treating the whole body as the segment."""
     lines = method.line_count
-    kw_total = sum(1 for tok in method.body_tokens if tok.text in keywords)
-    coupling = coupling_counts(method.body_tokens, method.owner)
+    symbols = count_symbols(method.body_text)
     area = sum(method.nesting_profile)
-    symbols = sum(1 for ch in method.body_text if not ch.isspace())
-    return {
-        Submetric.KEYWORD_TOTAL: kw_total,
-        Submetric.KEYWORD_DENSITY: kw_total / lines,
-        Submetric.COUPLING_TOTAL_TOTAL: coupling.total,
-        Submetric.COUPLING_TOTAL_FIELD: coupling.field,
-        Submetric.COUPLING_TOTAL_METHOD: coupling.method,
-        Submetric.COUPLING_DENSITY_TOTAL: coupling.total / lines,
-        Submetric.COUPLING_DENSITY_FIELD: coupling.field / lines,
-        Submetric.COUPLING_DENSITY_METHOD: coupling.method / lines,
-        Submetric.COMPLEXITY_TOTAL_AREA: area,
-        Submetric.COMPLEXITY_AREA_DENSITY: area / lines,
-        Submetric.COMPLEXITY_METHOD_AREA: area,
-        Submetric.COMPLEXITY_METHOD_DEPTH_DENSITY: area / lines,
-        Submetric.SIZE_LINES_SEGMENT: lines,
-        Submetric.SIZE_SYMBOLS_SEGMENT: symbols,
-        Submetric.SIZE_SYMBOL_DENSITY_SEGMENT: symbols / lines,
-        Submetric.SIZE_LINES_METHOD: lines,
-        Submetric.SIZE_SYMBOLS_METHOD: symbols,
-        Submetric.SIZE_SYMBOL_DENSITY_METHOD: symbols / lines,
-    }
+    keyword_total = sum(1 for tok in method.body_tokens if tok.text in keywords)
+    return _vector(
+        keyword_total, coupling_counts(method.body_tokens, method.owner),
+        lines, symbols, area,
+        lines, symbols, area,
+    )
 
 
 @dataclass(frozen=True)

@@ -15,8 +15,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import EmptyScope, IndexingError
-from .lexer import Token, TokenKind, normalize_newlines, tokenize
+from .errors import EmptyScope, IndexingError, LexError
+from .lexer import Token, TokenKind, match_delimiters, normalize_newlines, tokenize
 from .statements import is_statement_sequence
 
 PRIMITIVE_TYPES = frozenset(
@@ -100,6 +100,11 @@ def _trim_blank_lines(text: str) -> str:
     return "\n".join(lines[start:end])
 
 
+def count_symbols(text: str) -> int:
+    """Number of non-whitespace characters in the text."""
+    return len("".join(text.split()))
+
+
 def validate_fragment(text: str, paste_site: PasteSite | None = None) -> Fragment:
     """Build a Fragment, deciding validity instead of raising.
 
@@ -110,25 +115,25 @@ def validate_fragment(text: str, paste_site: PasteSite | None = None) -> Fragmen
     normalized = normalize_newlines(text)
     trimmed = _trim_blank_lines(normalized)
     line_count = len(trimmed.split("\n")) if trimmed else 0
-    symbol_count = sum(1 for ch in trimmed if not ch.isspace())
+    symbol_count = count_symbols(trimmed)
     try:
         tokens = tokenize(trimmed)
-    except Exception:
+    except LexError:
         return Fragment(text, trimmed, [], line_count, symbol_count, False, paste_site)
-    valid = bool(tokens) and _balanced(tokens) and is_statement_sequence(tokens)
+    valid = bool(tokens) and _nested(tokens) and is_statement_sequence(tokens)
     return Fragment(text, trimmed, tokens, line_count, symbol_count, valid, paste_site)
 
 
-def _balanced(tokens: list[Token]) -> bool:
-    stack: list[str] = []
-    pairs = {")": "(", "]": "[", "}": "{"}
-    for tok in tokens:
-        if tok.text in "([{":
-            stack.append(tok.text)
-        elif tok.text in ")]}":
-            if not stack or stack.pop() != pairs[tok.text]:
-                return False
-    return not stack
+def _nested(tokens: list[Token]) -> bool:
+    """Every delimiter has a partner and each closer ends the innermost open pair."""
+    match = match_delimiters(tokens)
+    open_until: list[int] = []
+    for i, tok in enumerate(tokens):
+        if tok.text in ("(", "[", "{"):
+            open_until.append(match[i])
+        elif tok.text in (")", "]", "}") and (not open_until or open_until.pop() != i):
+            return False
+    return not open_until
 
 
 def nesting_profile(scope: Fragment | MethodUnit) -> list[int]:
@@ -167,11 +172,6 @@ def _profile(tokens: list[Token], first_line: int, last_line: int) -> list[int]:
         if not recorded:
             profile.append(depth)
     return profile
-
-
-_ASSIGN_OPS = frozenset(
-    {"=", "+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=", "<<=", ">>=", ">>>="}
-)
 
 
 def scan_declarations(tokens: list[Token]) -> list[tuple[str, LocalDecl]]:
@@ -306,29 +306,32 @@ def index_file(text: str, file_path: str) -> tuple[list[MethodUnit], list[ClassC
     """
     normalized = normalize_newlines(text)
     tokens = tokenize(normalized)
-    if not _balanced_braces(tokens):
+    match = match_delimiters(tokens)
+    if any(match[i] < 0 for i, tok in enumerate(tokens) if tok.text in ("{", "}")):
         raise IndexingError(f"{file_path}: unbalanced braces at file scope")
     lines = normalized.split("\n")
-    indexer = _Indexer(tokens, lines, file_path)
+    indexer = _Indexer(tokens, match, lines, file_path)
     indexer.run()
     return indexer.methods, indexer.classes
 
 
-def _balanced_braces(tokens: list[Token]) -> bool:
-    depth = 0
-    for tok in tokens:
-        if tok.text == "{":
-            depth += 1
-        elif tok.text == "}":
-            depth -= 1
-            if depth < 0:
-                return False
-    return depth == 0
+def _skip_annotation(tokens: list[Token], match: list[int], i: int, end: int) -> int:
+    """Index just past the annotation whose '@' is tokens[i], at most end."""
+    i += 1
+    while i + 1 < end and tokens[i].kind == TokenKind.IDENTIFIER and tokens[i + 1].text == ".":
+        i += 2
+    if i < end and tokens[i].kind in (TokenKind.IDENTIFIER, TokenKind.KEYWORD):
+        i += 1
+    if i < end and tokens[i].text == "(":
+        close = match[i]
+        i = end if close < 0 else min(close + 1, end)
+    return i
 
 
 class _Indexer:
-    def __init__(self, tokens: list[Token], lines: list[str], file_path: str):
+    def __init__(self, tokens: list[Token], match: list[int], lines: list[str], file_path: str):
         self.tokens = tokens
+        self.match = match
         self.lines = lines
         self.file_path = file_path
         self.methods: list[MethodUnit] = []
@@ -344,18 +347,6 @@ class _Indexer:
             else:
                 self.pos += 1
 
-    def _matching_brace(self, open_index: int) -> int:
-        depth = 0
-        for i in range(open_index, len(self.tokens)):
-            text = self.tokens[i].text
-            if text == "{":
-                depth += 1
-            elif text == "}":
-                depth -= 1
-                if depth == 0:
-                    return i
-        raise IndexingError(f"{self.file_path}: unterminated brace")
-
     def _parse_class(self, declared_as: str) -> None:
         name_tok = self.tokens[self.pos + 1] if self.pos + 1 < len(self.tokens) else None
         if name_tok is None or name_tok.kind != TokenKind.IDENTIFIER:
@@ -368,7 +359,7 @@ class _Indexer:
             raise IndexingError(f"{self.file_path}: class body missing for {name_tok.text}")
         ctx = ClassContext(name_tok.text, {}, set(), self.file_path)
         self.classes.append(ctx)
-        body_end = self._matching_brace(self.pos)
+        body_end = self.match[self.pos]
         self.pos += 1
         if declared_as == "enum":
             self._skip_enum_constants(body_end)
@@ -377,17 +368,16 @@ class _Indexer:
         self.pos = body_end + 1
 
     def _skip_enum_constants(self, body_end: int) -> None:
-        depth = 0
         i = self.pos
         while i < body_end:
             text = self.tokens[i].text
-            if text in "({":
-                depth += 1
-            elif text in ")}":
-                depth -= 1
-            elif text == ";" and depth == 0:
+            if text == ";":
                 self.pos = i + 1
                 return
+            if text in ("(", "{"):
+                if self.match[i] < 0:
+                    break
+                i = self.match[i]
             i += 1
         self.pos = body_end
 
@@ -396,13 +386,7 @@ class _Indexer:
         i = start
         # Skip annotations so the first '(' found belongs to a parameter list.
         while i < body_end and self.tokens[i].text == "@":
-            i += 1
-            while i + 1 < body_end and self.tokens[i + 1].text == "." and self.tokens[i].kind == TokenKind.IDENTIFIER:
-                i += 2
-            if i < body_end and self.tokens[i].kind in (TokenKind.IDENTIFIER, TokenKind.KEYWORD):
-                i += 1
-            if i < body_end and self.tokens[i].text == "(":
-                i = self._skip_parens(i)
+            i = _skip_annotation(self.tokens, self.match, i, body_end)
         member_start = i
         depth = 0
         saw_assign = False
@@ -430,30 +414,15 @@ class _Indexer:
                 self.pos = i + 1
                 return
             elif text == "{" and depth == 0:
+                close = self.match[i]
                 if saw_assign:
-                    close = self._matching_brace(i)
                     i = close + 1
                     continue
-                close = self._matching_brace(i)
                 self._finish_braced_member(ctx, member_start, i, close)
                 self.pos = close + 1
                 return
             i += 1
         self.pos = body_end
-
-    def _skip_parens(self, open_index: int) -> int:
-        depth = 0
-        i = open_index
-        while i < len(self.tokens):
-            text = self.tokens[i].text
-            if text == "(":
-                depth += 1
-            elif text == ")":
-                depth -= 1
-                if depth == 0:
-                    return i + 1
-            i += 1
-        return i
 
     def _finish_bodiless_member(self, ctx: ClassContext, start: int, semi: int) -> None:
         segment = self.tokens[start : semi + 1]
@@ -471,10 +440,10 @@ class _Indexer:
         if paren is None or paren == 0 or header[paren - 1].kind != TokenKind.IDENTIFIER:
             return  # initializer block or unrecognized construct
         name_tok = header[paren - 1]
-        close_paren = self._match_in_header(header, paren)
-        if close_paren is None:
+        close_paren = self.match[start + paren]
+        if close_paren < 0 or close_paren >= open_brace:
             return
-        params = _parse_parameters(header[paren + 1 : close_paren])
+        params = _parse_parameters(self.tokens, self.match, start + paren + 1, close_paren)
         is_static = any(t.text == "static" for t in header[:paren])
         body_tokens = self.tokens[open_brace + 1 : close_brace]
         open_line = self.tokens[open_brace].line
@@ -509,18 +478,6 @@ class _Indexer:
         self.methods.append(unit)
         ctx.method_names.add(name_tok.text)
 
-    @staticmethod
-    def _match_in_header(header: list[Token], open_paren: int) -> int | None:
-        depth = 0
-        for k in range(open_paren, len(header)):
-            if header[k].text == "(":
-                depth += 1
-            elif header[k].text == ")":
-                depth -= 1
-                if depth == 0:
-                    return k
-        return None
-
 
 def _field_declarators(segment: list[Token]) -> list[tuple[str, str]]:
     skip = {"public", "private", "protected", "static", "final", "transient", "volatile"}
@@ -531,13 +488,13 @@ def _field_declarators(segment: list[Token]) -> list[tuple[str, str]]:
     return [(name, d.declared_type) for name, d in decls]
 
 
-def _parse_parameters(tokens: list[Token]) -> list[Parameter]:
-    if not tokens:
-        return []
-    groups: list[list[Token]] = [[]]
+def _parse_parameters(tokens: list[Token], match: list[int], start: int, end: int) -> list[Parameter]:
+    """Parameters declared by tokens[start:end], the inside of a parameter list."""
+    groups: list[tuple[int, int]] = []
+    group_start = start
     depth = 0
-    for tok in tokens:
-        text = tok.text
+    for k in range(start, end):
+        text = tokens[k].text
         if text in ("(", "<", "["):
             depth += 1
         elif text in (")", "]"):
@@ -549,13 +506,12 @@ def _parse_parameters(tokens: list[Token]) -> list[Parameter]:
         elif text == ">>>":
             depth -= 3
         if text == "," and depth == 0:
-            groups.append([])
-        else:
-            groups[-1].append(tok)
+            groups.append((group_start, k))
+            group_start = k + 1
+    groups.append((group_start, end))
     params = []
-    for group in groups:
-        body = _strip_annotations(group)
-        body = [t for t in body if t.text != "final"]
+    for lo, hi in groups:
+        body = [t for t in _strip_annotations(tokens, match, lo, hi) if t.text != "final"]
         if not body:
             continue
         name_tok = None
@@ -571,28 +527,12 @@ def _parse_parameters(tokens: list[Token]) -> list[Parameter]:
     return params
 
 
-def _strip_annotations(tokens: list[Token]) -> list[Token]:
+def _strip_annotations(tokens: list[Token], match: list[int], start: int, end: int) -> list[Token]:
     out: list[Token] = []
-    i = 0
-    n = len(tokens)
-    while i < n:
+    i = start
+    while i < end:
         if tokens[i].text == "@":
-            i += 1
-            while i + 1 < n and tokens[i].kind == TokenKind.IDENTIFIER and tokens[i + 1].text == ".":
-                i += 2
-            if i < n and tokens[i].kind in (TokenKind.IDENTIFIER, TokenKind.KEYWORD):
-                i += 1
-            if i < n and tokens[i].text == "(":
-                depth = 0
-                while i < n:
-                    if tokens[i].text == "(":
-                        depth += 1
-                    elif tokens[i].text == ")":
-                        depth -= 1
-                        if depth == 0:
-                            i += 1
-                            break
-                    i += 1
+            i = _skip_annotation(tokens, match, i, end)
             continue
         out.append(tokens[i])
         i += 1

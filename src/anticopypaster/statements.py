@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .lexer import Token, TokenKind
+from .lexer import Token, TokenKind, match_delimiters
 
 
 class StatementParseError(Exception):
@@ -33,12 +33,11 @@ _MEMBER_MODIFIERS = frozenset(
 )
 _TYPE_KEYWORDS = frozenset({"class", "interface", "enum"})
 
-_OPEN_TO_CLOSE = {"(": ")", "[": "]", "{": "}"}
-
 
 @dataclass
 class _Parser:
     tokens: list[Token]
+    match: list[int]
     pos: int = 0
     nodes: list[StatementNode] = field(default_factory=list)
 
@@ -55,19 +54,12 @@ class _Parser:
             raise StatementParseError(f"expected {text!r} at token {self.pos}")
         self.pos += 1
 
-    def _skip_balanced(self, opener: str) -> None:
-        self._expect(opener)
-        closer = _OPEN_TO_CLOSE[opener]
-        depth = 1
-        while depth > 0:
-            tok = self._peek()
-            if tok is None:
-                raise StatementParseError(f"unbalanced {opener!r}")
-            if tok.text == opener:
-                depth += 1
-            elif tok.text == closer:
-                depth -= 1
-            self.pos += 1
+    def _skip_parenthesized(self) -> None:
+        self._expect("(")
+        close = self.match[self.pos - 1]
+        if close < 0:
+            raise StatementParseError("unbalanced '('")
+        self.pos = close + 1
 
     def parse_all(self) -> list[StatementNode]:
         result = []
@@ -102,7 +94,7 @@ class _Parser:
             return self._block(start)
         if text == "if":
             self.pos += 1
-            self._skip_balanced("(")
+            self._skip_parenthesized()
             body = self._statement()
             children = [body]
             if self._at("else"):
@@ -111,28 +103,28 @@ class _Parser:
             return StatementNode("if", start, self.pos, tuple(children))
         if text == "while":
             self.pos += 1
-            self._skip_balanced("(")
+            self._skip_parenthesized()
             body = self._statement()
             return StatementNode("while", start, self.pos, (body,))
         if text == "do":
             self.pos += 1
             body = self._statement()
             self._expect("while")
-            self._skip_balanced("(")
+            self._skip_parenthesized()
             self._expect(";")
             return StatementNode("do", start, self.pos, (body,))
         if text == "for":
             self.pos += 1
-            self._skip_balanced("(")
+            self._skip_parenthesized()
             body = self._statement()
             return StatementNode("for", start, self.pos, (body,))
         if text == "switch":
             self.pos += 1
-            self._skip_balanced("(")
+            self._skip_parenthesized()
             return self._switch_body(start)
         if text == "synchronized":
             self.pos += 1
-            self._skip_balanced("(")
+            self._skip_parenthesized()
             body = self._block(self.pos)
             return StatementNode("synchronized", start, self.pos, (body,))
         if text == "try":
@@ -179,7 +171,8 @@ class _Parser:
                 raise StatementParseError("unterminated switch body")
             if tok.text in ("case", "default"):
                 self.pos += 1
-                self._scan_to_colon()
+                if self._scan_label() == "->":
+                    children.append(self._arrow_body())
                 continue
             children.append(self._statement())
         self.pos += 1
@@ -189,13 +182,13 @@ class _Parser:
         self._expect("try")
         has_resources = False
         if self._at("("):
-            self._skip_balanced("(")
+            self._skip_parenthesized()
             has_resources = True
         children = [self._block(self.pos)]
         clauses = 0
         while self._at("catch"):
             self.pos += 1
-            self._skip_balanced("(")
+            self._skip_parenthesized()
             children.append(self._block(self.pos))
             clauses += 1
         if self._at("finally"):
@@ -235,20 +228,24 @@ class _Parser:
                     raise StatementParseError("unbalanced delimiter in statement")
             self.pos += 1
 
-    def _scan_to_colon(self) -> None:
-        depth = 0
+    def _scan_label(self) -> str:
+        """Consume a case label through its ':' or '->' and return that token."""
         while True:
             tok = self._peek()
             if tok is None:
-                raise StatementParseError("case label not terminated by ':'")
-            if depth == 0 and tok.text == ":":
+                raise StatementParseError("case label not terminated by ':' or '->'")
+            if tok.text in (":", "->"):
                 self.pos += 1
-                return
-            if tok.text in "([{":
-                depth += 1
-            elif tok.text in ")]}":
-                depth -= 1
-            self.pos += 1
+                return tok.text
+            close = self.match[self.pos]
+            self.pos = close + 1 if close > self.pos else self.pos + 1
+
+    def _arrow_body(self) -> StatementNode:
+        """The one statement after 'case ... ->': a block, a throw or an expression."""
+        body = self._statement()
+        if body.kind not in ("block", "throw", "simple"):
+            raise StatementParseError(f"{body.kind!r} statement cannot follow '->'")
+        return body
 
     def _simple(self, start: int) -> StatementNode:
         self._scan_to_semicolon()
@@ -257,7 +254,7 @@ class _Parser:
 
 def parse_statements(tokens: list[Token]) -> list[StatementNode]:
     """Parse a token sequence as one or more Java block statements."""
-    return _Parser(tokens).parse_all()
+    return _Parser(tokens, match_delimiters(tokens)).parse_all()
 
 
 def is_statement_sequence(tokens: list[Token]) -> bool:

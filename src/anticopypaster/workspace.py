@@ -92,7 +92,12 @@ def open_project(
         rel = path.relative_to(root_path).as_posix()
         if _ignored(rel, settings.ignore):
             continue
-        session.files[rel] = normalize_newlines(path.read_text(encoding="utf-8"))
+        try:
+            text = path.read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            session.warnings.append(f"{rel}: {exc}")
+            continue
+        session.files[rel] = normalize_newlines(text)
     _index_files(session, sorted(session.files))
     _rebuild_distribution(session)
     return session
@@ -153,6 +158,3 @@ class Workspace:
         if session is None:
             raise UnknownProject(f"no open session for {event.project_root}")
         return session
-
-    def in_declaration_order(self) -> list[ProjectSession]:
-        return list(self.sessions.values())

@@ -218,3 +218,17 @@ def test_extract_name_collision_is_an_analysis_error(capsys):
     assert run_command(
         ["extract", root, "--fragment", fragment, "--at", "Pipeline.java:5", "--name", "touch"]
     ) == 3
+
+
+def test_non_utf8_sources_are_skipped_or_rejected(dup_root, tmp_path, capsys):
+    (dup_root / "Latin.java").write_bytes("class Latin { String s = \"café\"; }".encode("latin-1"))
+    assert run_command(["analyze", str(dup_root)]) == 0
+    out = capsys.readouterr().out
+    assert "warning: Latin.java:" in out
+    assert "methods indexed: 2" in out
+    latin_fragment = tmp_path / "latin.java"
+    latin_fragment.write_bytes("String s = \"café\";".encode("latin-1"))
+    assert run_command(
+        ["check", str(dup_root), "--fragment", str(latin_fragment), "--at", "Host.java:5"]
+    ) == 3
+    assert "cannot read" in capsys.readouterr().err

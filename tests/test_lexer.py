@@ -1,11 +1,18 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from anticopypaster.errors import LexError
-from anticopypaster.lexer import JAVA_KEYWORDS, Token, TokenKind, token_texts, tokenize
+from anticopypaster.lexer import (
+    JAVA_KEYWORDS,
+    Token,
+    TokenKind,
+    match_delimiters,
+    token_texts,
+    tokenize,
+)
 
 
 def kinds_and_texts(tokens: list[Token]) -> list[tuple[str, str]]:
@@ -110,3 +117,52 @@ def test_tokenization_is_whitespace_insensitive(words, sep):
 
 def test_operator_spacing_does_not_change_texts():
     assert token_texts(tokenize("a+b")) == token_texts(tokenize("a + b"))
+
+
+_LEXER_PROBES = st.text(
+    alphabet=st.one_of(
+        st.sampled_from(list("\"'/*\\\n\r\x00 0123456789.eExXbBlLfF_+-<>=!&|^~?:;,(){}[]@")),
+        st.characters(),
+    ),
+    max_size=40,
+)
+
+
+@given(_LEXER_PROBES)
+@example("a ² b")
+@example("1.٣")
+def test_tokenize_raises_only_lex_errors(text):
+    try:
+        tokens = tokenize(text)
+    except LexError:
+        return
+    assert all(tok.text for tok in tokens)
+
+
+def _per_kind_depth_partners(texts: list[str]) -> list[int]:
+    closer_of = {"(": ")", "[": "]", "{": "}"}
+    partner = [-1] * len(texts)
+    for i, opener in enumerate(texts):
+        if opener not in closer_of:
+            continue
+        depth = 0
+        for j in range(i, len(texts)):
+            if texts[j] == opener:
+                depth += 1
+            elif texts[j] == closer_of[opener]:
+                depth -= 1
+                if depth == 0:
+                    partner[i] = j
+                    partner[j] = i
+                    break
+    return partner
+
+
+@given(st.lists(st.sampled_from(list("(){}[]") + ["x", ";", "+"]), max_size=30))
+def test_match_delimiters_agrees_with_a_per_kind_depth_scan(texts):
+    tokens = [Token(TokenKind.PUNCTUATION, text, 1, i + 1) for i, text in enumerate(texts)]
+    assert match_delimiters(tokens) == _per_kind_depth_partners(texts)
+
+
+def test_match_delimiters_pairs_each_kind_on_its_own():
+    assert match_delimiters(tokenize("( { ) } ]")) == [2, 3, 0, 1, -1]

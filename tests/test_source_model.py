@@ -10,6 +10,7 @@ from anticopypaster.source_model import (
     scan_declarations,
     validate_fragment,
 )
+from anticopypaster.statements import control_flow_violations, parse_statements
 
 TWO_METHODS = """\
 public class TwoMethods {
@@ -124,6 +125,51 @@ def test_unbalanced_braces_raise_indexing_error():
         index_file("class A { void f() { }", "A.java")
 
 
+STRAY_DELIMITER_HOST = """\
+class A {
+    void f() {
+        %s
+    }
+    void h() {
+        k();
+    }
+}
+"""
+
+
+@pytest.mark.parametrize("broken", ["g(;", "g( { ) };"])
+def test_stray_delimiters_in_a_body_do_not_hide_later_methods(broken):
+    methods, _ = index_file(STRAY_DELIMITER_HOST % broken, "A.java")
+    assert [(m.name, m.start_line) for m in methods] == [("f", 3), ("h", 6)]
+
+
+def test_annotated_parameters_keep_their_types():
+    source = """\
+class A {
+    void f(@Named(value = ("x")) int a, final @X List<Map<K,V>> b) {
+        g();
+    }
+}
+"""
+    (method,), _ = index_file(source, "A.java")
+    assert [(p.name, p.declared_type) for p in method.parameter_list] == [
+        ("a", "int"),
+        ("b", "List<Map<K,V>>"),
+    ]
+
+
+def test_enum_constant_bodies_are_skipped():
+    source = "enum E { A(1), B(2) { int f() { return 1; } }; int g() { return 0; } }"
+    methods, _ = index_file(source, "E.java")
+    assert [m.name for m in methods] == ["g"]
+
+
+def test_enum_with_unclosed_constant_arguments_indexes_nothing():
+    source = "enum E { A(1, B(2; int g() { return 0; } }"
+    methods, _ = index_file(source, "E.java")
+    assert methods == []
+
+
 def test_indexing_is_deterministic():
     a = index_file(TWO_METHODS, "TwoMethods.java")[0]
     b = index_file(TWO_METHODS, "TwoMethods.java")[0]
@@ -149,6 +195,11 @@ def test_unbalanced_delimiters_are_invalid():
     assert not validate_fragment("if (x {").valid
 
 
+@pytest.mark.parametrize("text", ["a[(b]);", "x = (a[b)];", "f((a);"])
+def test_crossed_or_unmatched_delimiters_are_invalid(text):
+    assert not validate_fragment(text).valid
+
+
 def test_type_declaration_is_invalid():
     assert not validate_fragment("public class A {}").valid
     assert not validate_fragment("class A {}").valid
@@ -172,6 +223,29 @@ def test_control_flow_statements_are_valid():
     assert validate_fragment("try { open(); } catch (Exception e) { log(e); }").valid
     assert validate_fragment("switch (k) { case 1: f(); break; default: g(); }").valid
     assert validate_fragment("synchronized (lock) { counter++; }").valid
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "switch (k) { case 1 -> a++; default -> a--; }",
+        "switch (k) { case 1 -> { f(); } default -> throw e; }",
+    ],
+)
+def test_arrow_case_labels_are_valid(text):
+    assert validate_fragment(text).valid
+
+
+def test_arrow_case_takes_only_a_block_throw_or_expression():
+    assert not validate_fragment("switch (k) { case 1 -> return; }").valid
+    assert not validate_fragment("switch (k) { case 1 -> }").valid
+
+
+def test_case_label_control_flow():
+    colon = validate_fragment("switch (k) { case 1: f(); break; default: return; }")
+    arrow = validate_fragment("switch (k) { case 1 -> { break; } default -> g(); }")
+    assert control_flow_violations(parse_statements(colon.tokens)) == ["return inside fragment"]
+    assert control_flow_violations(parse_statements(arrow.tokens)) == []
 
 
 def test_lambda_and_anonymous_class_statements_are_valid():
