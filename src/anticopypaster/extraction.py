@@ -108,8 +108,7 @@ def analyze_extractability(
     if not fragment.valid:
         raise MissingContext("fragment is not a valid statement sequence")
     frag_texts = token_texts(fragment.tokens)
-    body_texts = token_texts(enclosing.body_tokens)
-    offset = find_subsequence(body_texts, frag_texts)
+    offset = find_subsequence(enclosing.body_texts, frag_texts)
     if offset < 0:
         raise MissingContext("fragment is not a contiguous span of the enclosing method")
     frag_end = offset + len(frag_texts)

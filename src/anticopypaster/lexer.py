@@ -2,13 +2,15 @@
 
 Turns source text into a flat token stream with 1-based positions.
 Whitespace and comments never produce tokens; string and character
-literals are emitted as single literal tokens with their quotes.
+literals, text blocks included, are emitted as single literal tokens
+with their quotes.
 Line endings are normalized to LF before scanning, so positions are
 stable across CRLF and LF inputs.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 
@@ -23,7 +25,7 @@ class TokenKind(str, Enum):
     PUNCTUATION = "punctuation"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Token:
     kind: TokenKind
     text: str
@@ -142,6 +144,9 @@ class _Scanner:
                     raise LexError("unterminated block comment", self.line)
                 self._advance(end + 2 - self.pos)
                 continue
+            if s.startswith('"""', self.pos):
+                self._emit(TokenKind.LITERAL, self._scan_text_block())
+                continue
             if ch in "\"'":
                 self._emit(TokenKind.LITERAL, self._scan_quoted(ch))
                 continue
@@ -194,6 +199,20 @@ class _Scanner:
             j += 1
         raise LexError("unterminated string literal", self.line)
 
+    def _scan_text_block(self) -> int:
+        """End of the text block opened at pos; it may span lines."""
+        s = self.text
+        n = len(s)
+        j = self.pos + 3
+        while j < n:
+            if s[j] == "\\":
+                j += 2
+            elif s.startswith('"""', j):
+                return j + 3
+            else:
+                j += 1
+        raise LexError("unterminated text block", self.line)
+
     def _scan_number(self) -> int:
         s = self.text
         n = len(s)
@@ -230,7 +249,7 @@ def tokenize(text: str) -> list[Token]:
     """Lex arbitrary UTF-8 source text into tokens.
 
     Raises LexError with the starting line for unterminated block
-    comments and string/char literals.
+    comments, string/char literals and text blocks.
     """
     return _Scanner(normalize_newlines(text)).run()
 
@@ -238,6 +257,11 @@ def tokenize(text: str) -> list[Token]:
 def token_texts(tokens: list[Token]) -> tuple[str, ...]:
     """Normalized token sequence: verbatim lexemes, positions dropped."""
     return tuple(t.text for t in tokens)
+
+
+def token_bag(tokens: list[Token]) -> Counter[str]:
+    """Multiset of token texts, punctuation excluded; order is ignored."""
+    return Counter(t.text for t in tokens if t.kind != TokenKind.PUNCTUATION)
 
 
 _OPENER_OF = {")": "(", "]": "[", "}": "{"}

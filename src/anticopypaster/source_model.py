@@ -16,7 +16,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import EmptyScope, IndexingError, LexError
-from .lexer import Token, TokenKind, match_delimiters, normalize_newlines, tokenize
+from .lexer import (
+    Token,
+    TokenKind,
+    match_delimiters,
+    normalize_newlines,
+    token_bag,
+    token_texts,
+    tokenize,
+)
 from .statements import is_statement_sequence
 
 PRIMITIVE_TYPES = frozenset(
@@ -61,6 +69,10 @@ class MethodUnit:
     open_brace_line: int
     close_brace_line: int
     declaration_line: int
+    # The duplicate scan's fingerprint, built once when the method is indexed.
+    body_texts: tuple[str, ...]
+    bag: dict[str, int]
+    bag_size: int
 
     @property
     def line_count(self) -> int:
@@ -459,6 +471,7 @@ class _Indexer:
         for name, decl in decls:
             decl_map.setdefault(name, decl)
         body_text = "\n".join(self.lines[start_line - 1 : end_line])
+        bag = token_bag(body_tokens)
         unit = MethodUnit(
             id=f"{self.file_path}:{start_line}:{name_tok.text}",
             name=name_tok.text,
@@ -474,6 +487,9 @@ class _Indexer:
             open_brace_line=open_line,
             close_brace_line=close_line,
             declaration_line=header[0].line if header else open_line,
+            body_texts=token_texts(body_tokens),
+            bag=bag,
+            bag_size=bag.total(),
         )
         self.methods.append(unit)
         ctx.method_names.add(name_tok.text)

@@ -13,7 +13,7 @@ from fnmatch import fnmatch
 from pathlib import Path
 
 from .decision import PasteEvent, PasteQueue
-from .errors import EngineError, MissingRoot, UnknownProject
+from .errors import ConfigSyntax, EngineError, MissingRoot, UnknownProject
 from .lexer import normalize_newlines
 from .metrics import ProjectDistribution, build_distributions
 from .settings import CONFIG_FILENAME, Settings, default_settings, load_settings
@@ -79,11 +79,11 @@ def open_project(
         raise MissingRoot(f"project root {root} does not exist")
 
     if config_path is not None:
-        settings = load_settings(Path(config_path).read_text(encoding="utf-8"))
+        settings = _read_settings(Path(config_path))
     else:
         default_config = root_path / CONFIG_FILENAME
         if default_config.is_file():
-            settings = load_settings(default_config.read_text(encoding="utf-8"))
+            settings = _read_settings(default_config)
         else:
             settings = default_settings()
 
@@ -101,6 +101,14 @@ def open_project(
     _index_files(session, sorted(session.files))
     _rebuild_distribution(session)
     return session
+
+
+def _read_settings(path: Path) -> Settings:
+    try:
+        text = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigSyntax(f"cannot read config {path}: {exc}") from exc
+    return load_settings(text)
 
 
 def _index_files(session: ProjectSession, rel_paths: list[str]) -> None:

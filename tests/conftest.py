@@ -5,11 +5,7 @@ from pathlib import Path
 
 import pytest
 
-REPO_ROOT = Path(__file__).resolve().parent.parent
-CORPUS_DIR = REPO_ROOT / "corpus"
-SCENARIOS_DIR = REPO_ROOT / "scenarios"
-GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
-FIXTURES_DIR = Path(__file__).resolve().parent / "fixtures"
+from helpers import CORPUS_DIR, REPO_ROOT
 
 
 @pytest.fixture
@@ -27,13 +23,3 @@ def corpus_cases() -> list[dict]:
         meta["dir"] = case_dir
         cases.append(meta)
     return cases
-
-
-def write_project(root: Path, files: dict[str, str]) -> Path:
-    """Materialize a tiny Java tree for a test."""
-    root.mkdir(parents=True, exist_ok=True)
-    for rel, text in files.items():
-        target = root / rel
-        target.parent.mkdir(parents=True, exist_ok=True)
-        target.write_text(text, encoding="utf-8")
-    return root

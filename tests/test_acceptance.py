@@ -36,7 +36,7 @@ from anticopypaster.settings import SubmetricFlags
 from anticopypaster.source_model import index_file, validate_fragment
 from anticopypaster.workspace import open_project
 
-from conftest import CORPUS_DIR, FIXTURES_DIR, GOLDEN_DIR, SCENARIOS_DIR
+from helpers import CORPUS_DIR, FIXTURES_DIR, GOLDEN_DIR, SCENARIOS_DIR
 from test_clones import brute_force_duplicates
 
 

@@ -7,7 +7,7 @@ import pytest
 
 from anticopypaster.cli import run_command
 
-from conftest import FIXTURES_DIR, GOLDEN_DIR, REPO_ROOT, SCENARIOS_DIR, write_project
+from helpers import FIXTURES_DIR, GOLDEN_DIR, REPO_ROOT, SCENARIOS_DIR, write_project
 
 DUP_PROJECT = {
     "Host.java": """\
@@ -232,3 +232,14 @@ def test_non_utf8_sources_are_skipped_or_rejected(dup_root, tmp_path, capsys):
         ["check", str(dup_root), "--fragment", str(latin_fragment), "--at", "Host.java:5"]
     ) == 3
     assert "cannot read" in capsys.readouterr().err
+
+
+def test_unreadable_config_exits_3_naming_the_file(dup_root, tmp_path, capsys):
+    config = dup_root / ".anticopypaster.json"
+    config.write_bytes('{"ignore": ["café"]}'.encode("latin-1"))
+    assert run_command(["analyze", str(dup_root)]) == 3
+    assert f"cannot read config {config}" in capsys.readouterr().err
+    config.unlink()
+    missing = tmp_path / "absent.json"
+    assert run_command(["analyze", str(dup_root), "--config", str(missing)]) == 3
+    assert f"cannot read config {missing}" in capsys.readouterr().err

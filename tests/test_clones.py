@@ -3,7 +3,7 @@ from __future__ import annotations
 from collections import Counter
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from anticopypaster.clones import (
@@ -16,6 +16,9 @@ from anticopypaster.clones import (
 from anticopypaster.errors import UndefinedSimilarity
 from anticopypaster.lexer import TokenKind, token_texts, tokenize
 from anticopypaster.source_model import index_file, validate_fragment
+from anticopypaster.workspace import open_project
+
+from helpers import write_project
 
 
 def bag_of(source: str):
@@ -204,6 +207,73 @@ def test_find_duplicates_agrees_with_brute_force(theta):
         assert find_duplicates(fragment, _methods(), theta) == brute_force_duplicates(
             fragment, _methods(), theta
         )
+
+
+# Statements whose bags hold 0 to 7 words, so generated bodies and
+# fragments land on both sides of every size-filter boundary.
+_STATEMENTS = (
+    ";",
+    "f(a);",
+    "f(a, b, c);",
+    "g(a, b, c, f);",
+    "a = b;",
+    "a = b + c;",
+    "return a;",
+    "x++;",
+    "if (a > b) { a = b; }",
+)
+_BODIES = st.lists(st.lists(st.sampled_from(_STATEMENTS), max_size=5), min_size=1, max_size=6)
+
+
+def _class_of(bodies: list[list[str]]) -> str:
+    methods = "".join(
+        f"    void m{i}() {{\n" + "".join(f"        {s}\n" for s in body) + "    }\n"
+        for i, body in enumerate(bodies)
+    )
+    return "class Gen {\n" + methods + "}\n"
+
+
+@given(
+    _BODIES,
+    st.lists(st.sampled_from(_STATEMENTS), min_size=1, max_size=3),
+    st.sampled_from([0.25, 0.5, 0.75, 0.8, 1.0]),
+)
+# Bag sizes 4 and 5 at 0.8: min/max equals the threshold, a near match.
+@example([["g(a, b, c, f);"]], ["f(a, b, c);"], 0.8)
+@example([["f(a, b, c);"]], ["g(a, b, c, f);"], 0.8)
+@example([["a = b + c;"], ["f(a);", "a = b;"]], ["a = b + c;"], 1.0)
+@example([[";"], []], [";"], 0.5)
+def test_filtered_scan_agrees_with_brute_force_on_generated_projects(bodies, statements, theta):
+    methods = index_file(_class_of(bodies), "Gen.java")[0]
+    fragment = validate_fragment("\n".join(statements))
+    assert fragment.valid
+    assert find_duplicates(fragment, methods, theta) == brute_force_duplicates(
+        fragment, methods, theta
+    )
+
+
+def _fingerprints(methods) -> list[tuple]:
+    return [(m.id, m.body_texts, m.bag, m.bag_size) for m in methods]
+
+
+def _assert_fingerprints_fresh(methods) -> None:
+    for method in methods:
+        words = [t.text for t in method.body_tokens if t.kind != TokenKind.PUNCTUATION]
+        assert method.body_texts == tuple(t.text for t in method.body_tokens)
+        assert method.bag == Counter(words)
+        assert method.bag_size == len(words)
+
+
+def test_fingerprints_after_edits_equal_fresh_ones(tmp_path):
+    files = {"Five.java": FIVE_METHODS, "Gen.java": _class_of([["f(a);"]])}
+    session = open_project(write_project(tmp_path / "p", files))
+    _assert_fingerprints_fresh(session.methods)
+    session.apply_edit("Five.java", FIVE_METHODS.replace("return v;", "return v + v * 3;"))
+    session.apply_edit("Gen.java", _class_of([["a = b + c;", "x++;"], [], ["return a;"]]))
+    session.apply_edit("New.java", _class_of([["g(a, b, c, f);"]]))
+    _assert_fingerprints_fresh(session.methods)
+    fresh = open_project(write_project(tmp_path / "fresh", session.files))
+    assert _fingerprints(session.methods) == _fingerprints(fresh.methods)
 
 
 def test_statement_permutation_keeps_near_similarity():

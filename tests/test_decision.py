@@ -24,7 +24,7 @@ from anticopypaster.metrics import Submetric
 from anticopypaster.settings import SubmetricFlags
 from anticopypaster.workspace import open_project
 
-from conftest import write_project
+from helpers import write_project
 
 HOST_SOURCE = """\
 public class Host {

@@ -21,7 +21,7 @@ from anticopypaster.extraction import (
 from anticopypaster.source_model import index_file, validate_fragment
 from anticopypaster.workspace import open_project
 
-from conftest import FIXTURES_DIR, GOLDEN_DIR
+from helpers import FIXTURES_DIR, GOLDEN_DIR
 
 FLOW_SOURCE = """\
 class Flow {

@@ -76,6 +76,29 @@ def test_unterminated_string_reports_line():
     assert err.value.line == 2
 
 
+def test_text_block_is_one_literal_spanning_its_lines():
+    tokens = tokenize('String s = """\n  hi "q"\n  """;\nx')
+    assert kinds_and_texts(tokens[3:]) == [
+        ("literal", '"""\n  hi "q"\n  """'),
+        ("punctuation", ";"),
+        ("identifier", "x"),
+    ]
+    assert (tokens[3].line, tokens[4].line, tokens[5].line) == (1, 3, 4)
+
+
+def test_escaped_quotes_stay_inside_a_text_block():
+    (tok, semi) = tokenize('"""\n a \\""" b \\\\\n""";')
+    assert tok.text == '"""\n a \\""" b \\\\\n"""'
+    assert semi.text == ";"
+
+
+def test_unterminated_text_block_reports_its_opening_line():
+    with pytest.raises(LexError) as err:
+        tokenize('a\nb = """\n never closed ""\n')
+    assert err.value.line == 2
+    assert "text block" in str(err.value)
+
+
 def test_unterminated_block_comment_is_an_error():
     with pytest.raises(LexError):
         tokenize("a /* never closed")

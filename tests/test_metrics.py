@@ -29,7 +29,7 @@ from anticopypaster.metrics import (
 from anticopypaster.source_model import index_file, validate_fragment
 from anticopypaster.workspace import open_project
 
-from conftest import FIXTURES_DIR, GOLDEN_DIR
+from helpers import FIXTURES_DIR, GOLDEN_DIR
 
 GUARDED = "if (x > 0) {\n    sum += x;\n}"
 

@@ -6,7 +6,7 @@ import pytest
 
 from anticopypaster.scenario import ScenarioError, load_scenario, run_scenario, serialize_log
 
-from conftest import SCENARIOS_DIR
+from helpers import SCENARIOS_DIR
 
 
 def _scenario(name: str):

@@ -7,7 +7,7 @@ from anticopypaster.errors import MissingRoot, UnknownProject
 from anticopypaster.metrics import build_distributions
 from anticopypaster.workspace import Workspace, open_project, refresh_index
 
-from conftest import write_project
+from helpers import FIXTURES_DIR, write_project
 
 FILE_A = """\
 class A {
@@ -63,6 +63,16 @@ def test_open_project_indexes_all_files_and_methods(tmp_path):
     assert len(session.methods) == 6
     assert session.distribution is not None
     assert session.distribution.sample_size == 6
+
+
+def test_text_blocks_do_not_drop_their_file():
+    session = open_project(FIXTURES_DIR / "text_block")
+    assert session.warnings == []
+    lines = {m.name: (m.start_line, m.end_line) for m in session.methods}
+    assert lines == {"banner": (3, 7), "width": (11, 11)}
+    banner = next(m for m in session.methods if m.name == "banner")
+    assert banner.body_tokens[3].text.startswith('"""')
+    assert banner.body_tokens[4].line == 6
 
 
 def test_missing_root_is_an_error(tmp_path):
