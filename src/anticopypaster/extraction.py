@@ -282,8 +282,7 @@ def apply_extraction(plan: ExtractionPlan, sources: Mapping[str, str]) -> ApplyR
     stale site aborts the whole application with the sources untouched.
     Replacement keeps the indentation of the first replaced line.
     """
-    for site in plan.target_sites:
-        _verify_site(plan, sources, site)
+    _verify_sites(plan, sources)
 
     edits: dict[str, list[tuple[int, int, list[str], TargetSite | None]]] = {}
     for site in plan.target_sites:
@@ -331,21 +330,32 @@ def apply_extraction(plan: ExtractionPlan, sources: Mapping[str, str]) -> ApplyR
     return ApplyResult(new_sources, diff, tuple(call_sites), inserted_span)
 
 
-def _verify_site(plan: ExtractionPlan, sources: Mapping[str, str], site: TargetSite) -> None:
-    text = sources.get(site.file_path)
-    if text is None:
-        raise StaleSite(f"{site.file_path} is missing")
-    try:
-        tokens = tokenize(text)
-    except LexError as exc:
-        raise StaleSite(f"{site.file_path} no longer lexes: {exc}") from exc
-    site_texts = tuple(
-        t.text for t in tokens if site.start_line <= t.line <= site.end_line
-    )
-    if site_texts != plan.fragment_token_texts:
-        raise StaleSite(
-            f"{site.file_path}:{site.start_line}-{site.end_line} no longer matches the fragment"
-        )
+def _verify_sites(plan: ExtractionPlan, sources: Mapping[str, str]) -> None:
+    """Raise StaleSite at the first site that no longer holds the fragment.
+
+    Sites come grouped by file, so each file is lexed once and only one
+    file's tokens are held at a time.
+    """
+    path, tokens = None, []
+    for site in plan.target_sites:
+        if site.file_path != path:
+            path = site.file_path
+            text = sources.get(path)
+            if text is None:
+                raise StaleSite(f"{path} is missing")
+            try:
+                tokens = tokenize(text)
+            except LexError as exc:
+                raise StaleSite(f"{path} no longer lexes: {exc}") from exc
+        if _texts_on_lines(tokens, site.start_line, site.end_line) != plan.fragment_token_texts:
+            raise StaleSite(
+                f"{path}:{site.start_line}-{site.end_line} no longer matches the fragment"
+            )
+
+
+def _texts_on_lines(tokens: list[Token], first: int, last: int) -> tuple[str, ...]:
+    """Texts of the tokens that start on lines first through last."""
+    return tuple(t.text for t in tokens if first <= t.line <= last)
 
 
 def _leading_ws(line: str) -> str:
@@ -398,14 +408,15 @@ def verify_by_inlining(
     rewritten call, so argument-order mistakes surface as mismatches.
     """
     verdicts = []
+    path, before, after = None, [], []
     for applied in result.call_sites:
         site = applied.site
-        before_tokens = tokenize(before_sources[site.file_path])
-        expected = tuple(
-            t.text for t in before_tokens if site.start_line <= t.line <= site.end_line
-        )
-        after_tokens = tokenize(after_sources[site.file_path])
-        call_tokens = [t for t in after_tokens if t.line == applied.call_line]
+        if site.file_path != path:  # call sites come grouped by file
+            path = site.file_path
+            before = tokenize(before_sources[path])
+            after = tokenize(after_sources[path])
+        expected = _texts_on_lines(before, site.start_line, site.end_line)
+        call_tokens = [t for t in after if t.line == applied.call_line]
         rename = _argument_renaming(plan, call_tokens)
         if rename is None:
             verdicts.append(SiteVerdict(site, False))

@@ -1,15 +1,17 @@
 """Java lexer.
 
-Turns source text into a flat token stream with 1-based positions.
-Whitespace and comments never produce tokens; string and character
-literals, text blocks included, are emitted as single literal tokens
-with their quotes.
+Turns source text into a flat token stream with 1-based positions, by
+one pass of a compiled master regex whose named groups are the lexeme
+classes (the "Writing a Tokenizer" recipe of the `re` docs). Whitespace
+and comments never produce tokens; string and character literals, text
+blocks included, are emitted as single literal tokens with their quotes.
 Line endings are normalized to LF before scanning, so positions are
-stable across CRLF and LF inputs.
+stable across CRLF and LF inputs; only LF starts a new line.
 """
 
 from __future__ import annotations
 
+import re
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
@@ -52,206 +54,84 @@ JAVA_KEYWORDS = frozenset(
 
 WORD_LITERALS = frozenset({"true", "false", "null"})
 
-# Multi-character lexemes, longest first for maximal munch.
-_MULTI = (
-    (">>>=", TokenKind.OPERATOR),
-    (">>>", TokenKind.OPERATOR),
-    ("<<=", TokenKind.OPERATOR),
-    (">>=", TokenKind.OPERATOR),
-    ("...", TokenKind.PUNCTUATION),
-    ("==", TokenKind.OPERATOR),
-    ("!=", TokenKind.OPERATOR),
-    ("<=", TokenKind.OPERATOR),
-    (">=", TokenKind.OPERATOR),
-    ("&&", TokenKind.OPERATOR),
-    ("||", TokenKind.OPERATOR),
-    ("++", TokenKind.OPERATOR),
-    ("--", TokenKind.OPERATOR),
-    ("+=", TokenKind.OPERATOR),
-    ("-=", TokenKind.OPERATOR),
-    ("*=", TokenKind.OPERATOR),
-    ("/=", TokenKind.OPERATOR),
-    ("%=", TokenKind.OPERATOR),
-    ("&=", TokenKind.OPERATOR),
-    ("|=", TokenKind.OPERATOR),
-    ("^=", TokenKind.OPERATOR),
-    ("<<", TokenKind.OPERATOR),
-    (">>", TokenKind.OPERATOR),
-    ("->", TokenKind.OPERATOR),
-    ("::", TokenKind.OPERATOR),
+# One compiled alternation, tried left to right: the first alternative
+# that matches wins, not the longest. So each closed form precedes its
+# unclosed opener, `"""` is tried before `""`, and operators run longest
+# first. Numbers start only at ASCII digits.
+_TOKEN = re.compile(
+    r'''
+      (?P<skip> \s+ | //[^\n]* | /\*[\s\S]*?\*/ )
+    | (?P<literal>
+          "{3} (?: [^"\\] | \\[\s\S] | "(?!"") )* "{3}
+        | "(?!"") (?: [^"\\\n] | \\[\s\S] )* "
+        | ' (?: [^'\\\n] | \\[\s\S] )* '
+        | 0[xX][0-9a-fA-F_]* [lLfFdD]?
+        | 0[bB][01_]* [lLfFdD]?
+        | (?: [0-9][0-9_]* (?: \.[0-9][0-9_]* )? | \.[0-9][0-9_]* )
+          (?: [eE][+-]?[0-9][0-9_]* )? [lLfFdD]?
+      )
+    | (?P<unclosed> /\* | "{3} | ["'] )
+    | (?P<word> [\w$]+ )
+    | (?P<punctuation> \.\.\. | [;,(){}\[\]@] )
+    | (?P<operator>
+          >>>= | >>> | <<= | >>= | [-+*/%&|^=!<>]= | && | \|\| | \+\+ | --
+        | << | >> | -> | :: | [-+*/%=<>!&|^~?:.]
+      )
+    | (?P<other> [\s\S] )
+    ''',
+    re.VERBOSE,
 )
 
-_SINGLE_OPERATORS = frozenset("+-*/%=<>!&|^~?:.")
-_SINGLE_PUNCTUATION = frozenset(";,(){}[]@")
-
-# Numbers start only at ASCII digits: str.isdigit() also accepts '²' or
-# '٣', which no number rule consumes, and the scanner would stall there.
-_ASCII_DIGITS = frozenset("0123456789")
-_HEX_DIGITS = frozenset("0123456789abcdefABCDEF_")
-_BIN_DIGITS = frozenset("01_")
-_DEC_DIGITS = frozenset("0123456789_")
+_GROUP_KINDS = {
+    "literal": TokenKind.LITERAL,
+    "punctuation": TokenKind.PUNCTUATION,
+    "operator": TokenKind.OPERATOR,
+}
+_WORD_KINDS = {
+    **dict.fromkeys(JAVA_KEYWORDS, TokenKind.KEYWORD),
+    **dict.fromkeys(WORD_LITERALS, TokenKind.LITERAL),
+}
+_UNCLOSED = {
+    "/*": "unterminated block comment",
+    '"""': "unterminated text block",
+    '"': "unterminated string literal",
+    "'": "unterminated string literal",
+}
 
 
 def normalize_newlines(text: str) -> str:
     return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
-def _is_ident_start(ch: str) -> bool:
-    return ch.isalpha() or ch in "_$"
-
-
-def _is_ident_part(ch: str) -> bool:
-    return ch.isalnum() or ch in "_$"
-
-
-class _Scanner:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-        self.line = 1
-        self.col = 1
-        self.tokens: list[Token] = []
-
-    def _advance(self, n: int) -> None:
-        for _ in range(n):
-            if self.text[self.pos] == "\n":
-                self.line += 1
-                self.col = 1
-            else:
-                self.col += 1
-            self.pos += 1
-
-    def _emit(self, kind: TokenKind, end: int) -> None:
-        text = self.text[self.pos : end]
-        self.tokens.append(Token(kind, text, self.line, self.col))
-        self._advance(end - self.pos)
-
-    def run(self) -> list[Token]:
-        s = self.text
-        n = len(s)
-        while self.pos < n:
-            ch = s[self.pos]
-            if ch.isspace():
-                self._advance(1)
-                continue
-            if ch == "/" and self.pos + 1 < n and s[self.pos + 1] == "/":
-                end = s.find("\n", self.pos)
-                self._advance((n if end < 0 else end) - self.pos)
-                continue
-            if ch == "/" and self.pos + 1 < n and s[self.pos + 1] == "*":
-                end = s.find("*/", self.pos + 2)
-                if end < 0:
-                    raise LexError("unterminated block comment", self.line)
-                self._advance(end + 2 - self.pos)
-                continue
-            if s.startswith('"""', self.pos):
-                self._emit(TokenKind.LITERAL, self._scan_text_block())
-                continue
-            if ch in "\"'":
-                self._emit(TokenKind.LITERAL, self._scan_quoted(ch))
-                continue
-            if ch in _ASCII_DIGITS or (ch == "." and self.pos + 1 < n and s[self.pos + 1] in _ASCII_DIGITS):
-                self._emit(TokenKind.LITERAL, self._scan_number())
-                continue
-            if _is_ident_start(ch):
-                end = self.pos + 1
-                while end < n and _is_ident_part(s[end]):
-                    end += 1
-                word = s[self.pos : end]
-                if word in JAVA_KEYWORDS:
-                    kind = TokenKind.KEYWORD
-                elif word in WORD_LITERALS:
-                    kind = TokenKind.LITERAL
-                else:
-                    kind = TokenKind.IDENTIFIER
-                self._emit(kind, end)
-                continue
-            matched = False
-            for lexeme, kind in _MULTI:
-                if s.startswith(lexeme, self.pos):
-                    self._emit(kind, self.pos + len(lexeme))
-                    matched = True
-                    break
-            if matched:
-                continue
-            if ch in _SINGLE_OPERATORS:
-                self._emit(TokenKind.OPERATOR, self.pos + 1)
-                continue
-            if ch in _SINGLE_PUNCTUATION:
-                self._emit(TokenKind.PUNCTUATION, self.pos + 1)
-                continue
-            raise LexError(f"unexpected character {ch!r}", self.line)
-        return self.tokens
-
-    def _scan_quoted(self, quote: str) -> int:
-        s = self.text
-        n = len(s)
-        j = self.pos + 1
-        while j < n:
-            c = s[j]
-            if c == "\\":
-                j += 2
-                continue
-            if c == quote:
-                return j + 1
-            if c == "\n":
-                break
-            j += 1
-        raise LexError("unterminated string literal", self.line)
-
-    def _scan_text_block(self) -> int:
-        """End of the text block opened at pos; it may span lines."""
-        s = self.text
-        n = len(s)
-        j = self.pos + 3
-        while j < n:
-            if s[j] == "\\":
-                j += 2
-            elif s.startswith('"""', j):
-                return j + 3
-            else:
-                j += 1
-        raise LexError("unterminated text block", self.line)
-
-    def _scan_number(self) -> int:
-        s = self.text
-        n = len(s)
-        j = self.pos
-        if s[j] == "0" and j + 1 < n and s[j + 1] in "xX":
-            j += 2
-            while j < n and s[j] in _HEX_DIGITS:
-                j += 1
-        elif s[j] == "0" and j + 1 < n and s[j + 1] in "bB":
-            j += 2
-            while j < n and s[j] in _BIN_DIGITS:
-                j += 1
-        else:
-            while j < n and s[j] in _DEC_DIGITS:
-                j += 1
-            if j < n and s[j] == "." and j + 1 < n and s[j + 1] in _ASCII_DIGITS:
-                j += 1
-                while j < n and s[j] in _DEC_DIGITS:
-                    j += 1
-            if j < n and s[j] in "eE":
-                k = j + 1
-                if k < n and s[k] in "+-":
-                    k += 1
-                if k < n and s[k] in _ASCII_DIGITS:
-                    j = k
-                    while j < n and s[j] in _DEC_DIGITS:
-                        j += 1
-        if j < n and s[j] in "lLfFdD":
-            j += 1
-        return j
-
-
 def tokenize(text: str) -> list[Token]:
     """Lex arbitrary UTF-8 source text into tokens.
 
     Raises LexError with the starting line for unterminated block
-    comments, string/char literals and text blocks.
+    comments, string/char literals and text blocks, and for a character
+    that starts no token.
     """
-    return _Scanner(normalize_newlines(text)).run()
+    tokens: list[Token] = []
+    line, line_start = 1, 0
+    for m in _TOKEN.finditer(normalize_newlines(text)):
+        group, lexeme = m.lastgroup, m.group()
+        if group != "skip":
+            if group == "word":
+                # `[\w$]` also starts at `²`, `½` or `Ⅻ`; identifiers start
+                # only where str.isalpha holds.
+                if not (lexeme[0].isalpha() or lexeme[0] in "_$"):
+                    raise LexError(f"unexpected character {lexeme[0]!r}", line)
+                kind = _WORD_KINDS.get(lexeme, TokenKind.IDENTIFIER)
+            elif group in _GROUP_KINDS:
+                kind = _GROUP_KINDS[group]
+            else:
+                raise LexError(_UNCLOSED.get(lexeme, f"unexpected character {lexeme!r}"), line)
+            tokens.append(Token(kind, lexeme, line, m.start() - line_start + 1))
+        # Only `\n` ends a line; `\x85` or `\u2028` is whitespace within one.
+        newlines = lexeme.count("\n")
+        if newlines:
+            line += newlines
+            line_start = m.start() + lexeme.rindex("\n") + 1
+    return tokens
 
 
 def token_texts(tokens: list[Token]) -> tuple[str, ...]:

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import EmptyDistribution, EmptyScope, InvalidSensitivity, MissingContext
+from .errors import EmptyDistribution, InvalidSensitivity
 from .lexer import Token, TokenKind
 from .source_model import (
     ClassContext,
@@ -71,14 +71,6 @@ SUBMETRIC_BY_NAME = {m.value: m for m in Submetric}
 MetricVector = dict[Submetric, float]
 
 
-def keyword_metrics(fragment: Fragment, enabled: frozenset[str]) -> tuple[int, float]:
-    """(total, per-line density) of enabled keyword occurrences."""
-    if fragment.line_count < 1:
-        raise EmptyScope("fragment has no lines")
-    total = sum(1 for tok in fragment.tokens if tok.text in enabled)
-    return total, total / fragment.line_count
-
-
 @dataclass(frozen=True)
 class CouplingCounts:
     field: int
@@ -118,56 +110,6 @@ def coupling_counts(tokens: list[Token], owner: ClassContext) -> CouplingCounts:
     return CouplingCounts(field_refs, method_refs)
 
 
-def coupling_metrics(
-    fragment: Fragment, owner: ClassContext | None, connectivity: str
-) -> tuple[int, float]:
-    """(count, per-line density) for the chosen connectivity flavor."""
-    if owner is None:
-        raise MissingContext("coupling metrics need the enclosing class context")
-    counts = coupling_counts(fragment.tokens, owner)
-    count = {"total": counts.total, "field": counts.field, "method": counts.method}[connectivity]
-    return count, count / fragment.line_count
-
-
-def complexity_metrics(
-    fragment: Fragment, enclosing: MethodUnit
-) -> tuple[int, float, int, float]:
-    """(totalArea, areaDensity, methodArea, methodDepthDensity).
-
-    Area is the sum of per-line nesting depths, so it grows with both
-    length and nesting.
-    """
-    segment_profile = nesting_profile(fragment)
-    total_area = sum(segment_profile)
-    method_area = sum(enclosing.nesting_profile)
-    return (
-        total_area,
-        total_area / fragment.line_count,
-        method_area,
-        method_area / enclosing.line_count,
-    )
-
-
-def size_metrics(
-    fragment: Fragment, enclosing: MethodUnit | None, scope: str
-) -> tuple[int, int, float]:
-    """(lines, symbols, symbolDensity) for the segment or the method.
-
-    Symbols are the non-whitespace characters of the scope's raw text.
-    """
-    if scope == "segment":
-        lines = fragment.line_count
-        symbols = fragment.symbol_count
-    else:
-        if enclosing is None:
-            raise MissingContext("method-scoped size metrics need the enclosing method")
-        lines = enclosing.line_count
-        symbols = count_symbols(enclosing.body_text)
-    if lines < 1:
-        raise EmptyScope("size scope has no lines")
-    return lines, symbols, symbols / lines
-
-
 def _vector(
     keyword_total: int, coupling: CouplingCounts,
     segment_lines: int, segment_symbols: int, segment_area: int,
@@ -202,13 +144,18 @@ def compute_vector(
     owner: ClassContext,
     keywords: frozenset[str],
 ) -> MetricVector:
-    """All submetric values for a fragment pasted inside a method."""
-    keyword_total, _ = keyword_metrics(fragment, keywords)
-    area, _, method_area, _ = complexity_metrics(fragment, enclosing)
+    """All submetric values for a fragment pasted inside a method.
+
+    Area is the sum of per-line nesting depths, so it grows with both
+    length and nesting. Raises EmptyScope for a fragment without lines
+    or one that is not a valid statement sequence.
+    """
+    area = sum(nesting_profile(fragment))
+    keyword_total = sum(1 for tok in fragment.tokens if tok.text in keywords)
     return _vector(
         keyword_total, coupling_counts(fragment.tokens, owner),
         fragment.line_count, fragment.symbol_count, area,
-        enclosing.line_count, count_symbols(enclosing.body_text), method_area,
+        enclosing.line_count, count_symbols(enclosing.body_text), sum(enclosing.nesting_profile),
     )
 
 

@@ -312,9 +312,10 @@ def _try_declaration(tokens: list[Token], start: int, found: list[tuple[str, Loc
 def index_file(text: str, file_path: str) -> tuple[list[MethodUnit], list[ClassContext]]:
     """Index every method body and class context in one source file.
 
-    Nested classes produce their own ClassContext and own their methods.
-    Raises IndexingError when braces are unbalanced at file scope; lex
-    errors propagate as LexError.
+    Nested classes produce their own ClassContext and own their methods;
+    a record's components are fields of its context. Raises IndexingError
+    when braces are unbalanced at file scope or classes nest deeper than
+    the interpreter's recursion limit; lex errors propagate as LexError.
     """
     normalized = normalize_newlines(text)
     tokens = tokenize(normalized)
@@ -323,7 +324,10 @@ def index_file(text: str, file_path: str) -> tuple[list[MethodUnit], list[ClassC
         raise IndexingError(f"{file_path}: unbalanced braces at file scope")
     lines = normalized.split("\n")
     indexer = _Indexer(tokens, match, lines, file_path)
-    indexer.run()
+    try:
+        indexer.run()
+    except RecursionError:
+        raise IndexingError(f"{file_path}: classes nested too deeply to index") from None
     return indexer.methods, indexer.classes
 
 
@@ -353,11 +357,26 @@ class _Indexer:
     def run(self) -> None:
         n = len(self.tokens)
         while self.pos < n:
-            tok = self.tokens[self.pos]
-            if tok.kind == TokenKind.KEYWORD and tok.text in ("class", "interface", "enum"):
-                self._parse_class(tok.text)
+            if self._declares_type(self.pos):
+                self._parse_class(self.tokens[self.pos].text)
             else:
                 self.pos += 1
+
+    def _declares_type(self, i: int) -> bool:
+        """tokens[i] opens a class, interface, enum or record declaration.
+
+        `record` is an identifier elsewhere, so it counts only when a name
+        and then its component list or type parameters follow.
+        """
+        tok = self.tokens[i]
+        if tok.kind == TokenKind.KEYWORD:
+            return tok.text in ("class", "interface", "enum")
+        return (
+            tok.text == "record"
+            and i + 2 < len(self.tokens)
+            and self.tokens[i + 1].kind == TokenKind.IDENTIFIER
+            and self.tokens[i + 2].text in ("(", "<")
+        )
 
     def _parse_class(self, declared_as: str) -> None:
         name_tok = self.tokens[self.pos + 1] if self.pos + 1 < len(self.tokens) else None
@@ -365,11 +384,18 @@ class _Indexer:
             self.pos += 1
             return
         self.pos += 2
+        components = -1  # a record's '('
         while self.pos < len(self.tokens) and self.tokens[self.pos].text != "{":
+            if declared_as == "record" and components < 0 and self.tokens[self.pos].text == "(":
+                components = self.pos
             self.pos += 1
         if self.pos >= len(self.tokens):
             raise IndexingError(f"{self.file_path}: class body missing for {name_tok.text}")
         ctx = ClassContext(name_tok.text, {}, set(), self.file_path)
+        if components >= 0 and 0 <= self.match[components] < self.pos:
+            end = self.match[components]
+            for param in _parse_parameters(self.tokens, self.match, components + 1, end):
+                ctx.field_names.setdefault(param.name, param.declared_type)
         self.classes.append(ctx)
         body_end = self.match[self.pos]
         self.pos += 1
@@ -406,9 +432,8 @@ class _Indexer:
             tok = self.tokens[i]
             text = tok.text
             if (
-                tok.kind == TokenKind.KEYWORD
-                and text in ("class", "interface", "enum")
-                and depth == 0
+                depth == 0
+                and self._declares_type(i)
                 and not saw_assign
                 and not (i > member_start and self.tokens[i - 1].text == ".")
             ):

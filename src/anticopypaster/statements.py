@@ -253,8 +253,15 @@ class _Parser:
 
 
 def parse_statements(tokens: list[Token]) -> list[StatementNode]:
-    """Parse a token sequence as one or more Java block statements."""
-    return _Parser(tokens, match_delimiters(tokens)).parse_all()
+    """Parse a token sequence as one or more Java block statements.
+
+    Statements nested deeper than the interpreter's recursion limit are
+    a StatementParseError, like any other input that does not parse.
+    """
+    try:
+        return _Parser(tokens, match_delimiters(tokens)).parse_all()
+    except RecursionError:
+        raise StatementParseError("statements nested too deeply to parse") from None
 
 
 def is_statement_sequence(tokens: list[Token]) -> bool:

@@ -25,11 +25,8 @@ from anticopypaster.extraction import (
 from anticopypaster.metrics import (
     KEYWORD_CATALOGUE,
     Submetric,
-    complexity_metrics,
-    coupling_metrics,
-    keyword_metrics,
+    compute_vector,
     percentile_threshold,
-    size_metrics,
 )
 from anticopypaster.scenario import load_scenario, run_scenario, serialize_log
 from anticopypaster.settings import SubmetricFlags
@@ -179,21 +176,31 @@ def test_criterion_4_metric_fixtures():
     )
     methods, classes = index_file(owner_source, "Owner.java")
     owner = classes[0]
-    fragment = validate_fragment("if (x > 0) {\n    sum += x;\n}")
 
-    total, density = keyword_metrics(fragment, KEYWORD_CATALOGUE)
+    def vector(text: str):
+        return compute_vector(validate_fragment(text), methods[0], owner, KEYWORD_CATALOGUE)
+
+    guarded = vector("if (x > 0) {\n    sum += x;\n}")
+    total, density = guarded[Submetric.KEYWORD_TOTAL], guarded[Submetric.KEYWORD_DENSITY]
     assert total == 1 and abs(density - 1 / 3) < 1e-9
 
-    count, c_density = coupling_metrics(fragment, owner, "total")
+    count = guarded[Submetric.COUPLING_TOTAL_TOTAL]
+    c_density = guarded[Submetric.COUPLING_DENSITY_TOTAL]
     assert count == 1 and abs(c_density - 1 / 3) < 1e-9
-    assert coupling_metrics(validate_fragment("int sum = 0;\nsum++;"), owner, "field")[0] == 0
+    assert vector("int sum = 0;\nsum++;")[Submetric.COUPLING_TOTAL_FIELD] == 0
 
-    area, area_density, _, _ = complexity_metrics(fragment, methods[0])
+    area = guarded[Submetric.COMPLEXITY_TOTAL_AREA]
+    area_density = guarded[Submetric.COMPLEXITY_AREA_DENSITY]
     assert area == 4 and abs(area_density - 4 / 3) < 1e-9
 
-    lines, symbols, s_density = size_metrics(fragment, None, "segment")
+    segment_size = (
+        Submetric.SIZE_LINES_SEGMENT,
+        Submetric.SIZE_SYMBOLS_SEGMENT,
+        Submetric.SIZE_SYMBOL_DENSITY_SEGMENT,
+    )
+    lines, symbols, s_density = (guarded[m] for m in segment_size)
     assert (lines, symbols) == (3, 16) and abs(s_density - 16 / 3) < 1e-9
-    assert size_metrics(validate_fragment("x = 1;"), None, "segment") == (1, 4, 4.0)
+    assert tuple(vector("x = 1;")[m] for m in segment_size) == (1, 4, 4.0)
     print("PASS criterion 4: keyword/coupling/complexity/size hand values exact")
 
 

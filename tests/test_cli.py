@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import shutil
+import sys
 
 import pytest
 
@@ -99,6 +100,15 @@ def test_check_analysis_errors_exit_three(dup_root, tmp_path, capsys):
     assert run_command(
         ["check", str(dup_root), "--fragment", str(other), "--at", "Host.java:5"]
     ) == 3
+
+
+def test_check_on_a_fragment_nested_too_deeply_exits_three(dup_root, tmp_path, capsys):
+    depth = 3 * sys.getrecursionlimit()
+    deep = tmp_path / "deep.java"
+    deep.write_text("{" * depth + "x++;" + "}" * depth, encoding="utf-8")
+    args = ["check", str(dup_root), "--fragment", str(deep), "--at", "Host.java:5", "--json"]
+    assert run_command(args) == 3
+    assert json.loads(capsys.readouterr().out) == {"triggered": False, "reason": "InvalidFragment"}
 
 
 def test_missing_root_is_an_analysis_error(tmp_path, capsys):

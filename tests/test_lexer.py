@@ -10,6 +10,7 @@ from anticopypaster.lexer import (
     Token,
     TokenKind,
     match_delimiters,
+    normalize_newlines,
     token_texts,
     tokenize,
 )
@@ -160,6 +161,41 @@ def test_tokenize_raises_only_lex_errors(text):
     except LexError:
         return
     assert all(tok.text for tok in tokens)
+
+
+def _offset(lines: list[str], tok: Token) -> int:
+    return sum(len(line) + 1 for line in lines[: tok.line - 1]) + tok.column - 1
+
+
+@given(_LEXER_PROBES)
+@example('a /* c\n */ "x\\\ny" """\n t\n""" b')
+@example("x\x85y \u2028 z")
+def test_tokens_sit_at_their_positions_and_gaps_lex_to_nothing(text):
+    try:
+        tokens = tokenize(text)
+    except LexError:
+        return
+    source = normalize_newlines(text)
+    lines = source.split("\n")
+    end = 0
+    for tok in tokens:
+        start = _offset(lines, tok)
+        assert source[start : start + len(tok.text)] == tok.text
+        assert tokenize(source[end:start]) == []
+        end = start + len(tok.text)
+    assert tokenize(source[end:]) == []
+
+
+@given(_LEXER_PROBES)
+@example('0x1F .5f 1e 1.e3 ... >>>= a\u00b2 """\n"""')
+def test_each_token_lexes_alone_to_itself(text):
+    try:
+        tokens = tokenize(text)
+    except LexError:
+        return
+    for tok in tokens:
+        (alone,) = tokenize(tok.text)
+        assert (alone.kind, alone.text) == (tok.kind, tok.text)
 
 
 def _per_kind_depth_partners(texts: list[str]) -> list[int]:

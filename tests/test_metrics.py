@@ -8,23 +8,15 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from anticopypaster.errors import (
-    EmptyDistribution,
-    InvalidSensitivity,
-    MissingContext,
-)
+from anticopypaster.errors import EmptyDistribution, InvalidSensitivity
 from anticopypaster.metrics import (
     CONFIGURABLE_KEYWORDS,
     KEYWORD_CATALOGUE,
     Submetric,
     build_distributions,
-    complexity_metrics,
     compute_vector,
-    coupling_metrics,
-    keyword_metrics,
     method_vector,
     percentile_threshold,
-    size_metrics,
 )
 from anticopypaster.source_model import index_file, validate_fragment
 from anticopypaster.workspace import open_project
@@ -59,73 +51,78 @@ def test_keyword_catalogue_has_exactly_31_entries():
     assert {"public", "private", "static", "void"} & KEYWORD_CATALOGUE == set()
 
 
+def _vector(text: str, keywords: frozenset[str] = KEYWORD_CATALOGUE):
+    methods, owner = _owner()
+    return compute_vector(validate_fragment(text), methods[0], owner, keywords)
+
+
+def _pick(vector, *submetrics: Submetric) -> tuple:
+    return tuple(vector[m] for m in submetrics)
+
+
+KEYWORD = (Submetric.KEYWORD_TOTAL, Submetric.KEYWORD_DENSITY)
+FIELD = (Submetric.COUPLING_TOTAL_FIELD, Submetric.COUPLING_DENSITY_FIELD)
+METHOD = (Submetric.COUPLING_TOTAL_METHOD, Submetric.COUPLING_DENSITY_METHOD)
+TOTAL = (Submetric.COUPLING_TOTAL_TOTAL, Submetric.COUPLING_DENSITY_TOTAL)
+SEGMENT_SIZE = (
+    Submetric.SIZE_LINES_SEGMENT,
+    Submetric.SIZE_SYMBOLS_SEGMENT,
+    Submetric.SIZE_SYMBOL_DENSITY_SEGMENT,
+)
+
+
 def test_keyword_metrics_on_the_guarded_fragment():
-    fragment = validate_fragment(GUARDED)
-    assert keyword_metrics(fragment, KEYWORD_CATALOGUE) == (1, pytest.approx(1 / 3))
+    assert _pick(_vector(GUARDED), *KEYWORD) == (1, pytest.approx(1 / 3))
 
 
 def test_keyword_metrics_with_disjoint_selection():
-    fragment = validate_fragment(GUARDED)
-    assert keyword_metrics(fragment, frozenset({"for"})) == (0, 0)
+    assert _pick(_vector(GUARDED, frozenset({"for"})), *KEYWORD) == (0, 0)
 
 
 def test_keyword_metrics_counts_repeats_across_lines():
-    fragment = validate_fragment("return x;\nreturn y;")
-    assert keyword_metrics(fragment, KEYWORD_CATALOGUE) == (2, 1.0)
+    assert _pick(_vector("return x;\nreturn y;"), *KEYWORD) == (2, 1.0)
 
 
 def test_empty_keyword_set_yields_zero_not_error():
-    fragment = validate_fragment(GUARDED)
-    assert keyword_metrics(fragment, frozenset()) == (0, 0)
+    assert _pick(_vector(GUARDED, frozenset()), *KEYWORD) == (0, 0)
 
 
 @given(st.sets(st.sampled_from(sorted(KEYWORD_CATALOGUE))))
 def test_keyword_total_is_monotone_in_enabled_set(subset):
-    fragment = validate_fragment("if (a) { return b; } else { while (c) { d++; } }")
-    small, _ = keyword_metrics(fragment, frozenset(subset))
-    grown, _ = keyword_metrics(fragment, frozenset(subset) | {"if", "while"})
+    text = "if (a) { return b; } else { while (c) { d++; } }"
+    small = _vector(text, frozenset(subset))[Submetric.KEYWORD_TOTAL]
+    grown = _vector(text, frozenset(subset) | {"if", "while"})[Submetric.KEYWORD_TOTAL]
     assert grown >= small
 
 
 def test_field_connectivity_on_the_guarded_fragment():
-    _, owner = _owner()
-    fragment = validate_fragment(GUARDED)
-    assert coupling_metrics(fragment, owner, "field") == (1, pytest.approx(1 / 3))
-    assert coupling_metrics(fragment, owner, "method") == (0, 0)
-    assert coupling_metrics(fragment, owner, "total") == (1, pytest.approx(1 / 3))
+    vector = _vector(GUARDED)
+    assert _pick(vector, *FIELD) == (1, pytest.approx(1 / 3))
+    assert _pick(vector, *METHOD) == (0, 0)
+    assert _pick(vector, *TOTAL) == (1, pytest.approx(1 / 3))
 
 
 def test_local_declaration_shadows_field():
-    _, owner = _owner()
-    fragment = validate_fragment("int sum = 0;\nsum++;")
-    assert coupling_metrics(fragment, owner, "field") == (0, 0)
+    assert _pick(_vector("int sum = 0;\nsum++;"), *FIELD) == (0, 0)
 
 
 def test_occurrence_before_the_declaration_still_counts():
-    _, owner = _owner()
-    fragment = validate_fragment("sum++;\nint sum = 0;")
-    assert coupling_metrics(fragment, owner, "field")[0] == 1
+    assert _vector("sum++;\nint sum = 0;")[Submetric.COUPLING_TOTAL_FIELD] == 1
 
 
 def test_method_connectivity_counts_calls():
-    _, owner = _owner()
-    fragment = validate_fragment("helper();")
-    assert coupling_metrics(fragment, owner, "method") == (1, 1.0)
-    assert coupling_metrics(fragment, owner, "total") == (1, 1.0)
-
-
-def test_missing_owner_raises():
-    fragment = validate_fragment("x = 1;")
-    with pytest.raises(MissingContext):
-        coupling_metrics(fragment, None, "total")
+    vector = _vector("helper();")
+    assert _pick(vector, *METHOD) == (1, 1.0)
+    assert _pick(vector, *TOTAL) == (1, 1.0)
 
 
 def test_complexity_of_guarded_fragment():
-    methods, _ = _owner()
-    host = methods[0]
-    fragment = validate_fragment(GUARDED)
-    total_area, area_density, method_area, depth_density = complexity_metrics(
-        fragment, host
+    total_area, area_density, method_area, depth_density = _pick(
+        _vector(GUARDED),
+        Submetric.COMPLEXITY_TOTAL_AREA,
+        Submetric.COMPLEXITY_AREA_DENSITY,
+        Submetric.COMPLEXITY_METHOD_AREA,
+        Submetric.COMPLEXITY_METHOD_DEPTH_DENSITY,
     )
     assert total_area == 4
     assert area_density == pytest.approx(4 / 3)
@@ -134,35 +131,28 @@ def test_complexity_of_guarded_fragment():
 
 
 def test_two_flat_lines_have_area_two():
-    methods, _ = _owner()
-    fragment = validate_fragment("a();\nb();")
-    total_area, area_density, _, _ = complexity_metrics(fragment, methods[0])
-    assert (total_area, area_density) == (2, 1.0)
+    area = (Submetric.COMPLEXITY_TOTAL_AREA, Submetric.COMPLEXITY_AREA_DENSITY)
+    assert _pick(_vector("a();\nb();"), *area) == (2, 1.0)
 
 
 def test_size_of_guarded_fragment():
-    fragment = validate_fragment(GUARDED)
-    lines, symbols, density = size_metrics(fragment, None, "segment")
+    lines, symbols, density = _pick(_vector(GUARDED), *SEGMENT_SIZE)
     assert (lines, symbols) == (3, 16)
     assert density == pytest.approx(16 / 3)
 
 
 def test_size_of_single_statement():
-    fragment = validate_fragment("x = 1;")
-    assert size_metrics(fragment, None, "segment") == (1, 4, 4.0)
+    assert _pick(_vector("x = 1;"), *SEGMENT_SIZE) == (1, 4, 4.0)
 
 
 def test_method_scope_size_ignores_the_fragment():
-    methods, _ = _owner()
-    host = methods[0]  # body: "        sum += x;" -> 1 line, 7 symbols
-    fragment = validate_fragment(GUARDED)
-    assert size_metrics(fragment, host, "methodDeclaration") == (1, 7, 7.0)
-
-
-def test_method_scope_requires_the_method():
-    fragment = validate_fragment("x = 1;")
-    with pytest.raises(MissingContext):
-        size_metrics(fragment, None, "methodDeclaration")
+    # host body: "        sum += x;" -> 1 line, 7 symbols
+    method_size = (
+        Submetric.SIZE_LINES_METHOD,
+        Submetric.SIZE_SYMBOLS_METHOD,
+        Submetric.SIZE_SYMBOL_DENSITY_METHOD,
+    )
+    assert _pick(_vector(GUARDED), *method_size) == (1, 7, 7.0)
 
 
 # --- distributions -----------------------------------------------------------

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import sys
+
 import pytest
 
 from anticopypaster.decision import PasteEvent
@@ -73,6 +75,25 @@ def test_text_blocks_do_not_drop_their_file():
     banner = next(m for m in session.methods if m.name == "banner")
     assert banner.body_tokens[3].text.startswith('"""')
     assert banner.body_tokens[4].line == 6
+
+
+def test_record_methods_and_components_are_indexed():
+    session = open_project(FIXTURES_DIR / "record")
+    assert session.warnings == []
+    assert sorted(m.name for m in session.methods) == ["first", "manhattan", "origin"]
+    fields = {ctx.class_name: ctx.field_names for ctx in session.classes}
+    assert fields == {"Point": {"x": "int", "y": "int"}, "Pair": {"left": "T", "right": "T"}}
+
+
+def test_classes_nested_too_deeply_become_a_file_warning(tmp_path):
+    depth = 2 * sys.getrecursionlimit()
+    deep = "".join(f"class C{i} {{ " for i in range(depth)) + "void f() { x++; }" + "}" * depth
+    files = {"Deep.java": deep, "Ok.java": "class Ok { void g() { y++; } }"}
+    root = write_project(tmp_path / "p", files)
+    session = open_project(root)
+    assert [m.name for m in session.methods] == ["g"]
+    (warning,) = session.warnings
+    assert warning.startswith("Deep.java: ") and "nested too deeply" in warning
 
 
 def test_missing_root_is_an_error(tmp_path):
