@@ -27,6 +27,7 @@ from .metrics import (
     Submetric,
     build_distributions,
     compute_vector,
+    fresh_distributions,
     percentile_threshold,
 )
 from .settings import Settings, default_settings, load_settings
@@ -71,6 +72,7 @@ __all__ = [
     "Submetric",
     "build_distributions",
     "compute_vector",
+    "fresh_distributions",
     "percentile_threshold",
     "Settings",
     "default_settings",

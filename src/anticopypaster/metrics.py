@@ -6,6 +6,12 @@ a total and a per-line density flavor; density denominators are always
 the scope's line count. Thresholds are nearest-rank percentiles over
 the per-method samples of the project, so a threshold is always a value
 some real method attains.
+
+A method's vector depends only on its own file and the keyword set, so
+a session computes it once, when the file is indexed, and keeps it on
+the MethodUnit. The distribution is then re-sorted from the stored
+vectors on open and after every edit; only an edited file's methods get
+new vectors.
 """
 
 from __future__ import annotations
@@ -81,19 +87,18 @@ class CouplingCounts:
         return self.field + self.method
 
 
-def coupling_counts(tokens: list[Token], owner: ClassContext) -> CouplingCounts:
+def coupling_counts(
+    tokens: list[Token], owner: ClassContext, shadow_from: dict[str, int]
+) -> CouplingCounts:
     """Count references from a token sequence into its owning class.
 
     Field connectivity counts identifiers matching a declared field
     unless a local declaration of the same name textually precedes the
-    occurrence (the declaring occurrence itself is shadowed). Method
-    connectivity counts identifiers immediately followed by '(' that
-    match a declared method name.
+    occurrence (the declaring occurrence itself is shadowed).
+    `shadow_from` maps each locally declared name to the token index of
+    its first declaration. Method connectivity counts identifiers
+    immediately followed by '(' that match a declared method name.
     """
-    shadow_from: dict[str, int] = {}
-    for name, decl in scan_declarations(tokens):
-        if name not in shadow_from:
-            shadow_from[name] = decl.token_index
     field_refs = 0
     method_refs = 0
     for i, tok in enumerate(tokens):
@@ -152,24 +157,36 @@ def compute_vector(
     """
     area = sum(nesting_profile(fragment))
     keyword_total = sum(1 for tok in fragment.tokens if tok.text in keywords)
+    shadow_from: dict[str, int] = {}
+    for name, decl in scan_declarations(fragment.tokens):
+        shadow_from.setdefault(name, decl.token_index)
     return _vector(
-        keyword_total, coupling_counts(fragment.tokens, owner),
+        keyword_total, coupling_counts(fragment.tokens, owner, shadow_from),
         fragment.line_count, fragment.symbol_count, area,
         enclosing.line_count, count_symbols(enclosing.body_text), sum(enclosing.nesting_profile),
     )
 
 
 def method_vector(method: MethodUnit, keywords: frozenset[str]) -> MetricVector:
-    """Submetric values of a method, treating the whole body as the segment."""
+    """Submetric values of a method, treating the whole body as the segment.
+
+    Shadowing reads the declarations scanned when the method was indexed.
+    """
     lines = method.line_count
     symbols = count_symbols(method.body_text)
     area = sum(method.nesting_profile)
     keyword_total = sum(1 for tok in method.body_tokens if tok.text in keywords)
+    shadow_from = {name: decl.token_index for name, decl in method.local_declarations.items()}
     return _vector(
-        keyword_total, coupling_counts(method.body_tokens, method.owner),
+        keyword_total, coupling_counts(method.body_tokens, method.owner, shadow_from),
         lines, symbols, area,
         lines, symbols, area,
     )
+
+
+def vector_values(vector: MetricVector) -> tuple[float, ...]:
+    """The vector's values in ALL_SUBMETRICS order, as a MethodUnit stores them."""
+    return tuple(vector[m] for m in ALL_SUBMETRICS)
 
 
 @dataclass(frozen=True)
@@ -180,19 +197,26 @@ class ProjectDistribution:
     sample_size: int
 
 
-def build_distributions(
+def build_distributions(vectors: list[tuple[float, ...]]) -> ProjectDistribution:
+    """Sort per-method vectors, each in ALL_SUBMETRICS order, into samples."""
+    if not vectors:
+        raise EmptyDistribution("no indexed methods to sample")
+    columns = zip(*vectors)
+    return ProjectDistribution(
+        {m: tuple(sorted(column)) for m, column in zip(ALL_SUBMETRICS, columns)},
+        len(vectors),
+    )
+
+
+def fresh_distributions(
     methods: list[MethodUnit], keywords: frozenset[str]
 ) -> ProjectDistribution:
-    if not methods:
-        raise EmptyDistribution("no indexed methods to sample")
-    columns: dict[Submetric, list[float]] = {m: [] for m in Submetric}
-    for method in sorted(methods, key=lambda m: m.id):
-        vector = method_vector(method, keywords)
-        for submetric, value in vector.items():
-            columns[submetric].append(value)
-    return ProjectDistribution(
-        {m: tuple(sorted(vals)) for m, vals in columns.items()}, len(methods)
-    )
+    """The distribution recomputed from scratch, ignoring stored vectors.
+
+    The oracle for a session's distribution, which is sorted from the
+    vectors computed when each file was indexed.
+    """
+    return build_distributions([vector_values(method_vector(m, keywords)) for m in methods])
 
 
 def percentile_threshold(sample: tuple[float, ...], sensitivity: int) -> float:

@@ -49,9 +49,6 @@ class Settings:
     def enabled_submetrics(self) -> tuple[Submetric, ...]:
         return tuple(m for m in Submetric if self.flags[m].enabled)
 
-    def required_submetrics(self) -> tuple[Submetric, ...]:
-        return tuple(m for m in Submetric if self.flags[m].required)
-
 
 def default_settings() -> Settings:
     return Settings()

@@ -73,6 +73,10 @@ class MethodUnit:
     body_texts: tuple[str, ...]
     bag: dict[str, int]
     bag_size: int
+    # The 18 submetric values in ALL_SUBMETRICS order. The session sets
+    # them once the whole file is indexed, since a field declared below
+    # the method still counts toward its coupling.
+    vector: tuple[float, ...] = ()
 
     @property
     def line_count(self) -> int:
@@ -321,13 +325,13 @@ def index_file(text: str, file_path: str) -> tuple[list[MethodUnit], list[ClassC
     tokens = tokenize(normalized)
     match = match_delimiters(tokens)
     if any(match[i] < 0 for i, tok in enumerate(tokens) if tok.text in ("{", "}")):
-        raise IndexingError(f"{file_path}: unbalanced braces at file scope")
+        raise IndexingError("unbalanced braces at file scope")
     lines = normalized.split("\n")
     indexer = _Indexer(tokens, match, lines, file_path)
     try:
         indexer.run()
     except RecursionError:
-        raise IndexingError(f"{file_path}: classes nested too deeply to index") from None
+        raise IndexingError("classes nested too deeply to index") from None
     return indexer.methods, indexer.classes
 
 
@@ -390,7 +394,7 @@ class _Indexer:
                 components = self.pos
             self.pos += 1
         if self.pos >= len(self.tokens):
-            raise IndexingError(f"{self.file_path}: class body missing for {name_tok.text}")
+            raise IndexingError(f"class body missing for {name_tok.text}")
         ctx = ClassContext(name_tok.text, {}, set(), self.file_path)
         if components >= 0 and 0 <= self.match[components] < self.pos:
             end = self.match[components]

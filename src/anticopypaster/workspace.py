@@ -15,7 +15,7 @@ from pathlib import Path
 from .decision import PasteEvent, PasteQueue
 from .errors import ConfigSyntax, EngineError, MissingRoot, UnknownProject
 from .lexer import normalize_newlines
-from .metrics import ProjectDistribution, build_distributions
+from .metrics import ProjectDistribution, build_distributions, method_vector, vector_values
 from .settings import CONFIG_FILENAME, Settings, default_settings, load_settings
 from .source_model import ClassContext, MethodUnit, index_file, method_at
 
@@ -112,12 +112,19 @@ def _read_settings(path: Path) -> Settings:
 
 
 def _index_files(session: ProjectSession, rel_paths: list[str]) -> None:
+    """Index files and compute each new method's metric vector.
+
+    Warnings name the file here; indexing and lexing errors carry no path.
+    """
+    keywords = session.settings.keywords
     for rel in rel_paths:
         try:
             methods, classes = index_file(session.files[rel], rel)
         except EngineError as exc:
             session.warnings.append(f"{rel}: {exc}")
             continue
+        for method in methods:
+            method.vector = vector_values(method_vector(method, keywords))
         session.methods.extend(methods)
         session.classes.extend(classes)
     session.methods.sort(key=lambda m: m.id)
@@ -125,13 +132,13 @@ def _index_files(session: ProjectSession, rel_paths: list[str]) -> None:
 
 def _rebuild_distribution(session: ProjectSession) -> None:
     if session.methods:
-        session.distribution = build_distributions(session.methods, session.settings.keywords)
+        session.distribution = build_distributions([m.vector for m in session.methods])
     else:
         session.distribution = None
 
 
 def refresh_index(session: ProjectSession, changed_paths: list[str]) -> None:
-    """Re-index only the changed files and rebuild distributions.
+    """Re-index only the changed files and re-sort the distributions.
 
     Deleted files lose their methods; pending events that point at them
     surface as FileMissing at the next tick. Untouched files keep their

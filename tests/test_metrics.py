@@ -13,15 +13,15 @@ from anticopypaster.metrics import (
     CONFIGURABLE_KEYWORDS,
     KEYWORD_CATALOGUE,
     Submetric,
-    build_distributions,
     compute_vector,
+    fresh_distributions,
     method_vector,
     percentile_threshold,
 )
 from anticopypaster.source_model import index_file, validate_fragment
 from anticopypaster.workspace import open_project
 
-from helpers import FIXTURES_DIR, GOLDEN_DIR
+from helpers import CORPUS_DIR, FIXTURES_DIR, GOLDEN_DIR
 
 GUARDED = "if (x > 0) {\n    sum += x;\n}"
 
@@ -187,14 +187,14 @@ class S {
 }
 """
     methods, _ = index_file(source, "S.java")
-    dist = build_distributions(methods, KEYWORD_CATALOGUE)
+    dist = fresh_distributions(methods, KEYWORD_CATALOGUE)
     assert dist.samples[Submetric.SIZE_LINES_SEGMENT] == (2, 5, 9)
     assert dist.sample_size == 3
 
 
 def test_empty_project_raises_empty_distribution():
     with pytest.raises(EmptyDistribution):
-        build_distributions([], KEYWORD_CATALOGUE)
+        fresh_distributions([], KEYWORD_CATALOGUE)
 
 
 def test_six_method_fixture_matches_golden_distribution():
@@ -223,6 +223,50 @@ def test_method_and_segment_scopes_coincide_for_whole_bodies():
             vector[Submetric.COMPLEXITY_TOTAL_AREA]
             == vector[Submetric.COMPLEXITY_METHOD_AREA]
         )
+
+
+SHADOWED_SOURCE = """\
+class S {
+    int count;
+
+    void f() {
+        count++;
+        {
+            int count = 0;
+            count++;
+        }
+        count++;
+        {
+            int count = 1;
+        }
+    }
+}
+"""
+
+
+def test_method_vector_shadows_fields_from_the_first_local_declaration():
+    (method,), _ = index_file(SHADOWED_SOURCE, "S.java")
+    assert method_vector(method, KEYWORD_CATALOGUE)[Submetric.COUPLING_TOTAL_FIELD] == 1
+
+
+def test_method_vector_equals_its_body_measured_as_a_fragment():
+    """The stored declarations give the coupling a fresh scan of the body gives."""
+    roots = sorted(p for p in CORPUS_DIR.glob("*/project") if p.is_dir())
+    roots += [FIXTURES_DIR / "distribution_demo", FIXTURES_DIR / "extract_demo"]
+    methods = index_file(SHADOWED_SOURCE, "S.java")[0]
+    for root in roots:
+        methods += open_project(root).methods
+    compared = 0
+    for method in methods:
+        if method.open_brace_line == method.start_line or method.close_brace_line == method.end_line:
+            continue
+        fragment = validate_fragment(method.body_text)
+        if not fragment.valid:
+            continue
+        expected = compute_vector(fragment, method, method.owner, KEYWORD_CATALOGUE)
+        assert method_vector(method, KEYWORD_CATALOGUE) == expected, method.id
+        compared += 1
+    assert compared >= 20
 
 
 # --- percentile thresholds ---------------------------------------------------

@@ -1,12 +1,18 @@
 from __future__ import annotations
 
 import sys
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from anticopypaster import metrics, workspace
 from anticopypaster.decision import PasteEvent
 from anticopypaster.errors import MissingRoot, UnknownProject
-from anticopypaster.metrics import build_distributions
+from anticopypaster.metrics import fresh_distributions, method_vector, vector_values
+from anticopypaster.settings import CONFIG_FILENAME
 from anticopypaster.workspace import Workspace, open_project, refresh_index
 
 from helpers import FIXTURES_DIR, write_project
@@ -92,8 +98,20 @@ def test_classes_nested_too_deeply_become_a_file_warning(tmp_path):
     root = write_project(tmp_path / "p", files)
     session = open_project(root)
     assert [m.name for m in session.methods] == ["g"]
-    (warning,) = session.warnings
-    assert warning.startswith("Deep.java: ") and "nested too deeply" in warning
+    assert session.warnings == ["Deep.java: classes nested too deeply to index"]
+
+
+@pytest.mark.parametrize(
+    "source, reason",
+    [
+        ("class A { void f() { }", "unbalanced braces at file scope"),
+        ("class A", "class body missing for A"),
+    ],
+)
+def test_indexing_warnings_name_the_file_once(tmp_path, source, reason):
+    root = write_project(tmp_path / "p", {"A.java": source, "Ok.java": "class Ok { void g() { } }"})
+    session = open_project(root)
+    assert session.warnings == [f"A.java: {reason}"]
 
 
 def test_missing_root_is_an_error(tmp_path):
@@ -181,8 +199,28 @@ def test_refresh_matches_a_from_scratch_rebuild(tmp_path):
     session = open_project(make_tree(tmp_path / "p"))
     session.files["C.java"] = FILE_C.replace("return 6;", "return 60;")
     refresh_index(session, ["C.java"])
-    scratch = build_distributions(session.methods, session.settings.keywords)
+    scratch = fresh_distributions(session.methods, session.settings.keywords)
     assert session.distribution == scratch
+
+
+def test_an_edit_computes_vectors_only_for_the_edited_files_methods(tmp_path, monkeypatch):
+    session = open_project(make_tree(tmp_path / "p"))
+    computed = []
+    original = metrics.method_vector
+
+    def counted(method, keywords):
+        computed.append(method)
+        return original(method, keywords)
+
+    monkeypatch.setattr(metrics, "method_vector", counted)
+    monkeypatch.setattr(workspace, "method_vector", counted, raising=False)
+    session.apply_edit("A.java", FILE_A.replace("return 1;", "return 42;"))
+    edited = [m for m in session.methods if m.file_path == "A.java"]
+    assert len(computed) == len(edited) == 2
+    assert {id(m) for m in computed} == {id(m) for m in edited}
+    computed.clear()
+    session.apply_edit("sub/B.java", None)
+    assert computed == []
 
 
 def test_deleted_file_loses_its_methods(tmp_path):
@@ -231,3 +269,92 @@ def test_distribution_none_for_empty_tree(tmp_path):
     session = open_project(root)
     assert session.methods == []
     assert session.distribution is None
+
+
+# --- incremental edits equal a fresh open -------------------------------------
+
+# One pool for field and method names, so edits move coupling counts.
+_NAMES = ("a", "b", "c", "f", "g", "h")
+_STATEMENTS = (
+    "a = b + 1;",
+    "f(a);",
+    "int a = 2;",
+    "if (b > a) { g(c); }",
+    "for (int c = 0; c < b; c++) { h(); }",
+    "return;",
+    "this.c = a;",
+)
+_EDIT_OPS = ("add method", "change method", "remove method", "add field below", "delete file", "add file")
+_EDITS = st.tuples(
+    st.sampled_from(_EDIT_OPS),
+    st.integers(0, 11),
+    st.sampled_from(_NAMES),
+    st.lists(st.sampled_from(_STATEMENTS), max_size=4).map(tuple),
+)
+# A keyword subset, so a vector computed with the default catalogue would differ.
+_KEYWORD_CONFIG = '{"keywords": ["if", "for", "int", "return"]}'
+
+
+def _render(members: list[tuple]) -> str:
+    lines = ["class K {"]
+    for member in members:
+        if member[0] == "field":
+            lines.append(f"    int {member[1]};")
+        else:
+            lines.append(f"    void {member[1]}() {{")
+            lines += [f"        {statement}" for statement in member[2]]
+            lines.append("    }")
+    return "\n".join(lines + ["}", ""])
+
+
+def _edit(model: dict[str, list[tuple]], op: str, pick: int, name: str, body: tuple) -> str:
+    """Apply one edit to the model of the project; returns the path it touched."""
+    if op == "add file" or not model:
+        path = f"F{pick % 3}.java"
+        model[path] = [("method", name, body)]
+        return path
+    path = sorted(model)[pick % len(model)]
+    members = model[path]
+    methods = [i for i, member in enumerate(members) if member[0] == "method"]
+    if op == "delete file":
+        del model[path]
+    elif op == "add method" or not methods:
+        members.insert(pick % (len(members) + 1), ("method", name, body))
+    else:
+        i = methods[pick % len(methods)]
+        if op == "change method":
+            members[i] = ("method", members[i][1], body)
+        elif op == "remove method":
+            del members[i]
+        else:
+            members.insert(i + 1, ("field", name))
+    return path
+
+
+def _assert_fresh(session, fresh_root: Path) -> None:
+    keywords = session.settings.keywords
+    for method in session.methods:
+        assert method.vector == vector_values(method_vector(method, keywords))
+    fresh = open_project(write_project(fresh_root, {**session.files, CONFIG_FILENAME: _KEYWORD_CONFIG}))
+    assert [m.id for m in session.methods] == [m.id for m in fresh.methods]
+    if session.methods:
+        assert session.distribution == fresh_distributions(session.methods, keywords)
+    else:
+        assert session.distribution is None
+    assert session.distribution == fresh.distribution
+
+
+@settings(deadline=None)
+@given(st.lists(_EDITS, min_size=1, max_size=6))
+def test_incremental_edits_keep_vectors_and_distribution_fresh(edits):
+    model = {
+        "A.java": [("method", "f", ("f(a);",)), ("field", "a"), ("method", "g", ("a = b + 1;",))],
+        "B.java": [("field", "b"), ("method", "h", ("int a = 2;", "a = b + 1;"))],
+    }
+    files = {path: _render(members) for path, members in model.items()}
+    with tempfile.TemporaryDirectory() as tmp:
+        session = open_project(write_project(Path(tmp) / "p", {**files, CONFIG_FILENAME: _KEYWORD_CONFIG}))
+        for step, edit in enumerate(edits):
+            path = _edit(model, *edit)
+            session.apply_edit(path, _render(model[path]) if path in model else None)
+            _assert_fresh(session, Path(tmp) / f"fresh{step}")
