@@ -243,7 +243,8 @@ def _cmd_check(args: argparse.Namespace) -> int:
     fragment_text = _read_file(args.fragment)
     file_path, line = args.at
     event = PasteEvent(args.root, file_path, line, fragment_text, 0)
-    outcome = evaluate_paste(session, event, session.settings.delay_seconds)
+    fragment = validate_fragment(fragment_text)
+    outcome = evaluate_paste(session, event, fragment, session.settings.delay_seconds)
 
     if isinstance(outcome, DropRecord) and outcome.reason in (
         INVALID_FRAGMENT,
@@ -316,7 +317,7 @@ def _cmd_extract(args: argparse.Namespace) -> int:
         summary, args.name, fragment, enclosing, enclosing.owner, matches,
         session.methods_by_id,
     )
-    result = apply_extraction(plan, session.files)
+    result = apply_extraction(plan, session.files, session.tokens)
     if args.write:
         for path in sorted(result.sources):
             if result.sources[path] != session.files.get(path):

@@ -1,7 +1,8 @@
 """Just-in-time gate: paste queue, delay handling, and rule evaluation.
 
 Paste events wait out a configurable delay in a per-session queue.
-When due, the fragment is re-verified at its paste site, duplicates are
+When due, the fragment, validated once when it was queued, is
+re-verified against the paste file's stored tokens, duplicates are
 re-scanned, and the enabled/required submetric rule is evaluated
 against percentile thresholds. Time is a logical clock injected by the
 caller; nothing in here owns a timer, which keeps replays exact.
@@ -9,15 +10,16 @@ caller; nothing in here owns a timer, which keeps replays exact.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Union
 
 from .clones import CloneMatch, find_duplicates
-from .errors import LexError, NotComputable
-from .lexer import token_texts, tokenize
+from .errors import NotComputable
+from .lexer import Token, token_texts
 from .metrics import MetricVector, Submetric, compute_vector, thresholds_for
 from .settings import Settings, SubmetricFlags
-from .source_model import PasteSite, method_at, validate_fragment
+from .source_model import Fragment, method_at, validate_fragment
 
 if TYPE_CHECKING:
     from .workspace import ProjectSession
@@ -122,6 +124,7 @@ def with_duplicates(report: GateReport, count: int, min_required: int) -> GateRe
 @dataclass
 class _Pending:
     event: PasteEvent
+    fragment: Fragment
     due: Timestamp
     seq: int
 
@@ -133,10 +136,10 @@ class PasteQueue:
     entries: dict[tuple[str, int], _Pending] = field(default_factory=dict)
     _seq: int = 0
 
-    def put(self, event: PasteEvent, due: Timestamp) -> None:
+    def put(self, event: PasteEvent, fragment: Fragment, due: Timestamp) -> None:
         self._seq += 1
         key = (event.file_path, event.paste_line)
-        self.entries[key] = _Pending(event, due, self._seq)
+        self.entries[key] = _Pending(event, fragment, due, self._seq)
 
     def take_due(self, now: Timestamp) -> list[_Pending]:
         due = sorted(
@@ -157,48 +160,46 @@ def enqueue_paste(session: "ProjectSession", event: PasteEvent) -> DropRecord | 
     """Queue a paste for delayed evaluation; returns a drop when rejected.
 
     Invalid fragments and pastes outside any indexed method body are
-    dropped immediately.
+    dropped immediately. The validated fragment is queued with the event,
+    so it is lexed only here.
     """
     fragment = validate_fragment(event.fragment_text)
     if not fragment.valid:
         return DropRecord(event, INVALID_FRAGMENT, event.timestamp)
     if method_at(session.methods, event.file_path, event.paste_line) is None:
         return DropRecord(event, NO_ENCLOSING_METHOD, event.timestamp)
-    session.queue.put(event, event.timestamp + session.settings.delay_seconds)
+    session.queue.put(event, fragment, event.timestamp + session.settings.delay_seconds)
     return None
 
 
 def tick(session: "ProjectSession", now: Timestamp) -> list[Outcome]:
     """Process every queued event that is due at `now`."""
     return [
-        evaluate_paste(session, pending.event, now)
+        evaluate_paste(session, pending.event, pending.fragment, now)
         for pending in session.queue.take_due(now)
     ]
 
 
-def evaluate_paste(session: "ProjectSession", event: PasteEvent, now: Timestamp) -> Outcome:
+def evaluate_paste(
+    session: "ProjectSession", event: PasteEvent, fragment: Fragment, now: Timestamp
+) -> Outcome:
     """The due-time pipeline: re-verify, re-scan duplicates, gate.
 
-    The fragment's normalized token sequence must still start on the
-    paste line of the current file contents; any token-level change
-    there cancels the event.
+    Precondition: `fragment == validate_fragment(event.fragment_text)`;
+    the caller validates once and passes the result. The fragment's
+    normalized token sequence must still start on the paste line of the
+    current file contents; any token-level change there cancels the
+    event, and so does a file that no longer lexes.
     """
     settings: Settings = session.settings
-    text = session.files.get(event.file_path)
-    if text is None:
+    if event.file_path not in session.files:
         return DropRecord(event, FILE_MISSING, now)
-    fragment = validate_fragment(
-        event.fragment_text,
-        PasteSite(event.file_path, event.paste_line),
-    )
     if not fragment.valid:
         return DropRecord(event, INVALID_FRAGMENT, now)
-    try:
-        file_tokens = tokenize(text)
-    except LexError:
-        return DropRecord(event, EDITED, now)
-    if not _present_at_site(token_texts(file_tokens), [t.line for t in file_tokens],
-                            token_texts(fragment.tokens), event.paste_line):
+    file_tokens = session.tokens.get(event.file_path)
+    if file_tokens is None or not _present_at_site(
+        file_tokens, token_texts(fragment.tokens), event.paste_line
+    ):
         return DropRecord(event, EDITED, now)
     enclosing = method_at(session.methods, event.file_path, event.paste_line)
     if enclosing is None:
@@ -228,19 +229,13 @@ def evaluate_paste(session: "ProjectSession", event: PasteEvent, now: Timestamp)
     return DropRecord(event, NOT_TRIGGERED, now, report)
 
 
-def _present_at_site(
-    file_texts: tuple[str, ...],
-    file_lines: list[int],
-    frag_texts: tuple[str, ...],
-    paste_line: int,
-) -> bool:
-    if not frag_texts:
-        return False
-    for i, line in enumerate(file_lines):
-        if line != paste_line:
-            continue
-        if file_texts[i : i + len(frag_texts)] == frag_texts:
+def _present_at_site(file_tokens: list[Token], frag_texts: tuple[str, ...], paste_line: int) -> bool:
+    """Some token on the paste line starts a run equal to the fragment's texts."""
+    i = bisect_left(file_tokens, paste_line, key=lambda t: t.line)
+    while i < len(file_tokens) and file_tokens[i].line == paste_line:
+        if token_texts(file_tokens[i : i + len(frag_texts)]) == frag_texts:
             return True
+        i += 1
     return False
 
 

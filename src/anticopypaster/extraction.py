@@ -275,14 +275,20 @@ class ApplyResult:
     inserted_span: tuple[int, int]  # first/last line of the inserted block
 
 
-def apply_extraction(plan: ExtractionPlan, sources: Mapping[str, str]) -> ApplyResult:
+def apply_extraction(
+    plan: ExtractionPlan,
+    sources: Mapping[str, str],
+    tokens: Mapping[str, list[Token]] | None = None,
+) -> ApplyResult:
     """Rewrite all exact sites and insert the new method; all-or-nothing.
 
     Every site is re-verified against the current sources first; one
     stale site aborts the whole application with the sources untouched.
+    `tokens` may hold `tokenize(sources[p])` for some paths, such as a
+    session's stored tokens; the other paths are lexed here.
     Replacement keeps the indentation of the first replaced line.
     """
-    _verify_sites(plan, sources)
+    _verify_sites(plan, sources, tokens or {})
 
     edits: dict[str, list[tuple[int, int, list[str], TargetSite | None]]] = {}
     for site in plan.target_sites:
@@ -330,27 +336,34 @@ def apply_extraction(plan: ExtractionPlan, sources: Mapping[str, str]) -> ApplyR
     return ApplyResult(new_sources, diff, tuple(call_sites), inserted_span)
 
 
-def _verify_sites(plan: ExtractionPlan, sources: Mapping[str, str]) -> None:
+def _verify_sites(
+    plan: ExtractionPlan, sources: Mapping[str, str], tokens: Mapping[str, list[Token]]
+) -> None:
     """Raise StaleSite at the first site that no longer holds the fragment.
 
-    Sites come grouped by file, so each file is lexed once and only one
-    file's tokens are held at a time.
+    Sites come grouped by file, so each file missing from `tokens` is
+    lexed once and only one such file's tokens are held at a time.
     """
-    path, tokens = None, []
+    path, file_tokens = None, []
     for site in plan.target_sites:
         if site.file_path != path:
             path = site.file_path
-            text = sources.get(path)
-            if text is None:
+            if path not in sources:
                 raise StaleSite(f"{path} is missing")
             try:
-                tokens = tokenize(text)
+                file_tokens = _tokens_of(path, sources, tokens)
             except LexError as exc:
                 raise StaleSite(f"{path} no longer lexes: {exc}") from exc
-        if _texts_on_lines(tokens, site.start_line, site.end_line) != plan.fragment_token_texts:
+        if _texts_on_lines(file_tokens, site.start_line, site.end_line) != plan.fragment_token_texts:
             raise StaleSite(
                 f"{path}:{site.start_line}-{site.end_line} no longer matches the fragment"
             )
+
+
+def _tokens_of(path: str, sources: Mapping[str, str], tokens: Mapping[str, list[Token]]) -> list[Token]:
+    """The stored tokens of `sources[path]`, else the file lexed now."""
+    stored = tokens.get(path)
+    return tokenize(sources[path]) if stored is None else stored
 
 
 def _texts_on_lines(tokens: list[Token], first: int, last: int) -> tuple[str, ...]:

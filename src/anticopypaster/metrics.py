@@ -25,7 +25,6 @@ from .source_model import (
     ClassContext,
     Fragment,
     MethodUnit,
-    count_symbols,
     nesting_profile,
     scan_declarations,
 )
@@ -163,7 +162,7 @@ def compute_vector(
     return _vector(
         keyword_total, coupling_counts(fragment.tokens, owner, shadow_from),
         fragment.line_count, fragment.symbol_count, area,
-        enclosing.line_count, count_symbols(enclosing.body_text), sum(enclosing.nesting_profile),
+        enclosing.line_count, enclosing.symbol_count, enclosing.area,
     )
 
 
@@ -173,14 +172,12 @@ def method_vector(method: MethodUnit, keywords: frozenset[str]) -> MetricVector:
     Shadowing reads the declarations scanned when the method was indexed.
     """
     lines = method.line_count
-    symbols = count_symbols(method.body_text)
-    area = sum(method.nesting_profile)
     keyword_total = sum(1 for tok in method.body_tokens if tok.text in keywords)
     shadow_from = {name: decl.token_index for name, decl in method.local_declarations.items()}
     return _vector(
         keyword_total, coupling_counts(method.body_tokens, method.owner, shadow_from),
-        lines, symbols, area,
-        lines, symbols, area,
+        lines, method.symbol_count, method.area,
+        lines, method.symbol_count, method.area,
     )
 
 

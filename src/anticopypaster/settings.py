@@ -63,7 +63,9 @@ def load_settings(config_text: str) -> Settings:
     """
     try:
         data = json.loads(config_text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers malformed JSON and integers of more digits than
+        # int() converts; RecursionError, arrays or objects nested too deeply.
         raise ConfigSyntax(f"config is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigSyntax("config root must be a JSON object")

@@ -61,11 +61,13 @@ class MethodUnit:
     body_tokens: list[Token]
     start_line: int
     end_line: int
-    nesting_profile: list[int]
     local_declarations: dict[str, LocalDecl]
     owner: ClassContext
     is_static: bool
-    body_text: str
+    # Non-whitespace characters on the body's lines, and the sum of its
+    # per-line nesting depths: the size and complexity the vector reads.
+    symbol_count: int
+    area: int
     open_brace_line: int
     close_brace_line: int
     declaration_line: int
@@ -87,13 +89,6 @@ class MethodUnit:
         return self.owner.file_path
 
 
-@dataclass(frozen=True)
-class PasteSite:
-    file_path: str
-    line: int
-    method_id: str | None = None
-
-
 @dataclass
 class Fragment:
     raw_text: str
@@ -102,7 +97,6 @@ class Fragment:
     line_count: int
     symbol_count: int
     valid: bool
-    paste_site: PasteSite | None = None
 
 
 def _trim_blank_lines(text: str) -> str:
@@ -121,7 +115,7 @@ def count_symbols(text: str) -> int:
     return len("".join(text.split()))
 
 
-def validate_fragment(text: str, paste_site: PasteSite | None = None) -> Fragment:
+def validate_fragment(text: str) -> Fragment:
     """Build a Fragment, deciding validity instead of raising.
 
     Valid means: lexes, all delimiters balanced, and the tokens parse as
@@ -135,9 +129,9 @@ def validate_fragment(text: str, paste_site: PasteSite | None = None) -> Fragmen
     try:
         tokens = tokenize(trimmed)
     except LexError:
-        return Fragment(text, trimmed, [], line_count, symbol_count, False, paste_site)
+        return Fragment(text, trimmed, [], line_count, symbol_count, False)
     valid = bool(tokens) and _nested(tokens) and is_statement_sequence(tokens)
-    return Fragment(text, trimmed, tokens, line_count, symbol_count, valid, paste_site)
+    return Fragment(text, trimmed, tokens, line_count, symbol_count, valid)
 
 
 def _nested(tokens: list[Token]) -> bool:
@@ -313,16 +307,21 @@ def _try_declaration(tokens: list[Token], start: int, found: list[tuple[str, Loc
         j += 1
 
 
-def index_file(text: str, file_path: str) -> tuple[list[MethodUnit], list[ClassContext]]:
+def index_file(
+    text: str, file_path: str, tokens: list[Token] | None = None
+) -> tuple[list[MethodUnit], list[ClassContext]]:
     """Index every method body and class context in one source file.
 
+    `tokens`, when given, must be `tokenize(text)`; the file is lexed
+    only when they are not. Method bodies are slices of that list.
     Nested classes produce their own ClassContext and own their methods;
     a record's components are fields of its context. Raises IndexingError
     when braces are unbalanced at file scope or classes nest deeper than
     the interpreter's recursion limit; lex errors propagate as LexError.
     """
     normalized = normalize_newlines(text)
-    tokens = tokenize(normalized)
+    if tokens is None:
+        tokens = tokenize(normalized)
     match = match_delimiters(tokens)
     if any(match[i] < 0 for i, tok in enumerate(tokens) if tok.text in ("{", "}")):
         raise IndexingError("unbalanced braces at file scope")
@@ -494,12 +493,10 @@ class _Indexer:
             end_line = body_tokens[-1].line
         else:
             start_line = end_line = open_line
-        profile = _profile(body_tokens, start_line, end_line)
         decls = scan_declarations(body_tokens)
         decl_map: dict[str, LocalDecl] = {}
         for name, decl in decls:
             decl_map.setdefault(name, decl)
-        body_text = "\n".join(self.lines[start_line - 1 : end_line])
         bag = token_bag(body_tokens)
         unit = MethodUnit(
             id=f"{self.file_path}:{start_line}:{name_tok.text}",
@@ -508,11 +505,11 @@ class _Indexer:
             body_tokens=body_tokens,
             start_line=start_line,
             end_line=end_line,
-            nesting_profile=profile,
             local_declarations=decl_map,
             owner=ctx,
             is_static=is_static,
-            body_text=body_text,
+            symbol_count=count_symbols("\n".join(self.lines[start_line - 1 : end_line])),
+            area=sum(_profile(body_tokens, start_line, end_line)),
             open_brace_line=open_line,
             close_brace_line=close_line,
             declaration_line=header[0].line if header else open_line,

@@ -4,6 +4,11 @@ A session owns one project root: its indexed methods, metric
 distributions, settings, and pending paste queue. Sessions never share
 mutable state, which is what makes multi-project runs equivalent to
 running each project alone.
+
+The session also keeps each file revision's tokens, lexed once when the
+file is indexed; due pastes and extraction read them instead of lexing
+the file again. So `files[p]` is written only together with
+`refresh_index(session, [p])`, as `apply_edit` does.
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ from pathlib import Path
 
 from .decision import PasteEvent, PasteQueue
 from .errors import ConfigSyntax, EngineError, MissingRoot, UnknownProject
-from .lexer import normalize_newlines
+from .lexer import Token, normalize_newlines, tokenize
 from .metrics import ProjectDistribution, build_distributions, method_vector, vector_values
 from .settings import CONFIG_FILENAME, Settings, default_settings, load_settings
 from .source_model import ClassContext, MethodUnit, index_file, method_at
@@ -26,6 +31,8 @@ class ProjectSession:
     declared_root: str
     settings: Settings
     files: dict[str, str] = field(default_factory=dict)
+    # tokenize(files[p]) for every file that lexes; no entry for one that does not.
+    tokens: dict[str, list[Token]] = field(default_factory=dict)
     methods: list[MethodUnit] = field(default_factory=list)
     classes: list[ClassContext] = field(default_factory=list)
     distribution: ProjectDistribution | None = None
@@ -112,14 +119,17 @@ def _read_settings(path: Path) -> Settings:
 
 
 def _index_files(session: ProjectSession, rel_paths: list[str]) -> None:
-    """Index files and compute each new method's metric vector.
+    """Lex, index and compute each new method's metric vector.
 
+    A file that lexes keeps its tokens even when indexing then fails.
     Warnings name the file here; indexing and lexing errors carry no path.
     """
     keywords = session.settings.keywords
     for rel in rel_paths:
+        text = session.files[rel]
         try:
-            methods, classes = index_file(session.files[rel], rel)
+            tokens = session.tokens[rel] = tokenize(text)
+            methods, classes = index_file(text, rel, tokens)
         except EngineError as exc:
             session.warnings.append(f"{rel}: {exc}")
             continue
@@ -140,11 +150,13 @@ def _rebuild_distribution(session: ProjectSession) -> None:
 def refresh_index(session: ProjectSession, changed_paths: list[str]) -> None:
     """Re-index only the changed files and re-sort the distributions.
 
-    Deleted files lose their methods; pending events that point at them
-    surface as FileMissing at the next tick. Untouched files keep their
-    method ids, which are content-position based.
+    Deleted files lose their methods and tokens; pending events that
+    point at them surface as FileMissing at the next tick. Untouched
+    files keep their method ids, which are content-position based.
     """
     changed = set(changed_paths)
+    for path in changed:
+        session.tokens.pop(path, None)
     session.methods = [m for m in session.methods if m.file_path not in changed]
     session.classes = [c for c in session.classes if c.file_path not in changed]
     _index_files(session, sorted(p for p in changed if p in session.files))

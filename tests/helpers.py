@@ -6,7 +6,10 @@ other test directory uses.
 
 from __future__ import annotations
 
+import sys
 from pathlib import Path
+
+from anticopypaster import lexer
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 CORPUS_DIR = REPO_ROOT / "corpus"
@@ -23,3 +26,18 @@ def write_project(root: Path, files: dict[str, str]) -> Path:
         target.parent.mkdir(parents=True, exist_ok=True)
         target.write_text(text, encoding="utf-8")
     return root
+
+
+def count_lexing(monkeypatch) -> list[str]:
+    """Record the text of every `tokenize` call any engine module makes."""
+    lexed: list[str] = []
+    tokenize = lexer.tokenize
+
+    def counting_tokenize(text):
+        lexed.append(text)
+        return tokenize(text)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("anticopypaster") and getattr(module, "tokenize", None) is tokenize:
+            monkeypatch.setattr(module, "tokenize", counting_tokenize)
+    return lexed

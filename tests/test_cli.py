@@ -7,8 +7,10 @@ import sys
 import pytest
 
 from anticopypaster.cli import run_command
+from anticopypaster.source_model import validate_fragment
+from anticopypaster.workspace import open_project
 
-from helpers import FIXTURES_DIR, GOLDEN_DIR, REPO_ROOT, SCENARIOS_DIR, write_project
+from helpers import FIXTURES_DIR, GOLDEN_DIR, REPO_ROOT, SCENARIOS_DIR, count_lexing, write_project
 
 DUP_PROJECT = {
     "Host.java": """\
@@ -205,6 +207,19 @@ def test_extract_prints_the_golden_diff(capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert out == (GOLDEN_DIR / "extract_two_sites.diff").read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("command", [["check"], ["extract", "--name", "bundle"]])
+def test_check_and_extract_lex_each_project_file_once_plus_the_fragment(command, monkeypatch, capsys):
+    root = FIXTURES_DIR / "extract_demo" / "project"
+    fragment = FIXTURES_DIR / "extract_demo" / "fragment.java"
+    sources = list(open_project(root).files.values())
+    fragment_text = validate_fragment(fragment.read_text(encoding="utf-8")).text
+    lexed = count_lexing(monkeypatch)
+    argv = [command[0], str(root), "--fragment", str(fragment), "--at", "Pipeline.java:5", *command[1:]]
+    assert run_command(argv) in (0, 1)
+    capsys.readouterr()
+    assert sorted(lexed) == sorted(sources + [fragment_text])
 
 
 def test_extract_write_persists_files(tmp_path, capsys):

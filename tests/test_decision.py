@@ -24,7 +24,7 @@ from anticopypaster.metrics import Submetric
 from anticopypaster.settings import SubmetricFlags
 from anticopypaster.workspace import open_project
 
-from helpers import write_project
+from helpers import count_lexing, write_project
 
 HOST_SOURCE = """\
 public class Host {
@@ -206,6 +206,30 @@ def test_edited_site_cancels_the_event(session):
     (outcome,) = tick(session, 10)
     assert isinstance(outcome, DropRecord)
     assert outcome.reason == EDITED
+
+
+def test_a_file_that_lexes_but_no_longer_indexes_drops_the_paste_as_no_enclosing_method(session):
+    enqueue_paste(session, paste(t=0))
+    session.apply_edit("Host.java", HOST_SOURCE.rstrip().removesuffix("}"))
+    assert session.methods == [] and "Host.java" in session.tokens
+    (outcome,) = tick(session, 10)
+    assert outcome.reason == NO_ENCLOSING_METHOD
+
+
+def test_a_file_that_no_longer_lexes_drops_the_paste_as_edited(session):
+    enqueue_paste(session, paste(t=0))
+    session.apply_edit("Host.java", HOST_SOURCE + "/* unterminated")
+    assert "Host.java" in session.files and "Host.java" not in session.tokens
+    (outcome,) = tick(session, 10)
+    assert outcome.reason == EDITED
+
+
+def test_a_queued_paste_lexes_only_its_fragment_once(session, monkeypatch):
+    lexed = count_lexing(monkeypatch)
+    assert enqueue_paste(session, paste(t=0)) is None
+    (outcome,) = tick(session, 10)
+    assert isinstance(outcome, Recommendation)
+    assert lexed == [FRAGMENT]
 
 
 def test_missing_file_is_reported_at_tick(session):

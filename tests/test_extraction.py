@@ -4,7 +4,6 @@ from dataclasses import replace
 
 import pytest
 
-from anticopypaster import extraction
 from anticopypaster.clones import find_duplicates
 from anticopypaster.errors import (
     IllegalFlow,
@@ -19,11 +18,10 @@ from anticopypaster.extraction import (
     plan_extraction,
     verify_by_inlining,
 )
-from anticopypaster.lexer import tokenize
 from anticopypaster.source_model import index_file, validate_fragment
 from anticopypaster.workspace import open_project
 
-from helpers import FIXTURES_DIR, GOLDEN_DIR
+from helpers import FIXTURES_DIR, GOLDEN_DIR, count_lexing
 
 FLOW_SOURCE = """\
 class Flow {
@@ -308,19 +306,17 @@ def test_apply_and_inlining_lex_each_file_once(monkeypatch):
     session, _, plan = _extract_demo()
     paths = {site.file_path for site in plan.target_sites}
     assert len(plan.target_sites) > len(paths)
-    lexed: list[str] = []
-
-    def counting_tokenize(text):
-        lexed.append(text)
-        return tokenize(text)
-
-    monkeypatch.setattr(extraction, "tokenize", counting_tokenize)
+    lexed = count_lexing(monkeypatch)
     result = apply_extraction(plan, session.files)
     assert lexed == [session.files[path] for path in paths]
     lexed.clear()
     assert verify_by_inlining(plan, session.files, result.sources, result).all_equivalent
     expected = [session.files[p] for p in paths] + [result.sources[p] for p in paths]
     assert sorted(lexed) == sorted(expected)
+    # With the session's stored tokens, apply lexes nothing.
+    lexed.clear()
+    assert apply_extraction(plan, session.files, session.tokens) == result
+    assert lexed == []
 
 
 def test_corrupted_argument_order_is_caught_by_inlining():

@@ -253,14 +253,16 @@ def test_method_vector_equals_its_body_measured_as_a_fragment():
     """The stored declarations give the coupling a fresh scan of the body gives."""
     roots = sorted(p for p in CORPUS_DIR.glob("*/project") if p.is_dir())
     roots += [FIXTURES_DIR / "distribution_demo", FIXTURES_DIR / "extract_demo"]
-    methods = index_file(SHADOWED_SOURCE, "S.java")[0]
+    methods = [(m, SHADOWED_SOURCE) for m in index_file(SHADOWED_SOURCE, "S.java")[0]]
     for root in roots:
-        methods += open_project(root).methods
+        session = open_project(root)
+        methods += [(m, session.files[m.file_path]) for m in session.methods]
     compared = 0
-    for method in methods:
+    for method, text in methods:
         if method.open_brace_line == method.start_line or method.close_brace_line == method.end_line:
             continue
-        fragment = validate_fragment(method.body_text)
+        body_lines = text.split("\n")[method.start_line - 1 : method.end_line]
+        fragment = validate_fragment("\n".join(body_lines))
         if not fragment.valid:
             continue
         expected = compute_vector(fragment, method, method.owner, KEYWORD_CATALOGUE)

@@ -304,8 +304,10 @@ def test_profile_changes_bounded_by_adjacent_brace_counts():
 def test_method_profile_starts_at_depth_one():
     methods, _ = index_file(TWO_METHODS, "TwoMethods.java")
     for method in methods:
-        assert all(d >= 1 for d in method.nesting_profile)
-        assert len(method.nesting_profile) == method.end_line - method.start_line + 1
+        profile = nesting_profile(method)
+        assert all(d >= 1 for d in profile)
+        assert len(profile) == method.end_line - method.start_line + 1
+        assert method.area == sum(profile)
 
 
 # --- declaration scanning ----------------------------------------------------

@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 
 from anticopypaster import metrics, workspace
 from anticopypaster.decision import PasteEvent
-from anticopypaster.errors import MissingRoot, UnknownProject
+from anticopypaster.errors import LexError, MissingRoot, UnknownProject
+from anticopypaster.lexer import tokenize
 from anticopypaster.metrics import fresh_distributions, method_vector, vector_values
 from anticopypaster.settings import CONFIG_FILENAME
 from anticopypaster.workspace import Workspace, open_project, refresh_index
@@ -284,7 +285,13 @@ _STATEMENTS = (
     "return;",
     "this.c = a;",
 )
-_EDIT_OPS = ("add method", "change method", "remove method", "add field below", "delete file", "add file")
+# Lines whose presence a toggle switches: a file that no longer lexes, and
+# one that lexes but whose braces no longer balance.
+_BREAKS = {"toggle unlexable": "    /* unterminated", "toggle unbalanced": "    {"}
+_EDIT_OPS = (
+    "add method", "change method", "remove method", "add field below", "delete file", "add file",
+    *_BREAKS,
+)
 _EDITS = st.tuples(
     st.sampled_from(_EDIT_OPS),
     st.integers(0, 11),
@@ -300,6 +307,8 @@ def _render(members: list[tuple]) -> str:
     for member in members:
         if member[0] == "field":
             lines.append(f"    int {member[1]};")
+        elif member[0] == "raw":
+            lines.append(member[1])
         else:
             lines.append(f"    void {member[1]}() {{")
             lines += [f"        {statement}" for statement in member[2]]
@@ -318,6 +327,12 @@ def _edit(model: dict[str, list[tuple]], op: str, pick: int, name: str, body: tu
     methods = [i for i, member in enumerate(members) if member[0] == "method"]
     if op == "delete file":
         del model[path]
+    elif op in _BREAKS:
+        raw = ("raw", _BREAKS[op])
+        if raw in members:
+            members.remove(raw)
+        else:
+            members.append(raw)
     elif op == "add method" or not methods:
         members.insert(pick % (len(members) + 1), ("method", name, body))
     else:
@@ -335,8 +350,18 @@ def _assert_fresh(session, fresh_root: Path) -> None:
     keywords = session.settings.keywords
     for method in session.methods:
         assert method.vector == vector_values(method_vector(method, keywords))
+    assert set(session.tokens) <= set(session.files)
+    for path, text in session.files.items():
+        try:
+            expected = tokenize(text)
+        except LexError:
+            assert path not in session.tokens
+        else:
+            assert session.tokens[path] == expected
     fresh = open_project(write_project(fresh_root, {**session.files, CONFIG_FILENAME: _KEYWORD_CONFIG}))
     assert [m.id for m in session.methods] == [m.id for m in fresh.methods]
+    for mine, theirs in zip(session.methods, fresh.methods):
+        assert (mine.body_texts, mine.bag, mine.bag_size) == (theirs.body_texts, theirs.bag, theirs.bag_size)
     if session.methods:
         assert session.distribution == fresh_distributions(session.methods, keywords)
     else:
