@@ -310,7 +310,10 @@ def _cmd_extract(args: argparse.Namespace) -> int:
     if enclosing is None:
         raise _Fail(f"no method encloses {file_path}:{line}")
     matches = find_duplicates(
-        fragment, session.search_methods(file_path), session.settings.near_match_threshold
+        fragment,
+        session.search_methods(file_path),
+        session.settings.near_match_threshold,
+        session.index,
     )
     summary = analyze_extractability(fragment, enclosing, enclosing.owner)
     plan = plan_extraction(

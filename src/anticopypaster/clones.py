@@ -6,13 +6,18 @@ multiset overlap between token bags, which tolerates statement
 reordering and small edits. Only exact matches are ever rewritten.
 
 The scan reads each method's fingerprint (`body_texts`, `bag`,
-`bag_size`), built once at index time, so a paste costs one pass over
-the fragment per method rather than a rebuild of every method's tokens.
+`bag_size`), built once at index time, and a `WordIndex` from each bag
+word to the methods holding it, which the session keeps up to date as
+files are indexed and re-indexed. A paste looks up the fragment's rarest
+words and compares only the methods holding them (SourcererCC's prefix
+filter), so its cost follows the number of possible matches rather than
+the size of the project.
 """
 
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Iterable
 from dataclasses import dataclass
 from itertools import repeat
 from operator import attrgetter
@@ -74,42 +79,131 @@ def find_subsequence(haystack: tuple[str, ...], needle: tuple[str, ...], start: 
         return -1
 
 
+class WordIndex:
+    """Each bag word mapped to the ids of the methods whose bag holds it.
+
+    A word held by one method maps straight to that method's id, and a set
+    is kept only for words held by two or more: nearly every word of a
+    project is held by a single method, and a set per word would cost more
+    memory than the rest of the index. `methods` maps each id back to its
+    method, and `size` counts the methods held, which exceeds
+    `len(methods)` only when two of them share an id.
+    """
+
+    def __init__(self, methods: Iterable[MethodUnit] = ()) -> None:
+        self.methods: dict[str, MethodUnit] = {}
+        self.holders: dict[str, str | set[str]] = {}
+        self.size = 0
+        for method in methods:
+            self.add(method)
+
+    def add(self, method: MethodUnit) -> None:
+        holders = self.holders
+        key = method.id
+        self.methods[key] = method
+        self.size += 1
+        for word in method.bag:
+            held = holders.setdefault(word, key)
+            if isinstance(held, set):
+                held.add(key)
+            elif held != key:
+                holders[word] = {held, key}
+
+    def remove(self, method: MethodUnit) -> None:
+        holders = self.holders
+        key = method.id
+        self.methods.pop(key, None)
+        self.size -= 1
+        for word in method.bag:
+            held = holders.get(word)
+            if held == key:
+                del holders[word]
+            elif isinstance(held, set):
+                held.discard(key)
+                if len(held) == 1:
+                    holders[word] = held.pop()
+
+    def count(self, word: str) -> int:
+        """Number of methods whose bag holds the word."""
+        held = self.holders.get(word)
+        if held is None:
+            return 0
+        return 1 if isinstance(held, str) else len(held)
+
+
 def find_duplicates(
-    fragment: Fragment, methods: list[MethodUnit], near_threshold: float
+    fragment: Fragment,
+    methods: list[MethodUnit],
+    near_threshold: float,
+    index: WordIndex | None = None,
 ) -> list[CloneMatch]:
     """All methods duplicating the fragment, at most one match each.
 
     Exact matches win over near matches; results are ordered by method
     id for determinism. The method hosting the paste site participates
     like any other, since the pasted copy makes it a duplicate host.
+    Only methods in `methods` are reported. `index` must hold at least
+    those methods (a session's index holds all of its own); without one,
+    a throwaway index of `methods` is built. When `methods` is everything
+    the index holds and no two share an id, candidates are read from the
+    index alone, so the scan never visits the methods it rules out.
 
-    Two exact filters skip work without changing the result. A method
-    whose bag lacks the fragment's longest word cannot hold it verbatim,
-    so its exact search is skipped. A method whose bag size is too far
-    from the fragment's (min/max < threshold, while the shared count is
-    at most min) cannot be a near match, so its overlap is not counted;
-    this is the first of SourcererCC's filters.
+    Two exact filters skip work without changing the result. The prefix
+    filter takes the fragment's words from rarest to most common until
+    the words not yet taken make up less than the threshold of the
+    fragment's bag, and compares only methods holding a taken word: any
+    other method shares at most the words not taken, so its similarity
+    stays below the threshold, and an exact host holds every word. Then a
+    method whose bag size is too far from the fragment's (min/max <
+    threshold, while the shared count is at most min) cannot be a near
+    match, so its overlap is not counted. Both are SourcererCC's filters.
+    A method's body is searched for the exact sequence only when its bag
+    is at least the fragment's size and holds the rarest word at least as
+    often, as an exact host's must; most candidates hold only some other
+    taken word, so the scan reads their stored sizes and bags, not their
+    token sequences.
     """
     if not fragment.valid:
         raise ValueError("find_duplicates requires a valid fragment")
     if not 0 < near_threshold <= 1:
         raise ValueError("near-match threshold must be in (0, 1]")
+    if index is None:
+        index = WordIndex(methods)
     frag_seq = token_texts(fragment.tokens)
     frag_bag = token_bag(fragment.tokens)
     frag_size = frag_bag.total()
     last = len(frag_seq) - 1
-    probe = max(frag_bag, key=len, default=None)
-    matches = []
-    for method in sorted(methods, key=attrgetter("id")):
-        if probe is None or probe in method.bag:
-            at = find_subsequence(method.body_texts, frag_seq)
+    hosts = methods
+    rarest, rarest_count = None, 0
+    if frag_size:
+        holders = index.holders
+        ids: set[str] = set()
+        rest = frag_size
+        words = sorted(frag_bag, key=index.count)
+        rarest = words[0]
+        rarest_count = frag_bag[rarest]
+        for word in words:
+            held = holders.get(word)
+            if isinstance(held, str):
+                ids.add(held)
+            elif held is not None:
+                ids |= held
+            rest -= frag_bag[word]
+            if rest / frag_size < near_threshold:
+                break
+        if len(methods) == index.size == len(index.methods):
+            hosts = [index.methods[key] for key in ids]
         else:
-            at = -1
-        if at >= 0:
-            span = (method.body_tokens[at].line, method.body_tokens[at + last].line)
-            matches.append(CloneMatch(method.id, 1.0, EXACT, span))
-            continue
+            hosts = [m for m in methods if m.id in ids]
+    matches = []
+    for method in hosts:
         size = method.bag_size
+        if size >= frag_size and (rarest is None or method.bag.get(rarest, 0) >= rarest_count):
+            at = find_subsequence(method.body_texts, frag_seq)
+            if at >= 0:
+                span = (method.body_tokens[at].line, method.body_tokens[at + last].line)
+                matches.append(CloneMatch(method.id, 1.0, EXACT, span))
+                continue
         larger = max(frag_size, size)
         if larger == 0 or min(frag_size, size) / larger < near_threshold:
             continue
@@ -118,4 +212,6 @@ def find_duplicates(
         similarity = sum(map(min, frag_bag.values(), in_body)) / larger
         if similarity >= near_threshold:
             matches.append(CloneMatch(method.id, similarity, NEAR))
+    # Stable, so matches sharing an id keep the order of `methods`.
+    matches.sort(key=attrgetter("method_id"))
     return matches

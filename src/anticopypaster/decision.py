@@ -210,6 +210,7 @@ def evaluate_paste(
             fragment,
             session.search_methods(event.file_path),
             settings.near_match_threshold,
+            session.index,
         )
     )
     duplicate_count = len({m.method_id for m in matches})

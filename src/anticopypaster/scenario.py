@@ -10,6 +10,7 @@ identical scenarios always produce byte-identical logs.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -50,7 +51,20 @@ class Scenario:
         return (self.base_dir / root).resolve()
 
 
+def _is_number(value: object) -> bool:
+    """A finite JSON number; JSON's NaN and Infinity would never fall due."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+
+
+def _list_field(data: dict, key: str) -> list:
+    value = data.get(key, [])
+    if not isinstance(value, list):
+        raise ScenarioError(f"'{key}' must be a list")
+    return value
+
+
 def load_scenario(path: str | Path) -> Scenario:
+    """Read and check a scenario file; any malformed field is a ScenarioError."""
     path = Path(path)
     try:
         data = json.loads(path.read_text(encoding="utf-8"))
@@ -60,44 +74,52 @@ def load_scenario(path: str | Path) -> Scenario:
         raise ScenarioError("scenario root must be a JSON object")
 
     projects = []
-    for item in data.get("projects", []):
-        if not isinstance(item, dict) or "root" not in item:
-            raise ScenarioError("each project needs a 'root'")
-        projects.append(ScenarioProject(item["root"], item.get("config")))
+    for item in _list_field(data, "projects"):
+        if not isinstance(item, dict) or not isinstance(item.get("root"), str):
+            raise ScenarioError("each project needs a string 'root'")
+        config = item.get("config")
+        if config is not None and not isinstance(config, str):
+            raise ScenarioError("a project's 'config' must be a string")
+        projects.append(ScenarioProject(item["root"], config))
     if not projects:
         raise ScenarioError("scenario declares no projects")
     declared = {p.root for p in projects}
 
     events = []
     last_t = None
-    for item in data.get("events", []):
+    for item in _list_field(data, "events"):
+        if not isinstance(item, dict):
+            raise ScenarioError("each event must be a JSON object")
         kind = item.get("type")
         if kind not in ("paste", "edit"):
             raise ScenarioError(f"unknown event type {kind!r}")
         t = item.get("t")
-        if not isinstance(t, (int, float)) or isinstance(t, bool):
-            raise ScenarioError("every event needs a numeric 't'")
+        if not _is_number(t):
+            raise ScenarioError("every event needs a finite numeric 't'")
         if last_t is not None and t < last_t:
             raise ScenarioError("event timestamps must be non-decreasing")
         last_t = t
         root = item.get("root")
-        if root not in declared:
+        if not isinstance(root, str) or root not in declared:
             raise ScenarioError(f"event references undeclared project {root!r}")
+        file = item.get("file")
+        if not isinstance(file, str):
+            raise ScenarioError(f"{kind} events need a string 'file'")
         if kind == "paste":
-            if not isinstance(item.get("line"), int) or "fragment" not in item:
-                raise ScenarioError("paste events need 'file', 'line', and 'fragment'")
-            events.append(
-                ScenarioEvent("paste", t, root, item["file"], line=item["line"],
-                              fragment=item["fragment"])
-            )
+            line = item.get("line")
+            fragment = item.get("fragment")
+            if not isinstance(line, int) or isinstance(line, bool) or not isinstance(fragment, str):
+                raise ScenarioError("paste events need an integer 'line' and a string 'fragment'")
+            events.append(ScenarioEvent("paste", t, root, file, line=line, fragment=fragment))
         else:
-            events.append(
-                ScenarioEvent("edit", t, root, item["file"], content=item.get("content"))
-            )
+            content = item.get("content")
+            if content is not None and not isinstance(content, str):
+                raise ScenarioError("an edit's 'content' must be a string, or null to delete")
+            events.append(ScenarioEvent("edit", t, root, file, content=content))
 
     until = data.get("until", last_t if last_t is not None else 0)
-    if not isinstance(until, (int, float)) or isinstance(until, bool):
-        raise ScenarioError("'until' must be numeric")
+    if not _is_number(until):
+        raise ScenarioError("'until' must be a finite number")
     return Scenario(tuple(projects), tuple(events), until, path.parent)
 
 

@@ -13,6 +13,7 @@ brace lines holding nothing but a brace never count toward the body.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 from .errors import EmptyScope, IndexingError, LexError
@@ -581,9 +582,27 @@ def _strip_annotations(tokens: list[Token], match: list[int], start: int, end: i
     return out
 
 
+def source_position(method: MethodUnit) -> tuple[str, int]:
+    """Sort key placing methods by file, then by their body's first line."""
+    return method.file_path, method.start_line
+
+
 def method_at(methods: list[MethodUnit], file_path: str, line: int) -> MethodUnit | None:
-    """The method whose body line range contains the given source line."""
-    for unit in methods:
-        if unit.file_path == file_path and unit.start_line <= line <= unit.end_line:
-            return unit
-    return None
+    """The method whose body line range contains the given source line.
+
+    `methods` must be sorted by `source_position`. A file's bodies follow
+    one another, each ending at or before the line where the next one
+    starts, so the bodies holding the line sit just before the bisection
+    point. Where several do (bodies sharing a line), the first in id
+    order wins.
+    """
+    i = bisect_right(methods, (file_path, line), key=source_position)
+    found = None
+    while i > 0:
+        i -= 1
+        unit = methods[i]
+        if unit.file_path != file_path or unit.end_line < line:
+            break
+        if found is None or unit.id <= found.id:
+            found = unit
+    return found

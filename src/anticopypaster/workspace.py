@@ -6,17 +6,22 @@ mutable state, which is what makes multi-project runs equivalent to
 running each project alone.
 
 The session also keeps each file revision's tokens, lexed once when the
-file is indexed; due pastes and extraction read them instead of lexing
-the file again. So `files[p]` is written only together with
+file is indexed, and the duplicate scan's word index; due pastes and
+extraction read them instead of lexing the file again or visiting every
+method. So `files[p]` is written only together with
 `refresh_index(session, [p])`, as `apply_edit` does.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fnmatch import fnmatch
+from operator import attrgetter
 from pathlib import Path
 
+from .clones import WordIndex
 from .decision import PasteEvent, PasteQueue
 from .errors import ConfigSyntax, EngineError, MissingRoot, UnknownProject
 from .lexer import Token, normalize_newlines, tokenize
@@ -33,23 +38,33 @@ class ProjectSession:
     files: dict[str, str] = field(default_factory=dict)
     # tokenize(files[p]) for every file that lexes; no entry for one that does not.
     tokens: dict[str, list[Token]] = field(default_factory=dict)
+    # In source_position order, so method_at can bisect.
     methods: list[MethodUnit] = field(default_factory=list)
+    # The bag words of every method in `methods`.
+    index: WordIndex = field(default_factory=WordIndex)
     classes: list[ClassContext] = field(default_factory=list)
     distribution: ProjectDistribution | None = None
     queue: PasteQueue = field(default_factory=PasteQueue)
     warnings: list[str] = field(default_factory=list)
 
     @property
-    def methods_by_id(self) -> dict[str, MethodUnit]:
-        return {m.id: m for m in self.methods}
+    def methods_by_id(self) -> Mapping[str, MethodUnit]:
+        return self.index.methods
 
     def method_at(self, file_path: str, line: int) -> MethodUnit | None:
         return method_at(self.methods, file_path, line)
 
     def search_methods(self, paste_file: str) -> list[MethodUnit]:
+        """The methods a paste in `paste_file` is compared with.
+
+        The project scope gives `methods` itself, not a copy, and the file
+        scope bisects to the file's methods, so a due paste does not visit
+        every method; callers must not modify the list.
+        """
         if self.settings.search_scope == "file":
-            return [m for m in self.methods if m.file_path == paste_file]
-        return list(self.methods)
+            lo, hi = _file_range(self.methods, paste_file)
+            return self.methods[lo:hi]
+        return self.methods
 
     def apply_edit(self, file_path: str, new_content: str | None) -> None:
         """Update the in-memory view of one file; None deletes it."""
@@ -118,11 +133,24 @@ def _read_settings(path: Path) -> Settings:
     return load_settings(text)
 
 
+_file_of = attrgetter("file_path")
+
+
+def _file_range(methods: list[MethodUnit], path: str) -> tuple[int, int]:
+    """Where the file's methods sit: adjacent, in source_position order."""
+    return bisect_left(methods, path, key=_file_of), bisect_right(methods, path, key=_file_of)
+
+
 def _index_files(session: ProjectSession, rel_paths: list[str]) -> None:
     """Lex, index and compute each new method's metric vector.
 
     A file that lexes keeps its tokens even when indexing then fails.
     Warnings name the file here; indexing and lexing errors carry no path.
+    The files must have no methods in the session yet. Each file's methods
+    go in after those of the files whose paths sort before it, in the
+    order the file declares them, which is also the order of their first
+    lines, so `session.methods` stays in source_position order without a
+    sort.
     """
     keywords = session.settings.keywords
     for rel in rel_paths:
@@ -135,9 +163,10 @@ def _index_files(session: ProjectSession, rel_paths: list[str]) -> None:
             continue
         for method in methods:
             method.vector = vector_values(method_vector(method, keywords))
-        session.methods.extend(methods)
+            session.index.add(method)
+        at = bisect_left(session.methods, rel, key=_file_of)
+        session.methods[at:at] = methods
         session.classes.extend(classes)
-    session.methods.sort(key=lambda m: m.id)
 
 
 def _rebuild_distribution(session: ProjectSession) -> None:
@@ -150,14 +179,19 @@ def _rebuild_distribution(session: ProjectSession) -> None:
 def refresh_index(session: ProjectSession, changed_paths: list[str]) -> None:
     """Re-index only the changed files and re-sort the distributions.
 
-    Deleted files lose their methods and tokens; pending events that
-    point at them surface as FileMissing at the next tick. Untouched
-    files keep their method ids, which are content-position based.
+    Deleted files lose their methods, tokens and indexed words; pending
+    events that point at them surface as FileMissing at the next tick.
+    Untouched files keep their method ids, which are content-position
+    based.
     """
     changed = set(changed_paths)
+    methods = session.methods
     for path in changed:
         session.tokens.pop(path, None)
-    session.methods = [m for m in session.methods if m.file_path not in changed]
+        lo, hi = _file_range(methods, path)
+        for method in methods[lo:hi]:
+            session.index.remove(method)
+        del methods[lo:hi]
     session.classes = [c for c in session.classes if c.file_path not in changed]
     _index_files(session, sorted(p for p in changed if p in session.files))
     _rebuild_distribution(session)

@@ -198,6 +198,49 @@ def test_simulate_rejects_malformed_scenarios(tmp_path, capsys):
     assert run_command(["simulate", str(bad)]) == 3
 
 
+def _typed_scenario() -> dict:
+    return {
+        "projects": [{"root": "p"}],
+        "events": [
+            {"type": "paste", "t": 0, "root": "p", "file": "A.java", "line": 3, "fragment": "x = 1;"},
+            {"type": "edit", "t": 1, "root": "p", "file": "A.java", "content": "class A {}\n"},
+        ],
+        "until": 5,
+    }
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        (None, None),  # the well-typed scenario itself replays
+        ("events.0.fragment", 5),
+        ("events.1.content", 7),
+        ("events.0.file", ["x"]),
+        ("events.0.file", 5),
+        ("events.0.line", True),
+        ("events.0.t", float("nan")),
+        ("until", float("inf")),
+        ("events.0", 5),
+        ("events", 5),
+        ("projects.0.config", 5),
+        ("projects.0.root", 5),
+        ("projects", 5),
+    ],
+)
+def test_simulate_rejects_ill_typed_scenarios(tmp_path, capsys, field, value):
+    write_project(tmp_path / "p", {"A.java": "class A {\n    void f() {\n        x = 1;\n    }\n}\n"})
+    scenario = _typed_scenario()
+    if field is not None:
+        *path, last = field.split(".")
+        holder = scenario
+        for key in path:
+            holder = holder[int(key)] if isinstance(holder, list) else holder[key]
+        holder[int(last) if isinstance(holder, list) else last] = value
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(scenario), encoding="utf-8")
+    assert run_command(["simulate", str(path)]) == (0 if field is None else 3)
+
+
 def test_extract_prints_the_golden_diff(capsys):
     root = str(FIXTURES_DIR / "extract_demo" / "project")
     fragment = str(FIXTURES_DIR / "extract_demo" / "fragment.java")

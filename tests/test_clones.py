@@ -1,13 +1,17 @@
 from __future__ import annotations
 
+import json
+import tempfile
 from collections import Counter
+from pathlib import Path
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from anticopypaster.clones import (
     CloneMatch,
+    WordIndex,
     find_duplicates,
     find_subsequence,
     normalize_bag,
@@ -15,6 +19,7 @@ from anticopypaster.clones import (
 )
 from anticopypaster.errors import UndefinedSimilarity
 from anticopypaster.lexer import TokenKind, token_texts, tokenize
+from anticopypaster.settings import CONFIG_FILENAME
 from anticopypaster.source_model import index_file, validate_fragment
 from anticopypaster.workspace import open_project
 
@@ -200,13 +205,22 @@ def brute_force_duplicates(fragment, methods, theta) -> list[CloneMatch]:
     return results
 
 
+# Overloads whose bodies start on one line share an id; both are reported.
+ONE_LINE_OVERLOADS = "class O { void a() { g(); } void a(int y) { g(); } }\n"
+
+
 @pytest.mark.parametrize("theta", [0.3, 0.8, 1.0])
 def test_find_duplicates_agrees_with_brute_force(theta):
-    for source in ("int t = v + 1;\nt = t * 2;", "int w = v + 1;\nreturn w;", "g();"):
-        fragment = validate_fragment(source)
-        assert find_duplicates(fragment, _methods(), theta) == brute_force_duplicates(
-            fragment, _methods(), theta
-        )
+    overloads = index_file(ONE_LINE_OVERLOADS, "O.java")[0]
+    # Holds one method more than the overloads, as many as their distinct ids.
+    wider = WordIndex(overloads + index_file("class P { void p() { g(); } }\n", "P.java")[0])
+    for methods, index in ((_methods(), None), (overloads, None), (overloads, wider)):
+        for source in ("int t = v + 1;\nt = t * 2;", "int w = v + 1;\nreturn w;", "g();"):
+            fragment = validate_fragment(source)
+            assert find_duplicates(fragment, methods, theta, index) == brute_force_duplicates(
+                fragment, methods, theta
+            )
+    assert len(find_duplicates(validate_fragment("g();"), overloads, theta)) == 2
 
 
 # Statements whose bags hold 0 to 7 words, so generated bodies and
@@ -233,23 +247,54 @@ def _class_of(bodies: list[list[str]]) -> str:
     return "class Gen {\n" + methods + "}\n"
 
 
+# Saves applied to the session before the scan: (file, its new methods,
+# or None to delete it). File 0 is Gen.java, the paste's own file.
+_SAVES = st.lists(st.tuples(st.integers(0, 2), st.none() | _BODIES), max_size=3)
+
+
+@settings(deadline=None)
 @given(
     _BODIES,
+    _SAVES,
     st.lists(st.sampled_from(_STATEMENTS), min_size=1, max_size=3),
     st.sampled_from([0.25, 0.5, 0.75, 0.8, 1.0]),
+    st.sampled_from(["project", "file"]),
 )
 # Bag sizes 4 and 5 at 0.8: min/max equals the threshold, a near match.
-@example([["g(a, b, c, f);"]], ["f(a, b, c);"], 0.8)
-@example([["f(a, b, c);"]], ["g(a, b, c, f);"], 0.8)
-@example([["a = b + c;"], ["f(a);", "a = b;"]], ["a = b + c;"], 1.0)
-@example([[";"], []], [";"], 0.5)
-def test_filtered_scan_agrees_with_brute_force_on_generated_projects(bodies, statements, theta):
-    methods = index_file(_class_of(bodies), "Gen.java")[0]
+@example([["g(a, b, c, f);"]], [], ["f(a, b, c);"], 0.8, "project")
+@example([["f(a, b, c);"]], [], ["g(a, b, c, f);"], 0.8, "project")
+@example([["a = b + c;"], ["f(a);", "a = b;"]], [], ["a = b + c;"], 1.0, "project")
+# Punctuation only: no word to look up, so every method is searched.
+@example([[";"], []], [], [";"], 0.5, "project")
+# No fragment word occurs in the project.
+@example([["x++;"]], [], ["f(a);"], 0.25, "project")
+# After f and a, the untaken words x and ++ are exactly 0.5 of the
+# fragment, and m1 (x++ alone) is a near match at exactly 0.5.
+@example([["f(a);"], ["x++;"]], [], ["f(a);", "x++;"], 0.5, "project")
+# Another file holds the fragment verbatim; the file scope excludes it.
+@example([["a = b;"]], [(1, [["a = b;"]])], ["a = b;"], 0.8, "file")
+def test_filtered_scan_agrees_with_brute_force_on_generated_projects(bodies, saves, statements, theta, scope):
     fragment = validate_fragment("\n".join(statements))
     assert fragment.valid
+    methods = index_file(_class_of(bodies), "Gen.java")[0]
     assert find_duplicates(fragment, methods, theta) == brute_force_duplicates(
         fragment, methods, theta
     )
+    # The same scan through a session's index, kept up to date across saves.
+    config = json.dumps({"searchScope": scope})
+    with tempfile.TemporaryDirectory() as tmp:
+        session = open_project(
+            write_project(Path(tmp), {"Gen.java": _class_of(bodies), CONFIG_FILENAME: config})
+        )
+        for pick, new_bodies in saves:
+            path = "Gen.java" if pick == 0 else f"Other{pick}.java"
+            session.apply_edit(path, None if new_bodies is None else _class_of(new_bodies))
+        searched = session.search_methods("Gen.java")
+        in_scope = [m for m in session.methods if scope == "project" or m.file_path == "Gen.java"]
+        assert searched == in_scope
+        expected = brute_force_duplicates(fragment, searched, theta)
+        assert find_duplicates(fragment, searched, theta, session.index) == expected
+        assert find_duplicates(fragment, searched, theta) == expected
 
 
 def _fingerprints(methods) -> list[tuple]:

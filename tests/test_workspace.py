@@ -9,14 +9,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from anticopypaster import metrics, workspace
+from anticopypaster.clones import WordIndex
 from anticopypaster.decision import PasteEvent
 from anticopypaster.errors import LexError, MissingRoot, UnknownProject
 from anticopypaster.lexer import tokenize
 from anticopypaster.metrics import fresh_distributions, method_vector, vector_values
 from anticopypaster.settings import CONFIG_FILENAME
+from anticopypaster.source_model import source_position
 from anticopypaster.workspace import Workspace, open_project, refresh_index
 
-from helpers import FIXTURES_DIR, write_project
+from helpers import CORPUS_DIR, FIXTURES_DIR, write_project
 
 FILE_A = """\
 class A {
@@ -346,6 +348,50 @@ def _edit(model: dict[str, list[tuple]], op: str, pick: int, name: str, body: tu
     return path
 
 
+def _linear_method_at(methods, file_path: str, line: int):
+    """method_at's definition: the first method in id order whose body holds the line."""
+    holding = [m for m in methods if m.file_path == file_path and m.start_line <= line <= m.end_line]
+    return min(holding, key=lambda m: m.id, default=None)
+
+
+def _assert_method_at_is_linear(session) -> None:
+    assert session.methods == sorted(session.methods, key=source_position)
+    for path, text in {**session.files, "Absent.java": ""}.items():
+        for line in range(text.count("\n") + 3):
+            assert session.method_at(path, line) is _linear_method_at(session.methods, path, line)
+
+
+# Bodies that share a line: by position `b` comes first on line 1, and
+# `a` (line 9) before `b` (line 10), but the lesser id wins both.
+SHARED_LINES = """\
+class S { void b() { x(); } void a() { y(); } void c() {} }
+class T {
+    class Inner {
+        void inner() {
+            z();
+        }
+    }
+
+    void a() { y();
+        z(); } void b() { x();
+    }
+}
+"""
+
+
+def test_method_at_bisection_agrees_with_the_linear_definition(tmp_path):
+    roots = [case / "project" for case in sorted(CORPUS_DIR.glob("case*"))]
+    roots += [FIXTURES_DIR / name for name in ("distribution_demo", "record", "text_block")]
+    roots += [FIXTURES_DIR / "extract_demo" / "project", make_tree(tmp_path / "tree")]
+    roots.append(write_project(tmp_path / "shared", {"S.java": SHARED_LINES}))
+    for root in roots:
+        _assert_method_at_is_linear(open_project(root))
+    shared = open_project(tmp_path / "shared")
+    assert shared.method_at("S.java", 1).name == "a"
+    assert shared.method_at("S.java", 10).name == "b"
+    assert shared.method_at("S.java", 5).name == "inner"
+
+
 def _assert_fresh(session, fresh_root: Path) -> None:
     keywords = session.settings.keywords
     for method in session.methods:
@@ -367,6 +413,11 @@ def _assert_fresh(session, fresh_root: Path) -> None:
     else:
         assert session.distribution is None
     assert session.distribution == fresh.distribution
+    rebuilt = WordIndex(session.methods)
+    assert (session.index.holders, session.index.methods, session.index.size) == (
+        rebuilt.holders, rebuilt.methods, rebuilt.size
+    )
+    _assert_method_at_is_linear(session)
 
 
 @settings(deadline=None)
