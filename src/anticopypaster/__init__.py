@@ -39,7 +39,7 @@ from .source_model import (
     nesting_profile,
     validate_fragment,
 )
-from .workspace import ProjectSession, Workspace, open_project, refresh_index
+from .workspace import ProjectSession, open_project, refresh_index
 
 __version__ = "0.1.0"
 
@@ -84,7 +84,6 @@ __all__ = [
     "nesting_profile",
     "validate_fragment",
     "ProjectSession",
-    "Workspace",
     "open_project",
     "refresh_index",
 ]

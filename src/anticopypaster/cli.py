@@ -161,7 +161,7 @@ def _fmt(value: float) -> str:
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
-    session = open_project(args.root, args.config, declared_root=args.root)
+    session = open_project(args.root, args.config)
     names = sorted(m.value for m in Submetric)
     summary: dict[str, dict] = {}
     if session.distribution is not None:
@@ -239,7 +239,7 @@ def _print_matches(outcome: Recommendation | DropRecord) -> None:
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
-    session = open_project(args.root, args.config, declared_root=args.root)
+    session = open_project(args.root, args.config)
     fragment_text = _read_file(args.fragment)
     file_path, line = args.at
     event = PasteEvent(args.root, file_path, line, fragment_text, 0)
@@ -300,7 +300,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_extract(args: argparse.Namespace) -> int:
-    session = open_project(args.root, args.config, declared_root=args.root)
+    session = open_project(args.root, args.config)
     fragment_text = _read_file(args.fragment)
     file_path, line = args.at
     fragment = validate_fragment(fragment_text)
@@ -333,7 +333,7 @@ def _cmd_extract(args: argparse.Namespace) -> int:
 
 
 def _cmd_thresholds(args: argparse.Namespace) -> int:
-    session = open_project(args.root, args.config, declared_root=args.root)
+    session = open_project(args.root, args.config)
     sensitivities = dict(session.settings.sensitivity)
     for category, value in args.sensitivity:
         if category not in sensitivities:

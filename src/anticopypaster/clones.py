@@ -61,14 +61,14 @@ def overlap_similarity(a: TokenBag, b: TokenBag) -> float:
     return shared / max(a.total_count, b.total_count)
 
 
-def find_subsequence(haystack: tuple[str, ...], needle: tuple[str, ...], start: int = 0) -> int:
+def find_subsequence(haystack: tuple[str, ...], needle: tuple[str, ...]) -> int:
     """Index of the first contiguous occurrence of needle, or -1."""
     width = len(needle)
-    if not width or width > len(haystack) - start:
+    if not width or width > len(haystack):
         return -1
     first = needle[0]
     stop = len(haystack) - width + 1
-    i = start
+    i = 0
     try:
         while True:
             i = haystack.index(first, i, stop)
@@ -86,14 +86,12 @@ class WordIndex:
     is kept only for words held by two or more: nearly every word of a
     project is held by a single method, and a set per word would cost more
     memory than the rest of the index. `methods` maps each id back to its
-    method, and `size` counts the methods held, which exceeds
-    `len(methods)` only when two of them share an id.
+    method.
     """
 
     def __init__(self, methods: Iterable[MethodUnit] = ()) -> None:
         self.methods: dict[str, MethodUnit] = {}
         self.holders: dict[str, str | set[str]] = {}
-        self.size = 0
         for method in methods:
             self.add(method)
 
@@ -101,7 +99,6 @@ class WordIndex:
         holders = self.holders
         key = method.id
         self.methods[key] = method
-        self.size += 1
         for word in method.bag:
             held = holders.setdefault(word, key)
             if isinstance(held, set):
@@ -113,7 +110,6 @@ class WordIndex:
         holders = self.holders
         key = method.id
         self.methods.pop(key, None)
-        self.size -= 1
         for word in method.bag:
             held = holders.get(word)
             if held == key:
@@ -145,8 +141,8 @@ def find_duplicates(
     Only methods in `methods` are reported. `index` must hold at least
     those methods (a session's index holds all of its own); without one,
     a throwaway index of `methods` is built. When `methods` is everything
-    the index holds and no two share an id, candidates are read from the
-    index alone, so the scan never visits the methods it rules out.
+    the index holds, candidates are read from the index alone, so the scan
+    never visits the methods it rules out.
 
     Two exact filters skip work without changing the result. The prefix
     filter takes the fragment's words from rarest to most common until
@@ -191,7 +187,7 @@ def find_duplicates(
             rest -= frag_bag[word]
             if rest / frag_size < near_threshold:
                 break
-        if len(methods) == index.size == len(index.methods):
+        if len(methods) == len(index.methods):
             hosts = [index.methods[key] for key in ids]
         else:
             hosts = [m for m in methods if m.id in ids]
@@ -212,6 +208,5 @@ def find_duplicates(
         similarity = sum(map(min, frag_bag.values(), in_body)) / larger
         if similarity >= near_threshold:
             matches.append(CloneMatch(method.id, similarity, NEAR))
-    # Stable, so matches sharing an id keep the order of `methods`.
     matches.sort(key=attrgetter("method_id"))
     return matches

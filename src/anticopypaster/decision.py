@@ -213,7 +213,6 @@ def evaluate_paste(
             session.index,
         )
     )
-    duplicate_count = len({m.method_id for m in matches})
     vector = compute_vector(fragment, enclosing, enclosing.owner, settings.keywords)
     try:
         if session.distribution is None:
@@ -224,7 +223,7 @@ def evaluate_paste(
         report = evaluate_gate(vector, thresholds, settings.flags)
     except NotComputable:
         report = GateReport({}, False, False, False, reason="NotComputable")
-    report = with_duplicates(report, duplicate_count, settings.min_duplicate_methods)
+    report = with_duplicates(report, len(matches), settings.min_duplicate_methods)
     if report.triggered:
         return Recommendation(event, report, matches, now)
     return DropRecord(event, NOT_TRIGGERED, now, report)

@@ -61,10 +61,6 @@ class MissingRoot(EngineError):
     """Project root does not exist or is not a directory."""
 
 
-class UnknownProject(EngineError):
-    """An event was routed to a project root with no open session."""
-
-
 class ExtractionError(EngineError):
     """Base class for extraction feasibility and application errors."""
 

@@ -84,8 +84,6 @@ class ExtractionPlan:
     insertion_after_line: int
     declaration_line: int
     is_static: bool
-    declares_output: bool
-    output_name: str | None
     fragment_token_texts: tuple[str, ...]
 
     @property
@@ -255,8 +253,6 @@ def plan_extraction(
         insertion_after_line=enclosing.close_brace_line,
         declaration_line=enclosing.declaration_line,
         is_static=enclosing.is_static,
-        declares_output=summary.output_declared_inside,
-        output_name=output.name if output else None,
         fragment_token_texts=token_texts(fragment.tokens),
     )
 
@@ -272,7 +268,6 @@ class ApplyResult:
     sources: dict[str, str]
     diff: str
     call_sites: tuple[AppliedSite, ...]
-    inserted_span: tuple[int, int]  # first/last line of the inserted block
 
 
 def apply_extraction(
@@ -290,36 +285,30 @@ def apply_extraction(
     """
     _verify_sites(plan, sources, tokens or {})
 
-    edits: dict[str, list[tuple[int, int, list[str], TargetSite | None]]] = {}
+    # (first line, last line, site) of each edit; the insertion has no site.
+    edits: dict[str, list[tuple[int, int, TargetSite | None]]] = {}
     for site in plan.target_sites:
-        lines = sources[site.file_path].split("\n")
-        indent = _leading_ws(lines[site.start_line - 1])
-        edits.setdefault(site.file_path, []).append(
-            (site.start_line, site.end_line, [indent + plan.call_statement], site)
-        )
-
-    insertion_lines = _render_method(plan, sources)
+        edits.setdefault(site.file_path, []).append((site.start_line, site.end_line, site))
     edits.setdefault(plan.insertion_file, []).append(
-        (plan.insertion_after_line + 1, plan.insertion_after_line, insertion_lines, None)
+        (plan.insertion_after_line + 1, plan.insertion_after_line, None)
     )
 
     new_sources = dict(sources)
     call_sites: list[AppliedSite] = []
-    inserted_span = (0, 0)
     diff_parts: list[str] = []
     for path in sorted(edits):
         old_lines = sources[path].split("\n")
         new_lines: list[str] = []
         cursor = 1
         offset = 0
-        for start, end, replacement, site in sorted(edits[path], key=lambda e: e[0]):
+        for start, end, site in sorted(edits[path], key=lambda e: e[0]):
             new_lines.extend(old_lines[cursor - 1 : start - 1])
-            new_start = start + offset
-            new_lines.extend(replacement)
-            if site is not None:
-                call_sites.append(AppliedSite(site, new_start))
+            if site is None:
+                replacement = _render_method(plan, old_lines)
             else:
-                inserted_span = (new_start, new_start + len(replacement) - 1)
+                replacement = [_leading_ws(old_lines[start - 1]) + plan.call_statement]
+                call_sites.append(AppliedSite(site, start + offset))
+            new_lines.extend(replacement)
             offset += len(replacement) - (end - start + 1)
             cursor = end + 1
         new_lines.extend(old_lines[cursor - 1 :])
@@ -333,7 +322,7 @@ def apply_extraction(
     diff = "\n".join(diff_parts)
     if diff:
         diff += "\n"
-    return ApplyResult(new_sources, diff, tuple(call_sites), inserted_span)
+    return ApplyResult(new_sources, diff, tuple(call_sites))
 
 
 def _verify_sites(
@@ -375,13 +364,10 @@ def _leading_ws(line: str) -> str:
     return line[: len(line) - len(line.lstrip())]
 
 
-def _render_method(plan: ExtractionPlan, sources: Mapping[str, str]) -> list[str]:
+def _render_method(plan: ExtractionPlan, lines: list[str]) -> list[str]:
     decl_indent = ""
-    text = sources.get(plan.insertion_file)
-    if text is not None:
-        lines = text.split("\n")
-        if 1 <= plan.declaration_line <= len(lines):
-            decl_indent = _leading_ws(lines[plan.declaration_line - 1])
+    if 1 <= plan.declaration_line <= len(lines):
+        decl_indent = _leading_ws(lines[plan.declaration_line - 1])
     body_indent = decl_indent + "    "
     rendered = ["", f"{decl_indent}{plan.signature} {{"]
     for line in plan.body_text.split("\n"):

@@ -16,7 +16,7 @@ from pathlib import Path
 
 from .decision import PasteEvent, enqueue_paste, outcome_to_dict, tick
 from .errors import EngineError
-from .workspace import Workspace
+from .workspace import open_project
 
 
 class ScenarioError(EngineError):
@@ -125,13 +125,11 @@ def load_scenario(path: str | Path) -> Scenario:
 
 def run_scenario(scenario: Scenario) -> list[dict]:
     """Replay all events; the log holds recommendations and drops in order."""
-    workspace = Workspace()
     sessions = []
     for project in scenario.projects:
         config = scenario.base_dir / project.config if project.config else None
-        sessions.append(
-            workspace.open(scenario.resolve(project.root), config, declared_root=project.root)
-        )
+        sessions.append(open_project(scenario.resolve(project.root), config))
+    by_root = {session.root: session for session in sessions}
 
     log: list[dict] = []
 
@@ -148,7 +146,7 @@ def run_scenario(scenario: Scenario) -> list[dict]:
 
     for item in scenario.events:
         drain(item.t)
-        session = workspace.sessions[scenario.resolve(item.root)]
+        session = by_root[scenario.resolve(item.root)]
         if item.kind == "paste":
             event = PasteEvent(item.root, item.file, item.line, item.fragment, item.t)
             drop = enqueue_paste(session, event)

@@ -42,7 +42,6 @@ class Parameter:
 @dataclass(frozen=True)
 class LocalDecl:
     declared_type: str
-    line: int
     token_index: int
 
 
@@ -92,7 +91,6 @@ class MethodUnit:
 
 @dataclass
 class Fragment:
-    raw_text: str
     text: str
     tokens: list[Token]
     line_count: int
@@ -130,9 +128,9 @@ def validate_fragment(text: str) -> Fragment:
     try:
         tokens = tokenize(trimmed)
     except LexError:
-        return Fragment(text, trimmed, [], line_count, symbol_count, False)
+        return Fragment(trimmed, [], line_count, symbol_count, False)
     valid = bool(tokens) and _nested(tokens) and is_statement_sequence(tokens)
-    return Fragment(text, trimmed, tokens, line_count, symbol_count, valid)
+    return Fragment(trimmed, tokens, line_count, symbol_count, valid)
 
 
 def _nested(tokens: list[Token]) -> bool:
@@ -190,8 +188,8 @@ def scan_declarations(tokens: list[Token]) -> list[tuple[str, LocalDecl]]:
 
     Covers ordinary declarations, multi-declarator lists, for-init,
     enhanced-for, catch parameters, and try-with-resources. Returns each
-    declared name with its rendered type, line, and the index of the
-    name token. Purely token-driven; misparses of exotic generics fall
+    declared name with its rendered type and the index of the name
+    token. Purely token-driven; misparses of exotic generics fall
     out as 'not a declaration', never as a crash.
     """
     found: list[tuple[str, LocalDecl]] = []
@@ -284,7 +282,7 @@ def _try_declaration(tokens: list[Token], start: int, found: list[tuple[str, Loc
             j += 2
         if j >= n or tokens[j].text not in ("=", ";", ",", ":", ")"):
             return
-        found.append((name_tok.text, LocalDecl(declared_type, name_tok.line, name_index)))
+        found.append((name_tok.text, LocalDecl(declared_type, name_index)))
         terminator = tokens[j].text
         if terminator == "=":
             depth = 0
@@ -356,6 +354,7 @@ class _Indexer:
         self.file_path = file_path
         self.methods: list[MethodUnit] = []
         self.classes: list[ClassContext] = []
+        self.ids: set[str] = set()
         self.pos = 0
 
     def run(self) -> None:
@@ -499,8 +498,13 @@ class _Indexer:
         for name, decl in decls:
             decl_map.setdefault(name, decl)
         bag = token_bag(body_tokens)
+        method_id = f"{self.file_path}:{start_line}:{name_tok.text}"
+        if method_id in self.ids:
+            # Overloads whose bodies start on one line; their braces' columns differ.
+            method_id += f":{self.tokens[open_brace].column}"
+        self.ids.add(method_id)
         unit = MethodUnit(
-            id=f"{self.file_path}:{start_line}:{name_tok.text}",
+            id=method_id,
             name=name_tok.text,
             parameter_list=tuple(params),
             body_tokens=body_tokens,

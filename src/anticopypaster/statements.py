@@ -9,7 +9,7 @@ class body snippet.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .lexer import Token, TokenKind, match_delimiters
 
@@ -21,8 +21,6 @@ class StatementParseError(Exception):
 @dataclass(frozen=True)
 class StatementNode:
     kind: str
-    start: int
-    end: int
     children: tuple["StatementNode", ...] = ()
     label: str | None = None
 
@@ -39,7 +37,6 @@ class _Parser:
     tokens: list[Token]
     match: list[int]
     pos: int = 0
-    nodes: list[StatementNode] = field(default_factory=list)
 
     def _peek(self, offset: int = 0) -> Token | None:
         i = self.pos + offset
@@ -68,7 +65,6 @@ class _Parser:
         return result
 
     def _statement(self) -> StatementNode:
-        start = self.pos
         tok = self._peek()
         if tok is None:
             raise StatementParseError("expected a statement")
@@ -79,7 +75,7 @@ class _Parser:
             nxt = self._peek(1)
             if nxt is not None and nxt.text in _TYPE_KEYWORDS:
                 raise StatementParseError("type declaration is not a statement")
-            return self._simple(start)
+            return self._simple()
         if text in _MEMBER_MODIFIERS and not (text == "synchronized" and self._peek(1) is not None and self._peek(1).text == "("):
             raise StatementParseError("member declaration is not a statement")
         if text in _TYPE_KEYWORDS:
@@ -89,9 +85,9 @@ class _Parser:
 
         if text == ";":
             self.pos += 1
-            return StatementNode("empty", start, self.pos)
+            return StatementNode("empty")
         if text == "{":
-            return self._block(start)
+            return self._block()
         if text == "if":
             self.pos += 1
             self._skip_parenthesized()
@@ -100,39 +96,39 @@ class _Parser:
             if self._at("else"):
                 self.pos += 1
                 children.append(self._statement())
-            return StatementNode("if", start, self.pos, tuple(children))
+            return StatementNode("if", tuple(children))
         if text == "while":
             self.pos += 1
             self._skip_parenthesized()
             body = self._statement()
-            return StatementNode("while", start, self.pos, (body,))
+            return StatementNode("while", (body,))
         if text == "do":
             self.pos += 1
             body = self._statement()
             self._expect("while")
             self._skip_parenthesized()
             self._expect(";")
-            return StatementNode("do", start, self.pos, (body,))
+            return StatementNode("do", (body,))
         if text == "for":
             self.pos += 1
             self._skip_parenthesized()
             body = self._statement()
-            return StatementNode("for", start, self.pos, (body,))
+            return StatementNode("for", (body,))
         if text == "switch":
             self.pos += 1
             self._skip_parenthesized()
-            return self._switch_body(start)
+            return self._switch_body()
         if text == "synchronized":
             self.pos += 1
             self._skip_parenthesized()
-            body = self._block(self.pos)
-            return StatementNode("synchronized", start, self.pos, (body,))
+            body = self._block()
+            return StatementNode("synchronized", (body,))
         if text == "try":
-            return self._try(start)
+            return self._try()
         if text in ("return", "throw", "assert"):
             self.pos += 1
             self._scan_to_semicolon(allow_brace=True)
-            return StatementNode(text, start, self.pos)
+            return StatementNode(text)
         if text in ("break", "continue"):
             self.pos += 1
             label = None
@@ -141,7 +137,7 @@ class _Parser:
                 label = nxt.text
                 self.pos += 1
             self._expect(";")
-            return StatementNode(text, start, self.pos, label=label)
+            return StatementNode(text, label=label)
         if (
             tok.kind == TokenKind.IDENTIFIER
             and self._peek(1) is not None
@@ -149,10 +145,10 @@ class _Parser:
         ):
             self.pos += 2
             body = self._statement()
-            return StatementNode("label", start, self.pos, (body,), label=text)
-        return self._simple(start)
+            return StatementNode("label", (body,), label=text)
+        return self._simple()
 
-    def _block(self, start: int) -> StatementNode:
+    def _block(self) -> StatementNode:
         self._expect("{")
         children = []
         while not self._at("}"):
@@ -160,9 +156,9 @@ class _Parser:
                 raise StatementParseError("unterminated block")
             children.append(self._statement())
         self.pos += 1
-        return StatementNode("block", start, self.pos, tuple(children))
+        return StatementNode("block", tuple(children))
 
-    def _switch_body(self, start: int) -> StatementNode:
+    def _switch_body(self) -> StatementNode:
         self._expect("{")
         children = []
         while not self._at("}"):
@@ -176,28 +172,28 @@ class _Parser:
                 continue
             children.append(self._statement())
         self.pos += 1
-        return StatementNode("switch", start, self.pos, tuple(children))
+        return StatementNode("switch", tuple(children))
 
-    def _try(self, start: int) -> StatementNode:
+    def _try(self) -> StatementNode:
         self._expect("try")
         has_resources = False
         if self._at("("):
             self._skip_parenthesized()
             has_resources = True
-        children = [self._block(self.pos)]
+        children = [self._block()]
         clauses = 0
         while self._at("catch"):
             self.pos += 1
             self._skip_parenthesized()
-            children.append(self._block(self.pos))
+            children.append(self._block())
             clauses += 1
         if self._at("finally"):
             self.pos += 1
-            children.append(self._block(self.pos))
+            children.append(self._block())
             clauses += 1
         if clauses == 0 and not has_resources:
             raise StatementParseError("try without catch, finally, or resources")
-        return StatementNode("try", start, self.pos, tuple(children))
+        return StatementNode("try", tuple(children))
 
     def _scan_to_semicolon(self, allow_brace: bool = False) -> None:
         """Consume tokens through the next ';' at the statement's own level.
@@ -247,9 +243,9 @@ class _Parser:
             raise StatementParseError(f"{body.kind!r} statement cannot follow '->'")
         return body
 
-    def _simple(self, start: int) -> StatementNode:
+    def _simple(self) -> StatementNode:
         self._scan_to_semicolon()
-        return StatementNode("simple", start, self.pos)
+        return StatementNode("simple")
 
 
 def parse_statements(tokens: list[Token]) -> list[StatementNode]:

@@ -1,4 +1,4 @@
-"""Per-project sessions: scanning, settings, routing, index refresh.
+"""Per-project sessions: scanning, settings, index refresh.
 
 A session owns one project root: its indexed methods, metric
 distributions, settings, and pending paste queue. Sessions never share
@@ -22,18 +22,17 @@ from operator import attrgetter
 from pathlib import Path
 
 from .clones import WordIndex
-from .decision import PasteEvent, PasteQueue
-from .errors import ConfigSyntax, EngineError, MissingRoot, UnknownProject
+from .decision import PasteQueue
+from .errors import ConfigSyntax, EngineError, MissingRoot
 from .lexer import Token, normalize_newlines, tokenize
 from .metrics import ProjectDistribution, build_distributions, method_vector, vector_values
 from .settings import CONFIG_FILENAME, Settings, default_settings, load_settings
-from .source_model import ClassContext, MethodUnit, index_file, method_at
+from .source_model import MethodUnit, index_file, method_at
 
 
 @dataclass
 class ProjectSession:
     root: Path
-    declared_root: str
     settings: Settings
     files: dict[str, str] = field(default_factory=dict)
     # tokenize(files[p]) for every file that lexes; no entry for one that does not.
@@ -42,7 +41,6 @@ class ProjectSession:
     methods: list[MethodUnit] = field(default_factory=list)
     # The bag words of every method in `methods`.
     index: WordIndex = field(default_factory=WordIndex)
-    classes: list[ClassContext] = field(default_factory=list)
     distribution: ProjectDistribution | None = None
     queue: PasteQueue = field(default_factory=PasteQueue)
     warnings: list[str] = field(default_factory=list)
@@ -84,11 +82,7 @@ def _ignored(rel_path: str, globs: tuple[str, ...]) -> bool:
     return False
 
 
-def open_project(
-    root: str | Path,
-    config_path: str | Path | None = None,
-    declared_root: str | None = None,
-) -> ProjectSession:
+def open_project(root: str | Path, config_path: str | Path | None = None) -> ProjectSession:
     """Index a source tree and build its session.
 
     Settings come from the explicit config path, else from
@@ -109,7 +103,7 @@ def open_project(
         else:
             settings = default_settings()
 
-    session = ProjectSession(root_path, declared_root or str(root), settings)
+    session = ProjectSession(root_path, settings)
     for path in sorted(root_path.rglob("*.java")):
         rel = path.relative_to(root_path).as_posix()
         if _ignored(rel, settings.ignore):
@@ -157,7 +151,7 @@ def _index_files(session: ProjectSession, rel_paths: list[str]) -> None:
         text = session.files[rel]
         try:
             tokens = session.tokens[rel] = tokenize(text)
-            methods, classes = index_file(text, rel, tokens)
+            methods, _ = index_file(text, rel, tokens)
         except EngineError as exc:
             session.warnings.append(f"{rel}: {exc}")
             continue
@@ -166,7 +160,6 @@ def _index_files(session: ProjectSession, rel_paths: list[str]) -> None:
             session.index.add(method)
         at = bisect_left(session.methods, rel, key=_file_of)
         session.methods[at:at] = methods
-        session.classes.extend(classes)
 
 
 def _rebuild_distribution(session: ProjectSession) -> None:
@@ -192,30 +185,6 @@ def refresh_index(session: ProjectSession, changed_paths: list[str]) -> None:
         for method in methods[lo:hi]:
             session.index.remove(method)
         del methods[lo:hi]
-    session.classes = [c for c in session.classes if c.file_path not in changed]
     _index_files(session, sorted(p for p in changed if p in session.files))
     _rebuild_distribution(session)
 
-
-@dataclass
-class Workspace:
-    """Sessions keyed by canonical root path."""
-
-    sessions: dict[Path, ProjectSession] = field(default_factory=dict)
-
-    def open(
-        self,
-        root: str | Path,
-        config_path: str | Path | None = None,
-        declared_root: str | None = None,
-    ) -> ProjectSession:
-        session = open_project(root, config_path, declared_root)
-        self.sessions[session.root] = session
-        return session
-
-    def route_event(self, event: PasteEvent) -> ProjectSession:
-        key = Path(event.project_root).resolve()
-        session = self.sessions.get(key)
-        if session is None:
-            raise UnknownProject(f"no open session for {event.project_root}")
-        return session

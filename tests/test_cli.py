@@ -65,6 +65,30 @@ def test_check_triggers_on_the_duplicate_fixture(dup_root, tmp_path, capsys):
     assert payload["gate"]["duplicateMethodCount"] == 2
 
 
+# The two overloads' bodies start on line 3, so only the brace's column tells them apart.
+ONE_LINE_OVERLOADS = """\
+class O {
+    int x;
+    void a() { x = 1; x += 2; } void a(int y) { x = 1; x += 2; }
+    void b() {
+        x = 1; x += 2;
+    }
+}
+"""
+
+
+def test_check_counts_one_line_overloads_apart(tmp_path, capsys):
+    root = write_project(tmp_path / "proj", {"O.java": ONE_LINE_OVERLOADS})
+    (tmp_path / "frag.java").write_text("x = 1; x += 2;", encoding="utf-8")
+    code = run_command(
+        ["check", str(root), "--fragment", frag_path(tmp_path), "--at", "O.java:5", "--json"]
+    )
+    payload = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert payload["gate"]["duplicateMethodCount"] == 3
+    assert [m["method"] for m in payload["matches"]] == ["O.java:3:a", "O.java:3:a:47", "O.java:5:b"]
+
+
 def test_check_exit_one_when_not_triggered(dup_root, tmp_path, capsys):
     config = tmp_path / "strict.json"
     config.write_text(

@@ -205,14 +205,15 @@ def brute_force_duplicates(fragment, methods, theta) -> list[CloneMatch]:
     return results
 
 
-# Overloads whose bodies start on one line share an id; both are reported.
+# Overloads whose bodies start on one line; each gets its own id and match.
 ONE_LINE_OVERLOADS = "class O { void a() { g(); } void a(int y) { g(); } }\n"
 
 
 @pytest.mark.parametrize("theta", [0.3, 0.8, 1.0])
 def test_find_duplicates_agrees_with_brute_force(theta):
     overloads = index_file(ONE_LINE_OVERLOADS, "O.java")[0]
-    # Holds one method more than the overloads, as many as their distinct ids.
+    assert len({m.id for m in overloads}) == 2
+    # Holds one method more than the scan is offered.
     wider = WordIndex(overloads + index_file("class P { void p() { g(); } }\n", "P.java")[0])
     for methods, index in ((_methods(), None), (overloads, None), (overloads, wider)):
         for source in ("int t = v + 1;\nt = t * 2;", "int w = v + 1;\nreturn w;", "g();"):

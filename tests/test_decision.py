@@ -59,7 +59,7 @@ FRAGMENT = "int n = 0;\nfor (int x : xs) {\n    if (x > 0) {\n        n += x;\n 
 @pytest.fixture
 def session(tmp_path):
     root = write_project(tmp_path / "proj", {"Host.java": HOST_SOURCE})
-    return open_project(root, declared_root="proj")
+    return open_project(root)
 
 
 def paste(t=0, line=5, file="Host.java", text=FRAGMENT):
@@ -246,7 +246,7 @@ def test_gate_failure_surfaces_as_not_triggered_drop(tmp_path):
         ' "sensitivity": {"size": 100}}',
         encoding="utf-8",
     )
-    session = open_project(root, declared_root="p")
+    session = open_project(root)
     enqueue_paste(session, paste(t=0))
     (outcome,) = tick(session, 10)
     assert isinstance(outcome, DropRecord)

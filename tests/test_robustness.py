@@ -7,15 +7,22 @@ else may escape as a traceback.
 
 from __future__ import annotations
 
+import io
 import json
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from anticopypaster.cli import run_command
 from anticopypaster.errors import EngineError
 from anticopypaster.metrics import CATEGORIES, CONFIGURABLE_KEYWORDS, SUBMETRIC_BY_NAME
 from anticopypaster.settings import load_settings
 from anticopypaster.source_model import index_file, validate_fragment
+
+from helpers import write_project
 
 # Lexemes and pieces of them, so random joins reach the indexer and the
 # statement parser, not only the lexer's error paths.
@@ -71,3 +78,45 @@ def test_config_text_raises_only_engine_errors(text):
         load_settings(text)
     except EngineError:
         pass
+
+
+# Whole statements, so some files hold methods and some fragments parse,
+# and the commands get past validation to the scan, the gate and the rewrite.
+_STATEMENTS = st.sampled_from([
+    "int n = 0;", "n += x;", "for (int x : xs) { n += x; }", "if (n > 0) { n--; }", "g(n);",
+    "return n;", "break;", "int[] ys = {1, 2};", "String s = \"a\" + n;", "x = n;",
+])
+# Two methods with the same body; f's body starts on line 4.
+_HOST = "class A {\n  int x;\n  int f(int[] xs) {\n%s\n  }\n  void g(int[] xs) {\n%s\n  }\n}\n"
+
+
+@st.composite
+def _cli_inputs(draw):
+    """A file, a fragment and a paste line; often a run of the file's lines and where it starts."""
+    line_texts = st.one_of(_STATEMENTS, _STATEMENTS, _STATEMENTS, _JAVA_PIECES)
+    body = draw(st.lists(line_texts, min_size=1, max_size=8))
+    source = draw(st.one_of(st.just(_HOST % ("\n".join(body), "\n".join(body))), _JAVA_TEXT))
+    lo = draw(st.integers(0, len(body) - 1))
+    hi = draw(st.integers(lo + 1, len(body)))
+    fragment = draw(st.one_of(st.just("\n".join(body[lo:hi])), _JAVA_TEXT))
+    line = draw(st.one_of(st.just(4 + lo), st.integers(0, 12)))
+    return source, fragment, line
+
+
+@settings(deadline=None, max_examples=50)
+@given(_cli_inputs())
+def test_cli_commands_exit_with_a_documented_code(inputs):
+    source, fragment, line = inputs
+    with tempfile.TemporaryDirectory() as tmp:
+        root = write_project(Path(tmp) / "p", {"A.java": source})
+        frag = Path(tmp) / "frag.java"
+        frag.write_text(fragment, encoding="utf-8")
+        at = ["--fragment", str(frag), "--at", f"A.java:{line}"]
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            codes = [
+                run_command(["analyze", str(root), "--json"]),
+                run_command(["check", str(root), *at, "--json"]),
+                run_command(["extract", str(root), *at, "--name", "extracted"]),
+                run_command(["thresholds", str(root), "--json"]),
+            ]
+    assert set(codes) <= {0, 1, 2, 3}

@@ -10,13 +10,12 @@ from hypothesis import strategies as st
 
 from anticopypaster import metrics, workspace
 from anticopypaster.clones import WordIndex
-from anticopypaster.decision import PasteEvent
-from anticopypaster.errors import LexError, MissingRoot, UnknownProject
+from anticopypaster.errors import LexError, MissingRoot
 from anticopypaster.lexer import tokenize
 from anticopypaster.metrics import fresh_distributions, method_vector, vector_values
 from anticopypaster.settings import CONFIG_FILENAME
 from anticopypaster.source_model import source_position
-from anticopypaster.workspace import Workspace, open_project, refresh_index
+from anticopypaster.workspace import open_project, refresh_index
 
 from helpers import CORPUS_DIR, FIXTURES_DIR, write_project
 
@@ -90,7 +89,7 @@ def test_record_methods_and_components_are_indexed():
     session = open_project(FIXTURES_DIR / "record")
     assert session.warnings == []
     assert sorted(m.name for m in session.methods) == ["first", "manhattan", "origin"]
-    fields = {ctx.class_name: ctx.field_names for ctx in session.classes}
+    fields = {m.owner.class_name: m.owner.field_names for m in session.methods}
     assert fields == {"Point": {"x": "int", "y": "int"}, "Pair": {"left": "T", "right": "T"}}
 
 
@@ -168,24 +167,6 @@ def test_file_scope_limits_search_to_the_paste_file(tmp_path):
     session = open_project(root)
     assert {m.file_path for m in session.search_methods("A.java")} == {"A.java"}
     assert len(session.search_methods("A.java")) == 2
-
-
-def test_route_event_finds_the_right_session(tmp_path):
-    workspace = Workspace()
-    root_a = make_tree(tmp_path / "a")
-    root_b = make_tree(tmp_path / "b")
-    session_a = workspace.open(root_a)
-    workspace.open(root_b)
-    event = PasteEvent(str(root_a), "A.java", 3, "x = 1;", 0)
-    assert workspace.route_event(event) is session_a
-
-
-def test_route_event_rejects_unopened_roots(tmp_path):
-    workspace = Workspace()
-    workspace.open(make_tree(tmp_path / "a"))
-    event = PasteEvent(str(tmp_path / "other"), "A.java", 3, "x = 1;", 0)
-    with pytest.raises(UnknownProject):
-        workspace.route_event(event)
 
 
 def test_refresh_reindexes_only_changed_files(tmp_path):
@@ -414,9 +395,7 @@ def _assert_fresh(session, fresh_root: Path) -> None:
         assert session.distribution is None
     assert session.distribution == fresh.distribution
     rebuilt = WordIndex(session.methods)
-    assert (session.index.holders, session.index.methods, session.index.size) == (
-        rebuilt.holders, rebuilt.methods, rebuilt.size
-    )
+    assert (session.index.holders, session.index.methods) == (rebuilt.holders, rebuilt.methods)
     _assert_method_at_is_linear(session)
 
 
