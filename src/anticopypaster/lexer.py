@@ -7,14 +7,19 @@ and comments never produce tokens; string and character literals, text
 blocks included, are emitted as single literal tokens with their quotes.
 Line endings are normalized to LF before scanning, so positions are
 stable across CRLF and LF inputs; only LF starts a new line.
+
+A `Token` is a `NamedTuple` `(kind, text, line, column)`, so it equals
+the plain tuple of its fields. Within one `tokenize` call, equal words
+share one `str` object.
 """
 
 from __future__ import annotations
 
 import re
 from collections import Counter
-from dataclasses import dataclass
 from enum import Enum
+from operator import attrgetter
+from typing import NamedTuple
 
 from .errors import LexError
 
@@ -27,8 +32,7 @@ class TokenKind(str, Enum):
     PUNCTUATION = "punctuation"
 
 
-@dataclass(frozen=True, slots=True)
-class Token:
+class Token(NamedTuple):
     kind: TokenKind
     text: str
     line: int
@@ -82,6 +86,9 @@ _TOKEN = re.compile(
     re.VERBOSE,
 )
 
+# Every lexeme the `punctuation` group above can match.
+PUNCTUATION_LEXEMES = frozenset({"...", ";", ",", "(", ")", "{", "}", "[", "]", "@"})
+
 _GROUP_KINDS = {
     "literal": TokenKind.LITERAL,
     "punctuation": TokenKind.PUNCTUATION,
@@ -111,37 +118,62 @@ def tokenize(text: str) -> list[Token]:
     that starts no token.
     """
     tokens: list[Token] = []
+    append = tokens.append
+    new_token = tuple.__new__
+    # Equal words share one str, which wins back the memory a tuple token
+    # costs over a slotted object. Per call, not sys.intern: interned strings
+    # can outlive every token that held them.
+    same_word = {}.setdefault
+    word_kind = _WORD_KINDS.get
+    identifier, literal = TokenKind.IDENTIFIER, TokenKind.LITERAL
     line, line_start = 1, 0
     for m in _TOKEN.finditer(normalize_newlines(text)):
         group, lexeme = m.lastgroup, m.group()
-        if group != "skip":
-            if group == "word":
-                # `[\w$]` also starts at `²`, `½` or `Ⅻ`; identifiers start
-                # only where str.isalpha holds.
-                if not (lexeme[0].isalpha() or lexeme[0] in "_$"):
-                    raise LexError(f"unexpected character {lexeme[0]!r}", line)
-                kind = _WORD_KINDS.get(lexeme, TokenKind.IDENTIFIER)
-            elif group in _GROUP_KINDS:
-                kind = _GROUP_KINDS[group]
-            else:
-                raise LexError(_UNCLOSED.get(lexeme, f"unexpected character {lexeme!r}"), line)
-            tokens.append(Token(kind, lexeme, line, m.start() - line_start + 1))
         # Only `\n` ends a line; `\x85` or `\u2028` is whitespace within one.
-        newlines = lexeme.count("\n")
-        if newlines:
-            line += newlines
-            line_start = m.start() + lexeme.rindex("\n") + 1
+        # Of the lexemes that make tokens, only literals can span lines.
+        if group == "skip":
+            if "\n" in lexeme:
+                line += lexeme.count("\n")
+                line_start = m.start() + lexeme.rindex("\n") + 1
+            continue
+        if group == "word":
+            # `[\w$]` also starts at `²`, `½` or `Ⅻ`; identifiers start
+            # only where str.isalpha holds.
+            if not (lexeme[0].isalpha() or lexeme[0] in "_$"):
+                raise LexError(f"unexpected character {lexeme[0]!r}", line)
+            lexeme = same_word(lexeme, lexeme)
+            kind = word_kind(lexeme, identifier)
+        elif group in _GROUP_KINDS:
+            kind = _GROUP_KINDS[group]
+        else:
+            raise LexError(_UNCLOSED.get(lexeme, f"unexpected character {lexeme!r}"), line)
+        start = m.start()
+        append(new_token(Token, (kind, lexeme, line, start - line_start + 1)))
+        if kind is literal and "\n" in lexeme:
+            line += lexeme.count("\n")
+            line_start = start + lexeme.rindex("\n") + 1
     return tokens
+
+
+_text_of = attrgetter("text")
 
 
 def token_texts(tokens: list[Token]) -> tuple[str, ...]:
     """Normalized token sequence: verbatim lexemes, positions dropped."""
-    return tuple(t.text for t in tokens)
+    return tuple(map(_text_of, tokens))
 
 
 def token_bag(tokens: list[Token]) -> Counter[str]:
-    """Multiset of token texts, punctuation excluded; order is ignored."""
-    return Counter(t.text for t in tokens if t.kind != TokenKind.PUNCTUATION)
+    """Multiset of token texts, punctuation excluded.
+
+    Keys keep the order of their first appearance in `tokens`, so the
+    duplicate scan breaks ties between equally rare words the same way
+    on every run.
+    """
+    bag = Counter(map(_text_of, tokens))
+    for text in PUNCTUATION_LEXEMES:
+        bag.pop(text, None)
+    return bag
 
 
 _OPENER_OF = {")": "(", "]": "[", "}": "{"}

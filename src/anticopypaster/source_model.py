@@ -163,23 +163,20 @@ def nesting_profile(scope: Fragment | MethodUnit) -> list[int]:
 
 
 def _profile(tokens: list[Token], first_line: int, last_line: int) -> list[int]:
-    by_line: dict[int, list[Token]] = {}
-    for tok in tokens:
-        by_line.setdefault(tok.line, []).append(tok)
-    profile = []
+    # Tokens come in line order, all within first_line..last_line.
+    profile: list[int] = []
     depth = 1
-    for line in range(first_line, last_line + 1):
-        recorded = False
-        for tok in by_line.get(line, []):
-            if tok.text == "}":
-                depth -= 1
-            if not recorded:
-                profile.append(depth)
-                recorded = True
-            if tok.text == "{":
-                depth += 1
-        if not recorded:
-            profile.append(depth)
+    next_line = first_line
+    for _, text, line, _ in tokens:
+        if line >= next_line:
+            profile += [depth] * (line - next_line)
+            profile.append(depth - 1 if text == "}" else depth)
+            next_line = line + 1
+        if text == "}":
+            depth -= 1
+        elif text == "{":
+            depth += 1
+    profile += [depth] * (last_line + 1 - next_line)
     return profile
 
 

@@ -113,6 +113,10 @@ def open_project(root: str | Path, config_path: str | Path | None = None) -> Pro
         except UnicodeDecodeError as exc:
             session.warnings.append(f"{rel}: {exc}")
             continue
+        except OSError as exc:
+            # A directory named like a source file, or a file that cannot be read.
+            session.warnings.append(f"{rel}: {exc.strerror}")
+            continue
         session.files[rel] = normalize_newlines(text)
     _index_files(session, sorted(session.files))
     _rebuild_distribution(session)

@@ -1,5 +1,9 @@
 from __future__ import annotations
 
+import string
+from collections import Counter
+from itertools import product
+
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
@@ -7,10 +11,13 @@ from hypothesis import strategies as st
 from anticopypaster.errors import LexError
 from anticopypaster.lexer import (
     JAVA_KEYWORDS,
+    PUNCTUATION_LEXEMES,
+    WORD_LITERALS,
     Token,
     TokenKind,
     match_delimiters,
     normalize_newlines,
+    token_bag,
     token_texts,
     tokenize,
 )
@@ -225,3 +232,63 @@ def test_match_delimiters_agrees_with_a_per_kind_depth_scan(texts):
 
 def test_match_delimiters_pairs_each_kind_on_its_own():
     assert match_delimiters(tokenize("( { ) } ]")) == [2, 3, 0, 1, -1]
+
+
+# --- token values and fingerprints ---------------------------------------------
+
+def test_token_is_its_field_tuple_and_keeps_its_repr():
+    tok = tokenize("\n  total")[0]
+    assert tok == (TokenKind.IDENTIFIER, "total", 2, 3)
+    assert (tok.kind, tok.text, tok.line, tok.column) == tok
+    assert repr(tok) == "identifier('total'@2:3)"
+    assert repr(tokenize('s = "a;"')) == "[identifier('s'@1:1), operator('='@1:3), literal('\"a;\"'@1:5)]"
+
+
+# Words repeat, so the same lexeme comes out of several matches.
+_WORDY_PROBES = st.lists(
+    st.sampled_from(["total", "count", "if", "null", "x1", "$v", "_", " ", "\n", "(", ";", "+=", "\"s\""]),
+    max_size=40,
+).map("".join)
+
+
+@given(_WORDY_PROBES)
+@example("total = total + count; if (count) total++;")
+def test_equal_words_within_one_call_are_one_string_object(text):
+    try:
+        tokens = tokenize(text)
+    except LexError:
+        return
+    first: dict[str, str] = {}
+    for tok in tokens:
+        if tok.kind in (TokenKind.IDENTIFIER, TokenKind.KEYWORD) or tok.text in WORD_LITERALS:
+            assert tok.text is first.setdefault(tok.text, tok.text)
+
+
+@given(st.one_of(_LEXER_PROBES, _WORDY_PROBES))
+@example("f(a, b); int[] xs = {1, 2}; g(...); @A x = y;")
+def test_fingerprints_agree_with_their_per_token_definitions(text):
+    try:
+        tokens = tokenize(text)
+    except LexError:
+        return
+    assert token_texts(tokens) == tuple(t.text for t in tokens)
+    bag = token_bag(tokens)
+    expected = Counter(t.text for t in tokens if t.kind != TokenKind.PUNCTUATION)
+    assert bag == expected
+    assert list(bag) == list(expected)  # first-appearance order
+    for tok in tokens:
+        assert (tok.kind is TokenKind.PUNCTUATION) == (tok.text in PUNCTUATION_LEXEMES)
+
+
+def test_punctuation_lexemes_are_what_the_punctuation_group_emits():
+    emitted = set()
+    for size in (1, 2, 3):
+        for chars in product(string.punctuation, repeat=size):
+            try:
+                tokens = tokenize("".join(chars))
+            except LexError:
+                continue
+            emitted.update(t.text for t in tokens if t.kind is TokenKind.PUNCTUATION)
+    assert emitted == PUNCTUATION_LEXEMES
+    for text in PUNCTUATION_LEXEMES:
+        assert tokenize(text) == [(TokenKind.PUNCTUATION, text, 1, 1)]

@@ -1,8 +1,9 @@
 """Any text given as a Java file, a fragment or a config fails soft.
 
-The engine's entry points for untrusted text raise only EngineError
-subclasses, which the CLI turns into warnings or exit code 3; nothing
-else may escape as a traceback.
+The engine's entry points for untrusted text, and `open_project` on a
+tree of arbitrary bytes, raise only EngineError subclasses, which the
+CLI turns into warnings or exit code 3; nothing else may escape as a
+traceback.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from anticopypaster.errors import EngineError
 from anticopypaster.metrics import CATEGORIES, CONFIGURABLE_KEYWORDS, SUBMETRIC_BY_NAME
 from anticopypaster.settings import load_settings
 from anticopypaster.source_model import index_file, validate_fragment
+from anticopypaster.workspace import open_project
 
 from helpers import write_project
 
@@ -120,3 +122,45 @@ def test_cli_commands_exit_with_a_documented_code(inputs):
                 run_command(["thresholds", str(root), "--json"]),
             ]
     assert set(codes) <= {0, 1, 2, 3}
+
+
+_SOURCE_BYTES = st.one_of(
+    st.binary(max_size=60),
+    _JAVA_TEXT.map(lambda text: text.encode("utf-8")),
+    st.sampled_from(["utf-16", "latin-1", "cp1252"]).flatmap(
+        lambda codec: _JAVA_TEXT.map(lambda text: text.encode(codec, errors="replace"))
+    ),
+)
+# `d.java` is also the name of a directory in some trees.
+_PATHS = st.sampled_from(["A.java", "p/B.java", "p/q/C.java", "p/q/r/D.java", "d.java/E.java", "d.java"])
+
+
+@settings(deadline=None, max_examples=50)
+@given(st.dictionaries(_PATHS, _SOURCE_BYTES, min_size=1, max_size=5), st.none() | st.binary(max_size=30))
+@example({"A.java": b"\xff\xfeclass A {}", "p/B.java": "class B { void f() { g(); } }".encode()}, None)
+@example({"d.java/E.java": b"class E {}"}, b"{}")
+def test_open_project_on_arbitrary_bytes_only_warns(files, config):
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        for rel, data in files.items():
+            if rel == "d.java" and "d.java/E.java" in files:
+                continue  # the directory takes the name
+            (root / rel).parent.mkdir(parents=True, exist_ok=True)
+            (root / rel).write_bytes(data)
+        if config is not None:
+            (root / ".anticopypaster.json").write_bytes(config)
+        try:
+            session = open_project(root)
+        except EngineError:
+            return
+        for path in root.rglob("*.java"):
+            rel = path.relative_to(root).as_posix()
+            if path.is_file():
+                try:
+                    path.read_bytes().decode("utf-8")
+                    continue
+                except UnicodeDecodeError:
+                    pass
+            assert rel not in session.files
+            assert any(w.startswith(f"{rel}: ") for w in session.warnings)
+        assert all(m.file_path in session.files for m in session.methods)

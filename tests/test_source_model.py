@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from anticopypaster.errors import EmptyScope, IndexingError
 from anticopypaster.lexer import token_texts, tokenize
@@ -308,6 +310,63 @@ def test_method_profile_starts_at_depth_one():
         assert all(d >= 1 for d in profile)
         assert len(profile) == method.end_line - method.start_line + 1
         assert method.area == sum(profile)
+
+
+def _by_line_profile(tokens, first_line, last_line):
+    """The definition read line by line: group the tokens by line, then walk the lines."""
+    by_line = {}
+    for tok in tokens:
+        by_line.setdefault(tok.line, []).append(tok)
+    profile = []
+    depth = 1
+    for line in range(first_line, last_line + 1):
+        recorded = False
+        for tok in by_line.get(line, []):
+            if tok.text == "}":
+                depth -= 1
+            if not recorded:
+                profile.append(depth)
+                recorded = True
+            if tok.text == "{":
+                depth += 1
+        if not recorded:
+            profile.append(depth)
+    return profile
+
+
+_BLOCK_STATEMENTS = st.recursive(
+    st.sampled_from(["a();", "x = 1;", "int n = 0;", "int[] ys = {1, 2};", "return;"]),
+    lambda inner: st.tuples(
+        st.sampled_from(["if (c) {", "while (c) {", "{", "for (;;) {", "if (c) { } else {"]),
+        st.lists(inner, max_size=3),
+    ).map(lambda head_body: " ".join([head_body[0], *head_body[1], "}"])),
+    max_leaves=10,
+)
+# What goes between two tokens: lines with no tokens, lines that start with
+# a `}`, and several braces on one line all come out of these.
+_TOKEN_GAPS = st.sampled_from([" ", " ", "\n", "\n\n", "\n  // note\n", " /* c\n */ "])
+
+
+@st.composite
+def _laid_out_statements(draw):
+    texts = token_texts(tokenize(" ".join(draw(st.lists(_BLOCK_STATEMENTS, min_size=1, max_size=4)))))
+    gaps = draw(st.lists(_TOKEN_GAPS, min_size=len(texts) - 1, max_size=len(texts) - 1))
+    return "".join(text + gap for text, gap in zip(texts, [*gaps, ""]))
+
+
+@given(_laid_out_statements())
+@example("if (c) {\n\n  a();\n  } { {\n}\n}")
+@example("{ { { a(); } }\n} // c\n\n x = 1;")
+def test_nesting_profile_agrees_with_the_by_line_definition(text):
+    fragment = validate_fragment(text)
+    assert fragment.valid
+    assert nesting_profile(fragment) == _by_line_profile(fragment.tokens, 1, fragment.line_count)
+    indented = "\n".join("    " + line for line in text.split("\n"))
+    methods, _ = index_file(f"class A {{\n  void m() {{\n{indented}\n  }}\n}}\n", "A.java")
+    (method,) = methods
+    expected = _by_line_profile(method.body_tokens, method.start_line, method.end_line)
+    assert nesting_profile(method) == expected
+    assert method.area == sum(expected)
 
 
 # --- declaration scanning ----------------------------------------------------
