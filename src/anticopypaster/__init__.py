@@ -36,7 +36,6 @@ from .source_model import (
     Fragment,
     MethodUnit,
     index_file,
-    nesting_profile,
     validate_fragment,
 )
 from .workspace import ProjectSession, open_project, refresh_index
@@ -81,7 +80,6 @@ __all__ = [
     "Fragment",
     "MethodUnit",
     "index_file",
-    "nesting_profile",
     "validate_fragment",
     "ProjectSession",
     "open_project",

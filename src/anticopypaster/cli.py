@@ -184,7 +184,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
             }
         )
         return EXIT_OK
-    print(f"files indexed: {len(session.files)}")
+    print(f"files read: {len(session.files)}")
     print(f"methods indexed: {len(session.methods)}")
     for warning in session.warnings:
         print(f"warning: {warning}")
@@ -325,7 +325,10 @@ def _cmd_extract(args: argparse.Namespace) -> int:
         for path in sorted(result.sources):
             if result.sources[path] != session.files.get(path):
                 target = session.root / path
-                target.write_text(result.sources[path], encoding="utf-8")
+                try:
+                    target.write_text(result.sources[path], encoding="utf-8")
+                except OSError as exc:
+                    raise _Fail(f"cannot write {target}: {exc}") from exc
                 print(f"wrote {target}")
     else:
         print(result.diff, end="")

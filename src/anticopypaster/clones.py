@@ -6,12 +6,13 @@ multiset overlap between token bags, which tolerates statement
 reordering and small edits. Only exact matches are ever rewritten.
 
 The scan reads each method's fingerprint (`body_texts`, `bag`,
-`bag_size`), built once at index time, and a `WordIndex` from each bag
-word to the methods holding it, which the session keeps up to date as
-files are indexed and re-indexed. A paste looks up the fragment's rarest
-words and compares only the methods holding them (SourcererCC's prefix
-filter), so its cost follows the number of possible matches rather than
-the size of the project.
+`bag_size`), built once at index time, the fragment's, built the same
+way once when it is validated, and a `WordIndex` from each bag word to
+the methods holding it, which the session keeps up to date as files are
+indexed and re-indexed. A paste looks up the fragment's rarest words and
+compares only the methods holding them (SourcererCC's prefix filter), so
+its cost follows the number of possible matches rather than the size of
+the project.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from itertools import repeat
 from operator import attrgetter
 
 from .errors import UndefinedSimilarity
-from .lexer import Token, token_bag, token_texts
+from .lexer import Token, token_bag
 from .source_model import Fragment, MethodUnit
 
 EXACT = "exact"
@@ -165,9 +166,9 @@ def find_duplicates(
         raise ValueError("near-match threshold must be in (0, 1]")
     if index is None:
         index = WordIndex(methods)
-    frag_seq = token_texts(fragment.tokens)
-    frag_bag = token_bag(fragment.tokens)
-    frag_size = frag_bag.total()
+    frag_seq = fragment.body_texts
+    frag_bag = fragment.bag
+    frag_size = fragment.bag_size
     last = len(frag_seq) - 1
     hosts = methods
     rarest, rarest_count = None, 0

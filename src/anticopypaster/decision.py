@@ -197,9 +197,7 @@ def evaluate_paste(
     if not fragment.valid:
         return DropRecord(event, INVALID_FRAGMENT, now)
     file_tokens = session.tokens.get(event.file_path)
-    if file_tokens is None or not _present_at_site(
-        file_tokens, token_texts(fragment.tokens), event.paste_line
-    ):
+    if file_tokens is None or not _present_at_site(file_tokens, fragment.body_texts, event.paste_line):
         return DropRecord(event, EDITED, now)
     enclosing = method_at(session.methods, event.file_path, event.paste_line)
     if enclosing is None:

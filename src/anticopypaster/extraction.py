@@ -37,14 +37,8 @@ from .lexer import (
     token_texts,
     tokenize,
 )
-from .source_model import (
-    ClassContext,
-    Fragment,
-    MethodUnit,
-    Parameter,
-    scan_declarations,
-)
-from .statements import StatementParseError, control_flow_violations, parse_statements
+from .source_model import ClassContext, Fragment, MethodUnit, Parameter
+from .statements import control_flow_violations
 
 _ASSIGNMENT_OPS = frozenset(
     {"=", "+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=", "<<=", ">>=", ">>>="}
@@ -105,15 +99,13 @@ def analyze_extractability(
     """
     if not fragment.valid:
         raise MissingContext("fragment is not a valid statement sequence")
-    frag_texts = token_texts(fragment.tokens)
+    frag_texts = fragment.body_texts
     offset = find_subsequence(enclosing.body_texts, frag_texts)
     if offset < 0:
         raise MissingContext("fragment is not a contiguous span of the enclosing method")
     frag_end = offset + len(frag_texts)
 
-    frag_decls: dict[str, tuple[str, int]] = {}
-    for name, decl in scan_declarations(fragment.tokens):
-        frag_decls.setdefault(name, (decl.declared_type, decl.token_index))
+    frag_decls = fragment.local_declarations
     params = {p.name: p.declared_type for p in enclosing.parameter_list}
 
     def declared_before(name: str) -> str | None:
@@ -135,7 +127,7 @@ def analyze_extractability(
         name = tok.text
         if name in seen_inputs:
             continue
-        if name in frag_decls and frag_decls[name][1] <= k:
+        if name in frag_decls and frag_decls[name].token_index <= k:
             continue
         declared_type = declared_before(name)
         if declared_type is not None:
@@ -152,15 +144,15 @@ def analyze_extractability(
         prev = tokens[k - 1].text if k > 0 else ""
         if nxt in _ASSIGNMENT_OPS or nxt in ("++", "--") or prev in ("++", "--"):
             assigned.setdefault(tok.text, k)
-    for name, (_, decl_index) in frag_decls.items():
-        assigned.setdefault(name, decl_index)
+    for name, decl in frag_decls.items():
+        assigned.setdefault(name, decl.token_index)
 
     outputs: list[Parameter] = []
     for name, first_write in sorted(assigned.items(), key=lambda kv: kv[1]):
         if not _read_after(enclosing, frag_end, name):
             continue
         if name in frag_decls:
-            outputs.append(Parameter(name, frag_decls[name][0]))
+            outputs.append(Parameter(name, frag_decls[name].declared_type))
             continue
         declared_type = declared_before(name)
         if declared_type is not None:
@@ -170,11 +162,7 @@ def analyze_extractability(
             continue  # class member: persists without plumbing
         raise UnresolvedType(name)
 
-    try:
-        violations = tuple(control_flow_violations(parse_statements(fragment.tokens)))
-    except StatementParseError:
-        violations = ("fragment does not parse as a statement sequence",)
-
+    violations = tuple(control_flow_violations(fragment.statements))
     declared_inside = len(outputs) == 1 and outputs[0].name in frag_decls
     return DataFlowSummary(tuple(inputs), tuple(outputs), violations, declared_inside)
 
@@ -253,7 +241,7 @@ def plan_extraction(
         insertion_after_line=enclosing.close_brace_line,
         declaration_line=enclosing.declaration_line,
         is_static=enclosing.is_static,
-        fragment_token_texts=token_texts(fragment.tokens),
+        fragment_token_texts=fragment.body_texts,
     )
 
 

@@ -7,11 +7,13 @@ the scope's line count. Thresholds are nearest-rank percentiles over
 the per-method samples of the project, so a threshold is always a value
 some real method attains.
 
-A method's vector depends only on its own file and the keyword set, so
-a session computes it once, when the file is indexed, and keeps it on
-the MethodUnit. The distribution is then re-sorted from the stored
-vectors on open and after every edit; only an edited file's methods get
-new vectors.
+One function measures both scopes: a pasted fragment, from the facts
+built once when it is validated, and a method's whole body, from those
+built when it is indexed. A method's vector depends only on its own file
+and the keyword set, so a session computes it once, when the file is
+indexed, and keeps it on the MethodUnit. The distribution is then
+re-sorted from the stored vectors on open and after every edit; only an
+edited file's methods get new vectors.
 """
 
 from __future__ import annotations
@@ -19,15 +21,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import EmptyDistribution, InvalidSensitivity
+from .errors import EmptyDistribution, EmptyScope, InvalidSensitivity
 from .lexer import Token, TokenKind
-from .source_model import (
-    ClassContext,
-    Fragment,
-    MethodUnit,
-    nesting_profile,
-    scan_declarations,
-)
+from .source_model import ClassContext, Fragment, LocalDecl, MethodUnit
 
 # The configurable keyword catalogue: 31 statement/type/flow keywords,
 # visibility modifiers deliberately excluded.
@@ -76,27 +72,17 @@ SUBMETRIC_BY_NAME = {m.value: m for m in Submetric}
 MetricVector = dict[Submetric, float]
 
 
-@dataclass(frozen=True)
-class CouplingCounts:
-    field: int
-    method: int
-
-    @property
-    def total(self) -> int:
-        return self.field + self.method
-
-
 def coupling_counts(
-    tokens: list[Token], owner: ClassContext, shadow_from: dict[str, int]
-) -> CouplingCounts:
-    """Count references from a token sequence into its owning class.
+    tokens: list[Token], owner: ClassContext, shadow_from: dict[str, LocalDecl]
+) -> tuple[int, int]:
+    """Count field and method references from a token sequence into its owning class.
 
     Field connectivity counts identifiers matching a declared field
     unless a local declaration of the same name textually precedes the
     occurrence (the declaring occurrence itself is shadowed).
-    `shadow_from` maps each locally declared name to the token index of
-    its first declaration. Method connectivity counts identifiers
-    immediately followed by '(' that match a declared method name.
+    `shadow_from` maps each locally declared name to its first
+    declaration. Method connectivity counts identifiers immediately
+    followed by '(' that match a declared method name.
     """
     field_refs = 0
     method_refs = 0
@@ -108,37 +94,47 @@ def coupling_counts(
         if followed_by_call and name in owner.method_names:
             method_refs += 1
         if name in owner.field_names:
-            if name in shadow_from and shadow_from[name] <= i:
+            if name in shadow_from and shadow_from[name].token_index <= i:
                 continue
             field_refs += 1
-    return CouplingCounts(field_refs, method_refs)
+    return field_refs, method_refs
 
 
-def _vector(
-    keyword_total: int, coupling: CouplingCounts,
-    segment_lines: int, segment_symbols: int, segment_area: int,
-    method_lines: int, method_symbols: int, method_area: int,
+def _measure(
+    tokens: list[Token], segment: Fragment | MethodUnit, method: MethodUnit,
+    owner: ClassContext, keywords: frozenset[str],
 ) -> MetricVector:
-    """The 18 submetric values; densities divide by their scope's lines."""
+    """The 18 submetric values of a segment, whose tokens are `tokens`, inside `method`.
+
+    Every fact but the tokens' keywords and coupling was built once, when
+    the segment was validated or indexed. Area is the sum of per-line
+    nesting depths, so it grows with both length and nesting. Densities
+    divide by their scope's lines.
+    """
+    keyword_total = sum(1 for tok in tokens if tok.text in keywords)
+    fields, calls = coupling_counts(tokens, owner, segment.local_declarations)
+    coupling = fields + calls
+    lines, symbols, area = segment.line_count, segment.symbol_count, segment.area
+    method_lines = method.line_count
     return {
         Submetric.KEYWORD_TOTAL: keyword_total,
-        Submetric.KEYWORD_DENSITY: keyword_total / segment_lines,
-        Submetric.COUPLING_TOTAL_TOTAL: coupling.total,
-        Submetric.COUPLING_TOTAL_FIELD: coupling.field,
-        Submetric.COUPLING_TOTAL_METHOD: coupling.method,
-        Submetric.COUPLING_DENSITY_TOTAL: coupling.total / segment_lines,
-        Submetric.COUPLING_DENSITY_FIELD: coupling.field / segment_lines,
-        Submetric.COUPLING_DENSITY_METHOD: coupling.method / segment_lines,
-        Submetric.COMPLEXITY_TOTAL_AREA: segment_area,
-        Submetric.COMPLEXITY_AREA_DENSITY: segment_area / segment_lines,
-        Submetric.COMPLEXITY_METHOD_AREA: method_area,
-        Submetric.COMPLEXITY_METHOD_DEPTH_DENSITY: method_area / method_lines,
-        Submetric.SIZE_LINES_SEGMENT: segment_lines,
-        Submetric.SIZE_SYMBOLS_SEGMENT: segment_symbols,
-        Submetric.SIZE_SYMBOL_DENSITY_SEGMENT: segment_symbols / segment_lines,
+        Submetric.KEYWORD_DENSITY: keyword_total / lines,
+        Submetric.COUPLING_TOTAL_TOTAL: coupling,
+        Submetric.COUPLING_TOTAL_FIELD: fields,
+        Submetric.COUPLING_TOTAL_METHOD: calls,
+        Submetric.COUPLING_DENSITY_TOTAL: coupling / lines,
+        Submetric.COUPLING_DENSITY_FIELD: fields / lines,
+        Submetric.COUPLING_DENSITY_METHOD: calls / lines,
+        Submetric.COMPLEXITY_TOTAL_AREA: area,
+        Submetric.COMPLEXITY_AREA_DENSITY: area / lines,
+        Submetric.COMPLEXITY_METHOD_AREA: method.area,
+        Submetric.COMPLEXITY_METHOD_DEPTH_DENSITY: method.area / method_lines,
+        Submetric.SIZE_LINES_SEGMENT: lines,
+        Submetric.SIZE_SYMBOLS_SEGMENT: symbols,
+        Submetric.SIZE_SYMBOL_DENSITY_SEGMENT: symbols / lines,
         Submetric.SIZE_LINES_METHOD: method_lines,
-        Submetric.SIZE_SYMBOLS_METHOD: method_symbols,
-        Submetric.SIZE_SYMBOL_DENSITY_METHOD: method_symbols / method_lines,
+        Submetric.SIZE_SYMBOLS_METHOD: method.symbol_count,
+        Submetric.SIZE_SYMBOL_DENSITY_METHOD: method.symbol_count / method_lines,
     }
 
 
@@ -150,35 +146,17 @@ def compute_vector(
 ) -> MetricVector:
     """All submetric values for a fragment pasted inside a method.
 
-    Area is the sum of per-line nesting depths, so it grows with both
-    length and nesting. Raises EmptyScope for a fragment without lines
-    or one that is not a valid statement sequence.
+    Raises EmptyScope for a fragment that is not a valid statement
+    sequence, which is also every fragment without lines.
     """
-    area = sum(nesting_profile(fragment))
-    keyword_total = sum(1 for tok in fragment.tokens if tok.text in keywords)
-    shadow_from: dict[str, int] = {}
-    for name, decl in scan_declarations(fragment.tokens):
-        shadow_from.setdefault(name, decl.token_index)
-    return _vector(
-        keyword_total, coupling_counts(fragment.tokens, owner, shadow_from),
-        fragment.line_count, fragment.symbol_count, area,
-        enclosing.line_count, enclosing.symbol_count, enclosing.area,
-    )
+    if not fragment.valid:
+        raise EmptyScope("fragment is not a valid statement sequence")
+    return _measure(fragment.tokens, fragment, enclosing, owner, keywords)
 
 
 def method_vector(method: MethodUnit, keywords: frozenset[str]) -> MetricVector:
-    """Submetric values of a method, treating the whole body as the segment.
-
-    Shadowing reads the declarations scanned when the method was indexed.
-    """
-    lines = method.line_count
-    keyword_total = sum(1 for tok in method.body_tokens if tok.text in keywords)
-    shadow_from = {name: decl.token_index for name, decl in method.local_declarations.items()}
-    return _vector(
-        keyword_total, coupling_counts(method.body_tokens, method.owner, shadow_from),
-        lines, method.symbol_count, method.area,
-        lines, method.symbol_count, method.area,
-    )
+    """Submetric values of a method, treating the whole body as the segment."""
+    return _measure(method.body_tokens, method, method, method.owner, keywords)
 
 
 def vector_values(vector: MetricVector) -> tuple[float, ...]:

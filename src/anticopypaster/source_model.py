@@ -1,9 +1,10 @@
 """Structural model of Java sources.
 
-Indexes method bodies and class context out of lexed files, validates
-pasted fragments as statement sequences, and computes per-line nesting
-profiles. Everything downstream (clone detection, metrics, extraction)
-operates on these values.
+Indexes method bodies and class context out of lexed files and validates
+pasted fragments as statement sequences. A method's token texts, bag,
+first local declarations and nesting area are built once, when it is
+indexed, and a valid fragment's once, when it is validated; everything
+downstream (clone detection, metrics, extraction) reads these fields.
 
 Method detection is header-pattern plus brace matching, not a full
 grammar: constructors count as methods, bodiless declarations are
@@ -16,7 +17,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass, field
 
-from .errors import EmptyScope, IndexingError, LexError
+from .errors import IndexingError, LexError
 from .lexer import (
     Token,
     TokenKind,
@@ -26,7 +27,7 @@ from .lexer import (
     token_texts,
     tokenize,
 )
-from .statements import is_statement_sequence
+from .statements import StatementNode, StatementParseError, parse_statements
 
 PRIMITIVE_TYPES = frozenset(
     {"boolean", "byte", "char", "short", "int", "long", "float", "double"}
@@ -96,6 +97,14 @@ class Fragment:
     line_count: int
     symbol_count: int
     valid: bool
+    # A MethodUnit's indexing facts (area as if pasted at depth 1) and the
+    # parsed statements, built once by validation; empty when invalid.
+    body_texts: tuple[str, ...] = ()
+    bag: dict[str, int] = field(default_factory=dict)
+    bag_size: int = 0
+    local_declarations: dict[str, LocalDecl] = field(default_factory=dict)
+    area: int = 0
+    statements: list[StatementNode] = field(default_factory=list)
 
 
 def _trim_blank_lines(text: str) -> str:
@@ -129,41 +138,30 @@ def validate_fragment(text: str) -> Fragment:
         tokens = tokenize(trimmed)
     except LexError:
         return Fragment(trimmed, [], line_count, symbol_count, False)
-    valid = bool(tokens) and _nested(tokens) and is_statement_sequence(tokens)
-    return Fragment(trimmed, tokens, line_count, symbol_count, valid)
-
-
-def _nested(tokens: list[Token]) -> bool:
-    """Every delimiter has a partner and each closer ends the innermost open pair."""
-    match = match_delimiters(tokens)
-    open_until: list[int] = []
-    for i, tok in enumerate(tokens):
-        if tok.text in ("(", "[", "{"):
-            open_until.append(match[i])
-        elif tok.text in (")", "]", "}") and (not open_until or open_until.pop() != i):
-            return False
-    return not open_until
-
-
-def nesting_profile(scope: Fragment | MethodUnit) -> list[int]:
-    """One depth value per line of the scope.
-
-    Depth is the nesting level at the line's first token; '{' increments
-    after its token and '}' decrements before it. Body top level is
-    depth 1, and fragments are profiled as if pasted at depth 1. Lines
-    without tokens take the running depth.
-    """
-    if isinstance(scope, Fragment):
-        if scope.line_count == 0 or not scope.valid:
-            raise EmptyScope("fragment has no lines to profile")
-        return _profile(scope.tokens, 1, scope.line_count)
-    if scope.start_line > scope.end_line:
-        raise EmptyScope(f"method {scope.id} has no body lines")
-    return _profile(scope.body_tokens, scope.start_line, scope.end_line)
+    try:
+        statements = parse_statements(tokens)
+    except StatementParseError:
+        return Fragment(trimmed, tokens, line_count, symbol_count, False)
+    bag = token_bag(tokens)
+    return Fragment(
+        trimmed, tokens, line_count, symbol_count, True,
+        body_texts=token_texts(tokens),
+        bag=bag,
+        bag_size=bag.total(),
+        local_declarations=_first_declarations(tokens),
+        area=sum(_profile(tokens, 1, line_count)),
+        statements=statements,
+    )
 
 
 def _profile(tokens: list[Token], first_line: int, last_line: int) -> list[int]:
-    # Tokens come in line order, all within first_line..last_line.
+    """One depth value per line, first_line through last_line.
+
+    Depth is the nesting level at the line's first token; '{' increments
+    after its token and '}' decrements before it. The top level is depth
+    1, and lines without tokens take the running depth. Tokens come in
+    line order, all within the range.
+    """
     profile: list[int] = []
     depth = 1
     next_line = first_line
@@ -195,6 +193,11 @@ def scan_declarations(tokens: list[Token]) -> list[tuple[str, LocalDecl]]:
         _try_declaration(tokens, start, found)
     found.sort(key=lambda item: item[1].token_index)
     return found
+
+
+def _first_declarations(tokens: list[Token]) -> dict[str, LocalDecl]:
+    """Each locally declared name's first declaration (reversed, so the earliest wins)."""
+    return dict(reversed(scan_declarations(tokens)))
 
 
 def _declaration_candidates(tokens: list[Token]) -> list[int]:
@@ -490,10 +493,6 @@ class _Indexer:
             end_line = body_tokens[-1].line
         else:
             start_line = end_line = open_line
-        decls = scan_declarations(body_tokens)
-        decl_map: dict[str, LocalDecl] = {}
-        for name, decl in decls:
-            decl_map.setdefault(name, decl)
         bag = token_bag(body_tokens)
         method_id = f"{self.file_path}:{start_line}:{name_tok.text}"
         if method_id in self.ids:
@@ -507,7 +506,7 @@ class _Indexer:
             body_tokens=body_tokens,
             start_line=start_line,
             end_line=end_line,
-            local_declarations=decl_map,
+            local_declarations=_first_declarations(body_tokens),
             owner=ctx,
             is_static=is_static,
             symbol_count=count_symbols("\n".join(self.lines[start_line - 1 : end_line])),

@@ -53,13 +53,10 @@ class _Parser:
 
     def _skip_parenthesized(self) -> None:
         self._expect("(")
-        close = self.match[self.pos - 1]
-        if close < 0:
-            raise StatementParseError("unbalanced '('")
-        self.pos = close + 1
+        self.pos = self.match[self.pos - 1] + 1  # parse_statements checked every pair
 
     def parse_all(self) -> list[StatementNode]:
-        result = []
+        result = [self._statement()]
         while self.pos < len(self.tokens):
             result.append(self._statement())
         return result
@@ -251,23 +248,24 @@ class _Parser:
 def parse_statements(tokens: list[Token]) -> list[StatementNode]:
     """Parse a token sequence as one or more Java block statements.
 
-    Statements nested deeper than the interpreter's recursion limit are
-    a StatementParseError, like any other input that does not parse.
+    Every delimiter must have a partner, and each closer must end the
+    innermost open pair. Statements nested deeper than the interpreter's
+    recursion limit are a StatementParseError, like any other input that
+    does not parse.
     """
+    match = match_delimiters(tokens)
+    open_until: list[int] = []
+    for i, tok in enumerate(tokens):
+        if tok.text in ("(", "[", "{"):
+            open_until.append(match[i])
+        elif tok.text in (")", "]", "}") and (not open_until or open_until.pop() != i):
+            raise StatementParseError(f"{tok.text!r} at token {i} does not close the innermost pair")
+    if open_until:
+        raise StatementParseError("unclosed delimiter")
     try:
-        return _Parser(tokens, match_delimiters(tokens)).parse_all()
+        return _Parser(tokens, match).parse_all()
     except RecursionError:
         raise StatementParseError("statements nested too deeply to parse") from None
-
-
-def is_statement_sequence(tokens: list[Token]) -> bool:
-    if not tokens:
-        return False
-    try:
-        parse_statements(tokens)
-    except StatementParseError:
-        return False
-    return True
 
 
 _LOOP_KINDS = frozenset({"for", "while", "do"})

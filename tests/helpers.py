@@ -28,16 +28,20 @@ def write_project(root: Path, files: dict[str, str]) -> Path:
     return root
 
 
-def count_lexing(monkeypatch) -> list[str]:
-    """Record the text of every `tokenize` call any engine module makes."""
-    lexed: list[str] = []
-    tokenize = lexer.tokenize
+def count_calls(monkeypatch, func) -> list:
+    """Record the argument of every call any engine module makes to the one-argument `func`."""
+    calls: list = []
 
-    def counting_tokenize(text):
-        lexed.append(text)
-        return tokenize(text)
+    def counting(arg):
+        calls.append(arg)
+        return func(arg)
 
     for name, module in list(sys.modules.items()):
-        if name.startswith("anticopypaster") and getattr(module, "tokenize", None) is tokenize:
-            monkeypatch.setattr(module, "tokenize", counting_tokenize)
-    return lexed
+        if name.startswith("anticopypaster") and getattr(module, func.__name__, None) is func:
+            monkeypatch.setattr(module, func.__name__, counting)
+    return calls
+
+
+def count_lexing(monkeypatch) -> list[str]:
+    """Record the text of every `tokenize` call any engine module makes."""
+    return count_calls(monkeypatch, lexer.tokenize)

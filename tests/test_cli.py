@@ -3,14 +3,24 @@ from __future__ import annotations
 import json
 import shutil
 import sys
+from pathlib import Path
 
 import pytest
 
 from anticopypaster.cli import run_command
+from anticopypaster.lexer import token_texts
 from anticopypaster.source_model import validate_fragment
+from anticopypaster.statements import parse_statements
 from anticopypaster.workspace import open_project
 
-from helpers import FIXTURES_DIR, GOLDEN_DIR, REPO_ROOT, SCENARIOS_DIR, count_lexing, write_project
+from helpers import (
+    FIXTURES_DIR,
+    GOLDEN_DIR,
+    SCENARIOS_DIR,
+    count_calls,
+    count_lexing,
+    write_project,
+)
 
 DUP_PROJECT = {
     "Host.java": """\
@@ -185,6 +195,26 @@ def test_analyze_reports_method_count(dup_root, capsys):
     assert "size.lines.segment" in payload["submetrics"]
 
 
+def test_analyze_counts_files_read_and_warns_for_those_it_skips(tmp_path, capsys):
+    root = write_project(
+        tmp_path / "proj",
+        {
+            "A.java": "class A {\n    int f() {\n        return 1;\n    }\n}\n",
+            "B.java": "class B { void g() { ",
+            "C.java": 'class C { String s = "oops; }',
+        },
+    )
+    assert run_command(["analyze", str(root)]) == 0
+    out = capsys.readouterr().out
+    assert "files read: 3" in out
+    assert "methods indexed: 1" in out
+    assert "warning: B.java: unbalanced braces at file scope" in out
+    assert "warning: C.java: unterminated string literal" in out
+    assert run_command(["analyze", str(root), "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert (payload["files"], payload["methods"], len(payload["warnings"])) == (3, 1, 2)
+
+
 def test_thresholds_respects_sensitivity_overrides(dup_root, capsys):
     assert run_command(["thresholds", str(dup_root), "--json"]) == 0
     base = json.loads(capsys.readouterr().out)
@@ -289,6 +319,22 @@ def test_check_and_extract_lex_each_project_file_once_plus_the_fragment(command,
     assert sorted(lexed) == sorted(sources + [fragment_text])
 
 
+def test_extract_parses_the_fragment_once(monkeypatch, capsys):
+    """Validation parses the fragment; the flow analysis reads the stored statements."""
+    root = FIXTURES_DIR / "extract_demo" / "project"
+    fragment = FIXTURES_DIR / "extract_demo" / "fragment.java"
+    sources = list(open_project(root).files.values())
+    validated = validate_fragment(fragment.read_text(encoding="utf-8"))
+    lexed = count_lexing(monkeypatch)
+    parsed = count_calls(monkeypatch, parse_statements)
+    argv = ["extract", str(root), "--fragment", str(fragment), "--at", "Pipeline.java:5", "--name", "bundle"]
+    assert run_command(argv) == 0
+    capsys.readouterr()
+    assert len(parsed) == 1
+    assert token_texts(parsed[0]) == token_texts(validated.tokens)
+    assert sorted(lexed) == sorted(sources + [validated.text])
+
+
 def test_extract_write_persists_files(tmp_path, capsys):
     src = FIXTURES_DIR / "extract_demo" / "project"
     root = tmp_path / "writable"
@@ -302,6 +348,24 @@ def test_extract_write_persists_files(tmp_path, capsys):
     text = (root / "Pipeline.java").read_text(encoding="utf-8")
     assert "private int bundle(int[] batch)" in text
     assert "wrote" in capsys.readouterr().out
+
+
+def test_extract_write_failure_is_an_analysis_error(tmp_path, monkeypatch, capsys):
+    root = tmp_path / "writable"
+    shutil.copytree(FIXTURES_DIR / "extract_demo" / "project", root)
+    fragment = str(FIXTURES_DIR / "extract_demo" / "fragment.java")
+
+    def refuse(self, *args, **kwargs):
+        raise PermissionError(13, "Permission denied")
+
+    # File modes do not stop a superuser, so the failure is simulated.
+    monkeypatch.setattr(Path, "write_text", refuse)
+    code = run_command(
+        ["extract", str(root), "--fragment", fragment, "--at", "Pipeline.java:5",
+         "--name", "bundle", "--write"]
+    )
+    assert code == 3
+    assert f"error: cannot write {root / 'Pipeline.java'}: " in capsys.readouterr().err
 
 
 def test_extract_name_collision_is_an_analysis_error(capsys):

@@ -5,10 +5,11 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from anticopypaster.errors import EmptyScope, IndexingError
-from anticopypaster.lexer import token_texts, tokenize
+from anticopypaster.lexer import token_bag, token_texts, tokenize
+from anticopypaster.metrics import KEYWORD_CATALOGUE, compute_vector
 from anticopypaster.source_model import (
+    _profile,
     index_file,
-    nesting_profile,
     scan_declarations,
     validate_fragment,
 )
@@ -271,24 +272,33 @@ def test_line_count_trims_blank_edges():
 
 # --- nesting profiles ---------------------------------------------------------
 
+def fragment_profile(fragment):
+    """Per-line depths of a fragment pasted at depth 1, whose sum is its area."""
+    profile = _profile(fragment.tokens, 1, fragment.line_count)
+    assert fragment.area == sum(profile)
+    return profile
+
+
 def test_nesting_profile_of_guarded_block():
     fragment = validate_fragment("if (x > 0) {\n    sum += x;\n}")
-    assert nesting_profile(fragment) == [1, 2, 1]
+    assert fragment_profile(fragment) == [1, 2, 1]
 
 
 def test_flat_statements_profile_at_depth_one():
-    assert nesting_profile(validate_fragment("a();\nb();")) == [1, 1]
-    assert nesting_profile(validate_fragment("x = 1;")) == [1]
+    assert fragment_profile(validate_fragment("a();\nb();")) == [1, 1]
+    assert fragment_profile(validate_fragment("x = 1;")) == [1]
 
 
 def test_empty_scope_raises():
-    with pytest.raises(EmptyScope):
-        nesting_profile(validate_fragment(""))
+    host = index_file(TWO_METHODS, "TwoMethods.java")[0][0]
+    for text in ("", "// only a comment", "class C { }", "x = (1;"):
+        with pytest.raises(EmptyScope):
+            compute_vector(validate_fragment(text), host, host.owner, KEYWORD_CATALOGUE)
 
 
 def test_blank_interior_lines_keep_running_depth():
     fragment = validate_fragment("if (a) {\n\n    f();\n}")
-    assert nesting_profile(fragment) == [1, 2, 2, 1]
+    assert fragment_profile(fragment) == [1, 2, 2, 1]
 
 
 def test_profile_changes_bounded_by_adjacent_brace_counts():
@@ -296,7 +306,7 @@ def test_profile_changes_bounded_by_adjacent_brace_counts():
     # token plus a leading '}' pre-decrement on the line itself.
     source = "while (a) {\n    if (b) { f(); }\n    g();\n}"
     fragment = validate_fragment(source)
-    profile = nesting_profile(fragment)
+    profile = fragment_profile(fragment)
     lines = source.split("\n")
     for i in range(1, len(profile)):
         budget = sum(lines[j].count("{") + lines[j].count("}") for j in (i - 1, i))
@@ -306,7 +316,7 @@ def test_profile_changes_bounded_by_adjacent_brace_counts():
 def test_method_profile_starts_at_depth_one():
     methods, _ = index_file(TWO_METHODS, "TwoMethods.java")
     for method in methods:
-        profile = nesting_profile(method)
+        profile = _profile(method.body_tokens, method.start_line, method.end_line)
         assert all(d >= 1 for d in profile)
         assert len(profile) == method.end_line - method.start_line + 1
         assert method.area == sum(profile)
@@ -360,13 +370,41 @@ def _laid_out_statements(draw):
 def test_nesting_profile_agrees_with_the_by_line_definition(text):
     fragment = validate_fragment(text)
     assert fragment.valid
-    assert nesting_profile(fragment) == _by_line_profile(fragment.tokens, 1, fragment.line_count)
+    assert fragment_profile(fragment) == _by_line_profile(fragment.tokens, 1, fragment.line_count)
     indented = "\n".join("    " + line for line in text.split("\n"))
     methods, _ = index_file(f"class A {{\n  void m() {{\n{indented}\n  }}\n}}\n", "A.java")
     (method,) = methods
     expected = _by_line_profile(method.body_tokens, method.start_line, method.end_line)
-    assert nesting_profile(method) == expected
+    assert _profile(method.body_tokens, method.start_line, method.end_line) == expected
     assert method.area == sum(expected)
+
+
+# Mostly invalid text, some of it lexing and some not.
+_TOKEN_SOUP = st.lists(st.sampled_from([*"abn =;,(){}[]\n\"", "int ", "for ", "class "]), max_size=20).map("".join)
+
+
+@given(st.one_of(_laid_out_statements(), _TOKEN_SOUP))
+@example("int a = 1, b;\nfor (int i : xs) { int a = i; }\ntry (R r = open()) { } catch (E e) { }")
+@example("class C { }")
+@example('x = "unclosed;')
+def test_fragment_fields_agree_with_their_per_token_definitions(text):
+    """What validation stores is what the per-token definitions give, or empty when invalid."""
+    fragment = validate_fragment(text)
+    tokens = fragment.tokens
+    stored = (
+        fragment.body_texts, fragment.bag, fragment.bag_size,
+        fragment.local_declarations, fragment.area, fragment.statements,
+    )
+    if not fragment.valid:
+        assert stored == ((), {}, 0, {}, 0, [])
+        return
+    first_declarations = {}
+    for name, decl in scan_declarations(tokens):
+        first_declarations.setdefault(name, decl)
+    assert stored == (
+        token_texts(tokens), token_bag(tokens), token_bag(tokens).total(),
+        first_declarations, sum(_profile(tokens, 1, fragment.line_count)), parse_statements(tokens),
+    )
 
 
 # --- declaration scanning ----------------------------------------------------
