@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
+import shutil
 import statistics
 import sys
 from pathlib import Path
@@ -322,17 +324,39 @@ def _cmd_extract(args: argparse.Namespace) -> int:
     )
     result = apply_extraction(plan, session.files, session.tokens)
     if args.write:
-        for path in sorted(result.sources):
-            if result.sources[path] != session.files.get(path):
-                target = session.root / path
-                try:
-                    target.write_text(result.sources[path], encoding="utf-8")
-                except OSError as exc:
-                    raise _Fail(f"cannot write {target}: {exc}") from exc
-                print(f"wrote {target}")
+        changed = {
+            session.root / path: text
+            for path, text in sorted(result.sources.items())
+            if text != session.files.get(path)
+        }
+        _write_all(changed)
+        for target in changed:
+            print(f"wrote {target}")
     else:
         print(result.diff, end="")
     return EXIT_OK
+
+
+def _write_all(contents: dict[Path, str]) -> None:
+    """Write every file, or leave every file as it was.
+
+    Each text is staged in a sibling temporary file, with its target's
+    mode, and only when all are staged does each replace its target.
+    Each replacement is atomic; only a failure between two of them can
+    leave some files written and others not.
+    """
+    staged: dict[Path, Path] = {}
+    try:
+        for target, text in contents.items():
+            staged[target] = temp = target.with_name(f".{target.name}.tmp")
+            temp.write_text(text, encoding="utf-8")
+            shutil.copymode(target, temp)
+        for target, temp in staged.items():
+            os.replace(temp, target)
+    except OSError as exc:
+        for temp in staged.values():
+            temp.unlink(missing_ok=True)
+        raise _Fail(f"cannot write {target}: {exc}") from exc
 
 
 def _cmd_thresholds(args: argparse.Namespace) -> int:

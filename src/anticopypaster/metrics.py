@@ -11,13 +11,14 @@ One function measures both scopes: a pasted fragment, from the facts
 built once when it is validated, and a method's whole body, from those
 built when it is indexed. A method's vector depends only on its own file
 and the keyword set, so a session computes it once, when the file is
-indexed, and keeps it on the MethodUnit. The distribution is then
-re-sorted from the stored vectors on open and after every edit; only an
-edited file's methods get new vectors.
+indexed, and keeps it on the MethodUnit. The distribution is sorted
+from the stored vectors on open; an edit takes the edited file's old
+vectors out of it and merges its new ones in.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 
@@ -181,6 +182,37 @@ def build_distributions(vectors: list[tuple[float, ...]]) -> ProjectDistribution
         {m: tuple(sorted(column)) for m, column in zip(ALL_SUBMETRICS, columns)},
         len(vectors),
     )
+
+
+def update_distributions(
+    distribution: ProjectDistribution | None,
+    removed: list[tuple[float, ...]],
+    added: list[tuple[float, ...]],
+) -> ProjectDistribution | None:
+    """The distribution with the `removed` vectors taken out and `added` put in.
+
+    Equals `build_distributions` of the vectors that remain, or None when
+    none do, at the cost of the change: each removed value is found by
+    bisection, and the added vectors, sorted on their own, are merged in
+    by one sort of two ascending runs, which Timsort does in one pass.
+    Every removed vector must be in `distribution`.
+    """
+    size = (distribution.sample_size if distribution else 0) - len(removed) + len(added)
+    if not size:
+        return None
+    fresh = build_distributions(added) if added else None
+    if distribution is None:
+        return fresh
+    samples = {}
+    for i, m in enumerate(ALL_SUBMETRICS):
+        column = list(distribution.samples[m])
+        for vector in removed:
+            del column[bisect_left(column, vector[i])]
+        if fresh is not None:
+            column += fresh.samples[m]
+            column.sort()
+        samples[m] = tuple(column)
+    return ProjectDistribution(samples, size)
 
 
 def fresh_distributions(

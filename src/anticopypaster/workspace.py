@@ -9,7 +9,10 @@ The session also keeps each file revision's tokens, lexed once when the
 file is indexed, and the duplicate scan's word index; due pastes and
 extraction read them instead of lexing the file again or visiting every
 method. So `files[p]` is written only together with
-`refresh_index(session, [p])`, as `apply_edit` does.
+`refresh_index(session, [p])`, as `apply_edit` does. A save hands the
+file's previous text and tokens along, so only the changed span is lexed
+again, and the distribution is updated by the file's old and new vectors
+instead of being sorted anew.
 """
 
 from __future__ import annotations
@@ -25,7 +28,13 @@ from .clones import WordIndex
 from .decision import PasteQueue
 from .errors import ConfigSyntax, EngineError, MissingRoot
 from .lexer import Token, normalize_newlines, tokenize
-from .metrics import ProjectDistribution, build_distributions, method_vector, vector_values
+from .metrics import (
+    ProjectDistribution,
+    build_distributions,
+    method_vector,
+    update_distributions,
+    vector_values,
+)
 from .settings import CONFIG_FILENAME, Settings, default_settings, load_settings
 from .source_model import MethodUnit, index_file, method_at
 
@@ -66,11 +75,14 @@ class ProjectSession:
 
     def apply_edit(self, file_path: str, new_content: str | None) -> None:
         """Update the in-memory view of one file; None deletes it."""
+        previous = None
+        if file_path in self.tokens:
+            previous = {file_path: (self.files[file_path], self.tokens[file_path])}
         if new_content is None:
             self.files.pop(file_path, None)
         else:
             self.files[file_path] = normalize_newlines(new_content)
-        refresh_index(self, [file_path])
+        refresh_index(self, [file_path], previous)
 
 
 def _ignored(rel_path: str, globs: tuple[str, ...]) -> bool:
@@ -119,7 +131,8 @@ def open_project(root: str | Path, config_path: str | Path | None = None) -> Pro
             continue
         session.files[rel] = normalize_newlines(text)
     _index_files(session, sorted(session.files))
-    _rebuild_distribution(session)
+    if session.methods:
+        session.distribution = build_distributions([m.vector for m in session.methods])
     return session
 
 
@@ -139,8 +152,15 @@ def _file_range(methods: list[MethodUnit], path: str) -> tuple[int, int]:
     return bisect_left(methods, path, key=_file_of), bisect_right(methods, path, key=_file_of)
 
 
-def _index_files(session: ProjectSession, rel_paths: list[str]) -> None:
-    """Lex, index and compute each new method's metric vector.
+def _index_files(
+    session: ProjectSession,
+    rel_paths: list[str],
+    previous: Mapping[str, tuple[str, list[Token]]] | None = None,
+) -> list[MethodUnit]:
+    """Lex, index and compute each new method's metric vector; return the new methods.
+
+    `previous` may hold a file's earlier `(text, tokens)`, so that only
+    what changed since is lexed again.
 
     A file that lexes keeps its tokens even when indexing then fails.
     Warnings name the file here; indexing and lexing errors carry no path.
@@ -151,10 +171,12 @@ def _index_files(session: ProjectSession, rel_paths: list[str]) -> None:
     sort.
     """
     keywords = session.settings.keywords
+    previous = previous or {}
+    added: list[MethodUnit] = []
     for rel in rel_paths:
         text = session.files[rel]
         try:
-            tokens = session.tokens[rel] = tokenize(text)
+            tokens = session.tokens[rel] = tokenize(text, previous.get(rel))
             methods, _ = index_file(text, rel, tokens)
         except EngineError as exc:
             session.warnings.append(f"{rel}: {exc}")
@@ -164,31 +186,35 @@ def _index_files(session: ProjectSession, rel_paths: list[str]) -> None:
             session.index.add(method)
         at = bisect_left(session.methods, rel, key=_file_of)
         session.methods[at:at] = methods
+        added += methods
+    return added
 
 
-def _rebuild_distribution(session: ProjectSession) -> None:
-    if session.methods:
-        session.distribution = build_distributions([m.vector for m in session.methods])
-    else:
-        session.distribution = None
+def refresh_index(
+    session: ProjectSession,
+    changed_paths: list[str],
+    previous: Mapping[str, tuple[str, list[Token]]] | None = None,
+) -> None:
+    """Re-index only the changed files and update the distribution by their delta.
 
-
-def refresh_index(session: ProjectSession, changed_paths: list[str]) -> None:
-    """Re-index only the changed files and re-sort the distributions.
-
-    Deleted files lose their methods, tokens and indexed words; pending
-    events that point at them surface as FileMissing at the next tick.
-    Untouched files keep their method ids, which are content-position
-    based.
+    `previous` may hold a changed file's text and tokens before the
+    change, which spares lexing its unchanged parts again. Deleted files
+    lose their methods, tokens and indexed words; pending events that
+    point at them surface as FileMissing at the next tick. Untouched
+    files keep their method ids, which are content-position based.
     """
     changed = set(changed_paths)
     methods = session.methods
+    removed: list[tuple[float, ...]] = []
     for path in changed:
         session.tokens.pop(path, None)
         lo, hi = _file_range(methods, path)
         for method in methods[lo:hi]:
             session.index.remove(method)
+            removed.append(method.vector)
         del methods[lo:hi]
-    _index_files(session, sorted(p for p in changed if p in session.files))
-    _rebuild_distribution(session)
+    added = _index_files(session, sorted(p for p in changed if p in session.files), previous)
+    session.distribution = update_distributions(
+        session.distribution, removed, [m.vector for m in added]
+    )
 

@@ -29,12 +29,15 @@ def write_project(root: Path, files: dict[str, str]) -> Path:
 
 
 def count_calls(monkeypatch, func) -> list:
-    """Record the argument of every call any engine module makes to the one-argument `func`."""
+    """Record the first argument of every call any engine module makes to `func`.
+
+    Further arguments are passed through unrecorded.
+    """
     calls: list = []
 
-    def counting(arg):
+    def counting(arg, *rest, **options):
         calls.append(arg)
-        return func(arg)
+        return func(arg, *rest, **options)
 
     for name, module in list(sys.modules.items()):
         if name.startswith("anticopypaster") and getattr(module, func.__name__, None) is func:

@@ -399,3 +399,37 @@ def test_unreadable_config_exits_3_naming_the_file(dup_root, tmp_path, capsys):
     missing = tmp_path / "absent.json"
     assert run_command(["analyze", str(dup_root), "--config", str(missing)]) == 3
     assert f"cannot read config {missing}" in capsys.readouterr().err
+
+
+# Both classes hold the fragment, so an extract at B.java:3 changes both files.
+TWO_HOSTS = {
+    "A.java": "class A {\n    void f(int[] xs) {\n        int n = 0; n += xs.length;\n    }\n}\n",
+    "B.java": "class B {\n    void g(int[] xs) {\n        int n = 0; n += xs.length;\n    }\n}\n",
+}
+
+
+def test_extract_write_changes_no_file_when_one_cannot_be_written(tmp_path, monkeypatch, capsys):
+    root = write_project(tmp_path / "p", TWO_HOSTS)
+    fragment = tmp_path / "frag.java"
+    fragment.write_text("int n = 0; n += xs.length;", encoding="utf-8")
+    argv = ["extract", str(root), "--fragment", str(fragment), "--at", "B.java:3",
+            "--name", "bundle", "--write"]
+    write_text = Path.write_text
+    calls = []
+
+    def fail_second(self, *args, **kwargs):
+        calls.append(self)
+        if len(calls) == 2:
+            raise PermissionError(13, "Permission denied")
+        return write_text(self, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "write_text", fail_second)
+    assert run_command(argv) == 3
+    assert len(calls) == 2
+    assert "error: cannot write " in capsys.readouterr().err
+    assert {p.name: p.read_text(encoding="utf-8") for p in root.iterdir()} == TWO_HOSTS
+
+    monkeypatch.setattr(Path, "write_text", write_text)
+    assert run_command(argv) == 0
+    assert sorted(p.name for p in root.iterdir()) == ["A.java", "B.java"]
+    assert all("bundle(" in (root / name).read_text(encoding="utf-8") for name in TWO_HOSTS)

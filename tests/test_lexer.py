@@ -22,6 +22,8 @@ from anticopypaster.lexer import (
     tokenize,
 )
 
+from helpers import CORPUS_DIR, FIXTURES_DIR
+
 
 def kinds_and_texts(tokens: list[Token]) -> list[tuple[str, str]]:
     return [(t.kind.value, t.text) for t in tokens]
@@ -292,3 +294,57 @@ def test_punctuation_lexemes_are_what_the_punctuation_group_emits():
     assert emitted == PUNCTUATION_LEXEMES
     for text in PUNCTUATION_LEXEMES:
         assert tokenize(text) == [(TokenKind.PUNCTUATION, text, 1, 1)]
+
+
+# --- splicing an edit into the previous revision's tokens -------------------
+
+_JAVA_SOURCES = [
+    path.read_text(encoding="utf-8")
+    for path in sorted(CORPUS_DIR.rglob("*.java")) + sorted(FIXTURES_DIR.rglob("*.java"))
+]
+
+# Lexemes that open, close or extend a token, so an edit moves a boundary.
+_SPLICE_INSERTS = ['"', "'", '"""', "/*", "*/", "//", "\\", "\r", "\n", "\u00b2", ">>", ".", "e", *string.digits]
+
+
+@st.composite
+def _edited(draw, text: str) -> str:
+    """`text` after one to three random replacements of a short span."""
+    for _ in range(draw(st.integers(1, 3))):
+        at = draw(st.integers(0, len(text)))
+        cut = draw(st.integers(0, 4))
+        insert = "".join(draw(st.lists(st.sampled_from(_SPLICE_INSERTS), max_size=3)))
+        text = text[:at] + insert + text[at + cut :]
+    return text
+
+
+def _lex_outcome(text: str, previous=None):
+    try:
+        return tokenize(text, previous)
+    except LexError as exc:
+        return str(exc), exc.line
+
+
+def _assert_splice_is_a_full_lex(old: str, new: str) -> None:
+    try:
+        old_tokens = tokenize(old)
+    except LexError:
+        return
+    assert _lex_outcome(new, (old, old_tokens)) == _lex_outcome(new)
+
+
+@given(st.sampled_from(_JAVA_SOURCES).flatmap(lambda old: st.tuples(st.just(old), _edited(old))))
+def test_splicing_an_edited_source_gives_a_full_lex(revisions):
+    _assert_splice_is_a_full_lex(*revisions)
+
+
+@given(_LEXER_PROBES.flatmap(lambda old: st.tuples(st.just(old), st.one_of(_edited(old), _LEXER_PROBES))))
+# The match ahead of a change reads up to three characters past its end.
+@example(("x = 1+5;", "x = 1e+5;"))
+@example(("a /b", "a /*b"))
+@example(('s = ""; t', 's = """; t'))
+# Lines moved, so the same line and column in the old text hold another token.
+@example(("a\nb\n", "a\nc\nb\n"))
+@example(("a\nb c\n", "a\nb\nc\n"))
+def test_splicing_a_short_edit_gives_a_full_lex(revisions):
+    _assert_splice_is_a_full_lex(*revisions)

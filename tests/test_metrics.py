@@ -13,10 +13,12 @@ from anticopypaster.metrics import (
     CONFIGURABLE_KEYWORDS,
     KEYWORD_CATALOGUE,
     Submetric,
+    build_distributions,
     compute_vector,
     fresh_distributions,
     method_vector,
     percentile_threshold,
+    update_distributions,
 )
 from anticopypaster.source_model import index_file, validate_fragment
 from anticopypaster.workspace import open_project
@@ -351,3 +353,16 @@ def test_vector_covers_all_submetrics_with_nonnegative_values():
     vector, _, _ = _vector_fixture()
     assert set(vector) == set(Submetric)
     assert all(v >= 0 for v in vector.values())
+
+
+# Few distinct values, so removals meet runs of equal ones.
+_VECTORS = st.lists(st.tuples(*[st.sampled_from((0, 1, 2, 0.5, 2.5))] * len(Submetric)), max_size=8)
+
+
+@given(_VECTORS, _VECTORS, st.sets(st.integers(0, 7)))
+def test_updating_a_distribution_equals_sorting_what_remains(vectors, added, drop):
+    removed = [v for i, v in enumerate(vectors) if i in drop]
+    remaining = [v for i, v in enumerate(vectors) if i not in drop] + added
+    before = build_distributions(vectors) if vectors else None
+    after = update_distributions(before, removed, added)
+    assert after == (build_distributions(remaining) if remaining else None)
