@@ -18,7 +18,7 @@ class IndexingError(EngineError):
 
 
 class EmptyScope(EngineError):
-    """A nesting profile was requested for a scope with no lines."""
+    """`compute_vector` was given a fragment that is not a valid statement sequence."""
 
 
 class UndefinedSimilarity(EngineError):

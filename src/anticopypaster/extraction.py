@@ -14,6 +14,7 @@ from __future__ import annotations
 import difflib
 import re
 import textwrap
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -38,11 +39,8 @@ from .lexer import (
     tokenize,
 )
 from .source_model import ClassContext, Fragment, MethodUnit, Parameter
-from .statements import control_flow_violations
+from .statements import ASSIGNMENT_OPS
 
-_ASSIGNMENT_OPS = frozenset(
-    {"=", "+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=", "<<=", ">>=", ">>>="}
-)
 _IDENTIFIER_RE = re.compile(r"^[A-Za-z_$][A-Za-z0-9_$]*$")
 
 
@@ -114,42 +112,33 @@ def analyze_extractability(
             return local.declared_type
         return params.get(name)
 
+    # One pass finds the inputs, in order of first use, and the token
+    # index of each name's first write.
     tokens = fragment.tokens
-    inputs: list[Parameter] = []
-    seen_inputs: set[str] = set()
-    for k, tok in enumerate(tokens):
-        if tok.kind != TokenKind.IDENTIFIER:
+    inputs: dict[str, Parameter] = {}
+    assigned: dict[str, int] = {}
+    for k, (kind, name, _, _) in enumerate(tokens):
+        prev = tokens[k - 1].text if k > 0 else ""
+        if kind != TokenKind.IDENTIFIER or prev == ".":
             continue
-        if k > 0 and tokens[k - 1].text == ".":
+        nxt = tokens[k + 1].text if k + 1 < len(tokens) else ""
+        if nxt in ASSIGNMENT_OPS or nxt in ("++", "--") or prev in ("++", "--"):
+            assigned.setdefault(name, k)
+        if nxt == "(" or name in inputs:
             continue
-        if k + 1 < len(tokens) and tokens[k + 1].text == "(":
-            continue
-        name = tok.text
-        if name in seen_inputs:
-            continue
-        if name in frag_decls and frag_decls[name].token_index <= k:
+        decl = frag_decls.get(name)
+        if decl is not None and decl.token_index <= k:
             continue
         declared_type = declared_before(name)
         if declared_type is not None:
-            inputs.append(Parameter(name, declared_type))
-            seen_inputs.add(name)
-
-    assigned: dict[str, int] = {}
-    for k, tok in enumerate(tokens):
-        if tok.kind != TokenKind.IDENTIFIER:
-            continue
-        if k > 0 and tokens[k - 1].text == ".":
-            continue
-        nxt = tokens[k + 1].text if k + 1 < len(tokens) else ""
-        prev = tokens[k - 1].text if k > 0 else ""
-        if nxt in _ASSIGNMENT_OPS or nxt in ("++", "--") or prev in ("++", "--"):
-            assigned.setdefault(tok.text, k)
+            inputs[name] = Parameter(name, declared_type)
     for name, decl in frag_decls.items():
         assigned.setdefault(name, decl.token_index)
 
+    read_after = _read_after(enclosing.body_tokens, frag_end)
     outputs: list[Parameter] = []
-    for name, first_write in sorted(assigned.items(), key=lambda kv: kv[1]):
-        if not _read_after(enclosing, frag_end, name):
+    for name in sorted(assigned, key=assigned.get):
+        if name not in read_after:
             continue
         if name in frag_decls:
             outputs.append(Parameter(name, frag_decls[name].declared_type))
@@ -162,24 +151,22 @@ def analyze_extractability(
             continue  # class member: persists without plumbing
         raise UnresolvedType(name)
 
-    violations = tuple(control_flow_violations(fragment.statements))
     declared_inside = len(outputs) == 1 and outputs[0].name in frag_decls
-    return DataFlowSummary(tuple(inputs), tuple(outputs), violations, declared_inside)
+    return DataFlowSummary(
+        tuple(inputs.values()), tuple(outputs), fragment.illegal_flow, declared_inside
+    )
 
 
-def _read_after(enclosing: MethodUnit, frag_end: int, name: str) -> bool:
-    tokens = enclosing.body_tokens
-    for k in range(frag_end, len(tokens)):
-        tok = tokens[k]
-        if tok.kind != TokenKind.IDENTIFIER or tok.text != name:
-            continue
-        if k > 0 and tokens[k - 1].text == ".":
-            continue
-        nxt = tokens[k + 1].text if k + 1 < len(tokens) else ""
-        if nxt == "=":
-            continue  # plain overwrite, not a read
-        return True
-    return False
+def _read_after(tokens: list[Token], start: int) -> set[str]:
+    """Names read in tokens[start:]: identifiers not after '.' nor overwritten by a plain '='."""
+    last = len(tokens) - 1
+    return {
+        tok.text
+        for k, tok in enumerate(tokens[start:], start)
+        if tok.kind == TokenKind.IDENTIFIER
+        and (k == 0 or tokens[k - 1].text != ".")
+        and (k == last or tokens[k + 1].text != "=")
+    }
 
 
 def plan_extraction(
@@ -331,7 +318,8 @@ def _verify_sites(
                 file_tokens = _tokens_of(path, sources, tokens)
             except LexError as exc:
                 raise StaleSite(f"{path} no longer lexes: {exc}") from exc
-        if _texts_on_lines(file_tokens, site.start_line, site.end_line) != plan.fragment_token_texts:
+        texts = token_texts(_on_lines(file_tokens, site.start_line, site.end_line))
+        if texts != plan.fragment_token_texts:
             raise StaleSite(
                 f"{path}:{site.start_line}-{site.end_line} no longer matches the fragment"
             )
@@ -343,9 +331,10 @@ def _tokens_of(path: str, sources: Mapping[str, str], tokens: Mapping[str, list[
     return tokenize(sources[path]) if stored is None else stored
 
 
-def _texts_on_lines(tokens: list[Token], first: int, last: int) -> tuple[str, ...]:
-    """Texts of the tokens that start on lines first through last."""
-    return tuple(t.text for t in tokens if first <= t.line <= last)
+def _on_lines(tokens: list[Token], first: int, last: int) -> list[Token]:
+    """The tokens, in line order, that start on lines first through last."""
+    start = bisect_left(tokens, first, key=lambda t: t.line)
+    return tokens[start : bisect_right(tokens, last, lo=start, key=lambda t: t.line)]
 
 
 def _leading_ws(line: str) -> str:
@@ -402,9 +391,8 @@ def verify_by_inlining(
             path = site.file_path
             before = tokenize(before_sources[path])
             after = tokenize(after_sources[path])
-        expected = _texts_on_lines(before, site.start_line, site.end_line)
-        call_tokens = [t for t in after if t.line == applied.call_line]
-        rename = _argument_renaming(plan, call_tokens)
+        expected = token_texts(_on_lines(before, site.start_line, site.end_line))
+        rename = _argument_renaming(plan, _on_lines(after, applied.call_line, applied.call_line))
         if rename is None:
             verdicts.append(SiteVerdict(site, False))
             continue

@@ -27,7 +27,7 @@ from .lexer import (
     token_texts,
     tokenize,
 )
-from .statements import StatementNode, StatementParseError, parse_statements
+from .statements import StatementParseError, parse_statements
 
 PRIMITIVE_TYPES = frozenset(
     {"boolean", "byte", "char", "short", "int", "long", "float", "double"}
@@ -98,13 +98,13 @@ class Fragment:
     symbol_count: int
     valid: bool
     # A MethodUnit's indexing facts (area as if pasted at depth 1) and the
-    # parsed statements, built once by validation; empty when invalid.
+    # jumps that leave the fragment, built once by validation; empty when invalid.
     body_texts: tuple[str, ...] = ()
     bag: dict[str, int] = field(default_factory=dict)
     bag_size: int = 0
     local_declarations: dict[str, LocalDecl] = field(default_factory=dict)
     area: int = 0
-    statements: list[StatementNode] = field(default_factory=list)
+    illegal_flow: tuple[str, ...] = ()
 
 
 def _trim_blank_lines(text: str) -> str:
@@ -128,7 +128,8 @@ def validate_fragment(text: str) -> Fragment:
 
     Valid means: lexes, all delimiters balanced, and the tokens parse as
     one or more block statements. Type and member declarations at top
-    level are invalid; invalidity is a value, not an error.
+    level are invalid; invalidity is a value, not an error. A valid
+    fragment keeps the jumps that would leave it in `illegal_flow`.
     """
     normalized = normalize_newlines(text)
     trimmed = _trim_blank_lines(normalized)
@@ -139,7 +140,7 @@ def validate_fragment(text: str) -> Fragment:
     except LexError:
         return Fragment(trimmed, [], line_count, symbol_count, False)
     try:
-        statements = parse_statements(tokens)
+        illegal_flow = parse_statements(tokens)
     except StatementParseError:
         return Fragment(trimmed, tokens, line_count, symbol_count, False)
     bag = token_bag(tokens)
@@ -150,7 +151,7 @@ def validate_fragment(text: str) -> Fragment:
         bag_size=bag.total(),
         local_declarations=_first_declarations(tokens),
         area=sum(_profile(tokens, 1, line_count)),
-        statements=statements,
+        illegal_flow=illegal_flow,
     )
 
 

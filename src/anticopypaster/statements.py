@@ -4,12 +4,15 @@ Recognizes the statement shapes a pasted fragment may contain
 (declarations, expression statements, control-flow blocks) without
 checking expression structure or types. Type and member declarations
 are rejected, which is what distinguishes a pastable fragment from a
-class body snippet.
+class body snippet. While parsing, it records each jump that would
+leave the fragment: a `return`, a `break` or `continue` whose loop,
+switch or label lies outside, and a `yield`, whose switch expression
+always does.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .lexer import Token, TokenKind, match_delimiters
 
@@ -18,13 +21,12 @@ class StatementParseError(Exception):
     """Internal: token stream is not a statement sequence."""
 
 
-@dataclass(frozen=True)
-class StatementNode:
-    kind: str
-    children: tuple["StatementNode", ...] = ()
-    label: str | None = None
-
-
+ASSIGNMENT_OPS = frozenset(
+    {"=", "+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=", "<<=", ">>=", ">>>="}
+)
+# Tokens after a leading `yield` that make it a name in an expression
+# statement or a label, not a yield statement.
+_YIELD_AS_NAME = ASSIGNMENT_OPS | {".", "[", "(", "++", "--", ":"}
 # Modifiers that only belong on class members, never on statements.
 _MEMBER_MODIFIERS = frozenset(
     {"public", "private", "protected", "static", "abstract", "native", "strictfp"}
@@ -37,6 +39,11 @@ class _Parser:
     tokens: list[Token]
     match: list[int]
     pos: int = 0
+    # The loops, switches and labels of the fragment around the current statement.
+    loops: int = 0
+    switches: int = 0
+    labels: list[str] = field(default_factory=list)
+    jumps: list[str] = field(default_factory=list)
 
     def _peek(self, offset: int = 0) -> Token | None:
         i = self.pos + offset
@@ -55,13 +62,14 @@ class _Parser:
         self._expect("(")
         self.pos = self.match[self.pos - 1] + 1  # parse_statements checked every pair
 
-    def parse_all(self) -> list[StatementNode]:
-        result = [self._statement()]
+    def parse_all(self) -> tuple[str, ...]:
+        self._statement()
         while self.pos < len(self.tokens):
-            result.append(self._statement())
-        return result
+            self._statement()
+        return tuple(self.jumps)
 
-    def _statement(self) -> StatementNode:
+    def _statement(self) -> str:
+        """Consume one statement and return its kind."""
         tok = self._peek()
         if tok is None:
             raise StatementParseError("expected a statement")
@@ -73,7 +81,7 @@ class _Parser:
             if nxt is not None and nxt.text in _TYPE_KEYWORDS:
                 raise StatementParseError("type declaration is not a statement")
             return self._simple()
-        if text in _MEMBER_MODIFIERS and not (text == "synchronized" and self._peek(1) is not None and self._peek(1).text == "("):
+        if text in _MEMBER_MODIFIERS:
             raise StatementParseError("member declaration is not a statement")
         if text in _TYPE_KEYWORDS:
             raise StatementParseError("type declaration is not a statement")
@@ -82,82 +90,88 @@ class _Parser:
 
         if text == ";":
             self.pos += 1
-            return StatementNode("empty")
+            return "empty"
         if text == "{":
             return self._block()
         if text == "if":
             self.pos += 1
             self._skip_parenthesized()
-            body = self._statement()
-            children = [body]
+            self._statement()
             if self._at("else"):
                 self.pos += 1
-                children.append(self._statement())
-            return StatementNode("if", tuple(children))
-        if text == "while":
+                self._statement()
+            return text
+        if text in ("while", "for"):
             self.pos += 1
             self._skip_parenthesized()
-            body = self._statement()
-            return StatementNode("while", (body,))
+            self.loops += 1
+            self._statement()
+            self.loops -= 1
+            return text
         if text == "do":
             self.pos += 1
-            body = self._statement()
+            self.loops += 1
+            self._statement()
+            self.loops -= 1
             self._expect("while")
             self._skip_parenthesized()
             self._expect(";")
-            return StatementNode("do", (body,))
-        if text == "for":
-            self.pos += 1
-            self._skip_parenthesized()
-            body = self._statement()
-            return StatementNode("for", (body,))
+            return text
         if text == "switch":
             self.pos += 1
             self._skip_parenthesized()
-            return self._switch_body()
+            self._switch_body()
+            return text
         if text == "synchronized":
             self.pos += 1
             self._skip_parenthesized()
-            body = self._block()
-            return StatementNode("synchronized", (body,))
+            self._block()
+            return text
         if text == "try":
-            return self._try()
+            self._try()
+            return text
         if text in ("return", "throw", "assert"):
+            if text == "return":
+                self.jumps.append("return inside fragment")
             self.pos += 1
             self._scan_to_semicolon(allow_brace=True)
-            return StatementNode(text)
+            return text
         if text in ("break", "continue"):
             self.pos += 1
-            label = None
             nxt = self._peek()
             if nxt is not None and nxt.kind == TokenKind.IDENTIFIER:
-                label = nxt.text
                 self.pos += 1
+                if nxt.text not in self.labels:
+                    self.jumps.append(f"{text} targets label '{nxt.text}' outside fragment")
+            elif text == "break" and not (self.loops or self.switches):
+                self.jumps.append("break targets a loop or switch outside fragment")
+            elif text == "continue" and not self.loops:
+                self.jumps.append("continue targets a loop outside fragment")
             self._expect(";")
-            return StatementNode(text, label=label)
-        if (
-            tok.kind == TokenKind.IDENTIFIER
-            and self._peek(1) is not None
-            and self._peek(1).text == ":"
-        ):
+            return text
+        nxt = self._peek(1)
+        if tok.kind == TokenKind.IDENTIFIER and nxt is not None and nxt.text == ":":
             self.pos += 2
-            body = self._statement()
-            return StatementNode("label", (body,), label=text)
+            self.labels.append(text)
+            self._statement()
+            self.labels.pop()
+            return "label"
+        if text == "yield" and nxt is not None and nxt.text not in _YIELD_AS_NAME:
+            self.jumps.append("yield targets a switch expression outside fragment")
         return self._simple()
 
-    def _block(self) -> StatementNode:
+    def _block(self) -> str:
         self._expect("{")
-        children = []
         while not self._at("}"):
             if self._peek() is None:
                 raise StatementParseError("unterminated block")
-            children.append(self._statement())
+            self._statement()
         self.pos += 1
-        return StatementNode("block", tuple(children))
+        return "block"
 
-    def _switch_body(self) -> StatementNode:
+    def _switch_body(self) -> None:
         self._expect("{")
-        children = []
+        self.switches += 1
         while not self._at("}"):
             tok = self._peek()
             if tok is None:
@@ -165,32 +179,31 @@ class _Parser:
             if tok.text in ("case", "default"):
                 self.pos += 1
                 if self._scan_label() == "->":
-                    children.append(self._arrow_body())
+                    self._arrow_body()
                 continue
-            children.append(self._statement())
+            self._statement()
+        self.switches -= 1
         self.pos += 1
-        return StatementNode("switch", tuple(children))
 
-    def _try(self) -> StatementNode:
+    def _try(self) -> None:
         self._expect("try")
         has_resources = False
         if self._at("("):
             self._skip_parenthesized()
             has_resources = True
-        children = [self._block()]
+        self._block()
         clauses = 0
         while self._at("catch"):
             self.pos += 1
             self._skip_parenthesized()
-            children.append(self._block())
+            self._block()
             clauses += 1
         if self._at("finally"):
             self.pos += 1
-            children.append(self._block())
+            self._block()
             clauses += 1
         if clauses == 0 and not has_resources:
             raise StatementParseError("try without catch, finally, or resources")
-        return StatementNode("try", tuple(children))
 
     def _scan_to_semicolon(self, allow_brace: bool = False) -> None:
         """Consume tokens through the next ';' at the statement's own level.
@@ -209,7 +222,7 @@ class _Parser:
             if depth == 0 and text == ";":
                 self.pos += 1
                 return
-            if text in ("=", "->", "new") or text.endswith("=") and text not in ("==", "!=", "<=", ">="):
+            if text in ("->", "new") or text in ASSIGNMENT_OPS:
                 brace_ok = True
             if text in "([{":
                 if text == "{" and depth == 0 and not brace_ok and not allow_brace:
@@ -233,25 +246,27 @@ class _Parser:
             close = self.match[self.pos]
             self.pos = close + 1 if close > self.pos else self.pos + 1
 
-    def _arrow_body(self) -> StatementNode:
+    def _arrow_body(self) -> None:
         """The one statement after 'case ... ->': a block, a throw or an expression."""
-        body = self._statement()
-        if body.kind not in ("block", "throw", "simple"):
-            raise StatementParseError(f"{body.kind!r} statement cannot follow '->'")
-        return body
+        kind = self._statement()
+        if kind not in ("block", "throw", "simple"):
+            raise StatementParseError(f"{kind!r} statement cannot follow '->'")
 
-    def _simple(self) -> StatementNode:
+    def _simple(self) -> str:
         self._scan_to_semicolon()
-        return StatementNode("simple")
+        return "simple"
 
 
-def parse_statements(tokens: list[Token]) -> list[StatementNode]:
+def parse_statements(tokens: list[Token]) -> tuple[str, ...]:
     """Parse a token sequence as one or more Java block statements.
 
-    Every delimiter must have a partner, and each closer must end the
-    innermost open pair. Statements nested deeper than the interpreter's
-    recursion limit are a StatementParseError, like any other input that
-    does not parse.
+    Returns one message per jump that leaves the sequence, in source
+    order; a `return` or `break` inside a lambda or anonymous class
+    body is part of an expression and does not count. Every delimiter
+    must have a partner, and each closer must end the innermost open
+    pair. Statements nested deeper than the interpreter's recursion
+    limit are a StatementParseError, like any other input that does
+    not parse.
     """
     match = match_delimiters(tokens)
     open_until: list[int] = []
@@ -266,45 +281,3 @@ def parse_statements(tokens: list[Token]) -> list[StatementNode]:
         return _Parser(tokens, match).parse_all()
     except RecursionError:
         raise StatementParseError("statements nested too deeply to parse") from None
-
-
-_LOOP_KINDS = frozenset({"for", "while", "do"})
-
-
-def control_flow_violations(nodes: list[StatementNode]) -> list[str]:
-    """Find return/break/continue statements whose target lies outside.
-
-    A fragment containing any return, or a break/continue that does not
-    target a loop (or switch, for break) inside the fragment itself,
-    cannot be extracted without changing behavior.
-    """
-    violations: list[str] = []
-
-    def walk(node: StatementNode, loops: int, switches: int, labels: frozenset[str]) -> None:
-        kind = node.kind
-        if kind == "return":
-            violations.append("return inside fragment")
-            return
-        if kind == "break":
-            if node.label is not None:
-                if node.label not in labels:
-                    violations.append(f"break targets label '{node.label}' outside fragment")
-            elif loops == 0 and switches == 0:
-                violations.append("break targets a loop or switch outside fragment")
-            return
-        if kind == "continue":
-            if node.label is not None:
-                if node.label not in labels:
-                    violations.append(f"continue targets label '{node.label}' outside fragment")
-            elif loops == 0:
-                violations.append("continue targets a loop outside fragment")
-            return
-        child_loops = loops + (1 if kind in _LOOP_KINDS else 0)
-        child_switches = switches + (1 if kind == "switch" else 0)
-        child_labels = labels | {node.label} if kind == "label" and node.label else labels
-        for child in node.children:
-            walk(child, child_loops, child_switches, child_labels)
-
-    for node in nodes:
-        walk(node, 0, 0, frozenset())
-    return violations

@@ -320,7 +320,7 @@ def test_check_and_extract_lex_each_project_file_once_plus_the_fragment(command,
 
 
 def test_extract_parses_the_fragment_once(monkeypatch, capsys):
-    """Validation parses the fragment; the flow analysis reads the stored statements."""
+    """Validation parses the fragment; the flow analysis reads the jumps it stored."""
     root = FIXTURES_DIR / "extract_demo" / "project"
     fragment = FIXTURES_DIR / "extract_demo" / "fragment.java"
     sources = list(open_project(root).files.values())
@@ -374,6 +374,35 @@ def test_extract_name_collision_is_an_analysis_error(capsys):
     assert run_command(
         ["extract", root, "--fragment", fragment, "--at", "Pipeline.java:5", "--name", "touch"]
     ) == 3
+
+
+YIELD_METHOD = """\
+    int {name}(int k, int[] xs) {{
+        return switch (k) {{
+            case 1 -> 0;
+            case 2 -> {{
+                int n = xs.length;
+                yield n + 1;
+            }}
+            default -> -1;
+        }};
+    }}
+"""
+
+
+def test_extract_of_a_fragment_that_yields_is_illegal_flow(tmp_path, capsys):
+    """A `yield` leaves the fragment for the switch expression around it."""
+    source = "class A {\n" + YIELD_METHOD.format(name="f") + YIELD_METHOD.format(name="g") + "}\n"
+    root = write_project(tmp_path / "p", {"A.java": source})
+    fragment = tmp_path / "frag.java"
+    fragment.write_text("int n = xs.length;\nyield n + 1;\n", encoding="utf-8")
+    code = run_command(
+        ["extract", str(root), "--fragment", str(fragment), "--at", "A.java:6", "--name", "bump"]
+    )
+    out, err = capsys.readouterr()
+    assert code == 3
+    assert out == ""
+    assert "yield targets a switch expression outside fragment" in err
 
 
 def test_non_utf8_sources_are_skipped_or_rejected(dup_root, tmp_path, capsys):

@@ -13,7 +13,7 @@ from anticopypaster.source_model import (
     scan_declarations,
     validate_fragment,
 )
-from anticopypaster.statements import control_flow_violations, parse_statements
+from anticopypaster.statements import parse_statements
 
 TWO_METHODS = """\
 public class TwoMethods {
@@ -247,8 +247,62 @@ def test_arrow_case_takes_only_a_block_throw_or_expression():
 def test_case_label_control_flow():
     colon = validate_fragment("switch (k) { case 1: f(); break; default: return; }")
     arrow = validate_fragment("switch (k) { case 1 -> { break; } default -> g(); }")
-    assert control_flow_violations(parse_statements(colon.tokens)) == ["return inside fragment"]
-    assert control_flow_violations(parse_statements(arrow.tokens)) == []
+    assert parse_statements(colon.tokens) == ("return inside fragment",)
+    assert parse_statements(arrow.tokens) == ()
+
+
+RETURN = "return inside fragment"
+BREAK = "break targets a loop or switch outside fragment"
+CONTINUE = "continue targets a loop outside fragment"
+YIELD = "yield targets a switch expression outside fragment"
+
+
+@pytest.mark.parametrize(
+    "text, jumps",
+    [
+        # labels inside and outside the fragment, nested, and out of scope
+        ("outer: for (;;) { break outer; }", ()),
+        ("outer: while (c) { continue outer; }", ()),
+        ("break outer;", ("break targets label 'outer' outside fragment",)),
+        ("continue outer;", ("continue targets label 'outer' outside fragment",)),
+        ("a: while (c) { b: for (;;) { continue a; } }", ()),
+        ("a: while (c) { b: for (;;) { break c; } }", ("break targets label 'c' outside fragment",)),
+        ("a: for (;;) { } break a;", ("break targets label 'a' outside fragment",)),
+        ("a: { } b: while (c) { continue a; }", ("continue targets label 'a' outside fragment",)),
+        # a switch takes a bare break but not a continue
+        ("switch (k) { case 1: f(); break; default: g(); }", ()),
+        ("switch (k) { case 1: continue; }", (CONTINUE,)),
+        ("while (c) { switch (k) { case 1: continue; } }", ()),
+        ("switch (k) { case 1 -> { break; } default -> g(); }", ()),
+        ("switch (k) { case 1 -> { continue; } }", (CONTINUE,)),
+        # loop bodies, and bodies that are not loops
+        ("do { break; } while (c);", ()),
+        ("do continue; while (c);", ()),
+        ("while (c) break;", ()),
+        ("for (int i = 0; i < n; i++) { if (i > 2) continue; }", ()),
+        ("if (c) break;", (BREAK,)),
+        ("{ continue; }", (CONTINUE,)),
+        ("try { f(); } finally { break; }", (BREAK,)),
+        ("synchronized (o) { return; }", (RETURN,)),
+        # a return in a lambda or anonymous class is part of an expression
+        ("Runnable r = () -> { return; };", ()),
+        ("f(new Runnable() { public void run() { return; } });", ()),
+        ("while (c) { return x; } break;", (RETURN, BREAK)),
+        # `yield` leaves the fragment unless it is a name in an expression or a label
+        ("yield n + 1;", (YIELD,)),
+        ("switch (k) { case 1: yield 2; }", (YIELD,)),
+        ("int v = switch (k) { case 1 -> { yield 2; } default -> 0; };", ()),
+        ("yield = 2;", ()),
+        ("yield += 2;", ()),
+        ("yield.run();", ()),
+        ("yield[0] = 1;", ()),
+        ("yield(1);", ()),
+        ("yield++;", ()),
+        ("yield: for (;;) { break yield; }", ()),
+    ],
+)
+def test_parse_statements_reports_the_jumps_that_leave_the_fragment(text, jumps):
+    assert parse_statements(tokenize(text)) == jumps
 
 
 def test_lambda_and_anonymous_class_statements_are_valid():
@@ -393,10 +447,10 @@ def test_fragment_fields_agree_with_their_per_token_definitions(text):
     tokens = fragment.tokens
     stored = (
         fragment.body_texts, fragment.bag, fragment.bag_size,
-        fragment.local_declarations, fragment.area, fragment.statements,
+        fragment.local_declarations, fragment.area, fragment.illegal_flow,
     )
     if not fragment.valid:
-        assert stored == ((), {}, 0, {}, 0, [])
+        assert stored == ((), {}, 0, {}, 0, ())
         return
     first_declarations = {}
     for name, decl in scan_declarations(tokens):
