@@ -17,16 +17,13 @@ import statistics
 import sys
 from pathlib import Path
 
-from .clones import find_duplicates
 from .decision import (
-    EDITED,
-    FILE_MISSING,
-    INVALID_FRAGMENT,
-    NO_ENCLOSING_METHOD,
+    NOT_TRIGGERED,
     DropRecord,
     PasteEvent,
     Recommendation,
     evaluate_paste,
+    locate,
     match_to_dict,
     report_to_dict,
 )
@@ -248,12 +245,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
     fragment = validate_fragment(fragment_text)
     outcome = evaluate_paste(session, event, fragment, session.settings.delay_seconds)
 
-    if isinstance(outcome, DropRecord) and outcome.reason in (
-        INVALID_FRAGMENT,
-        NO_ENCLOSING_METHOD,
-        FILE_MISSING,
-        EDITED,
-    ):
+    if isinstance(outcome, DropRecord) and outcome.reason != NOT_TRIGGERED:
         if args.json:
             _json_dump({"triggered": False, "reason": outcome.reason})
         print(f"error: {outcome.reason} at {file_path}:{line}", file=sys.stderr)
@@ -306,17 +298,10 @@ def _cmd_extract(args: argparse.Namespace) -> int:
     fragment_text = _read_file(args.fragment)
     file_path, line = args.at
     fragment = validate_fragment(fragment_text)
-    if not fragment.valid:
-        raise _Fail("fragment is not a valid statement sequence")
-    enclosing = session.method_at(file_path, line)
-    if enclosing is None:
-        raise _Fail(f"no method encloses {file_path}:{line}")
-    matches = find_duplicates(
-        fragment,
-        session.search_methods(file_path),
-        session.settings.near_match_threshold,
-        session.index,
-    )
+    located = locate(session, file_path, line, fragment)
+    if isinstance(located, str):
+        raise _Fail(f"{located} at {file_path}:{line}")
+    enclosing, matches = located
     summary = analyze_extractability(fragment, enclosing, enclosing.owner)
     plan = plan_extraction(
         summary, args.name, fragment, enclosing, enclosing.owner, matches,

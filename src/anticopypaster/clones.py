@@ -46,6 +46,8 @@ class CloneMatch:
     similarity: float
     kind: str
     match_span: tuple[int, int] | None = None
+    # Column of the matched run's first token; exact matches only.
+    column: int | None = None
 
 
 def normalize_bag(tokens: list[Token]) -> TokenBag:
@@ -198,8 +200,9 @@ def find_duplicates(
         if size >= frag_size and (rarest is None or method.bag.get(rarest, 0) >= rarest_count):
             at = find_subsequence(method.body_texts, frag_seq)
             if at >= 0:
-                span = (method.body_tokens[at].line, method.body_tokens[at + last].line)
-                matches.append(CloneMatch(method.id, 1.0, EXACT, span))
+                first = method.body_tokens[at]
+                span = (first.line, method.body_tokens[at + last].line)
+                matches.append(CloneMatch(method.id, 1.0, EXACT, span, first.column))
                 continue
         larger = max(frag_size, size)
         if larger == 0 or min(frag_size, size) / larger < near_threshold:

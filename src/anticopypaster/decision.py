@@ -10,16 +10,15 @@ caller; nothing in here owns a timer, which keeps replays exact.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Union
 
 from .clones import CloneMatch, find_duplicates
 from .errors import NotComputable
-from .lexer import Token, token_texts
+from .lexer import find_run
 from .metrics import MetricVector, Submetric, compute_vector, thresholds_for
 from .settings import Settings, SubmetricFlags
-from .source_model import Fragment, method_at, validate_fragment
+from .source_model import Fragment, MethodUnit, method_at, validate_fragment
 
 if TYPE_CHECKING:
     from .workspace import ProjectSession
@@ -180,37 +179,47 @@ def tick(session: "ProjectSession", now: Timestamp) -> list[Outcome]:
     ]
 
 
+def locate(
+    session: "ProjectSession", file_path: str, line: int, fragment: Fragment
+) -> tuple[MethodUnit, tuple[CloneMatch, ...]] | str:
+    """The method a fragment pasted at `line` sits in, and its duplicates; else the drop reason.
+
+    The fragment's normalized token run must start on that line of the
+    file's stored tokens; any token-level change there cancels the paste
+    as `Edited`, and so does a file that no longer lexes.
+    """
+    if file_path not in session.files:
+        return FILE_MISSING
+    if not fragment.valid:
+        return INVALID_FRAGMENT
+    tokens = session.tokens.get(file_path)
+    if tokens is None or find_run(tokens, fragment.body_texts, (line, 0), (line + 1, 0)) < 0:
+        return EDITED
+    enclosing = method_at(session.methods, file_path, line)
+    if enclosing is None:
+        return NO_ENCLOSING_METHOD
+    matches = find_duplicates(
+        fragment,
+        session.search_methods(file_path),
+        session.settings.near_match_threshold,
+        session.index,
+    )
+    return enclosing, tuple(matches)
+
+
 def evaluate_paste(
     session: "ProjectSession", event: PasteEvent, fragment: Fragment, now: Timestamp
 ) -> Outcome:
-    """The due-time pipeline: re-verify, re-scan duplicates, gate.
+    """The due-time pipeline: re-verify and re-scan duplicates (`locate`), gate.
 
     Precondition: `fragment == validate_fragment(event.fragment_text)`;
-    the caller validates once and passes the result. The fragment's
-    normalized token sequence must still start on the paste line of the
-    current file contents; any token-level change there cancels the
-    event, and so does a file that no longer lexes.
+    the caller validates once and passes the result.
     """
+    located = locate(session, event.file_path, event.paste_line, fragment)
+    if isinstance(located, str):
+        return DropRecord(event, located, now)
+    enclosing, matches = located
     settings: Settings = session.settings
-    if event.file_path not in session.files:
-        return DropRecord(event, FILE_MISSING, now)
-    if not fragment.valid:
-        return DropRecord(event, INVALID_FRAGMENT, now)
-    file_tokens = session.tokens.get(event.file_path)
-    if file_tokens is None or not _present_at_site(file_tokens, fragment.body_texts, event.paste_line):
-        return DropRecord(event, EDITED, now)
-    enclosing = method_at(session.methods, event.file_path, event.paste_line)
-    if enclosing is None:
-        return DropRecord(event, NO_ENCLOSING_METHOD, now)
-
-    matches = tuple(
-        find_duplicates(
-            fragment,
-            session.search_methods(event.file_path),
-            settings.near_match_threshold,
-            session.index,
-        )
-    )
     vector = compute_vector(fragment, enclosing, enclosing.owner, settings.keywords)
     try:
         if session.distribution is None:
@@ -225,16 +234,6 @@ def evaluate_paste(
     if report.triggered:
         return Recommendation(event, report, matches, now)
     return DropRecord(event, NOT_TRIGGERED, now, report)
-
-
-def _present_at_site(file_tokens: list[Token], frag_texts: tuple[str, ...], paste_line: int) -> bool:
-    """Some token on the paste line starts a run equal to the fragment's texts."""
-    i = bisect_left(file_tokens, paste_line, key=lambda t: t.line)
-    while i < len(file_tokens) and file_tokens[i].line == paste_line:
-        if token_texts(file_tokens[i : i + len(frag_texts)]) == frag_texts:
-            return True
-        i += 1
-    return False
 
 
 # ---------------------------------------------------------------------------

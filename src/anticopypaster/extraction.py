@@ -2,11 +2,12 @@
 
 Feasibility is a dataflow approximation: a fragment is extractable when
 it needs at most one value back from the new method and contains no
-control flow escaping it. Application rewrites every exact clone site
-into a call and inserts the new method after the paste-site method;
-near matches are never touched. An inlining check closes the loop by
-substituting the generated body back into each call and comparing
-normalized token sequences with the original.
+control flow escaping it. A site is the run of tokens the duplicate scan
+matched, starting at a (line, column). Application replaces the
+characters of every exact site's run with a call and inserts the new
+method after the paste-site method; near matches are never touched. An
+inlining check closes the loop by substituting the generated body back
+into each call and comparing it with the run at the site.
 """
 
 from __future__ import annotations
@@ -14,8 +15,9 @@ from __future__ import annotations
 import difflib
 import re
 import textwrap
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
+from operator import itemgetter
 from typing import Mapping
 
 from .clones import EXACT, CloneMatch, find_subsequence
@@ -34,6 +36,7 @@ from .lexer import (
     WORD_LITERALS,
     Token,
     TokenKind,
+    find_run,
     match_delimiters,
     token_texts,
     tokenize,
@@ -62,6 +65,7 @@ class TargetSite:
     file_path: str
     start_line: int
     end_line: int
+    column: int
 
 
 @dataclass(frozen=True)
@@ -213,9 +217,9 @@ def plan_extraction(
             continue
         method = methods_by_id[match.method_id]
         sites.append(
-            TargetSite(match.method_id, method.file_path, *match.match_span)
+            TargetSite(match.method_id, method.file_path, *match.match_span, match.column)
         )
-    sites.sort(key=lambda s: (s.file_path, s.start_line))
+    sites.sort(key=lambda s: (s.file_path, s.start_line, s.column))
 
     return ExtractionPlan(
         method_name=name,
@@ -236,6 +240,7 @@ def plan_extraction(
 class AppliedSite:
     site: TargetSite
     call_line: int
+    call_column: int
 
 
 @dataclass(frozen=True)
@@ -256,42 +261,43 @@ def apply_extraction(
     stale site aborts the whole application with the sources untouched.
     `tokens` may hold `tokenize(sources[p])` for some paths, such as a
     session's stored tokens; the other paths are lexed here.
-    Replacement keeps the indentation of the first replaced line.
+    Each call replaces exactly the characters of its site's run, from the
+    first token to the end of the last, so other statements on those
+    lines stay. The method goes in at the end of `insertion_after_line`.
     """
-    _verify_sites(plan, sources, tokens or {})
-
-    # (first line, last line, site) of each edit; the insertion has no site.
-    edits: dict[str, list[tuple[int, int, TargetSite | None]]] = {}
-    for site in plan.target_sites:
-        edits.setdefault(site.file_path, []).append((site.start_line, site.end_line, site))
-    edits.setdefault(plan.insertion_file, []).append(
-        (plan.insertion_after_line + 1, plan.insertion_after_line, None)
-    )
+    # Each edit's start and end as (line, column), and its site; the
+    # insertion has none. Column 0 of a line is the end of the line before.
+    after_method = (plan.insertion_after_line + 1, 0)
+    edits = {plan.insertion_file: [(after_method, after_method, None)]}
+    for site, (first, last) in zip(plan.target_sites, _verify_sites(plan, sources, tokens or {})):
+        end = (last.line, last.column + len(last.text))  # a fragment ends in a one-line token
+        edits.setdefault(site.file_path, []).append(((first.line, first.column), end, site))
 
     new_sources = dict(sources)
     call_sites: list[AppliedSite] = []
     diff_parts: list[str] = []
     for path in sorted(edits):
-        old_lines = sources[path].split("\n")
-        new_lines: list[str] = []
-        cursor = 1
-        offset = 0
-        for start, end, site in sorted(edits[path], key=lambda e: e[0]):
-            new_lines.extend(old_lines[cursor - 1 : start - 1])
+        old = sources[path]
+        old_lines = old.split("\n")
+        # The offset of (line, column) is before_line[line - 1] + column.
+        before_line = list(accumulate((len(line) + 1 for line in old_lines), initial=-1))
+        pieces: list[str] = []
+        cursor = 0
+        for start, end, site in sorted(edits[path], key=itemgetter(0)):
+            pieces.append(old[cursor : before_line[start[0] - 1] + start[1]])
             if site is None:
-                replacement = _render_method(plan, old_lines)
+                pieces.append(_render_method(plan, old_lines))
             else:
-                replacement = [_leading_ws(old_lines[start - 1]) + plan.call_statement]
-                call_sites.append(AppliedSite(site, start + offset))
-            new_lines.extend(replacement)
-            offset += len(replacement) - (end - start + 1)
-            cursor = end + 1
-        new_lines.extend(old_lines[cursor - 1 :])
-        new_text = "\n".join(new_lines)
-        new_sources[path] = new_text
+                done = "".join(pieces)  # the new text up to the call
+                line = done.count("\n") + 1
+                call_sites.append(AppliedSite(site, line, len(done) - done.rfind("\n")))
+                pieces.append(plan.call_statement)
+            cursor = before_line[end[0] - 1] + end[1]
+        pieces.append(old[cursor:])
+        new_sources[path] = new = "".join(pieces)
         diff_parts.extend(
             difflib.unified_diff(
-                old_lines, new_lines, fromfile=f"a/{path}", tofile=f"b/{path}", lineterm=""
+                old_lines, new.split("\n"), fromfile=f"a/{path}", tofile=f"b/{path}", lineterm=""
             )
         )
     diff = "\n".join(diff_parts)
@@ -302,12 +308,15 @@ def apply_extraction(
 
 def _verify_sites(
     plan: ExtractionPlan, sources: Mapping[str, str], tokens: Mapping[str, list[Token]]
-) -> None:
-    """Raise StaleSite at the first site that no longer holds the fragment.
+) -> list[tuple[Token, Token]]:
+    """The first and last token of each site's run; StaleSite at the first site without one.
 
-    Sites come grouped by file, so each file missing from `tokens` is
-    lexed once and only one such file's tokens are held at a time.
+    A site's run must start at its exact (line, column). Sites come
+    grouped by file, so each file missing from `tokens` is lexed once and
+    only one such file's tokens are held at a time.
     """
+    texts = plan.fragment_token_texts
+    runs = []
     path, file_tokens = None, []
     for site in plan.target_sites:
         if site.file_path != path:
@@ -315,42 +324,35 @@ def _verify_sites(
             if path not in sources:
                 raise StaleSite(f"{path} is missing")
             try:
-                file_tokens = _tokens_of(path, sources, tokens)
+                file_tokens = tokens.get(path) or tokenize(sources[path])
             except LexError as exc:
                 raise StaleSite(f"{path} no longer lexes: {exc}") from exc
-        texts = token_texts(_on_lines(file_tokens, site.start_line, site.end_line))
-        if texts != plan.fragment_token_texts:
+        i = find_run(file_tokens, texts, *_bounds(site))
+        if i < 0:
             raise StaleSite(
                 f"{path}:{site.start_line}-{site.end_line} no longer matches the fragment"
             )
+        runs.append((file_tokens[i], file_tokens[i + len(texts) - 1]))
+    return runs
 
 
-def _tokens_of(path: str, sources: Mapping[str, str], tokens: Mapping[str, list[Token]]) -> list[Token]:
-    """The stored tokens of `sources[path]`, else the file lexed now."""
-    stored = tokens.get(path)
-    return tokenize(sources[path]) if stored is None else stored
+def _bounds(site: TargetSite) -> tuple[tuple[int, int], tuple[int, int]]:
+    """The `find_run` bounds that admit only a run starting where the site does."""
+    return (site.start_line, site.column), (site.start_line, site.column + 1)
 
 
-def _on_lines(tokens: list[Token], first: int, last: int) -> list[Token]:
-    """The tokens, in line order, that start on lines first through last."""
-    start = bisect_left(tokens, first, key=lambda t: t.line)
-    return tokens[start : bisect_right(tokens, last, lo=start, key=lambda t: t.line)]
-
-
-def _leading_ws(line: str) -> str:
-    return line[: len(line) - len(line.lstrip())]
-
-
-def _render_method(plan: ExtractionPlan, lines: list[str]) -> list[str]:
+def _render_method(plan: ExtractionPlan, lines: list[str]) -> str:
+    """The new method after a blank line, to be put at the end of a line."""
     decl_indent = ""
     if 1 <= plan.declaration_line <= len(lines):
-        decl_indent = _leading_ws(lines[plan.declaration_line - 1])
+        declaration = lines[plan.declaration_line - 1]
+        decl_indent = declaration[: len(declaration) - len(declaration.lstrip())]
     body_indent = decl_indent + "    "
-    rendered = ["", f"{decl_indent}{plan.signature} {{"]
+    rendered = ["", "", f"{decl_indent}{plan.signature} {{"]
     for line in plan.body_text.split("\n"):
         rendered.append(body_indent + line if line.strip() else "")
     rendered.append(f"{decl_indent}}}")
-    return rendered
+    return "\n".join(rendered)
 
 
 @dataclass(frozen=True)
@@ -380,53 +382,50 @@ def verify_by_inlining(
 ) -> InliningVerdict:
     """Check each rewritten call reproduces the original tokens.
 
-    Parameters are renamed to the arguments actually present in the
-    rewritten call, so argument-order mistakes surface as mismatches.
+    The fragment, with its parameters renamed to the arguments actually
+    present in the rewritten call, must be the run of "before" tokens
+    that starts at the site, so argument-order mistakes surface as
+    mismatches.
     """
     verdicts = []
-    path, before, after = None, [], []
+    path, before, after, match = None, [], [], []
+    call_texts = (plan.method_name, "(")
     for applied in result.call_sites:
         site = applied.site
         if site.file_path != path:  # call sites come grouped by file
             path = site.file_path
             before = tokenize(before_sources[path])
             after = tokenize(after_sources[path])
-        expected = token_texts(_on_lines(before, site.start_line, site.end_line))
-        rename = _argument_renaming(plan, _on_lines(after, applied.call_line, applied.call_line))
+            match = match_delimiters(after)
+        line = applied.call_line
+        at = find_run(after, call_texts, (line, applied.call_column), (line + 1, 0))
+        rename = None if at < 0 else _argument_renaming(plan, after, match, at)
         if rename is None:
             verdicts.append(SiteVerdict(site, False))
             continue
         inlined = tuple(rename.get(text, text) for text in plan.fragment_token_texts)
-        verdicts.append(SiteVerdict(site, inlined == expected))
+        verdicts.append(SiteVerdict(site, find_run(before, inlined, *_bounds(site)) >= 0))
     return InliningVerdict(tuple(verdicts))
 
 
-def _argument_renaming(plan: ExtractionPlan, call_tokens: list[Token]) -> dict[str, str] | None:
-    texts = token_texts(call_tokens)
-    try:
-        at = texts.index(plan.method_name)
-    except ValueError:
-        return None
-    if at + 1 >= len(texts) or texts[at + 1] != "(":
-        return None
-    match = match_delimiters(call_tokens)
+def _argument_renaming(
+    plan: ExtractionPlan, tokens: list[Token], match: list[int], at: int
+) -> dict[str, str] | None:
+    """Each parameter mapped to its argument in the call named by tokens[at].
+
+    `match` is `match_delimiters(tokens)`.
+    """
     close = match[at + 1]
     if close < 0:
         return None
     args: list[str] = []
-    current: list[str] = []
     k = at + 2
     while k < close:
-        if texts[k] == ",":
-            args.append("".join(current))
-            current = []
-            k += 1
-            continue
-        end = max(match[k], k) + 1
-        current.extend(texts[k:end])
-        k = end
-    if current:
-        args.append("".join(current))
+        end = k  # past the argument's last token: skip each bracketed group whole
+        while end < close and tokens[end].text != ",":
+            end = max(match[end], end) + 1
+        args.append("".join(token_texts(tokens[k:end])))
+        k = end + 1
     if len(args) != len(plan.parameter_list):
         return None
     return {p.name: arg for p, arg in zip(plan.parameter_list, args)}

@@ -244,6 +244,20 @@ def token_texts(tokens: list[Token]) -> tuple[str, ...]:
     return tuple(map(_text_of, tokens))
 
 
+def find_run(
+    tokens: list[Token], texts: tuple[str, ...], first: tuple[int, int], stop: tuple[int, int]
+) -> int:
+    """Index of the first token in [first, stop) that starts a run equal to `texts`, or -1.
+
+    `first` and `stop` are (line, column) positions, in the tokens' order.
+    """
+    start = bisect_left(tokens, first, key=_position)
+    for i in range(start, bisect_left(tokens, stop, start, key=_position)):
+        if token_texts(tokens[i : i + len(texts)]) == texts:
+            return i
+    return -1
+
+
 def token_bag(tokens: list[Token]) -> Counter[str]:
     """Multiset of token texts, punctuation excluded.
 

@@ -462,3 +462,36 @@ def test_extract_write_changes_no_file_when_one_cannot_be_written(tmp_path, monk
     assert run_command(argv) == 0
     assert sorted(p.name for p in root.iterdir()) == ["A.java", "B.java"]
     assert all("bundle(" in (root / name).read_text(encoding="utf-8") for name in TWO_HOSTS)
+
+
+def _extract_shared_line(at: str, *options: str) -> list[str]:
+    root = FIXTURES_DIR / "shared_line" / "project"
+    fragment = FIXTURES_DIR / "shared_line" / "fragment.java"
+    return ["extract", str(root), "--fragment", str(fragment), "--at", at, "--name", "reset", *options]
+
+
+def test_extract_rewrites_sites_that_share_their_lines(capsys):
+    assert run_command(_extract_shared_line("A.java:4")) == 0
+    out = capsys.readouterr().out
+    calls = [line for line in out.splitlines() if line.startswith("+") and "reset(total, xs);" in line]
+    assert calls == [
+        "+        int k = 1; total = reset(total, xs);",
+        "+        total = reset(total, xs);",
+        "+        int total = 3; total = reset(total, xs); return total * 2;",
+    ]
+    assert out == (GOLDEN_DIR / "extract_shared_line.diff").read_text(encoding="utf-8")
+
+
+def test_extract_at_a_line_that_does_not_start_the_fragment_exits_three(tmp_path, capsys):
+    """Line 11 lies inside `g`, which holds the fragment, but on a line of its own."""
+    root = tmp_path / "p"
+    shutil.copytree(FIXTURES_DIR / "shared_line" / "project", root)
+    before = (root / "A.java").read_text(encoding="utf-8")
+    argv = _extract_shared_line("A.java:11", "--write")
+    argv[1] = str(root)
+    assert run_command(argv) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: Edited at A.java:11\n"
+    assert [p.name for p in root.iterdir()] == ["A.java"]
+    assert (root / "A.java").read_text(encoding="utf-8") == before

@@ -188,9 +188,10 @@ def brute_force_duplicates(fragment, methods, theta) -> list[CloneMatch]:
         for start in range(0, len(body_seq) - len(frag_seq) + 1):
             if body_seq[start : start + len(frag_seq)] == frag_seq:
                 hit = (body[start].line, body[start + len(frag_seq) - 1].line)
+                column = body[start].column
                 break
         if hit is not None:
-            results.append(CloneMatch(method.id, 1.0, "exact", hit))
+            results.append(CloneMatch(method.id, 1.0, "exact", hit, column))
             continue
         body_counter = Counter(
             t.text for t in body if t.kind != TokenKind.PUNCTUATION

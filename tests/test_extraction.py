@@ -1,10 +1,13 @@
 from __future__ import annotations
 
 from dataclasses import replace
+from itertools import cycle
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from anticopypaster.clones import find_duplicates
+from anticopypaster.clones import EXACT, find_duplicates, find_subsequence
 from anticopypaster.errors import (
     IllegalFlow,
     InvalidIdentifier,
@@ -18,6 +21,7 @@ from anticopypaster.extraction import (
     plan_extraction,
     verify_by_inlining,
 )
+from anticopypaster.lexer import token_texts, tokenize
 from anticopypaster.source_model import index_file, validate_fragment
 from anticopypaster.workspace import open_project
 
@@ -204,17 +208,21 @@ def test_name_collision_and_invalid_identifier_are_rejected():
 
 # --- application and round trip -----------------------------------------------
 
-def _extract_demo():
-    session = open_project(FIXTURES_DIR / "extract_demo" / "project")
-    fragment_text = (FIXTURES_DIR / "extract_demo" / "fragment.java").read_text()
+def _plan_fixture(name: str, file_path: str, line: int, method_name: str):
+    session = open_project(FIXTURES_DIR / name / "project")
+    fragment_text = (FIXTURES_DIR / name / "fragment.java").read_text()
     fragment = validate_fragment(fragment_text)
-    host = session.method_at("Pipeline.java", 5)
+    host = session.method_at(file_path, line)
     matches = find_duplicates(fragment, session.methods, 0.8)
     summary = analyze_extractability(fragment, host, host.owner)
     plan = plan_extraction(
-        summary, "bundle", fragment, host, host.owner, matches, session.methods_by_id
+        summary, method_name, fragment, host, host.owner, matches, session.methods_by_id
     )
     return session, fragment, plan
+
+
+def _extract_demo():
+    return _plan_fixture("extract_demo", "Pipeline.java", 5, "bundle")
 
 
 def test_two_site_extraction_matches_the_golden_diff():
@@ -223,6 +231,17 @@ def test_two_site_extraction_matches_the_golden_diff():
     golden = (GOLDEN_DIR / "extract_two_sites.diff").read_text(encoding="utf-8")
     assert result.diff == golden
     assert hunk_count(result.diff) == 3
+
+
+def test_sites_sharing_lines_with_other_statements_match_the_golden_diff():
+    """Only the matched run is replaced: `int k = 1;` and `return total * 2;` stay."""
+    session, _, plan = _plan_fixture("shared_line", "A.java", 4, "reset")
+    assert [(s.start_line, s.column) for s in plan.target_sites] == [(4, 20), (12, 9), (18, 24)]
+    result = apply_extraction(plan, session.files, session.tokens)
+    golden = (GOLDEN_DIR / "extract_shared_line.diff").read_text(encoding="utf-8")
+    assert result.diff == golden
+    assert [(c.call_line, c.call_column) for c in result.call_sites] == [(4, 20), (17, 9), (22, 24)]
+    assert verify_by_inlining(plan, session.files, result.sources, result).all_equivalent
 
 
 def test_single_site_extraction_has_two_hunks():
@@ -362,3 +381,83 @@ def test_apply_is_all_or_nothing_on_returned_mapping():
     result = apply_extraction(plan, session.files)
     assert session.files == original  # input mapping untouched
     assert result.sources != original
+
+
+# --- token-exact sites on packed lines ------------------------------------------
+
+PACKED_FRAGMENT = "total = 0;\ntotal += xs.length;"
+_FILLERS = ("g(xs);", "total *= 2;", "xs[0] = total;", "if (total > 1) { total--; }")
+
+
+def _packed_class(planted: list[bool], fillers: list[tuple[list[str], list[str]]], layout: list[int]) -> str:
+    """Methods m0, m1, ... whose pieces are packed `layout[k]` to line k, cycling.
+
+    A method's pieces are its header, each statement and its closing
+    brace; method i holds the fragment's two statements when planted[i].
+    """
+    pieces: list[str] = []
+    for i, (plant, (before, after)) in enumerate(zip(planted, fillers)):
+        body = [*before, *PACKED_FRAGMENT.split("\n")] if plant else before
+        pieces += [f"int m{i}(int[] xs) {{", f"int total = {i + 5};", *body, *after, "return total;", "}"]
+    lines = []
+    for width in cycle(layout):
+        if not pieces:
+            break
+        lines.append("    " + " ".join(pieces[:width]))
+        del pieces[:width]
+    return "class Gen {\n" + "\n".join(lines) + "\n}\n"
+
+
+def _undo_extraction(plan, rewritten: str) -> tuple[str, ...]:
+    """The rewritten tokens without the new method, each call's tokens replaced by the fragment's."""
+    texts = token_texts(tokenize(rewritten))
+    method = token_texts(tokenize(f"{plan.signature} {{ {plan.body_text} }}"))
+    at = find_subsequence(texts, method)
+    assert at >= 0
+    texts = texts[:at] + texts[at + len(method) :]
+    call = token_texts(tokenize(plan.call_statement))
+    undone: list[str] = []
+    k = 0
+    while k < len(texts):
+        if texts[k : k + len(call)] == call:
+            undone += plan.fragment_token_texts
+            k += len(call)
+        else:
+            undone.append(texts[k])
+            k += 1
+    return tuple(undone)
+
+
+_FILLER_LISTS = st.lists(st.sampled_from(_FILLERS), max_size=2)
+
+
+@settings(deadline=None)
+@given(
+    st.lists(st.booleans(), max_size=3),
+    st.lists(st.tuples(_FILLER_LISTS, _FILLER_LISTS), min_size=4, max_size=4),
+    st.lists(st.integers(1, 3), min_size=1, max_size=6),
+)
+# Two one-line methods on one line, both holding the fragment.
+@example([True], [([], [])] * 4, [12])
+# The fragment after another statement on the paste line, and before one on its last.
+@example([], [(["g(xs);"], ["total *= 2;"])] * 4, [2, 1, 2])
+def test_every_exact_site_on_packed_lines_is_rewritten_and_inlines_back(more, fillers, layout):
+    planted = [True, *more]
+    source = _packed_class(planted, fillers, layout)
+    methods, classes = index_file(source, "Gen.java")
+    files = {"Gen.java": source}
+    fragment = validate_fragment(PACKED_FRAGMENT)
+    matches = find_duplicates(fragment, methods, 0.8)
+    exact = {m.method_id for m in matches if m.kind == EXACT}
+    assert {m.name for m in methods if m.id in exact} == {f"m{i}" for i, p in enumerate(planted) if p}
+    host = next(m for m in methods if m.name == "m0")
+    summary = analyze_extractability(fragment, host, classes[0])
+    plan = plan_extraction(
+        summary, "reset", fragment, host, classes[0], matches, {m.id: m for m in methods}
+    )
+    result = apply_extraction(plan, files)
+    assert {s.method_id for s in plan.target_sites} == exact
+    assert len(result.call_sites) == len(exact)
+    verdict = verify_by_inlining(plan, files, result.sources, result)
+    assert verdict.all_equivalent and len(verdict.sites) == len(exact)
+    assert _undo_extraction(plan, result.sources["Gen.java"]) == token_texts(tokenize(source))
