@@ -77,7 +77,8 @@ class ExtractionPlan:
     call_statement: str
     target_sites: tuple[TargetSite, ...]
     insertion_file: str
-    insertion_after_line: int
+    # (line, column) where the new method goes: just past the paste-site method's `}`.
+    insertion_point: tuple[int, int]
     declaration_line: int
     is_static: bool
     fragment_token_texts: tuple[str, ...]
@@ -186,7 +187,7 @@ def plan_extraction(
 
     Only exact matches become call-replacement sites. The new method is
     private, inherits staticness from the paste-site method, and is
-    inserted right after it.
+    inserted just past its closing brace.
     """
     if not _IDENTIFIER_RE.match(name) or name in JAVA_KEYWORDS or name in WORD_LITERALS:
         raise InvalidIdentifier(name)
@@ -229,7 +230,7 @@ def plan_extraction(
         call_statement=call,
         target_sites=tuple(sites),
         insertion_file=enclosing.file_path,
-        insertion_after_line=enclosing.close_brace_line,
+        insertion_point=(enclosing.close_brace_line, enclosing.close_brace_column + 1),
         declaration_line=enclosing.declaration_line,
         is_static=enclosing.is_static,
         fragment_token_texts=fragment.body_texts,
@@ -263,12 +264,12 @@ def apply_extraction(
     session's stored tokens; the other paths are lexed here.
     Each call replaces exactly the characters of its site's run, from the
     first token to the end of the last, so other statements on those
-    lines stay. The method goes in at the end of `insertion_after_line`.
+    lines stay. The method goes in at `insertion_point`.
     """
     # Each edit's start and end as (line, column), and its site; the
     # insertion has none. Column 0 of a line is the end of the line before.
-    after_method = (plan.insertion_after_line + 1, 0)
-    edits = {plan.insertion_file: [(after_method, after_method, None)]}
+    at = plan.insertion_point
+    edits = {plan.insertion_file: [(at, at, None)]}
     for site, (first, last) in zip(plan.target_sites, _verify_sites(plan, sources, tokens or {})):
         end = (last.line, last.column + len(last.text))  # a fragment ends in a one-line token
         edits.setdefault(site.file_path, []).append(((first.line, first.column), end, site))
@@ -342,7 +343,7 @@ def _bounds(site: TargetSite) -> tuple[tuple[int, int], tuple[int, int]]:
 
 
 def _render_method(plan: ExtractionPlan, lines: list[str]) -> str:
-    """The new method after a blank line, to be put at the end of a line."""
+    """The new method after a blank line, to be put after a method's closing brace."""
     decl_indent = ""
     if 1 <= plan.declaration_line <= len(lines):
         declaration = lines[plan.declaration_line - 1]

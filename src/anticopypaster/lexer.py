@@ -68,9 +68,11 @@ WORD_LITERALS = frozenset({"true", "false", "null"})
 # One compiled alternation, tried left to right: the first alternative
 # that matches wins, not the longest. So each closed form precedes its
 # unclosed opener, `"""` is tried before `""`, and operators run longest
-# first. Numbers start only at ASCII digits.
+# first. Numbers start only at ASCII digits. Each match also takes the
+# spaces and tabs after it, so most tokens need no `skip` match between them.
 _TOKEN = re.compile(
     r'''
+    (?:
       (?P<skip> \s+ | //[^\n]* | /\*[\s\S]*?\*/ )
     | (?P<literal>
           "{3} (?: [^"\\] | \\[\s\S] | "(?!"") )* "{3}
@@ -89,6 +91,7 @@ _TOKEN = re.compile(
         | << | >> | -> | :: | [-+*/%=<>!&|^~?:.]
       )
     | (?P<other> [\s\S] )
+    ) [ \t]*
     ''',
     re.VERBOSE,
 )
@@ -117,9 +120,9 @@ def normalize_newlines(text: str) -> str:
     return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
-# No match reads more than three characters from where it ends (`1e+x`
-# ends at `1` after reading `e+x`), so a match that ends this far ahead of
-# a change read only unchanged text.
+# No match reads more than three characters past its end, trailing blanks
+# included (`1e+x` ends at `1` after reading `e+x`), so a match that ends
+# this far ahead of a change read only unchanged text.
 _LOOKAHEAD = 3
 
 _position = itemgetter(2, 3)
@@ -167,7 +170,8 @@ def tokenize(text: str, previous: tuple[str, list[Token]] | None = None) -> list
     word_kind = _WORD_KINDS.get
     identifier, literal = TokenKind.IDENTIFIER, TokenKind.LITERAL
     for m in _TOKEN.finditer(text, pos):
-        group, lexeme = m.lastgroup, m.group()
+        group = m.lastgroup
+        lexeme = m[group]
         # Only `\n` ends a line; `\x85` or `\u2028` is whitespace within one.
         # Of the lexemes that make tokens, only literals can span lines.
         if group == "skip":
@@ -282,10 +286,15 @@ def match_delimiters(tokens: list[Token]) -> list[int]:
     the parens pair and the braces pair. Unmatched delimiters and all
     other tokens map to -1.
     """
+    return _pair(tokens)[0]
+
+
+def _pair(tokens: list[Token]) -> tuple[list[int], bool]:
+    """`match_delimiters(tokens)`, and whether every brace found its partner."""
     match = [-1] * len(tokens)
     pending: dict[str, list[int]] = {"(": [], "[": [], "{": []}
-    for i, tok in enumerate(tokens):
-        text = tok.text
+    braces_paired = True
+    for i, text in enumerate(map(_text_of, tokens)):
         if text in pending:
             pending[text].append(i)
         elif text in _OPENER_OF:
@@ -294,4 +303,6 @@ def match_delimiters(tokens: list[Token]) -> list[int]:
                 j = stack.pop()
                 match[i] = j
                 match[j] = i
-    return match
+            elif text == "}":
+                braces_paired = False
+    return match, braces_paired and not pending["{"]

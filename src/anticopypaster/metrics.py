@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .errors import EmptyDistribution, EmptyScope, InvalidSensitivity
-from .lexer import Token, TokenKind
 from .source_model import ClassContext, Fragment, LocalDecl, MethodUnit
 
 # The configurable keyword catalogue: 31 statement/type/flow keywords,
@@ -74,10 +73,12 @@ MetricVector = dict[Submetric, float]
 
 
 def coupling_counts(
-    tokens: list[Token], owner: ClassContext, shadow_from: dict[str, LocalDecl]
+    texts: tuple[str, ...], bag: dict[str, int], owner: ClassContext,
+    shadow_from: dict[str, LocalDecl],
 ) -> tuple[int, int]:
     """Count field and method references from a token sequence into its owning class.
 
+    `texts` are the sequence's token texts and `bag` its `token_bag`.
     Field connectivity counts identifiers matching a declared field
     unless a local declaration of the same name textually precedes the
     occurrence (the declaring occurrence itself is shadowed).
@@ -85,35 +86,34 @@ def coupling_counts(
     declaration. Method connectivity counts identifiers immediately
     followed by '(' that match a declared method name.
     """
-    field_refs = 0
-    method_refs = 0
-    for i, tok in enumerate(tokens):
-        if tok.kind != TokenKind.IDENTIFIER:
-            continue
-        name = tok.text
-        followed_by_call = i + 1 < len(tokens) and tokens[i + 1].text == "("
-        if followed_by_call and name in owner.method_names:
-            method_refs += 1
-        if name in owner.field_names:
-            if name in shadow_from and shadow_from[name].token_index <= i:
-                continue
-            field_refs += 1
+    field_refs = method_refs = 0
+    fields, methods = owner.field_names, owner.method_names
+    for name in bag.keys() & (fields.keys() | methods):
+        if name in fields:
+            decl = shadow_from.get(name)
+            field_refs += bag[name] if decl is None else texts[: decl.token_index].count(name)
+        if name in methods:
+            i = -1
+            for _ in range(bag[name]):
+                i = texts.index(name, i + 1)
+                method_refs += texts[i + 1 : i + 2] == ("(",)
     return field_refs, method_refs
 
 
 def _measure(
-    tokens: list[Token], segment: Fragment | MethodUnit, method: MethodUnit,
-    owner: ClassContext, keywords: frozenset[str],
+    segment: Fragment | MethodUnit, method: MethodUnit, owner: ClassContext,
+    keywords: frozenset[str],
 ) -> MetricVector:
-    """The 18 submetric values of a segment, whose tokens are `tokens`, inside `method`.
+    """The 18 submetric values of a segment inside `method`.
 
-    Every fact but the tokens' keywords and coupling was built once, when
-    the segment was validated or indexed. Area is the sum of per-line
-    nesting depths, so it grows with both length and nesting. Densities
-    divide by their scope's lines.
+    Every fact was built once, when the segment was validated or indexed;
+    its bag holds every keyword, since no keyword is punctuation. Area is
+    the sum of per-line nesting depths, so it grows with both length and
+    nesting. Densities divide by their scope's lines.
     """
-    keyword_total = sum(1 for tok in tokens if tok.text in keywords)
-    fields, calls = coupling_counts(tokens, owner, segment.local_declarations)
+    bag = segment.bag
+    keyword_total = sum(bag[k] for k in bag.keys() & keywords)
+    fields, calls = coupling_counts(segment.body_texts, bag, owner, segment.local_declarations)
     coupling = fields + calls
     lines, symbols, area = segment.line_count, segment.symbol_count, segment.area
     method_lines = method.line_count
@@ -152,12 +152,12 @@ def compute_vector(
     """
     if not fragment.valid:
         raise EmptyScope("fragment is not a valid statement sequence")
-    return _measure(fragment.tokens, fragment, enclosing, owner, keywords)
+    return _measure(fragment, enclosing, owner, keywords)
 
 
 def method_vector(method: MethodUnit, keywords: frozenset[str]) -> MetricVector:
     """Submetric values of a method, treating the whole body as the segment."""
-    return _measure(method.body_tokens, method, method, method.owner, keywords)
+    return _measure(method, method, method.owner, keywords)
 
 
 def vector_values(vector: MetricVector) -> tuple[float, ...]:

@@ -21,7 +21,7 @@ from .errors import IndexingError, LexError
 from .lexer import (
     Token,
     TokenKind,
-    match_delimiters,
+    _pair,
     normalize_newlines,
     token_bag,
     token_texts,
@@ -71,6 +71,7 @@ class MethodUnit:
     area: int
     open_brace_line: int
     close_brace_line: int
+    close_brace_column: int
     declaration_line: int
     # The duplicate scan's fingerprint, built once when the method is indexed.
     body_texts: tuple[str, ...]
@@ -179,6 +180,10 @@ def _profile(tokens: list[Token], first_line: int, last_line: int) -> list[int]:
     return profile
 
 
+# What follows a type's first token: more of the type, or the declared name.
+_TYPE_CONTINUATIONS = frozenset({".", "<", "[", "..."})
+
+
 def scan_declarations(tokens: list[Token]) -> list[tuple[str, LocalDecl]]:
     """Find local variable declarations in a token sequence.
 
@@ -186,12 +191,25 @@ def scan_declarations(tokens: list[Token]) -> list[tuple[str, LocalDecl]]:
     enhanced-for, catch parameters, and try-with-resources. Returns each
     declared name with its rendered type and the index of the name
     token. Purely token-driven; misparses of exotic generics fall
-    out as 'not a declaration', never as a crash.
+    out as 'not a declaration', never as a crash. A declaration is tried
+    where one may start (first, and after `;`, `{`, `}` or the `(` of
+    `for`, `catch` or `try`) only when, past a `final`, a type starts there.
     """
     found: list[tuple[str, LocalDecl]] = []
-    candidates = _declaration_candidates(tokens)
-    for start in candidates:
-        _try_declaration(tokens, start, found)
+    n = len(tokens)
+    identifier = TokenKind.IDENTIFIER
+    may_start, before = True, ""
+    for i, (_, text, _, _) in enumerate(tokens):
+        if may_start:
+            j = i + 1 if text == "final" else i
+            if (
+                j + 1 < n
+                and (tokens[j].kind is identifier or tokens[j].text in PRIMITIVE_TYPES)
+                and (tokens[j + 1].kind is identifier or tokens[j + 1].text in _TYPE_CONTINUATIONS)
+            ):
+                _try_declaration(tokens, j, found)
+        may_start = text in (";", "{", "}") or (text == "(" and before in ("for", "catch", "try"))
+        before = text
     found.sort(key=lambda item: item[1].token_index)
     return found
 
@@ -199,16 +217,6 @@ def scan_declarations(tokens: list[Token]) -> list[tuple[str, LocalDecl]]:
 def _first_declarations(tokens: list[Token]) -> dict[str, LocalDecl]:
     """Each locally declared name's first declaration (reversed, so the earliest wins)."""
     return dict(reversed(scan_declarations(tokens)))
-
-
-def _declaration_candidates(tokens: list[Token]) -> list[int]:
-    spots = [0] if tokens else []
-    for i, tok in enumerate(tokens[:-1]):
-        if tok.text in (";", "{", "}"):
-            spots.append(i + 1)
-        elif tok.text == "(" and i > 0 and tokens[i - 1].text in ("for", "catch", "try"):
-            spots.append(i + 1)
-    return spots
 
 
 def _render_type(parts: list[Token]) -> str:
@@ -224,26 +232,15 @@ def _render_type(parts: list[Token]) -> str:
     return "".join(out)
 
 
-def _try_declaration(tokens: list[Token], start: int, found: list[tuple[str, LocalDecl]]) -> None:
+def _try_declaration(tokens: list[Token], j: int, found: list[tuple[str, LocalDecl]]) -> None:
+    """Add the declarators if tokens[j], an identifier or a primitive type, starts a declaration."""
     n = len(tokens)
-    j = start
-    if j < n and tokens[j].text == "final":
-        j += 1
-    type_parts: list[Token] = []
-    if j >= n:
-        return
-    tok = tokens[j]
-    if tok.text in PRIMITIVE_TYPES:
-        type_parts.append(tok)
-        j += 1
-    elif tok.kind == TokenKind.IDENTIFIER:
-        type_parts.append(tok)
-        j += 1
+    type_parts = [tokens[j]]
+    j += 1
+    if type_parts[0].kind == TokenKind.IDENTIFIER:
         while j + 1 < n and tokens[j].text == "." and tokens[j + 1].kind == TokenKind.IDENTIFIER:
             type_parts.extend(tokens[j : j + 2])
             j += 2
-    else:
-        return
     if j < n and tokens[j].text == "<":
         depth = 0
         k = j
@@ -322,8 +319,8 @@ def index_file(
     normalized = normalize_newlines(text)
     if tokens is None:
         tokens = tokenize(normalized)
-    match = match_delimiters(tokens)
-    if any(match[i] < 0 for i, tok in enumerate(tokens) if tok.text in ("{", "}")):
+    match, braces_paired = _pair(tokens)
+    if not braces_paired:
         raise IndexingError("unbalanced braces at file scope")
     lines = normalized.split("\n")
     indexer = _Indexer(tokens, match, lines, file_path)
@@ -488,7 +485,7 @@ class _Indexer:
         is_static = any(t.text == "static" for t in header[:paren])
         body_tokens = self.tokens[open_brace + 1 : close_brace]
         open_line = self.tokens[open_brace].line
-        close_line = self.tokens[close_brace].line
+        _, _, close_line, close_column = self.tokens[close_brace]
         if body_tokens:
             start_line = body_tokens[0].line
             end_line = body_tokens[-1].line
@@ -514,6 +511,7 @@ class _Indexer:
             area=sum(_profile(body_tokens, start_line, end_line)),
             open_brace_line=open_line,
             close_brace_line=close_line,
+            close_brace_column=close_column,
             declaration_line=header[0].line if header else open_line,
             body_texts=token_texts(body_tokens),
             bag=bag,

@@ -10,6 +10,8 @@ import sys
 from pathlib import Path
 
 from anticopypaster import lexer
+from anticopypaster.lexer import Token, TokenKind
+from anticopypaster.source_model import PRIMITIVE_TYPES, ClassContext, LocalDecl, _try_declaration
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 CORPUS_DIR = REPO_ROOT / "corpus"
@@ -48,3 +50,44 @@ def count_calls(monkeypatch, func) -> list:
 def count_lexing(monkeypatch) -> list[str]:
     """Record the text of every `tokenize` call any engine module makes."""
     return count_calls(monkeypatch, lexer.tokenize)
+
+
+def token_walk_coupling(
+    tokens: list[Token], owner: ClassContext, shadow_from: dict[str, LocalDecl]
+) -> tuple[int, int]:
+    """`metrics.coupling_counts` by walking every token: the oracle for its bag-driven count."""
+    field_refs = 0
+    method_refs = 0
+    for i, tok in enumerate(tokens):
+        if tok.kind != TokenKind.IDENTIFIER:
+            continue
+        name = tok.text
+        followed_by_call = i + 1 < len(tokens) and tokens[i + 1].text == "("
+        if followed_by_call and name in owner.method_names:
+            method_refs += 1
+        if name in owner.field_names:
+            if name in shadow_from and shadow_from[name].token_index <= i:
+                continue
+            field_refs += 1
+    return field_refs, method_refs
+
+
+def candidate_declarations(tokens: list[Token]) -> list[tuple[str, LocalDecl]]:
+    """`source_model.scan_declarations` by trying a declaration at every spot one may start.
+
+    The oracle for the scan, which also skips the spots where the token
+    after a type's first one can neither go on with the type nor name it.
+    """
+    spots = [0] if tokens else []
+    for i, tok in enumerate(tokens[:-1]):
+        if tok.text in (";", "{", "}"):
+            spots.append(i + 1)
+        elif tok.text == "(" and i > 0 and tokens[i - 1].text in ("for", "catch", "try"):
+            spots.append(i + 1)
+    found: list[tuple[str, LocalDecl]] = []
+    for start in spots:
+        j = start + 1 if tokens[start].text == "final" else start
+        if j < len(tokens) and (tokens[j].text in PRIMITIVE_TYPES or tokens[j].kind == TokenKind.IDENTIFIER):
+            _try_declaration(tokens, j, found)
+    found.sort(key=lambda item: item[1].token_index)
+    return found

@@ -244,6 +244,45 @@ def test_sites_sharing_lines_with_other_statements_match_the_golden_diff():
     assert verify_by_inlining(plan, session.files, result.sources, result).all_equivalent
 
 
+def test_a_method_whose_closing_brace_shares_its_line_is_followed_by_the_new_method():
+    """m0 closes on the line that opens m1, so the method goes in right after m0's `}`."""
+    session, _, plan = _plan_fixture("packed_close", "P.java", 4, "reset")
+    result = apply_extraction(plan, session.files, session.tokens)
+    golden = (GOLDEN_DIR / "extract_packed_close.diff").read_text(encoding="utf-8")
+    assert result.diff == golden
+    methods, _ = index_file(result.sources["P.java"], "P.java")
+    assert [m.name for m in methods] == ["m0", "reset", "m1"]
+    assert verify_by_inlining(plan, session.files, result.sources, result).all_equivalent
+
+
+def test_a_comment_opened_after_the_closing_brace_does_not_swallow_the_new_method():
+    source = """\
+class C {
+    int m0(int[] xs) {
+        int total = 5;
+        total = 0;
+        total += xs.length;
+        return total;
+    } /* m0 ends here;
+         m1 follows */
+    int m1() {
+        return 1;
+    }
+}
+"""
+    methods, classes = index_file(source, "C.java")
+    fragment = validate_fragment("total = 0;\ntotal += xs.length;")
+    matches = find_duplicates(fragment, methods, 0.8)
+    summary = analyze_extractability(fragment, methods[0], classes[0])
+    plan = plan_extraction(
+        summary, "reset", fragment, methods[0], classes[0], matches,
+        {m.id: m for m in methods},
+    )
+    result = apply_extraction(plan, {"C.java": source})
+    rewritten, _ = index_file(result.sources["C.java"], "C.java")
+    assert [m.name for m in rewritten] == ["m0", "reset", "m1"]
+
+
 def test_single_site_extraction_has_two_hunks():
     source = """\
 class Solo {
@@ -441,6 +480,8 @@ _FILLER_LISTS = st.lists(st.sampled_from(_FILLERS), max_size=2)
 @example([True], [([], [])] * 4, [12])
 # The fragment after another statement on the paste line, and before one on its last.
 @example([], [(["g(xs);"], ["total *= 2;"])] * 4, [2, 1, 2])
+# m0's closing brace shares its line with m1's header.
+@example([True], [([], [])] * 4, [1, 1, 1, 1, 1, 2, 1])
 def test_every_exact_site_on_packed_lines_is_rewritten_and_inlines_back(more, fillers, layout):
     planted = [True, *more]
     source = _packed_class(planted, fillers, layout)
@@ -461,3 +502,7 @@ def test_every_exact_site_on_packed_lines_is_rewritten_and_inlines_back(more, fi
     verdict = verify_by_inlining(plan, files, result.sources, result)
     assert verdict.all_equivalent and len(verdict.sites) == len(exact)
     assert _undo_extraction(plan, result.sources["Gen.java"]) == token_texts(tokenize(source))
+    # The new method is a member of the class, not a statement in another method.
+    rewritten, _ = index_file(result.sources["Gen.java"], "Gen.java")
+    assert sorted(m.name for m in rewritten) == sorted([*(m.name for m in methods), "reset"])
+    assert all(m.owner.class_name == "Gen" for m in rewritten)

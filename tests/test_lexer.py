@@ -179,6 +179,9 @@ def _offset(lines: list[str], tok: Token) -> int:
 @given(_LEXER_PROBES)
 @example('a /* c\n */ "x\\\ny" """\n t\n""" b')
 @example("x\x85y \u2028 z")
+# Blanks after a lexeme: before a newline, at the end, around other whitespace.
+@example("a \t \nb \x0b c\u2028 d;\t ")
+@example("a\x0b; \u2028 ; \x0b\tb")
 def test_tokens_sit_at_their_positions_and_gaps_lex_to_nothing(text):
     try:
         tokens = tokenize(text)
@@ -346,5 +349,10 @@ def test_splicing_an_edited_source_gives_a_full_lex(revisions):
 # Lines moved, so the same line and column in the old text hold another token.
 @example(("a\nb\n", "a\nc\nb\n"))
 @example(("a\nb c\n", "a\nb\nc\n"))
+# Edits inside the blanks that a match takes after its lexeme.
+@example(("a ;", "a  ;"))
+@example(("a ;", "a;"))
+@example(("a ;\t ", "a ; "))
+@example(("a \t\nb", "a \nb"))
 def test_splicing_a_short_edit_gives_a_full_lex(revisions):
     _assert_splice_is_a_full_lex(*revisions)

@@ -5,7 +5,7 @@ from fractions import Fraction
 from math import ceil
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from anticopypaster.errors import EmptyDistribution, InvalidSensitivity
@@ -15,15 +15,23 @@ from anticopypaster.metrics import (
     Submetric,
     build_distributions,
     compute_vector,
+    coupling_counts,
     fresh_distributions,
     method_vector,
     percentile_threshold,
     update_distributions,
 )
-from anticopypaster.source_model import index_file, validate_fragment
+from anticopypaster.lexer import token_bag, token_texts, tokenize
+from anticopypaster.source_model import ClassContext, index_file, scan_declarations, validate_fragment
 from anticopypaster.workspace import open_project
 
-from helpers import CORPUS_DIR, FIXTURES_DIR, GOLDEN_DIR
+from helpers import (
+    CORPUS_DIR,
+    FIXTURES_DIR,
+    GOLDEN_DIR,
+    candidate_declarations,
+    token_walk_coupling,
+)
 
 GUARDED = "if (x > 0) {\n    sum += x;\n}"
 
@@ -271,6 +279,92 @@ def test_method_vector_equals_its_body_measured_as_a_fragment():
         assert method_vector(method, KEYWORD_CATALOGUE) == expected, method.id
         compared += 1
     assert compared >= 20
+
+
+# --- coupling and declarations against their token-walk oracles --------------
+
+COUPLING_CASES = """\
+class Cases {
+    int x;
+    int both;
+
+    int both(int a) { return a; }
+
+    void m() { }
+
+    int host(int[] xs) {
+        x = x + this.x;
+        both(both);
+        m /*c*/ (); m
+            ();
+        int y = x;
+        int x = 2;
+        x++;
+        return y + below + x;
+    }
+
+    int below;
+}
+"""
+
+
+def _stored_coupling(unit):
+    return coupling_counts(unit.body_texts, unit.bag, unit.owner, unit.local_declarations)
+
+
+def test_coupling_counts_fields_below_shadowed_locals_and_split_calls():
+    """`x` counts 4 times before its local shadows it, `both` twice, `below` once; 3 calls."""
+    methods, _ = index_file(COUPLING_CASES, "Cases.java")
+    host = next(m for m in methods if m.name == "host")
+    assert _stored_coupling(host) == (7, 3)
+    for unit in methods:
+        assert _stored_coupling(unit) == token_walk_coupling(unit.body_tokens, unit.owner, unit.local_declarations)
+        assert scan_declarations(unit.body_tokens) == candidate_declarations(unit.body_tokens)
+
+
+def test_coupling_and_declarations_equal_the_oracles_on_corpus_and_fixture_methods():
+    roots = sorted(p for p in CORPUS_DIR.glob("*/project") if p.is_dir())
+    roots += sorted(p / "project" if (p / "project").is_dir() else p for p in FIXTURES_DIR.iterdir())
+    compared = 0
+    for root in roots:
+        for unit in open_project(root).methods:
+            tokens = unit.body_tokens
+            assert scan_declarations(tokens) == candidate_declarations(tokens), unit.id
+            expected = token_walk_coupling(tokens, unit.owner, unit.local_declarations)
+            assert _stored_coupling(unit) == expected, unit.id
+            compared += 1
+    assert compared >= 50
+
+
+_OWNER = ClassContext("Gen", {"f": "int", "both": "int", "below": "int"}, {"m", "both"})
+_PIECES = [
+    "int", "final", "long", "String", "List", "var", "f", "both", "below", "m", "x", "this",
+    "for", "catch", "try", "new", "return", "1", "<", ">", ">>", ".", "...", "(", ")", "{", "}",
+    "[", "]", ";", ",", "=", ":", "++",
+]
+_SEPARATORS = [" ", "\n", "\t", " /*c*/ ", ""]
+
+
+@given(
+    st.lists(st.tuples(st.sampled_from(_PIECES), st.sampled_from(_SEPARATORS)), max_size=30).map(
+        lambda pairs: "".join(piece + gap for piece, gap in pairs)
+    )
+)
+@example("f = f + 1; int f = 2; f++; return f;")
+@example("both(both); both /*c*/ (1); both\n(f);")
+@example("this.f = this.both; final long below = 1, x; x = below;")
+@example("for (int f : xs) { f++; } try (R both = open()) { } catch (E f) { }")
+@example("final")
+@example("int")
+@example("List<List<String>> f = null; String... both;")
+@example("int[] f = xs; String[][] both, x[];")
+def test_coupling_and_declarations_equal_the_oracles_on_generated_bodies(text):
+    tokens = tokenize(text)
+    declarations = scan_declarations(tokens)
+    assert declarations == candidate_declarations(tokens)
+    shadow_from = dict(reversed(declarations))
+    expected = token_walk_coupling(tokens, _OWNER, shadow_from)
+    assert coupling_counts(token_texts(tokens), token_bag(tokens), _OWNER, shadow_from) == expected
 
 
 # --- percentile thresholds ---------------------------------------------------
