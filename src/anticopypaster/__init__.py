@@ -27,7 +27,6 @@ from .metrics import (
     Submetric,
     build_distributions,
     compute_vector,
-    fresh_distributions,
     percentile_threshold,
 )
 from .settings import Settings, default_settings, load_settings
@@ -71,7 +70,6 @@ __all__ = [
     "Submetric",
     "build_distributions",
     "compute_vector",
-    "fresh_distributions",
     "percentile_threshold",
     "Settings",
     "default_settings",

@@ -88,7 +88,7 @@ def coupling_counts(
     """
     field_refs = method_refs = 0
     fields, methods = owner.field_names, owner.method_names
-    for name in bag.keys() & (fields.keys() | methods):
+    for name in bag.keys() & (fields | methods):
         if name in fields:
             decl = shadow_from.get(name)
             field_refs += bag[name] if decl is None else texts[: decl.token_index].count(name)
@@ -213,17 +213,6 @@ def update_distributions(
             column.sort()
         samples[m] = tuple(column)
     return ProjectDistribution(samples, size)
-
-
-def fresh_distributions(
-    methods: list[MethodUnit], keywords: frozenset[str]
-) -> ProjectDistribution:
-    """The distribution recomputed from scratch, ignoring stored vectors.
-
-    The oracle for a session's distribution, which is sorted from the
-    vectors computed when each file was indexed.
-    """
-    return build_distributions([vector_values(method_vector(m, keywords)) for m in methods])
 
 
 def percentile_threshold(sample: tuple[float, ...], sensitivity: int) -> float:

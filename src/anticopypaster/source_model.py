@@ -15,6 +15,7 @@ brace lines holding nothing but a brace never count toward the body.
 from __future__ import annotations
 
 from bisect import bisect_right
+from collections.abc import Container
 from dataclasses import dataclass, field
 
 from .errors import IndexingError, LexError
@@ -22,6 +23,7 @@ from .lexer import (
     Token,
     TokenKind,
     _pair,
+    match_delimiters,
     normalize_newlines,
     token_bag,
     token_texts,
@@ -49,7 +51,7 @@ class LocalDecl:
 @dataclass
 class ClassContext:
     class_name: str
-    field_names: dict[str, str] = field(default_factory=dict)
+    field_names: set[str] = field(default_factory=set)
     method_names: set[str] = field(default_factory=set)
     file_path: str = ""
 
@@ -62,6 +64,7 @@ class MethodUnit:
     body_tokens: list[Token]
     start_line: int
     end_line: int
+    # Each name declared in the body and its first declaration (the scan reversed, so the earliest wins).
     local_declarations: dict[str, LocalDecl]
     owner: ClassContext
     is_static: bool
@@ -145,12 +148,13 @@ def validate_fragment(text: str) -> Fragment:
     except StatementParseError:
         return Fragment(trimmed, tokens, line_count, symbol_count, False)
     bag = token_bag(tokens)
+    declarations = scan_declarations(tokens, match_delimiters(tokens), 0, len(tokens))
     return Fragment(
         trimmed, tokens, line_count, symbol_count, True,
         body_texts=token_texts(tokens),
         bag=bag,
         bag_size=bag.total(),
-        local_declarations=_first_declarations(tokens),
+        local_declarations=dict(reversed(declarations)),
         area=sum(_profile(tokens, 1, line_count)),
         illegal_flow=illegal_flow,
     )
@@ -180,26 +184,26 @@ def _profile(tokens: list[Token], first_line: int, last_line: int) -> list[int]:
     return profile
 
 
-# What follows a type's first token: more of the type, or the declared name.
-_TYPE_CONTINUATIONS = frozenset({".", "<", "[", "..."})
+# What follows a type's first token: more of the type, an annotation on it, or the declared name.
+_TYPE_CONTINUATIONS = frozenset({".", "<", "[", "...", "@"})
 
 
-def scan_declarations(tokens: list[Token]) -> list[tuple[str, LocalDecl]]:
-    """Find local variable declarations in a token sequence.
+def scan_declarations(tokens: list[Token], match: list[int], lo: int, hi: int) -> list[tuple[str, LocalDecl]]:
+    """Find the local variable declarations in tokens[lo:hi]; `match` pairs the delimiters of all of tokens.
 
     Covers ordinary declarations, multi-declarator lists, for-init,
     enhanced-for, catch parameters, and try-with-resources. Returns each
     declared name with its rendered type and the index of the name
-    token. Purely token-driven; misparses of exotic generics fall
+    token, counted from lo. Purely token-driven; misparses of exotic generics fall
     out as 'not a declaration', never as a crash. A declaration is tried
     where one may start (first, and after `;`, `{`, `}` or the `(` of
     `for`, `catch` or `try`) only when, past a `final`, a type starts there.
     """
-    found: list[tuple[str, LocalDecl]] = []
+    found: list[tuple[str, str, int]] = []
     n = len(tokens)
     identifier = TokenKind.IDENTIFIER
     may_start, before = True, ""
-    for i, (_, text, _, _) in enumerate(tokens):
+    for i, (_, text, _, _) in enumerate(tokens[lo:hi], lo):
         if may_start:
             j = i + 1 if text == "final" else i
             if (
@@ -207,94 +211,121 @@ def scan_declarations(tokens: list[Token]) -> list[tuple[str, LocalDecl]]:
                 and (tokens[j].kind is identifier or tokens[j].text in PRIMITIVE_TYPES)
                 and (tokens[j + 1].kind is identifier or tokens[j + 1].text in _TYPE_CONTINUATIONS)
             ):
-                _try_declaration(tokens, j, found)
+                _try_declaration(tokens, match, j, found)
         may_start = text in (";", "{", "}") or (text == "(" and before in ("for", "catch", "try"))
         before = text
-    found.sort(key=lambda item: item[1].token_index)
-    return found
-
-
-def _first_declarations(tokens: list[Token]) -> dict[str, LocalDecl]:
-    """Each locally declared name's first declaration (reversed, so the earliest wins)."""
-    return dict(reversed(scan_declarations(tokens)))
+    found.sort(key=lambda item: item[2])
+    # A stray '(' may pair past `hi`; a name read beyond it is out of range.
+    return [(name, LocalDecl(declared_type, k - lo)) for name, declared_type, k in found if k < hi]
 
 
 def _render_type(parts: list[Token]) -> str:
+    """The type's text: a blank between words, after an annotation's `)` and before its `@`."""
     out: list[str] = []
     word_kinds = (TokenKind.IDENTIFIER, TokenKind.KEYWORD, TokenKind.LITERAL)
     prev_word = False
     for tok in parts:
         is_word = tok.kind in word_kinds
-        if out and prev_word and is_word:
+        if out and (is_word and (prev_word or out[-1] == ")") or prev_word and tok.text == "@"):
             out.append(" ")
         out.append(tok.text)
         prev_word = is_word
     return "".join(out)
 
 
-def _try_declaration(tokens: list[Token], j: int, found: list[tuple[str, LocalDecl]]) -> None:
-    """Add the declarators if tokens[j], an identifier or a primitive type, starts a declaration."""
+def _read_type(tokens: list[Token], match: list[int], j: int) -> tuple[str, int] | None:
+    """The type that tokens[j] starts, rendered, and the index just past it.
+
+    A type is a primitive or a qualified name whose parts may take type
+    arguments (`Outer<K>.Inner`), then array pairs and `...`. Annotations,
+    which it keeps, may come before a part after the first, a type
+    argument, a `[]` or the `...`. None when tokens[j] cannot start one or
+    its type arguments do not close before a `;`, `{`, `}` or `)`.
+    """
     n = len(tokens)
-    type_parts = [tokens[j]]
+    if j >= n or not (tokens[j].kind is TokenKind.IDENTIFIER or tokens[j].text in PRIMITIVE_TYPES):
+        return None
+    start = j
+    named = tokens[j].kind is TokenKind.IDENTIFIER
     j += 1
-    if type_parts[0].kind == TokenKind.IDENTIFIER:
-        while j + 1 < n and tokens[j].text == "." and tokens[j + 1].kind == TokenKind.IDENTIFIER:
-            type_parts.extend(tokens[j : j + 2])
-            j += 2
-    if j < n and tokens[j].text == "<":
+    while j < n:
+        if named and tokens[j].text == ".":
+            k = _skip_modifiers(tokens, match, j + 1, n, ())
+            if k < n and tokens[k].kind is TokenKind.IDENTIFIER:
+                j = k + 1
+                continue
+        if tokens[j].text != "<":
+            break
         depth = 0
-        k = j
-        while k < n:
-            text = tokens[k].text
+        while j < n:
+            text = tokens[j].text
+            if text == "@":
+                j = _skip_annotation(tokens, match, j, n)
+                continue
             if text in (";", "{", "}", ")"):
-                return
+                return None
             if text == "<":
                 depth += 1
-            elif text == ">":
-                depth -= 1
-            elif text == ">>":
-                depth -= 2
-            elif text == ">>>":
-                depth -= 3
-            k += 1
+            elif text in (">", ">>", ">>>"):
+                depth -= len(text)
+            j += 1
             if depth <= 0:
                 break
         if depth > 0:
-            return
-        type_parts.extend(tokens[j:k])
-        j = k
-    while j + 1 < n and tokens[j].text == "[" and tokens[j + 1].text == "]":
-        type_parts.extend(tokens[j : j + 2])
-        j += 2
-    if j < n and tokens[j].text == "...":
-        type_parts.append(tokens[j])
-        j += 1
-    declared_type = _render_type(type_parts)
+            return None
+    j = _skip_dims(tokens, match, j)[0]
+    k = _skip_modifiers(tokens, match, j, n, ())
+    if k < n and tokens[k].text == "...":
+        j = k + 1
+    return _render_type(tokens[start:j]), j
+
+
+def _skip_dims(tokens: list[Token], match: list[int], j: int) -> tuple[int, int]:
+    """Index just past the `[]` pairs, each after its annotations, from tokens[j] on, and their number."""
+    n = len(tokens)
+    dims = 0
     while True:
-        if j >= n or tokens[j].kind != TokenKind.IDENTIFIER:
-            return
-        name_tok = tokens[j]
+        k = _skip_modifiers(tokens, match, j, n, ())
+        if k + 1 >= n or tokens[k].text != "[" or tokens[k + 1].text != "]":
+            return j, dims
+        j, dims = k + 2, dims + 1
+
+
+def _read_declarator(tokens: list[Token], match: list[int], j: int, base_type: str) -> tuple[str, int] | None:
+    """The type of the name at tokens[j], with the dimensions written after it, and the index past them."""
+    if j >= len(tokens) or tokens[j].kind is not TokenKind.IDENTIFIER:
+        return None
+    end, dims = _skip_dims(tokens, match, j + 1)
+    return base_type + "[]" * dims, end
+
+
+def _try_declaration(
+    tokens: list[Token], match: list[int], j: int, found: list[tuple[str, str, int]]
+) -> None:
+    """Add each declarator's (name, type, name index) if a type starting at tokens[j] starts one."""
+    n = len(tokens)
+    read = _read_type(tokens, match, j)
+    if read is None:
+        return
+    base_type, j = read
+    while True:
         name_index = j
-        j += 1
-        while j + 1 < n and tokens[j].text == "[" and tokens[j + 1].text == "]":
-            j += 2
+        read = _read_declarator(tokens, match, j, base_type)
+        if read is None:
+            return
+        declared_type, j = read
         if j >= n or tokens[j].text not in ("=", ";", ",", ":", ")"):
             return
-        found.append((name_tok.text, LocalDecl(declared_type, name_index)))
+        found.append((tokens[name_index].text, declared_type, name_index))
         terminator = tokens[j].text
         if terminator == "=":
-            depth = 0
+            # The initializer runs to a `,`, `;` or closer outside the pairs it holds.
             j += 1
-            while j < n:
-                text = tokens[j].text
-                if depth == 0 and text in (",", ";", ")"):
-                    break
-                if text in "([{":
-                    depth += 1
-                elif text in ")]}":
-                    depth -= 1
-                    if depth < 0:
-                        break
+            while j < n and tokens[j].text not in (",", ";", ")", "]", "}"):
+                if tokens[j].text in ("(", "[", "{"):
+                    j = match[j]
+                    if j < 0:
+                        return
                 j += 1
             if j >= n:
                 return
@@ -331,6 +362,9 @@ def index_file(
     return indexer.methods, indexer.classes
 
 
+_FIELD_MODIFIERS = frozenset({"public", "private", "protected", "static", "final", "transient", "volatile"})
+
+
 def _skip_annotation(tokens: list[Token], match: list[int], i: int, end: int) -> int:
     """Index just past the annotation whose '@' is tokens[i], at most end."""
     i += 1
@@ -341,6 +375,13 @@ def _skip_annotation(tokens: list[Token], match: list[int], i: int, end: int) ->
     if i < end and tokens[i].text == "(":
         close = match[i]
         i = end if close < 0 else min(close + 1, end)
+    return i
+
+
+def _skip_modifiers(tokens: list[Token], match: list[int], i: int, end: int, words: Container[str]) -> int:
+    """Index of the first token from tokens[i] on, at most end, that is not an annotation or one of words."""
+    while i < end and (tokens[i].text == "@" or tokens[i].text in words):
+        i = _skip_annotation(tokens, match, i, end) if tokens[i].text == "@" else i + 1
     return i
 
 
@@ -392,11 +433,10 @@ class _Indexer:
             self.pos += 1
         if self.pos >= len(self.tokens):
             raise IndexingError(f"class body missing for {name_tok.text}")
-        ctx = ClassContext(name_tok.text, {}, set(), self.file_path)
+        ctx = ClassContext(name_tok.text, set(), set(), self.file_path)
         if components >= 0 and 0 <= self.match[components] < self.pos:
-            end = self.match[components]
-            for param in _parse_parameters(self.tokens, self.match, components + 1, end):
-                ctx.field_names.setdefault(param.name, param.declared_type)
+            header = _parse_parameters(self.tokens, self.match, components + 1, self.match[components])
+            ctx.field_names.update(p.name for p in header)
         self.classes.append(ctx)
         body_end = self.match[self.pos]
         self.pos += 1
@@ -421,37 +461,33 @@ class _Indexer:
         self.pos = body_end
 
     def _parse_member(self, ctx: ClassContext, body_end: int) -> None:
-        start = self.pos
-        i = start
         # Skip annotations so the first '(' found belongs to a parameter list.
-        while i < body_end and self.tokens[i].text == "@":
-            i = _skip_annotation(self.tokens, self.match, i, body_end)
-        member_start = i
-        depth = 0
+        i = member_start = _skip_modifiers(self.tokens, self.match, self.pos, body_end, ())
         saw_assign = False
         while i < body_end:
-            tok = self.tokens[i]
-            text = tok.text
+            text = self.tokens[i].text
             if (
-                depth == 0
-                and self._declares_type(i)
+                self._declares_type(i)
                 and not saw_assign
                 and not (i > member_start and self.tokens[i - 1].text == ".")
             ):
                 self.pos = i
                 self._parse_class(text)
                 return
-            if text == "=" and depth == 0:
+            if text == "=":
                 saw_assign = True
-            if text in "([":
-                depth += 1
+            elif text in "([":
+                # Jump to the partner; a stray or unmatched one runs to the end of the body.
+                i = self.match[i]
+                if i < 0:
+                    break
             elif text in ")]":
-                depth -= 1
-            elif text == ";" and depth == 0:
+                break
+            elif text == ";":
                 self._finish_bodiless_member(ctx, member_start, i)
                 self.pos = i + 1
                 return
-            elif text == "{" and depth == 0:
+            elif text == "{":
                 close = self.match[i]
                 if saw_assign:
                     i = close + 1
@@ -463,14 +499,17 @@ class _Indexer:
         self.pos = body_end
 
     def _finish_bodiless_member(self, ctx: ClassContext, start: int, semi: int) -> None:
-        segment = self.tokens[start : semi + 1]
-        paren = next((k for k, t in enumerate(segment) if t.text == "("), None)
-        if paren is not None:
-            if paren > 0 and segment[paren - 1].kind == TokenKind.IDENTIFIER:
-                ctx.method_names.add(segment[paren - 1].text)
+        """Record the fields that tokens[start:semi] declares, or else the method it names."""
+        tokens = self.tokens
+        i = _skip_modifiers(tokens, self.match, start, semi, _FIELD_MODIFIERS)
+        found: list[tuple[str, str, int]] = []
+        _try_declaration(tokens, self.match, i, found)
+        if found:
+            ctx.field_names.update(name for name, _, _ in found)
             return
-        for name, decl in _field_declarators(segment):
-            ctx.field_names.setdefault(name, decl)
+        paren = next((k for k in range(start, semi) if tokens[k].text == "("), start)
+        if paren > start and tokens[paren - 1].kind == TokenKind.IDENTIFIER:
+            ctx.method_names.add(tokens[paren - 1].text)
 
     def _finish_braced_member(self, ctx: ClassContext, start: int, open_brace: int, close_brace: int) -> None:
         header = self.tokens[start:open_brace]
@@ -492,6 +531,7 @@ class _Indexer:
         else:
             start_line = end_line = open_line
         bag = token_bag(body_tokens)
+        declarations = scan_declarations(self.tokens, self.match, open_brace + 1, close_brace)
         method_id = f"{self.file_path}:{start_line}:{name_tok.text}"
         if method_id in self.ids:
             # Overloads whose bodies start on one line; their braces' columns differ.
@@ -504,7 +544,7 @@ class _Indexer:
             body_tokens=body_tokens,
             start_line=start_line,
             end_line=end_line,
-            local_declarations=_first_declarations(body_tokens),
+            local_declarations=dict(reversed(declarations)),
             owner=ctx,
             is_static=is_static,
             symbol_count=count_symbols("\n".join(self.lines[start_line - 1 : end_line])),
@@ -521,64 +561,34 @@ class _Indexer:
         ctx.method_names.add(name_tok.text)
 
 
-def _field_declarators(segment: list[Token]) -> list[tuple[str, str]]:
-    skip = {"public", "private", "protected", "static", "final", "transient", "volatile"}
-    start = 0
-    while start < len(segment) and segment[start].text in skip:
-        start += 1
-    decls = scan_declarations(segment[start:])
-    return [(name, d.declared_type) for name, d in decls]
+def _parse_parameters(tokens: list[Token], match: list[int], i: int, end: int) -> list[Parameter]:
+    """Parameters declared by tokens[i:end], the inside of a parameter list or record header.
 
-
-def _parse_parameters(tokens: list[Token], match: list[int], start: int, end: int) -> list[Parameter]:
-    """Parameters declared by tokens[start:end], the inside of a parameter list."""
-    groups: list[tuple[int, int]] = []
-    group_start = start
-    depth = 0
-    for k in range(start, end):
-        text = tokens[k].text
-        if text in ("(", "<", "["):
-            depth += 1
-        elif text in (")", "]"):
-            depth -= 1
-        elif text == ">":
-            depth -= 1
-        elif text == ">>":
-            depth -= 2
-        elif text == ">>>":
-            depth -= 3
-        if text == "," and depth == 0:
-            groups.append((group_start, k))
-            group_start = k + 1
-    groups.append((group_start, end))
+    Each is `Type name [dims]` after its annotations and `final`; the
+    reading stops at the first one that is not. A receiver parameter,
+    `A this` or `Outer Outer.this`, declares no variable.
+    """
     params = []
-    for lo, hi in groups:
-        body = [t for t in _strip_annotations(tokens, match, lo, hi) if t.text != "final"]
-        if not body:
-            continue
-        name_tok = None
-        for tok in reversed(body):
-            if tok.kind == TokenKind.IDENTIFIER:
-                name_tok = tok
-                break
-        if name_tok is None:
-            continue
-        name_index = len(body) - 1 - body[::-1].index(name_tok)
-        type_text = _render_type(body[:name_index])
-        params.append(Parameter(name_tok.text, type_text))
-    return params
-
-
-def _strip_annotations(tokens: list[Token], match: list[int], start: int, end: int) -> list[Token]:
-    out: list[Token] = []
-    i = start
     while i < end:
-        if tokens[i].text == "@":
-            i = _skip_annotation(tokens, match, i, end)
-            continue
-        out.append(tokens[i])
+        i = _skip_modifiers(tokens, match, i, end, _FIELD_MODIFIERS)
+        read = _read_type(tokens, match, i)
+        if read is None:
+            break
+        i = k = read[1]
+        while k + 1 < end and tokens[k].kind is TokenKind.IDENTIFIER and tokens[k + 1].text == ".":
+            k += 2
+        if tokens[k].text == "this":
+            i = k + 1
+        else:
+            read = _read_declarator(tokens, match, i, read[0])
+            if read is None:
+                break
+            params.append(Parameter(tokens[i].text, read[0]))
+            i = read[1]
+        if i >= end or tokens[i].text != ",":
+            break
         i += 1
-    return out
+    return params
 
 
 def source_position(method: MethodUnit) -> tuple[str, int]:

@@ -6,12 +6,28 @@ other test directory uses.
 
 from __future__ import annotations
 
+import shutil
+import subprocess
 import sys
+import tempfile
 from pathlib import Path
+
+import pytest
 
 from anticopypaster import lexer
 from anticopypaster.lexer import Token, TokenKind
-from anticopypaster.source_model import PRIMITIVE_TYPES, ClassContext, LocalDecl, _try_declaration
+from anticopypaster.metrics import ProjectDistribution, build_distributions, method_vector, vector_values
+from anticopypaster.source_model import (
+    PRIMITIVE_TYPES,
+    ClassContext,
+    LocalDecl,
+    MethodUnit,
+    Parameter,
+    _render_type,
+    _skip_annotation,
+    _try_declaration,
+    scan_declarations,
+)
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 CORPUS_DIR = REPO_ROOT / "corpus"
@@ -72,6 +88,11 @@ def token_walk_coupling(
     return field_refs, method_refs
 
 
+def declarations_of(tokens: list[Token]) -> list[tuple[str, LocalDecl]]:
+    """`source_model.scan_declarations` over the whole token sequence."""
+    return scan_declarations(tokens, lexer.match_delimiters(tokens), 0, len(tokens))
+
+
 def candidate_declarations(tokens: list[Token]) -> list[tuple[str, LocalDecl]]:
     """`source_model.scan_declarations` by trying a declaration at every spot one may start.
 
@@ -84,10 +105,79 @@ def candidate_declarations(tokens: list[Token]) -> list[tuple[str, LocalDecl]]:
             spots.append(i + 1)
         elif tok.text == "(" and i > 0 and tokens[i - 1].text in ("for", "catch", "try"):
             spots.append(i + 1)
-    found: list[tuple[str, LocalDecl]] = []
+    found: list[tuple[str, str, int]] = []
+    match = lexer.match_delimiters(tokens)
     for start in spots:
         j = start + 1 if tokens[start].text == "final" else start
         if j < len(tokens) and (tokens[j].text in PRIMITIVE_TYPES or tokens[j].kind == TokenKind.IDENTIFIER):
-            _try_declaration(tokens, j, found)
-    found.sort(key=lambda item: item[1].token_index)
-    return found
+            _try_declaration(tokens, match, j, found)
+    found.sort(key=lambda item: item[2])
+    return [(name, LocalDecl(declared_type, k)) for name, declared_type, k in found]
+
+
+def fresh_distributions(methods: list[MethodUnit], keywords: frozenset[str]) -> ProjectDistribution:
+    """The distribution recomputed from scratch, ignoring stored vectors.
+
+    The oracle for a session's distribution, which is sorted from the
+    vectors computed when each file was indexed.
+    """
+    return build_distributions([vector_values(method_vector(m, keywords)) for m in methods])
+
+
+def comma_split_parameters(tokens: list[Token], match: list[int], start: int, end: int) -> list[Parameter]:
+    """Parameters declared by tokens[start:end], read by splitting at top-level commas.
+
+    The oracle for `source_model._parse_parameters`: each group loses its
+    annotations (type-argument ones too) and `final`, its last identifier
+    is the name, and what comes before it the type, so dimensions written
+    after the name are dropped.
+    """
+    groups: list[tuple[int, int]] = []
+    group_start = start
+    depth = 0
+    for k in range(start, end):
+        text = tokens[k].text
+        if text in ("(", "<", "["):
+            depth += 1
+        elif text in (")", "]"):
+            depth -= 1
+        elif text in (">", ">>", ">>>"):
+            depth -= len(text)
+        if text == "," and depth == 0:
+            groups.append((group_start, k))
+            group_start = k + 1
+    groups.append((group_start, end))
+    params = []
+    for lo, hi in groups:
+        body: list[Token] = []
+        i = lo
+        while i < hi:
+            if tokens[i].text == "@":
+                i = _skip_annotation(tokens, match, i, hi)
+                continue
+            if tokens[i].text != "final":
+                body.append(tokens[i])
+            i += 1
+        names = [k for k, tok in enumerate(body) if tok.kind == TokenKind.IDENTIFIER]
+        if names:
+            params.append(Parameter(body[names[-1]].text, _render_type(body[: names[-1]])))
+    return params
+
+
+requires_javac = pytest.mark.skipif(shutil.which("javac") is None, reason="javac is not installed")
+
+
+def javac_errors(sources: dict[str, str]) -> str:
+    """Compile Java sources, keyed by relative path, in one `javac` call; its error output.
+
+    Empty when everything compiles. Class files go to a temporary
+    directory that is removed afterwards.
+    """
+    with tempfile.TemporaryDirectory() as scratch:
+        root = write_project(Path(scratch) / "src", sources)
+        paths = [str(root / rel) for rel in sorted(sources)]
+        done = subprocess.run(
+            ["javac", "-nowarn", "-d", str(Path(scratch) / "classes"), *paths],
+            capture_output=True, text=True, check=False,
+        )
+    return "" if done.returncode == 0 else done.stderr + done.stdout

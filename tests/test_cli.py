@@ -19,6 +19,8 @@ from helpers import (
     SCENARIOS_DIR,
     count_calls,
     count_lexing,
+    javac_errors,
+    requires_javac,
     write_project,
 )
 
@@ -495,3 +497,120 @@ def test_extract_at_a_line_that_does_not_start_the_fragment_exits_three(tmp_path
     assert err == "error: Edited at A.java:11\n"
     assert [p.name for p in root.iterdir()] == ["A.java"]
     assert (root / "A.java").read_text(encoding="utf-8") == before
+
+
+# Declarations an extraction depends on. A field whose initializer calls
+# a method or builds an object is still a field, so code that assigns it
+# needs no output; a dimension written after a parameter's name belongs to
+# its type, so the new method takes `int[] xs`; an annotation with arguments
+# inside a parameter's type hides none of the parameters after it.
+DECLARATION_REPRODUCTIONS = {
+    "field_initializer": (
+        {
+            "A.java": """\
+import java.util.ArrayList;
+import java.util.List;
+
+class A {
+    private int count = Math.max(1, 2);
+    private final List<String> names = new ArrayList<>();
+    private @Deprecated String s;
+
+    int f(int[] xs) {
+        count = 0;
+        count += xs.length;
+        names.add(s);
+        return count;
+    }
+
+    void g(int[] xs) {
+        count = 0;
+        count += xs.length;
+    }
+}
+"""
+        },
+        "count = 0;\ncount += xs.length;\n",
+        "A.java:10",
+        "reset",
+        "    private void reset(int[] xs) {",
+    ),
+    "trailing_dims": (
+        {
+            "B.java": """\
+class B {
+    int f(int xs[]) {
+        int n = 0;
+        for (int x : xs) n += x;
+        return n;
+    }
+
+    int g(int xs[]) {
+        int n = 0;
+        for (int x : xs) n += x;
+        return n * 2;
+    }
+}
+"""
+        },
+        "int n = 0;\nfor (int x : xs) n += x;\n",
+        "B.java:3",
+        "count",
+        "    private int count(int[] xs) {",
+    ),
+    "type_use_annotations": (
+        {
+            "C.java": """\
+import java.lang.annotation.ElementType;
+import java.lang.annotation.Target;
+import java.util.List;
+
+@Target(ElementType.TYPE_USE)
+@interface Size {
+    int max();
+}
+
+class C {
+    int f(List<@Size(max = 3) String> names, String @Size(max = 1) [] tags, int[] xs) {
+        int n = names.size() + tags.length;
+        for (int x : xs) n += x;
+        return n;
+    }
+
+    int g(List<@Size(max = 3) String> names, String @Size(max = 1) [] tags, int[] xs) {
+        int n = names.size() + tags.length;
+        for (int x : xs) n += x;
+        return n * 2;
+    }
+}
+"""
+        },
+        "int n = names.size() + tags.length;\nfor (int x : xs) n += x;\n",
+        "C.java:12",
+        "count",
+        "    private int count(List<@Size(max=3) String> names, String @Size(max=1)[] tags, int[] xs) {",
+    ),
+}
+
+
+def _extract_reproduction(case: str, tmp_path: Path, capsys) -> dict[str, str]:
+    """Run `extract --write` on the case's project; its sources afterwards."""
+    files, fragment_text, at, name, _ = DECLARATION_REPRODUCTIONS[case]
+    root = write_project(tmp_path / "p", files)
+    fragment = tmp_path / "frag.java"
+    fragment.write_text(fragment_text, encoding="utf-8")
+    code = run_command(["extract", str(root), "--fragment", str(fragment), "--at", at, "--name", name, "--write"])
+    assert (code, capsys.readouterr().err) == (0, "")
+    return {rel: (root / rel).read_text(encoding="utf-8") for rel in files}
+
+
+@pytest.mark.parametrize("case", sorted(DECLARATION_REPRODUCTIONS))
+def test_extract_reads_fields_with_initializers_and_dimensions_after_names(case, tmp_path, capsys):
+    (source,) = _extract_reproduction(case, tmp_path, capsys).values()
+    assert DECLARATION_REPRODUCTIONS[case][4] in source.splitlines()
+
+
+@requires_javac
+@pytest.mark.parametrize("case", sorted(DECLARATION_REPRODUCTIONS))
+def test_the_reproductions_rewritten_projects_compile(case, tmp_path, capsys):
+    assert javac_errors(_extract_reproduction(case, tmp_path, capsys)) == ""

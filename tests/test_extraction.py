@@ -25,7 +25,7 @@ from anticopypaster.lexer import token_texts, tokenize
 from anticopypaster.source_model import index_file, validate_fragment
 from anticopypaster.workspace import open_project
 
-from helpers import FIXTURES_DIR, GOLDEN_DIR, count_lexing
+from helpers import FIXTURES_DIR, GOLDEN_DIR, count_lexing, javac_errors, requires_javac
 
 FLOW_SOURCE = """\
 class Flow {
@@ -253,6 +253,20 @@ def test_a_method_whose_closing_brace_shares_its_line_is_followed_by_the_new_met
     methods, _ = index_file(result.sources["P.java"], "P.java")
     assert [m.name for m in methods] == ["m0", "reset", "m1"]
     assert verify_by_inlining(plan, session.files, result.sources, result).all_equivalent
+
+
+@requires_javac
+@pytest.mark.parametrize(
+    "fixture, at_file, at_line, name",
+    [
+        ("extract_demo", "Pipeline.java", 5, "bundle"),
+        ("shared_line", "A.java", 4, "reset"),
+        ("packed_close", "P.java", 4, "reset"),
+    ],
+)
+def test_the_extract_goldens_rewritten_projects_compile(fixture, at_file, at_line, name):
+    session, _, plan = _plan_fixture(fixture, at_file, at_line, name)
+    assert javac_errors(apply_extraction(plan, session.files, session.tokens).sources) == ""
 
 
 def test_a_comment_opened_after_the_closing_brace_does_not_swallow_the_new_method():

@@ -16,13 +16,12 @@ from anticopypaster.metrics import (
     build_distributions,
     compute_vector,
     coupling_counts,
-    fresh_distributions,
     method_vector,
     percentile_threshold,
     update_distributions,
 )
 from anticopypaster.lexer import token_bag, token_texts, tokenize
-from anticopypaster.source_model import ClassContext, index_file, scan_declarations, validate_fragment
+from anticopypaster.source_model import ClassContext, index_file, validate_fragment
 from anticopypaster.workspace import open_project
 
 from helpers import (
@@ -30,6 +29,8 @@ from helpers import (
     FIXTURES_DIR,
     GOLDEN_DIR,
     candidate_declarations,
+    declarations_of,
+    fresh_distributions,
     token_walk_coupling,
 )
 
@@ -319,7 +320,31 @@ def test_coupling_counts_fields_below_shadowed_locals_and_split_calls():
     assert _stored_coupling(host) == (7, 3)
     for unit in methods:
         assert _stored_coupling(unit) == token_walk_coupling(unit.body_tokens, unit.owner, unit.local_declarations)
-        assert scan_declarations(unit.body_tokens) == candidate_declarations(unit.body_tokens)
+        assert declarations_of(unit.body_tokens) == candidate_declarations(unit.body_tokens)
+
+
+def test_fields_initialized_by_calls_or_constructors_count_toward_coupling():
+    """Fields are read whatever their initializer; `Math.max` does not make `max` a method of the class."""
+    source = """\
+class Counter {
+    private int count = Math.max(1, 2);
+    private final List<String> names = new ArrayList<>();
+    private @Deprecated String s;
+
+    int total(int[] xs) {
+        count += xs.length;
+        names.add(s);
+        return count + max(xs);
+    }
+
+    int largest(int[] xs) {
+        return xs.length;
+    }
+}
+"""
+    total, largest = index_file(source, "Counter.java")[0]
+    assert _stored_coupling(total) == (4, 0)
+    assert _stored_coupling(largest) == (0, 0)
 
 
 def test_coupling_and_declarations_equal_the_oracles_on_corpus_and_fixture_methods():
@@ -329,14 +354,15 @@ def test_coupling_and_declarations_equal_the_oracles_on_corpus_and_fixture_metho
     for root in roots:
         for unit in open_project(root).methods:
             tokens = unit.body_tokens
-            assert scan_declarations(tokens) == candidate_declarations(tokens), unit.id
+            assert declarations_of(tokens) == candidate_declarations(tokens), unit.id
+            assert unit.local_declarations == dict(reversed(declarations_of(tokens))), unit.id
             expected = token_walk_coupling(tokens, unit.owner, unit.local_declarations)
             assert _stored_coupling(unit) == expected, unit.id
             compared += 1
     assert compared >= 50
 
 
-_OWNER = ClassContext("Gen", {"f": "int", "both": "int", "below": "int"}, {"m", "both"})
+_OWNER = ClassContext("Gen", {"f", "both", "below"}, {"m", "both"})
 _PIECES = [
     "int", "final", "long", "String", "List", "var", "f", "both", "below", "m", "x", "this",
     "for", "catch", "try", "new", "return", "1", "<", ">", ">>", ".", "...", "(", ")", "{", "}",
@@ -360,7 +386,7 @@ _SEPARATORS = [" ", "\n", "\t", " /*c*/ ", ""]
 @example("int[] f = xs; String[][] both, x[];")
 def test_coupling_and_declarations_equal_the_oracles_on_generated_bodies(text):
     tokens = tokenize(text)
-    declarations = scan_declarations(tokens)
+    declarations = declarations_of(tokens)
     assert declarations == candidate_declarations(tokens)
     shadow_from = dict(reversed(declarations))
     expected = token_walk_coupling(tokens, _OWNER, shadow_from)

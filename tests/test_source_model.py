@@ -1,19 +1,22 @@
 from __future__ import annotations
 
+import re
+
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
 from anticopypaster.errors import EmptyScope, IndexingError
-from anticopypaster.lexer import token_bag, token_texts, tokenize
+from anticopypaster.lexer import _pair, token_bag, token_texts, tokenize
 from anticopypaster.metrics import KEYWORD_CATALOGUE, compute_vector
 from anticopypaster.source_model import (
     _profile,
     index_file,
-    scan_declarations,
     validate_fragment,
 )
 from anticopypaster.statements import parse_statements
+
+from helpers import comma_split_parameters, declarations_of
 
 TWO_METHODS = """\
 public class TwoMethods {
@@ -46,7 +49,7 @@ def test_fields_only_file_produces_class_context_without_methods():
     source = "class Holder {\n    private int a;\n    private String b;\n}\n"
     methods, classes = index_file(source, "Holder.java")
     assert methods == []
-    assert classes[0].field_names == {"a": "int", "b": "String"}
+    assert classes[0].field_names == {"a", "b"}
 
 
 def test_inner_class_methods_belong_to_the_inner_context():
@@ -72,7 +75,7 @@ class Outer {
     assert by_name["innerMethod"].owner.class_name == "Inner"
     assert by_name["outerMethod"].owner.class_name == "Outer"
     inner = next(c for c in classes if c.class_name == "Inner")
-    assert inner.field_names == {"innerField": "int"}
+    assert inner.field_names == {"innerField"}
 
 
 def test_constructors_count_as_methods_and_bodiless_ones_do_not():
@@ -146,10 +149,21 @@ def test_stray_delimiters_in_a_body_do_not_hide_later_methods(broken):
     assert [(m.name, m.start_line) for m in methods] == [("f", 3), ("h", 6)]
 
 
+def test_a_stray_paren_pairing_past_a_body_adds_no_local_to_it():
+    """Locals are scanned in place; an annotation's `(` that pairs in the next method adds none."""
+    source = "class A {\n    void f() { List<@A( String> x; }\n    void g() { int y = 0; ) > z; }\n}\n"
+    (f, g), _ = index_file(source, "A.java")
+    assert f.local_declarations == {}
+    assert list(g.local_declarations) == ["y"]
+
+
 def test_annotated_parameters_keep_their_types():
+    """Annotations before a parameter are dropped; those inside its type (type-use ones) are kept."""
     source = """\
 class A {
-    void f(@Named(value = ("x")) int a, final @X List<Map<K,V>> b) {
+    void f(@Named(value = ("x")) int a, final @X List<Map<K,V>> b, List<@X String> c,
+           List<@Size(max = 3) String> d, String @NonNull [] e, java.lang.@A String g,
+           int h @A [] @B [], String @A ... i) {
         g();
     }
 }
@@ -158,7 +172,83 @@ class A {
     assert [(p.name, p.declared_type) for p in method.parameter_list] == [
         ("a", "int"),
         ("b", "List<Map<K,V>>"),
+        ("c", "List<@X String>"),
+        ("d", "List<@Size(max=3) String>"),
+        ("e", "String @NonNull[]"),
+        ("g", "java.lang.@A String"),
+        ("h", "int[][]"),
+        ("i", "String @A..."),
     ]
+
+
+def test_dimensions_after_a_parameter_or_component_name_join_its_type():
+    source = "record R(int xs[], String[] rows[]) { int f(int xs[], String[] rows[][], int... ns) { return 0; } }"
+    (method,), (record,) = index_file(source, "R.java")
+    assert [(p.name, p.declared_type) for p in method.parameter_list] == [
+        ("xs", "int[]"),
+        ("rows", "String[][][]"),
+        ("ns", "int..."),
+    ]
+    assert record.field_names == {"xs", "rows"}
+
+
+@pytest.mark.parametrize(
+    "source",
+    ["class A { void f(@X A this, int x) { } }", "class Outer { class A { A(Outer Outer.this, int x) { } } }"],
+)
+def test_a_receiver_parameter_declares_no_variable(source):
+    """`A this`, or `Outer Outer.this` in an inner class's constructor, only lets the receiver take
+    annotations; the parameters after it are read."""
+    (method,), _ = index_file(source, "A.java")
+    assert [(p.name, p.declared_type) for p in method.parameter_list] == [("x", "int")]
+
+
+FIELD_INITIALIZERS = """\
+import java.util.ArrayList;
+import java.util.List;
+import java.util.function.IntSupplier;
+
+abstract class A {
+    private int count = Math.max(1, 2);
+    private final List<String> names = new ArrayList<>();
+    private @Deprecated String s;
+    static final IntSupplier next = () -> { int local = 1; return local; };
+    int[] sizes = {1, 2}, more[] = {{3}};
+    abstract int area();
+    abstract <T> T pick(T a, T b);
+
+    int total(int[] xs) {
+        count += xs.length;
+        names.add(s);
+        return count + sizes[0] + next.getAsInt();
+    }
+}
+"""
+
+
+def test_fields_whose_initializers_call_construct_or_declare_are_fields():
+    """Only a member that declares no field names a method; the lambda's local is no field."""
+    (method,), (owner,) = index_file(FIELD_INITIALIZERS, "A.java")
+    assert owner.field_names == {"count", "names", "s", "next", "sizes", "more"}
+    assert owner.method_names == {"area", "pick", "total"}
+    assert method.name == "total"
+
+
+def test_a_parenthesized_initializer_is_skipped_as_one_span():
+    """The member scan jumps from `(` to its partner, so the anonymous class inside is not a member."""
+    source = "class A { Object o = f(new Object() { int g() { return 1; } }); void h() { } }"
+    methods, (owner,) = index_file(source, "A.java")
+    assert [m.name for m in methods] == ["h"]
+    assert owner.field_names == {"o"}
+    assert owner.method_names == {"h"}
+
+
+@pytest.mark.parametrize("stray", [")", "]", "("])
+def test_a_stray_bracket_in_a_member_runs_it_to_the_end_of_the_body(stray):
+    source = f"class A {{ int a = 1 {stray}; void f() {{ }} }} class B {{ void g() {{ }} }}"
+    methods, classes = index_file(source, "A.java")
+    assert [m.name for m in methods] == ["g"]
+    assert [c.class_name for c in classes] == ["A", "B"]
 
 
 def test_enum_constant_bodies_are_skipped():
@@ -453,7 +543,7 @@ def test_fragment_fields_agree_with_their_per_token_definitions(text):
         assert stored == ((), {}, 0, {}, 0, ())
         return
     first_declarations = {}
-    for name, decl in scan_declarations(tokens):
+    for name, decl in declarations_of(tokens):
         first_declarations.setdefault(name, decl)
     assert stored == (
         token_texts(tokens), token_bag(tokens), token_bag(tokens).total(),
@@ -469,13 +559,19 @@ def test_scan_finds_declarations_in_common_shapes():
         "List<String> names = make();\n"
         "for (int i = 0; i < n; i++) { use(i); }\n"
         "for (String s : names) { use(s); }\n"
+        "int xs[] = {1}; String[][] grid, rows[];\n"
+        "Outer<K>.Inner node = root;\n"
         "try (Closeable c = open()) { c.hashCode(); } catch (Exception e) { log(e); }"
     )
-    declared = {name: decl.declared_type for name, decl in scan_declarations(tokens)}
+    declared = {name: decl.declared_type for name, decl in declarations_of(tokens)}
     assert declared == {
         "a": "int",
         "b": "int",
         "names": "List<String>",
+        "xs": "int[]",
+        "grid": "String[][]",
+        "rows": "String[][][]",
+        "node": "Outer<K>.Inner",
         "i": "int",
         "s": "String",
         "c": "Closeable",
@@ -485,4 +581,76 @@ def test_scan_finds_declarations_in_common_shapes():
 
 def test_scan_does_not_mistake_assignments_or_calls_for_declarations():
     tokens = tokenize("x = 1;\nfoo(a);\na.b = 2;\nx < y;")
-    assert scan_declarations(tokens) == []
+    assert declarations_of(tokens) == []
+
+
+# --- parameters against the comma-splitting oracle ----------------------------
+
+_NAMES = st.sampled_from(["a", "b", "xs", "value", "record", "n2"])
+_ANNOTATIONS = st.sampled_from(["@X", "@a.b.Y", '@Named(value = ("x"))', "@Size(min = 1, max = 2)", "@Z()"])
+
+
+def _type_arguments(inner):
+    """`<...>` written without blanks, so nested closes lex as `>>` and `>>>`; an annotation may mark an argument."""
+    argument = st.one_of(
+        inner,
+        st.just("?"),
+        inner.map(lambda t: "? extends " + t),
+        inner.map(lambda t: "@X " + t),
+        inner.map(lambda t: "@Size(max = 1) " + t),
+    )
+    return st.lists(argument, min_size=1, max_size=2).map(lambda args: "<" + ",".join(args) + ">")
+
+
+_REFERENCE_TYPES = st.recursive(
+    st.sampled_from(["String", "java.util.List", "Map.Entry", "T"]),
+    lambda inner: st.tuples(
+        st.sampled_from(["List", "java.util.Map", "Map.Entry"]),
+        _type_arguments(inner),
+        st.sampled_from(["", ".Inner", ".Inner<T>"]),
+    ).map("".join),
+    max_leaves=6,
+)
+_TYPES = st.tuples(
+    st.one_of(st.sampled_from(["int", "boolean", "double"]), _REFERENCE_TYPES),
+    st.lists(st.sampled_from(["[]", " @X []"]), max_size=2),
+).map(lambda t: t[0] + "".join(t[1]))
+
+
+@st.composite
+def _parameter_lists(draw):
+    """Well-formed parameter texts, and the dimensions each writes after its name."""
+    texts, dims = [], []
+    for k in range(draw(st.integers(0, 4))):
+        prefix = draw(st.lists(st.one_of(_ANNOTATIONS, st.just("final")), max_size=3))
+        declared = draw(_TYPES)
+        after = draw(st.integers(0, 2))
+        if draw(st.booleans()):
+            declared, after = declared + "...", 0  # varargs, as any parameter's; javac wants it last
+        texts.append(" ".join([*prefix, declared, draw(_NAMES) + "[]" * after]))
+        dims.append(after)
+    return ", ".join(texts), dims
+
+
+def _without_type_annotations(declared_type: str) -> str:
+    return re.sub(r" ?@[\w.]+(\([^)]*\))? ?", "", declared_type)
+
+
+@given(_parameter_lists())
+@example(("@Named(value = (\"x\")) final int a, final @X Map<K,List<Map<K,V>>> b, int... c", [0, 0, 0]))
+@example(("java.util.Map.Entry<K,V>[] e[], List<@X String> f, Outer<K>.Inner g", [1, 0, 0]))
+@example(("List<@Size(max = 3) String> names, String @X [] a, int[] xs", [0, 0, 0]))
+def test_parameters_and_record_components_equal_the_comma_splitting_oracle(listed):
+    """Only dimensions after a name and annotations inside a type, both now kept, differ."""
+    text, dims = listed
+    source = f"class A {{ void f({text}) {{ }} }} record R({text}) {{ }}"
+    tokens = tokenize(source)
+    match, _ = _pair(tokens)
+    (method,), (_, record) = index_file(source, "A.java")
+    opens = [k for k, tok in enumerate(tokens) if tok.text == "(" and tokens[k - 1].text in ("f", "R")]
+    expected = comma_split_parameters(tokens, match, opens[0] + 1, match[opens[0]])
+    assert [(p.name, _without_type_annotations(p.declared_type)) for p in method.parameter_list] == [
+        (p.name, p.declared_type + "[]" * k) for p, k in zip(expected, dims)
+    ]
+    assert len(expected) == len(dims)
+    assert record.field_names == {p.name for p in comma_split_parameters(tokens, match, opens[1] + 1, match[opens[1]])}
