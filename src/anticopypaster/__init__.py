@@ -1,6 +1,6 @@
 """Headless duplicate-paste detection and Extract Method recommendation."""
 
-from .clones import CloneMatch, TokenBag, find_duplicates, normalize_bag, overlap_similarity
+from .clones import CloneMatch, find_duplicates, overlap_similarity
 from .decision import (
     DropRecord,
     GateReport,
@@ -43,9 +43,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CloneMatch",
-    "TokenBag",
     "find_duplicates",
-    "normalize_bag",
     "overlap_similarity",
     "DropRecord",
     "GateReport",

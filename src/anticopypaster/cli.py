@@ -41,9 +41,7 @@ EXIT_ANALYSIS = 3
 
 
 class _Fail(Exception):
-    def __init__(self, message: str):
-        super().__init__(message)
-        self.message = message
+    """A command that cannot go on: exit 3 with the message."""
 
 
 def _site(value: str) -> tuple[str, int]:
@@ -122,21 +120,12 @@ def run_command(argv: list[str]) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
+    commands = {"analyze": _cmd_analyze, "check": _cmd_check, "simulate": _cmd_simulate,
+                "extract": _cmd_extract, "thresholds": _cmd_thresholds}
     try:
-        if args.command == "analyze":
-            return _cmd_analyze(args)
-        if args.command == "check":
-            return _cmd_check(args)
-        if args.command == "simulate":
-            return _cmd_simulate(args)
-        if args.command == "extract":
-            return _cmd_extract(args)
-        if args.command == "thresholds":
-            return _cmd_thresholds(args)
-        return EXIT_USAGE
+        return commands[args.command](args)
     except (_Fail, EngineError) as exc:
-        message = exc.message if isinstance(exc, _Fail) else str(exc)
-        print(f"error: {message}", file=sys.stderr)
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_ANALYSIS
 
 
@@ -301,11 +290,11 @@ def _cmd_extract(args: argparse.Namespace) -> int:
     located = locate(session, file_path, line, fragment)
     if isinstance(located, str):
         raise _Fail(f"{located} at {file_path}:{line}")
-    enclosing, matches = located
-    summary = analyze_extractability(fragment, enclosing, enclosing.owner)
+    enclosing, matches, at = located
+    summary = analyze_extractability(fragment, enclosing, enclosing.owner, at)
     plan = plan_extraction(
         summary, args.name, fragment, enclosing, enclosing.owner, matches,
-        session.methods_by_id,
+        session.methods_by_id, at,
     )
     result = apply_extraction(plan, session.files, session.tokens)
     if args.write:

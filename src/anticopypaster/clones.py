@@ -24,20 +24,10 @@ from itertools import repeat
 from operator import attrgetter
 
 from .errors import UndefinedSimilarity
-from .lexer import Token, token_bag
 from .source_model import Fragment, MethodUnit
 
 EXACT = "exact"
 NEAR = "near"
-
-
-@dataclass(frozen=True)
-class TokenBag:
-    counts: tuple[tuple[str, int], ...]
-    total_count: int
-
-    def counter(self) -> Counter[str]:
-        return Counter(dict(self.counts))
 
 
 @dataclass(frozen=True)
@@ -50,18 +40,11 @@ class CloneMatch:
     column: int | None = None
 
 
-def normalize_bag(tokens: list[Token]) -> TokenBag:
-    """Order-insensitive multiset of token texts; punctuation excluded."""
-    counter = token_bag(tokens)
-    return TokenBag(tuple(sorted(counter.items())), counter.total())
-
-
-def overlap_similarity(a: TokenBag, b: TokenBag) -> float:
-    """|a ∩ b| / max(|a|, |b|) over multisets; symmetric, in [0, 1]."""
-    if a.total_count == 0 and b.total_count == 0:
+def overlap_similarity(a: Counter[str], b: Counter[str]) -> float:
+    """|a ∩ b| / max(|a|, |b|) over multisets (`token_bag`s); symmetric, in [0, 1]."""
+    if not a and not b:
         raise UndefinedSimilarity("both token bags are empty")
-    shared = sum((a.counter() & b.counter()).values())
-    return shared / max(a.total_count, b.total_count)
+    return (a & b).total() / max(a.total(), b.total())
 
 
 def find_subsequence(haystack: tuple[str, ...], needle: tuple[str, ...]) -> int:
@@ -200,9 +183,10 @@ def find_duplicates(
         if size >= frag_size and (rarest is None or method.bag.get(rarest, 0) >= rarest_count):
             at = find_subsequence(method.body_texts, frag_seq)
             if at >= 0:
-                first = method.body_tokens[at]
-                span = (first.line, method.body_tokens[at + last].line)
-                matches.append(CloneMatch(method.id, 1.0, EXACT, span, first.column))
+                at += method.body[0]
+                lines = method.tokens.lines
+                span = (lines[at], lines[at + last])
+                matches.append(CloneMatch(method.id, 1.0, EXACT, span, method.tokens.column(at)))
                 continue
         larger = max(frag_size, size)
         if larger == 0 or min(frag_size, size) / larger < near_threshold:

@@ -181,8 +181,8 @@ def tick(session: "ProjectSession", now: Timestamp) -> list[Outcome]:
 
 def locate(
     session: "ProjectSession", file_path: str, line: int, fragment: Fragment
-) -> tuple[MethodUnit, tuple[CloneMatch, ...]] | str:
-    """The method a fragment pasted at `line` sits in, and its duplicates; else the drop reason.
+) -> tuple[MethodUnit, tuple[CloneMatch, ...], int] | str:
+    """The method a fragment pasted at `line` sits in, its duplicates, and where its run starts; else the drop reason.
 
     The fragment's normalized token run must start on that line of the
     file's stored tokens; any token-level change there cancels the paste
@@ -193,7 +193,8 @@ def locate(
     if not fragment.valid:
         return INVALID_FRAGMENT
     tokens = session.tokens.get(file_path)
-    if tokens is None or find_run(tokens, fragment.body_texts, (line, 0), (line + 1, 0)) < 0:
+    at = -1 if tokens is None else find_run(tokens, fragment.body_texts, (line, 0), (line + 1, 0))
+    if at < 0:
         return EDITED
     enclosing = method_at(session.methods, file_path, line)
     if enclosing is None:
@@ -204,7 +205,7 @@ def locate(
         session.settings.near_match_threshold,
         session.index,
     )
-    return enclosing, tuple(matches)
+    return enclosing, tuple(matches), at
 
 
 def evaluate_paste(
@@ -218,7 +219,7 @@ def evaluate_paste(
     located = locate(session, event.file_path, event.paste_line, fragment)
     if isinstance(located, str):
         return DropRecord(event, located, now)
-    enclosing, matches = located
+    enclosing, matches, _ = located
     settings: Settings = session.settings
     vector = compute_vector(fragment, enclosing, enclosing.owner, settings.keywords)
     try:

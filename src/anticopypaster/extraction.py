@@ -34,11 +34,10 @@ from .errors import (
 from .lexer import (
     JAVA_KEYWORDS,
     WORD_LITERALS,
-    Token,
+    Tokens,
     TokenKind,
     find_run,
     match_delimiters,
-    token_texts,
     tokenize,
 )
 from .source_model import ClassContext, Fragment, MethodUnit, Parameter
@@ -91,20 +90,22 @@ class ExtractionPlan:
 
 
 def analyze_extractability(
-    fragment: Fragment, enclosing: MethodUnit, owner: ClassContext
+    fragment: Fragment, enclosing: MethodUnit, owner: ClassContext, at: int | None = None
 ) -> DataFlowSummary:
     """Infer the inputs, outputs, and flow violations of a fragment.
 
-    Inputs are variables used in the fragment but declared earlier in
-    the method or among its parameters, ordered by first use. Outputs
-    are locals declared or assigned in the fragment and read after it.
-    Class fields never count: they stay visible to the new method.
+    The fragment is the run at token `at` of the method's file, by default
+    its first copy in the body. Inputs are variables used in the fragment
+    but declared earlier in the method or among its parameters, ordered by
+    first use. Outputs are locals declared or assigned in the fragment and
+    read after it. Class fields never count: they stay visible to the new
+    method.
     """
     if not fragment.valid:
         raise MissingContext("fragment is not a valid statement sequence")
     frag_texts = fragment.body_texts
-    offset = find_subsequence(enclosing.body_texts, frag_texts)
-    if offset < 0:
+    offset = find_subsequence(enclosing.body_texts, frag_texts) if at is None else at - enclosing.body[0]
+    if offset < 0 or enclosing.body_texts[offset : offset + len(frag_texts)] != frag_texts:
         raise MissingContext("fragment is not a contiguous span of the enclosing method")
     frag_end = offset + len(frag_texts)
 
@@ -119,14 +120,14 @@ def analyze_extractability(
 
     # One pass finds the inputs, in order of first use, and the token
     # index of each name's first write.
-    tokens = fragment.tokens
+    kinds = fragment.tokens.kinds
     inputs: dict[str, Parameter] = {}
     assigned: dict[str, int] = {}
-    for k, (kind, name, _, _) in enumerate(tokens):
-        prev = tokens[k - 1].text if k > 0 else ""
-        if kind != TokenKind.IDENTIFIER or prev == ".":
+    for k, name in enumerate(frag_texts):
+        prev = frag_texts[k - 1] if k > 0 else ""
+        if kinds[k] is not TokenKind.IDENTIFIER or prev == ".":
             continue
-        nxt = tokens[k + 1].text if k + 1 < len(tokens) else ""
+        nxt = frag_texts[k + 1] if k + 1 < len(frag_texts) else ""
         if nxt in ASSIGNMENT_OPS or nxt in ("++", "--") or prev in ("++", "--"):
             assigned.setdefault(name, k)
         if nxt == "(" or name in inputs:
@@ -140,7 +141,7 @@ def analyze_extractability(
     for name, decl in frag_decls.items():
         assigned.setdefault(name, decl.token_index)
 
-    read_after = _read_after(enclosing.body_tokens, frag_end)
+    read_after = _read_after(enclosing, enclosing.body[0] + frag_end)
     outputs: list[Parameter] = []
     for name in sorted(assigned, key=assigned.get):
         if name not in read_after:
@@ -162,15 +163,13 @@ def analyze_extractability(
     )
 
 
-def _read_after(tokens: list[Token], start: int) -> set[str]:
-    """Names read in tokens[start:]: identifiers not after '.' nor overwritten by a plain '='."""
-    last = len(tokens) - 1
+def _read_after(method: MethodUnit, start: int) -> set[str]:
+    """Names read from token `start` to the body's end: identifiers not after '.' nor before a plain '='."""
+    texts, kinds = method.tokens.texts, method.tokens.kinds
     return {
-        tok.text
-        for k, tok in enumerate(tokens[start:], start)
-        if tok.kind == TokenKind.IDENTIFIER
-        and (k == 0 or tokens[k - 1].text != ".")
-        and (k == last or tokens[k + 1].text != "=")
+        texts[k]
+        for k in range(start, method.body[1])
+        if kinds[k] is TokenKind.IDENTIFIER and texts[k - 1] != "." and texts[k + 1] != "="
     }
 
 
@@ -182,11 +181,13 @@ def plan_extraction(
     owner: ClassContext,
     matches: list[CloneMatch],
     methods_by_id: Mapping[str, MethodUnit],
+    at: int | None = None,
 ) -> ExtractionPlan:
     """Turn a feasible summary into a concrete rewrite plan.
 
-    Only exact matches become call-replacement sites. The new method is
-    private, inherits staticness from the paste-site method, and is
+    Only exact matches become call-replacement sites; in the paste-site
+    method, the run at token `at` of its file, when given. The new method
+    is private, inherits staticness from the paste-site method, and is
     inserted just past its closing brace.
     """
     if not _IDENTIFIER_RE.match(name) or name in JAVA_KEYWORDS or name in WORD_LITERALS:
@@ -217,9 +218,11 @@ def plan_extraction(
         if match.kind != EXACT or match.match_span is None:
             continue
         method = methods_by_id[match.method_id]
-        sites.append(
-            TargetSite(match.method_id, method.file_path, *match.match_span, match.column)
-        )
+        span, column = match.match_span, match.column
+        if at is not None and method.id == enclosing.id:
+            lines = method.tokens.lines
+            span, column = (lines[at], lines[at + len(fragment.body_texts) - 1]), method.tokens.column(at)
+        sites.append(TargetSite(match.method_id, method.file_path, *span, column))
     sites.sort(key=lambda s: (s.file_path, s.start_line, s.column))
 
     return ExtractionPlan(
@@ -254,7 +257,7 @@ class ApplyResult:
 def apply_extraction(
     plan: ExtractionPlan,
     sources: Mapping[str, str],
-    tokens: Mapping[str, list[Token]] | None = None,
+    tokens: Mapping[str, Tokens] | None = None,
 ) -> ApplyResult:
     """Rewrite all exact sites and insert the new method; all-or-nothing.
 
@@ -270,9 +273,8 @@ def apply_extraction(
     # insertion has none. Column 0 of a line is the end of the line before.
     at = plan.insertion_point
     edits = {plan.insertion_file: [(at, at, None)]}
-    for site, (first, last) in zip(plan.target_sites, _verify_sites(plan, sources, tokens or {})):
-        end = (last.line, last.column + len(last.text))  # a fragment ends in a one-line token
-        edits.setdefault(site.file_path, []).append(((first.line, first.column), end, site))
+    for site, (start, end) in zip(plan.target_sites, _verify_sites(plan, sources, tokens or {})):
+        edits.setdefault(site.file_path, []).append((start, end, site))
 
     new_sources = dict(sources)
     call_sites: list[AppliedSite] = []
@@ -308,9 +310,9 @@ def apply_extraction(
 
 
 def _verify_sites(
-    plan: ExtractionPlan, sources: Mapping[str, str], tokens: Mapping[str, list[Token]]
-) -> list[tuple[Token, Token]]:
-    """The first and last token of each site's run; StaleSite at the first site without one.
+    plan: ExtractionPlan, sources: Mapping[str, str], tokens: Mapping[str, Tokens]
+) -> list[tuple[tuple[int, int], tuple[int, int]]]:
+    """Where each site's run starts and ends, as (line, column); StaleSite at the first site without one.
 
     A site's run must start at its exact (line, column). Sites come
     grouped by file, so each file missing from `tokens` is lexed once and
@@ -318,7 +320,7 @@ def _verify_sites(
     """
     texts = plan.fragment_token_texts
     runs = []
-    path, file_tokens = None, []
+    path, file_tokens = None, Tokens()
     for site in plan.target_sites:
         if site.file_path != path:
             path = site.file_path
@@ -333,7 +335,9 @@ def _verify_sites(
             raise StaleSite(
                 f"{path}:{site.start_line}-{site.end_line} no longer matches the fragment"
             )
-        runs.append((file_tokens[i], file_tokens[i + len(texts) - 1]))
+        k = i + len(texts) - 1  # a fragment ends in a one-line token
+        lines, column = file_tokens.lines, file_tokens.column
+        runs.append(((lines[i], column(i)), (lines[k], column(k) + len(texts[-1]))))
     return runs
 
 
@@ -389,7 +393,7 @@ def verify_by_inlining(
     mismatches.
     """
     verdicts = []
-    path, before, after, match = None, [], [], []
+    path, before, after, match = None, Tokens(), Tokens(), []
     call_texts = (plan.method_name, "(")
     for applied in result.call_sites:
         site = applied.site
@@ -397,7 +401,7 @@ def verify_by_inlining(
             path = site.file_path
             before = tokenize(before_sources[path])
             after = tokenize(after_sources[path])
-            match = match_delimiters(after)
+            match = match_delimiters(after.texts)[0]
         line = applied.call_line
         at = find_run(after, call_texts, (line, applied.call_column), (line + 1, 0))
         rename = None if at < 0 else _argument_renaming(plan, after, match, at)
@@ -410,22 +414,23 @@ def verify_by_inlining(
 
 
 def _argument_renaming(
-    plan: ExtractionPlan, tokens: list[Token], match: list[int], at: int
+    plan: ExtractionPlan, tokens: Tokens, match: list[int], at: int
 ) -> dict[str, str] | None:
     """Each parameter mapped to its argument in the call named by tokens[at].
 
-    `match` is `match_delimiters(tokens)`.
+    `match` pairs the tokens' delimiters.
     """
     close = match[at + 1]
     if close < 0:
         return None
+    texts = tokens.texts
     args: list[str] = []
     k = at + 2
     while k < close:
         end = k  # past the argument's last token: skip each bracketed group whole
-        while end < close and tokens[end].text != ",":
+        while end < close and texts[end] != ",":
             end = max(match[end], end) + 1
-        args.append("".join(token_texts(tokens[k:end])))
+        args.append("".join(texts[k:end]))
         k = end + 1
     if len(args) != len(plan.parameter_list):
         return None

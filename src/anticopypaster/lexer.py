@@ -1,31 +1,22 @@
-"""Java lexer.
+"""Java lexer: one `findall` of a master regex, each match a gap (blanks and comments) and a lexeme.
 
-Turns source text into a flat token stream with 1-based positions, by
-one pass of a compiled master regex whose named groups are the lexeme
-classes (the "Writing a Tokenizer" recipe of the `re` docs). Whitespace
-and comments never produce tokens; string and character literals, text
-blocks included, are emitted as single literal tokens with their quotes.
-Line endings are normalized to LF before scanning, so positions are
-stable across CRLF and LF inputs; only LF starts a new line.
-
-A `Token` is a `NamedTuple` `(kind, text, line, column)`, so it equals
-the plain tuple of its fields. Within one `tokenize` call, equal words
-share one `str` object.
-
-Given the previous revision of the same file, `tokenize` lexes only
-from a token boundary just ahead of the first changed character until
-it is back in the unchanged tail, and reuses the old tokens from there
-(the incremental scheme of Wagner & Graham, PLDI 1997). A save then
-costs what it changed, with the same tokens a full lex gives.
+No Python code runs per token: texts, kinds and lines are each one C-level
+pass over the matches, and a column is counted from the gaps where read.
+Given a file's previous revision, `tokenize` lexes only a window around the
+change and reuses the old columns on either side (the incremental lexing of
+Wagner & Graham, PLDI 1997).
 """
 
 from __future__ import annotations
 
 import re
-from bisect import bisect_left, bisect_right
+from array import array
+from bisect import bisect_left
 from collections import Counter
+from dataclasses import dataclass, field
 from enum import Enum
-from operator import attrgetter, itemgetter
+from itertools import accumulate, chain, compress, count, repeat
+from operator import add, itemgetter
 from typing import NamedTuple
 
 from .errors import LexError
@@ -65,148 +56,206 @@ JAVA_KEYWORDS = frozenset(
 
 WORD_LITERALS = frozenset({"true", "false", "null"})
 
-# One compiled alternation, tried left to right: the first alternative
+# The blanks and comments between two tokens.
+_GAP = r"(?: \s+ | //[^\n]* | /\*[\s\S]*?\*/ )*"
+
+# The gap, then one alternation tried left to right: the first alternative
 # that matches wins, not the longest. So each closed form precedes its
 # unclosed opener, `"""` is tried before `""`, and operators run longest
-# first. Numbers start only at ASCII digits. Each match also takes the
-# spaces and tabs after it, so most tokens need no `skip` match between them.
+# first. Words, which never start at an ASCII digit as numbers do, go
+# first. A character that starts no token is a lexeme of its own, and `\Z`
+# ends the text, so the gap never has to give back what it took.
 _TOKEN = re.compile(
-    r'''
-    (?:
-      (?P<skip> \s+ | //[^\n]* | /\*[\s\S]*?\*/ )
-    | (?P<literal>
-          "{3} (?: [^"\\] | \\[\s\S] | "(?!"") )* "{3}
-        | "(?!"") (?: [^"\\\n] | \\[\s\S] )* "
-        | ' (?: [^'\\\n] | \\[\s\S] )* '
-        | 0[xX][0-9a-fA-F_]* [lLfFdD]?
-        | 0[bB][01_]* [lLfFdD]?
-        | (?: [0-9][0-9_]* (?: \.[0-9][0-9_]* )? | \.[0-9][0-9_]* )
-          (?: [eE][+-]?[0-9][0-9_]* )? [lLfFdD]?
-      )
-    | (?P<unclosed> /\* | "{3} | ["'] )
-    | (?P<word> [\w$]+ )
-    | (?P<punctuation> \.\.\. | [;,(){}\[\]@] )
-    | (?P<operator>
-          >>>= | >>> | <<= | >>= | [-+*/%&|^=!<>]= | && | \|\| | \+\+ | --
-        | << | >> | -> | :: | [-+*/%=<>!&|^~?:.]
-      )
-    | (?P<other> [\s\S] )
-    ) [ \t]*
+    "(" + _GAP + r''')
+    (   (?![0-9]) [\w$]+
+      | [;,(){}\[\]@]
+      | "{3} (?: [^"\\] | \\[\s\S] | "(?!"") )* "{3}
+      | "(?!"") (?: [^"\\\n] | \\[\s\S] )* "
+      | ' (?: [^'\\\n] | \\[\s\S] )* '
+      | 0[xX][0-9a-fA-F_]* [lLfFdD]?
+      | 0[bB][01_]* [lLfFdD]?
+      | (?: [0-9][0-9_]* (?: \.[0-9][0-9_]* )? | \.[0-9][0-9_]* )
+        (?: [eE][+-]?[0-9][0-9_]* )? [lLfFdD]?
+      | /\* | "{3} | ["']
+      | \.\.\.
+      | >>>= | >>> | <<= | >>= | [-+*/%&|^=!<>]= | && | \|\| | \+\+ | --
+      | << | >> | -> | :: | [-+*/%=<>!&|^~?:.]
+      | [\s\S] | \Z
+    )
     ''',
     re.VERBOSE,
 )
+_WHOLE_GAP = re.compile(_GAP, re.VERBOSE)
 
-# Every lexeme the `punctuation` group above can match.
+# Every lexeme the punctuation alternatives above can match.
 PUNCTUATION_LEXEMES = frozenset({"...", ";", ",", "(", ")", "{", "}", "[", "]", "@"})
+# Every lexeme the operator alternatives above can match.
+_OPERATORS = (">>>= >>> <<= >>= -= += *= /= %= &= |= ^= == != <= >= && || ++ -- << >> -> :: "
+              "- + * / % = < > ! & | ^ ~ ? : .")
+# The kinds of reserved words, punctuation and operators; `_kind` gives the rest.
+_KINDS = {**dict.fromkeys(JAVA_KEYWORDS, TokenKind.KEYWORD), **dict.fromkeys(WORD_LITERALS, TokenKind.LITERAL),
+          **dict.fromkeys(PUNCTUATION_LEXEMES, TokenKind.PUNCTUATION),
+          **dict.fromkeys(_OPERATORS.split(), TokenKind.OPERATOR)}
+_UNCLOSED = {"/*": "unterminated block comment", '"""': "unterminated text block",
+             '"': "unterminated string literal", "'": "unterminated string literal"}
 
-_GROUP_KINDS = {
-    "literal": TokenKind.LITERAL,
-    "punctuation": TokenKind.PUNCTUATION,
-    "operator": TokenKind.OPERATOR,
-}
-_WORD_KINDS = {
-    **dict.fromkeys(JAVA_KEYWORDS, TokenKind.KEYWORD),
-    **dict.fromkeys(WORD_LITERALS, TokenKind.LITERAL),
-}
-_UNCLOSED = {
-    "/*": "unterminated block comment",
-    '"""': "unterminated text block",
-    '"': "unterminated string literal",
-    "'": "unterminated string literal",
-}
+
+def _kind(lexeme: str) -> TokenKind | None:
+    """The kind of a lexeme not in `_KINDS`; None for one that is a lex error."""
+    first = lexeme[0]
+    if lexeme in _UNCLOSED:
+        return None
+    if first in "\"'0123456789.":
+        return TokenKind.LITERAL
+    # `[\w$]` also starts at `²`, `½` or `Ⅻ`; identifiers start only where str.isalpha holds.
+    return TokenKind.IDENTIFIER if first.isalpha() or first in "_$" else None
 
 
 def normalize_newlines(text: str) -> str:
     return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
-# No match reads more than three characters past its end, trailing blanks
-# included (`1e+x` ends at `1` after reading `e+x`), so a match that ends
-# this far ahead of a change read only unchanged text.
-_LOOKAHEAD = 3
+@dataclass
+class Tokens:
+    """Token i is `Token(kinds[i], texts[i], lines[i], column(i))`; equal words share one `str`.
 
-_position = itemgetter(2, 3)
+    `gaps[i]` is the text between token i - 1, or the start, and token i.
+    """
+
+    texts: tuple[str, ...] = ()
+    kinds: list[TokenKind] = field(default_factory=list)
+    lines: array = field(default_factory=lambda: array("i"))
+    gaps: tuple[str, ...] = ()
+
+    def __len__(self) -> int:
+        return len(self.texts)
+
+    def column(self, i: int) -> int:
+        """Column of token i, 1-based, counted back to the last line break before it."""
+        width = 0
+        while True:
+            # The gap before the token, then the token before it; the text's start counts as a break.
+            for piece in (self.gaps[i], self.texts[i - 1] if i else "\n"):
+                if "\n" in piece:
+                    return width + len(piece) - piece.rindex("\n")
+                width += len(piece)
+            i -= 1
+
+    def __getitem__(self, i: int) -> Token:
+        i = range(len(self.texts))[i]
+        return Token(self.kinds[i], self.texts[i], self.lines[i], self.column(i))
+
+    def __iter__(self):
+        return map(self.__getitem__, range(len(self.texts)))
 
 
-def tokenize(text: str, previous: tuple[str, list[Token]] | None = None) -> list[Token]:
-    """Lex arbitrary UTF-8 source text into tokens.
+def _lex(text: str, pos: int, endpos: int, line: int) -> tuple[Tokens, str, tuple[str, int] | None]:
+    """Lex text[pos:endpos], which starts line `line`, as a whole text: the tokens, the gap after
+    them, and the first lex error's message and line, if there is one."""
+    items = _TOKEN.findall(text, pos, endpos)
+    if len(items) > 1 and not items[-2][1]:
+        items.pop()  # `\Z` matched after the gap at the end and again on its own
+    end_gap = items.pop()[0]
+    gaps = tuple(map(itemgetter(0), items))
+    texts = list(map(itemgetter(1), items))
+    shared: dict[str, str] = {}
+    texts = tuple(map(shared.setdefault, texts, texts))
+    kind_of = _KINDS.copy()
+    bad, spans_lines = [], False  # lex errors; literals holding a line break
+    for lexeme in shared.keys() - _KINDS.keys():
+        kind = kind_of[lexeme] = _kind(lexeme)
+        if kind is None:
+            bad.append(lexeme)
+        spans_lines = spans_lines or kind is TokenKind.LITERAL and "\n" in lexeme
+    # Gaps repeat, so each distinct one's line breaks are counted once.
+    breaks = map({gap: gap.count("\n") for gap in set(gaps)}.__getitem__, gaps)
+    if spans_lines:
+        breaks = map(add, breaks, chain((0,), map(str.count, texts, repeat("\n"))))
+    lines = array("i", accumulate(breaks, initial=line))
+    del lines[0]
+    tokens = Tokens(texts, list(map(kind_of.__getitem__, texts)), lines, gaps)
+    if not bad:
+        return tokens, end_gap, None
+    i = min(map(texts.index, bad))
+    return tokens, end_gap, (_UNCLOSED.get(texts[i], f"unexpected character {texts[i][0]!r}"), lines[i])
+
+
+def tokenize(text: str, previous: tuple[str, Tokens] | None = None) -> Tokens:
+    """Lex arbitrary UTF-8 source text into token columns.
 
     Raises LexError with the starting line for unterminated block
     comments, string/char literals and text blocks, and for a character
-    that starts no token.
-
-    `previous`, an earlier revision's `(text, tokenize(text))`, lets the
-    call lex only what changed: it keeps the old tokens ahead of the first
-    changed character, restarts at the last of them that begins at least
-    `_LOOKAHEAD` characters before it, and once the lexer is back in the
-    unchanged tail at a spot where an old token began, reuses the old
-    tokens from there with their lines shifted. The result, and the first
-    LexError, are those of `tokenize(text)`.
+    that starts no token. `previous`, an earlier revision's `(text,
+    tokenize(text))`, lets it lex only a window around the change, to the same result.
     """
     text = normalize_newlines(text)
-    tokens: list[Token] = []
-    pos, line, line_start = 0, 1, 0
-    # A line that starts past `resync_after` lies in the unchanged tail;
-    # without a previous revision, none does.
-    resync_after = len(text)
-    old_tokens, kept, shift = tokens, 0, 0
-    if previous is not None:
-        old, old_tokens = previous
-        old = normalize_newlines(old)
-        prefix = _common_prefix(old, text)
-        # The suffix may not overlap the prefix in either text.
-        suffix = min(_common_prefix(old[::-1], text[::-1]), min(len(old), len(text)) - prefix)
-        kept, pos, line, line_start = _restart(old, old_tokens, prefix - _LOOKAHEAD)
-        tokens = old_tokens[:kept]
-        resync_after = len(text) - suffix
-        # Old line minus new line, for any position in the tail.
-        shift = old.count("\n", prefix, len(old) - suffix) - text.count("\n", prefix, resync_after)
-    append = tokens.append
-    new_token = tuple.__new__
-    # Equal words share one str, which wins back the memory a tuple token
-    # costs over a slotted object. Per call, not sys.intern: interned strings
-    # can outlive every token that held them.
-    same_word = {}.setdefault
-    word_kind = _WORD_KINDS.get
-    identifier, literal = TokenKind.IDENTIFIER, TokenKind.LITERAL
-    for m in _TOKEN.finditer(text, pos):
-        group = m.lastgroup
-        lexeme = m[group]
-        # Only `\n` ends a line; `\x85` or `\u2028` is whitespace within one.
-        # Of the lexemes that make tokens, only literals can span lines.
-        if group == "skip":
-            if "\n" in lexeme:
-                line += lexeme.count("\n")
-                line_start = m.start() + lexeme.rindex("\n") + 1
-                if line_start > resync_after:
-                    # The text from here on is the old text's from here on.
-                    # Where an old token began, the old lex matched the same.
-                    at = (line + shift, m.end() - line_start + 1)
-                    j = bisect_left(old_tokens, at, kept, key=_position)
-                    if j < len(old_tokens) and _position(old_tokens[j]) == at:
-                        rest = old_tokens[j:]
-                        if shift:
-                            rest = [new_token(Token, (k, t, n - shift, c)) for k, t, n, c in rest]
-                        tokens += rest
-                        return tokens
-            continue
-        if group == "word":
-            # `[\w$]` also starts at `²`, `½` or `Ⅻ`; identifiers start
-            # only where str.isalpha holds.
-            if not (lexeme[0].isalpha() or lexeme[0] in "_$"):
-                raise LexError(f"unexpected character {lexeme[0]!r}", line)
-            lexeme = same_word(lexeme, lexeme)
-            kind = word_kind(lexeme, identifier)
-        elif group in _GROUP_KINDS:
-            kind = _GROUP_KINDS[group]
-        else:
-            raise LexError(_UNCLOSED.get(lexeme, f"unexpected character {lexeme!r}"), line)
-        start = m.start()
-        append(new_token(Token, (kind, lexeme, line, start - line_start + 1)))
-        if kind is literal and "\n" in lexeme:
-            line += lexeme.count("\n")
-            line_start = start + lexeme.rindex("\n") + 1
-    return tokens
+    end = len(text)
+    if previous is None:
+        tokens, _, error = _lex(text, 0, end, 1)
+        if error:
+            raise LexError(*error)
+        return tokens
+    old_text, old = previous
+    old_text = normalize_newlines(old_text)
+    prefix = _common_prefix(old_text, text)
+    # The suffix may not overlap the prefix in either text.
+    suffix = min(_common_prefix(old_text[::-1], text[::-1]), min(len(old_text), end) - prefix)
+    # Start at a line start, at or before the change, where the old lex was between tokens.
+    line = old_text.count("\n", 0, prefix) + 1
+    start = old_text.rfind("\n", 0, prefix) + 1
+    while line > 1:
+        k, at = _split_at_line(old, line)
+        if at >= 0:
+            break
+        for _ in range(line - (old.lines[k - 1] if k else 1)):
+            start = old_text.rfind("\n", 0, start - 1) + 1
+            line -= 1
+    else:
+        k, at = 0, 0
+    # Stop at a line start in the unchanged tail where both lexes are between tokens.
+    stop = text.find("\n", end - suffix) + 1 or end
+    delta = len(old_text) - end
+    while True:
+        window, gap, error = _lex(text, start, stop, line)
+        if stop == end and error:
+            raise LexError(*error)
+        old_line = line + old_text.count("\n", start, stop + delta)
+        j, tail_at = (len(old), 0) if stop == end else _split_at_line(old, old_line)
+        if not error and tail_at >= 0:
+            break
+        stop = text.find("\n", start + 2 * (stop - start)) + 1 or end
+    # Join the gaps on either side of the window to the old ones; past the last token there is none.
+    gaps = [*window.gaps, gap + "".join(old.gaps[j : j + 1])[tail_at:], *old.gaps[j + 1 :]]
+    gaps[0] = "".join(old.gaps[k : k + 1])[:at] + gaps[0]
+    if j == len(old):
+        gaps.pop()
+    lines = old.lines[j:]
+    shift = text.count("\n", start, stop) - old_text.count("\n", start, stop + delta)
+    if shift:
+        lines = array("i", map(add, lines, repeat(shift)))
+    return Tokens(
+        old.texts[:k] + window.texts + old.texts[j:],
+        old.kinds[:k] + window.kinds + old.kinds[j:],
+        old.lines[:k] + window.lines + lines,
+        old.gaps[:k] + tuple(gaps),
+    )
+
+
+def _split_at_line(tokens: Tokens, line: int) -> tuple[int, int]:
+    """(k, at): token k is the first on or after `line`, which starts at gaps[k][at].
+
+    `at` is -1 when the line starts inside a token or comment, or past the last token."""
+    lines = tokens.lines
+    k = bisect_left(lines, line)
+    if k == len(lines) or k and lines[k - 1] + tokens.texts[k - 1].count("\n") >= line:
+        return k, -1
+    gap = tokens.gaps[k]
+    at = len(gap)
+    for _ in range(lines[k] - line + 1):
+        at = gap.rfind("\n", 0, at)
+    at += 1
+    # The lexer's own reading of the gap must reach the line start.
+    return k, at if _WHOLE_GAP.match(gap, 0, at).end() == at else -1
 
 
 def _common_prefix(a: str, b: str) -> int:
@@ -221,83 +270,48 @@ def _common_prefix(a: str, b: str) -> int:
     return lo
 
 
-def _restart(old: str, old_tokens: list[Token], before: int) -> tuple[int, int, int, int]:
-    """Where to resume lexing: the last old token that begins at or before `before`.
-
-    Returns its index, its offset, its line and the offset where that line
-    starts; the start of the text when no token begins that early.
-    """
-    if before < 0:
-        return 0, 0, 1, 0
-    line = old.count("\n", 0, before) + 1
-    line_start = old.rfind("\n", 0, before) + 1
-    k = bisect_right(old_tokens, (line, before - line_start + 1), key=_position) - 1
-    if k < 0:
-        return 0, 0, 1, 0
-    _, _, token_line, column = old_tokens[k]
-    for _ in range(line - token_line):
-        line_start = old.rfind("\n", 0, line_start - 1) + 1
-    return k, line_start + column - 1, token_line, line_start
-
-
-_text_of = attrgetter("text")
-
-
-def token_texts(tokens: list[Token]) -> tuple[str, ...]:
-    """Normalized token sequence: verbatim lexemes, positions dropped."""
-    return tuple(map(_text_of, tokens))
-
-
-def find_run(
-    tokens: list[Token], texts: tuple[str, ...], first: tuple[int, int], stop: tuple[int, int]
-) -> int:
-    """Index of the first token in [first, stop) that starts a run equal to `texts`, or -1.
-
-    `first` and `stop` are (line, column) positions, in the tokens' order.
-    """
-    start = bisect_left(tokens, first, key=_position)
-    for i in range(start, bisect_left(tokens, stop, start, key=_position)):
-        if token_texts(tokens[i : i + len(texts)]) == texts:
+def find_run(tokens: Tokens, run: tuple[str, ...], first: tuple[int, int], stop: tuple[int, int]) -> int:
+    """Index of the first token in [first, stop), two (line, column) positions, that starts `run`, or -1."""
+    texts, lines = tokens.texts, tokens.lines
+    for i in range(bisect_left(lines, first[0]), bisect_left(lines, stop[0] + 1)):
+        if texts[i : i + len(run)] == run and first <= (lines[i], tokens.column(i)) < stop:
             return i
     return -1
 
 
-def token_bag(tokens: list[Token]) -> Counter[str]:
+def token_bag(texts: tuple[str, ...]) -> Counter[str]:
     """Multiset of token texts, punctuation excluded.
 
-    Keys keep the order of their first appearance in `tokens`, so the
+    Keys keep the order of their first appearance in `texts`, so the
     duplicate scan breaks ties between equally rare words the same way
     on every run.
     """
-    bag = Counter(map(_text_of, tokens))
+    bag = Counter(texts)
     for text in PUNCTUATION_LEXEMES:
         bag.pop(text, None)
     return bag
 
 
 _OPENER_OF = {")": "(", "]": "[", "}": "{"}
+_DELIMITERS = frozenset("()[]{}")
 
 
-def match_delimiters(tokens: list[Token]) -> list[int]:
-    """Index of each delimiter's partner token, -1 where there is none.
+def match_delimiters(texts: tuple[str, ...]) -> tuple[list[int], bool]:
+    """Index of each delimiter's partner token, -1 where there is none, and whether every brace has one.
 
     `(`, `[` and `{` are each matched by their own depth, so a stray
     token of one kind never shifts the pairs of another: in `( { ) }`
     the parens pair and the braces pair. Unmatched delimiters and all
     other tokens map to -1.
     """
-    return _pair(tokens)[0]
-
-
-def _pair(tokens: list[Token]) -> tuple[list[int], bool]:
-    """`match_delimiters(tokens)`, and whether every brace found its partner."""
-    match = [-1] * len(tokens)
+    match = [-1] * len(texts)
     pending: dict[str, list[int]] = {"(": [], "[": [], "{": []}
     braces_paired = True
-    for i, text in enumerate(map(_text_of, tokens)):
+    for i in compress(count(), map(_DELIMITERS.__contains__, texts)):
+        text = texts[i]
         if text in pending:
             pending[text].append(i)
-        elif text in _OPENER_OF:
+        else:
             stack = pending[_OPENER_OF[text]]
             if stack:
                 j = stack.pop()

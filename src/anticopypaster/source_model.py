@@ -17,16 +17,15 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections.abc import Container
 from dataclasses import dataclass, field
+from itertools import chain, compress, count
 
 from .errors import IndexingError, LexError
 from .lexer import (
-    Token,
+    Tokens,
     TokenKind,
-    _pair,
     match_delimiters,
     normalize_newlines,
     token_bag,
-    token_texts,
     tokenize,
 )
 from .statements import StatementParseError, parse_statements
@@ -61,7 +60,9 @@ class MethodUnit:
     id: str
     name: str
     parameter_list: tuple[Parameter, ...]
-    body_tokens: list[Token]
+    # The file's tokens, and where the body's run among them starts and stops.
+    tokens: Tokens = field(repr=False, compare=False)
+    body: tuple[int, int]
     start_line: int
     end_line: int
     # Each name declared in the body and its first declaration (the scan reversed, so the earliest wins).
@@ -97,7 +98,7 @@ class MethodUnit:
 @dataclass
 class Fragment:
     text: str
-    tokens: list[Token]
+    tokens: Tokens
     line_count: int
     symbol_count: int
     valid: bool
@@ -142,26 +143,26 @@ def validate_fragment(text: str) -> Fragment:
     try:
         tokens = tokenize(trimmed)
     except LexError:
-        return Fragment(trimmed, [], line_count, symbol_count, False)
+        return Fragment(trimmed, Tokens(), line_count, symbol_count, False)
     try:
         illegal_flow = parse_statements(tokens)
     except StatementParseError:
         return Fragment(trimmed, tokens, line_count, symbol_count, False)
-    bag = token_bag(tokens)
-    declarations = scan_declarations(tokens, match_delimiters(tokens), 0, len(tokens))
+    bag = token_bag(tokens.texts)
+    declarations = scan_declarations(tokens, match_delimiters(tokens.texts)[0], 0, len(tokens))
     return Fragment(
         trimmed, tokens, line_count, symbol_count, True,
-        body_texts=token_texts(tokens),
+        body_texts=tokens.texts,
         bag=bag,
         bag_size=bag.total(),
         local_declarations=dict(reversed(declarations)),
-        area=sum(_profile(tokens, 1, line_count)),
+        area=sum(_profile(tokens, 0, len(tokens), 1, line_count)),
         illegal_flow=illegal_flow,
     )
 
 
-def _profile(tokens: list[Token], first_line: int, last_line: int) -> list[int]:
-    """One depth value per line, first_line through last_line.
+def _profile(tokens: Tokens, lo: int, hi: int, first_line: int, last_line: int) -> list[int]:
+    """One depth value per line of tokens[lo:hi], first_line through last_line.
 
     Depth is the nesting level at the line's first token; '{' increments
     after its token and '}' decrements before it. The top level is depth
@@ -171,7 +172,7 @@ def _profile(tokens: list[Token], first_line: int, last_line: int) -> list[int]:
     profile: list[int] = []
     depth = 1
     next_line = first_line
-    for _, text, line, _ in tokens:
+    for text, line in zip(tokens.texts[lo:hi], tokens.lines[lo:hi]):
         if line >= next_line:
             profile += [depth] * (line - next_line)
             profile.append(depth - 1 if text == "}" else depth)
@@ -186,54 +187,54 @@ def _profile(tokens: list[Token], first_line: int, last_line: int) -> list[int]:
 
 # What follows a type's first token: more of the type, an annotation on it, or the declared name.
 _TYPE_CONTINUATIONS = frozenset({".", "<", "[", "...", "@"})
+_STATEMENT_BOUNDS = frozenset({";", "{", "}", "("})
 
 
-def scan_declarations(tokens: list[Token], match: list[int], lo: int, hi: int) -> list[tuple[str, LocalDecl]]:
+def scan_declarations(tokens: Tokens, match: list[int], lo: int, hi: int) -> list[tuple[str, LocalDecl]]:
     """Find the local variable declarations in tokens[lo:hi]; `match` pairs the delimiters of all of tokens.
 
     Covers ordinary declarations, multi-declarator lists, for-init,
     enhanced-for, catch parameters, and try-with-resources. Returns each
-    declared name with its rendered type and the index of the name
-    token, counted from lo. Purely token-driven; misparses of exotic generics fall
-    out as 'not a declaration', never as a crash. A declaration is tried
-    where one may start (first, and after `;`, `{`, `}` or the `(` of
-    `for`, `catch` or `try`) only when, past a `final`, a type starts there.
+    declared name with its rendered type and the index of the name token,
+    counted from lo; misparses fall out as 'not a declaration', never as a
+    crash. A declaration is tried where one may start (first, and after `;`,
+    `{`, `}` or the `(` of `for`, `catch` or `try`) when, past a `final`, a type starts there.
     """
+    texts, kinds = tokens.texts, tokens.kinds
     found: list[tuple[str, str, int]] = []
-    n = len(tokens)
+    n = len(texts)
     identifier = TokenKind.IDENTIFIER
-    may_start, before = True, ""
-    for i, (_, text, _, _) in enumerate(tokens[lo:hi], lo):
-        if may_start:
-            j = i + 1 if text == "final" else i
-            if (
-                j + 1 < n
-                and (tokens[j].kind is identifier or tokens[j].text in PRIMITIVE_TYPES)
-                and (tokens[j + 1].kind is identifier or tokens[j + 1].text in _TYPE_CONTINUATIONS)
-            ):
-                _try_declaration(tokens, match, j, found)
-        may_start = text in (";", "{", "}") or (text == "(" and before in ("for", "catch", "try"))
-        before = text
+    after_bound = compress(count(lo + 1), map(_STATEMENT_BOUNDS.__contains__, texts[lo : hi - 1]))
+    for i in chain((lo,) if lo < hi else (), after_bound):
+        if i > lo and texts[i - 1] == "(" and (i - 2 < lo or texts[i - 2] not in ("for", "catch", "try")):
+            continue
+        j = i + 1 if texts[i] == "final" else i
+        if (
+            j + 1 < n
+            and (kinds[j] is identifier or texts[j] in PRIMITIVE_TYPES)
+            and (kinds[j + 1] is identifier or texts[j + 1] in _TYPE_CONTINUATIONS)
+        ):
+            _try_declaration(tokens, match, j, found)
     found.sort(key=lambda item: item[2])
     # A stray '(' may pair past `hi`; a name read beyond it is out of range.
     return [(name, LocalDecl(declared_type, k - lo)) for name, declared_type, k in found if k < hi]
 
 
-def _render_type(parts: list[Token]) -> str:
+def _render_type(texts: tuple[str, ...], kinds: list[TokenKind]) -> str:
     """The type's text: a blank between words, after an annotation's `)` and before its `@`."""
     out: list[str] = []
     word_kinds = (TokenKind.IDENTIFIER, TokenKind.KEYWORD, TokenKind.LITERAL)
     prev_word = False
-    for tok in parts:
-        is_word = tok.kind in word_kinds
-        if out and (is_word and (prev_word or out[-1] == ")") or prev_word and tok.text == "@"):
+    for text, kind in zip(texts, kinds):
+        is_word = kind in word_kinds
+        if out and (is_word and (prev_word or out[-1] == ")") or prev_word and text == "@"):
             out.append(" ")
-        out.append(tok.text)
+        out.append(text)
         prev_word = is_word
     return "".join(out)
 
 
-def _read_type(tokens: list[Token], match: list[int], j: int) -> tuple[str, int] | None:
+def _read_type(tokens: Tokens, match: list[int], j: int) -> tuple[str, int] | None:
     """The type that tokens[j] starts, rendered, and the index just past it.
 
     A type is a primitive or a qualified name whose parts may take type
@@ -242,23 +243,24 @@ def _read_type(tokens: list[Token], match: list[int], j: int) -> tuple[str, int]
     argument, a `[]` or the `...`. None when tokens[j] cannot start one or
     its type arguments do not close before a `;`, `{`, `}` or `)`.
     """
-    n = len(tokens)
-    if j >= n or not (tokens[j].kind is TokenKind.IDENTIFIER or tokens[j].text in PRIMITIVE_TYPES):
+    texts, kinds = tokens.texts, tokens.kinds
+    n = len(texts)
+    if j >= n or not (kinds[j] is TokenKind.IDENTIFIER or texts[j] in PRIMITIVE_TYPES):
         return None
     start = j
-    named = tokens[j].kind is TokenKind.IDENTIFIER
+    named = kinds[j] is TokenKind.IDENTIFIER
     j += 1
     while j < n:
-        if named and tokens[j].text == ".":
+        if named and texts[j] == ".":
             k = _skip_modifiers(tokens, match, j + 1, n, ())
-            if k < n and tokens[k].kind is TokenKind.IDENTIFIER:
+            if k < n and kinds[k] is TokenKind.IDENTIFIER:
                 j = k + 1
                 continue
-        if tokens[j].text != "<":
+        if texts[j] != "<":
             break
         depth = 0
         while j < n:
-            text = tokens[j].text
+            text = texts[j]
             if text == "@":
                 j = _skip_annotation(tokens, match, j, n)
                 continue
@@ -275,35 +277,35 @@ def _read_type(tokens: list[Token], match: list[int], j: int) -> tuple[str, int]
             return None
     j = _skip_dims(tokens, match, j)[0]
     k = _skip_modifiers(tokens, match, j, n, ())
-    if k < n and tokens[k].text == "...":
+    if k < n and texts[k] == "...":
         j = k + 1
-    return _render_type(tokens[start:j]), j
+    return _render_type(texts[start:j], kinds[start:j]), j
 
 
-def _skip_dims(tokens: list[Token], match: list[int], j: int) -> tuple[int, int]:
+def _skip_dims(tokens: Tokens, match: list[int], j: int) -> tuple[int, int]:
     """Index just past the `[]` pairs, each after its annotations, from tokens[j] on, and their number."""
-    n = len(tokens)
+    texts = tokens.texts
+    n = len(texts)
     dims = 0
     while True:
         k = _skip_modifiers(tokens, match, j, n, ())
-        if k + 1 >= n or tokens[k].text != "[" or tokens[k + 1].text != "]":
+        if k + 1 >= n or texts[k] != "[" or texts[k + 1] != "]":
             return j, dims
         j, dims = k + 2, dims + 1
 
 
-def _read_declarator(tokens: list[Token], match: list[int], j: int, base_type: str) -> tuple[str, int] | None:
+def _read_declarator(tokens: Tokens, match: list[int], j: int, base_type: str) -> tuple[str, int] | None:
     """The type of the name at tokens[j], with the dimensions written after it, and the index past them."""
-    if j >= len(tokens) or tokens[j].kind is not TokenKind.IDENTIFIER:
+    if j >= len(tokens) or tokens.kinds[j] is not TokenKind.IDENTIFIER:
         return None
     end, dims = _skip_dims(tokens, match, j + 1)
     return base_type + "[]" * dims, end
 
 
-def _try_declaration(
-    tokens: list[Token], match: list[int], j: int, found: list[tuple[str, str, int]]
-) -> None:
+def _try_declaration(tokens: Tokens, match: list[int], j: int, found: list[tuple[str, str, int]]) -> None:
     """Add each declarator's (name, type, name index) if a type starting at tokens[j] starts one."""
-    n = len(tokens)
+    texts = tokens.texts
+    n = len(texts)
     read = _read_type(tokens, match, j)
     if read is None:
         return
@@ -314,34 +316,34 @@ def _try_declaration(
         if read is None:
             return
         declared_type, j = read
-        if j >= n or tokens[j].text not in ("=", ";", ",", ":", ")"):
+        if j >= n or texts[j] not in ("=", ";", ",", ":", ")"):
             return
-        found.append((tokens[name_index].text, declared_type, name_index))
-        terminator = tokens[j].text
+        found.append((texts[name_index], declared_type, name_index))
+        terminator = texts[j]
         if terminator == "=":
             # The initializer runs to a `,`, `;` or closer outside the pairs it holds.
             j += 1
-            while j < n and tokens[j].text not in (",", ";", ")", "]", "}"):
-                if tokens[j].text in ("(", "[", "{"):
+            while j < n and texts[j] not in (",", ";", ")", "]", "}"):
+                if texts[j] in ("(", "[", "{"):
                     j = match[j]
                     if j < 0:
                         return
                 j += 1
             if j >= n:
                 return
-            terminator = tokens[j].text
+            terminator = texts[j]
         if terminator != ",":
             return
         j += 1
 
 
 def index_file(
-    text: str, file_path: str, tokens: list[Token] | None = None
+    text: str, file_path: str, tokens: Tokens | None = None
 ) -> tuple[list[MethodUnit], list[ClassContext]]:
     """Index every method body and class context in one source file.
 
     `tokens`, when given, must be `tokenize(text)`; the file is lexed
-    only when they are not. Method bodies are slices of that list.
+    only when they are not. Method bodies are runs of those tokens.
     Nested classes produce their own ClassContext and own their methods;
     a record's components are fields of its context. Raises IndexingError
     when braces are unbalanced at file scope or classes nest deeper than
@@ -350,7 +352,7 @@ def index_file(
     normalized = normalize_newlines(text)
     if tokens is None:
         tokens = tokenize(normalized)
-    match, braces_paired = _pair(tokens)
+    match, braces_paired = match_delimiters(tokens.texts)
     if not braces_paired:
         raise IndexingError("unbalanced braces at file scope")
     lines = normalized.split("\n")
@@ -365,29 +367,33 @@ def index_file(
 _FIELD_MODIFIERS = frozenset({"public", "private", "protected", "static", "final", "transient", "volatile"})
 
 
-def _skip_annotation(tokens: list[Token], match: list[int], i: int, end: int) -> int:
+def _skip_annotation(tokens: Tokens, match: list[int], i: int, end: int) -> int:
     """Index just past the annotation whose '@' is tokens[i], at most end."""
+    texts, kinds = tokens.texts, tokens.kinds
     i += 1
-    while i + 1 < end and tokens[i].kind == TokenKind.IDENTIFIER and tokens[i + 1].text == ".":
+    while i + 1 < end and kinds[i] is TokenKind.IDENTIFIER and texts[i + 1] == ".":
         i += 2
-    if i < end and tokens[i].kind in (TokenKind.IDENTIFIER, TokenKind.KEYWORD):
+    if i < end and kinds[i] in (TokenKind.IDENTIFIER, TokenKind.KEYWORD):
         i += 1
-    if i < end and tokens[i].text == "(":
+    if i < end and texts[i] == "(":
         close = match[i]
         i = end if close < 0 else min(close + 1, end)
     return i
 
 
-def _skip_modifiers(tokens: list[Token], match: list[int], i: int, end: int, words: Container[str]) -> int:
+def _skip_modifiers(tokens: Tokens, match: list[int], i: int, end: int, words: Container[str]) -> int:
     """Index of the first token from tokens[i] on, at most end, that is not an annotation or one of words."""
-    while i < end and (tokens[i].text == "@" or tokens[i].text in words):
-        i = _skip_annotation(tokens, match, i, end) if tokens[i].text == "@" else i + 1
+    texts = tokens.texts
+    while i < end and (texts[i] == "@" or texts[i] in words):
+        i = _skip_annotation(tokens, match, i, end) if texts[i] == "@" else i + 1
     return i
 
 
 class _Indexer:
-    def __init__(self, tokens: list[Token], match: list[int], lines: list[str], file_path: str):
+    def __init__(self, tokens: Tokens, match: list[int], lines: list[str], file_path: str):
         self.tokens = tokens
+        self.texts = tokens.texts
+        self.kinds = tokens.kinds
         self.match = match
         self.lines = lines
         self.file_path = file_path
@@ -397,10 +403,10 @@ class _Indexer:
         self.pos = 0
 
     def run(self) -> None:
-        n = len(self.tokens)
+        n = len(self.texts)
         while self.pos < n:
             if self._declares_type(self.pos):
-                self._parse_class(self.tokens[self.pos].text)
+                self._parse_class(self.texts[self.pos])
             else:
                 self.pos += 1
 
@@ -410,30 +416,31 @@ class _Indexer:
         `record` is an identifier elsewhere, so it counts only when a name
         and then its component list or type parameters follow.
         """
-        tok = self.tokens[i]
-        if tok.kind == TokenKind.KEYWORD:
-            return tok.text in ("class", "interface", "enum")
+        texts = self.texts
+        if self.kinds[i] is TokenKind.KEYWORD:
+            return texts[i] in ("class", "interface", "enum")
         return (
-            tok.text == "record"
-            and i + 2 < len(self.tokens)
-            and self.tokens[i + 1].kind == TokenKind.IDENTIFIER
-            and self.tokens[i + 2].text in ("(", "<")
+            texts[i] == "record"
+            and i + 2 < len(texts)
+            and self.kinds[i + 1] is TokenKind.IDENTIFIER
+            and texts[i + 2] in ("(", "<")
         )
 
     def _parse_class(self, declared_as: str) -> None:
-        name_tok = self.tokens[self.pos + 1] if self.pos + 1 < len(self.tokens) else None
-        if name_tok is None or name_tok.kind != TokenKind.IDENTIFIER:
+        texts = self.texts
+        name = self.pos + 1
+        if name >= len(texts) or self.kinds[name] is not TokenKind.IDENTIFIER:
             self.pos += 1
             return
         self.pos += 2
         components = -1  # a record's '('
-        while self.pos < len(self.tokens) and self.tokens[self.pos].text != "{":
-            if declared_as == "record" and components < 0 and self.tokens[self.pos].text == "(":
+        while self.pos < len(texts) and texts[self.pos] != "{":
+            if declared_as == "record" and components < 0 and texts[self.pos] == "(":
                 components = self.pos
             self.pos += 1
-        if self.pos >= len(self.tokens):
-            raise IndexingError(f"class body missing for {name_tok.text}")
-        ctx = ClassContext(name_tok.text, set(), set(), self.file_path)
+        if self.pos >= len(texts):
+            raise IndexingError(f"class body missing for {texts[name]}")
+        ctx = ClassContext(texts[name], set(), set(), self.file_path)
         if components >= 0 and 0 <= self.match[components] < self.pos:
             header = _parse_parameters(self.tokens, self.match, components + 1, self.match[components])
             ctx.field_names.update(p.name for p in header)
@@ -449,7 +456,7 @@ class _Indexer:
     def _skip_enum_constants(self, body_end: int) -> None:
         i = self.pos
         while i < body_end:
-            text = self.tokens[i].text
+            text = self.texts[i]
             if text == ";":
                 self.pos = i + 1
                 return
@@ -461,15 +468,16 @@ class _Indexer:
         self.pos = body_end
 
     def _parse_member(self, ctx: ClassContext, body_end: int) -> None:
+        texts = self.texts
         # Skip annotations so the first '(' found belongs to a parameter list.
         i = member_start = _skip_modifiers(self.tokens, self.match, self.pos, body_end, ())
         saw_assign = False
         while i < body_end:
-            text = self.tokens[i].text
+            text = texts[i]
             if (
                 self._declares_type(i)
                 and not saw_assign
-                and not (i > member_start and self.tokens[i - 1].text == ".")
+                and not (i > member_start and texts[i - 1] == ".")
             ):
                 self.pos = i
                 self._parse_class(text)
@@ -500,74 +508,71 @@ class _Indexer:
 
     def _finish_bodiless_member(self, ctx: ClassContext, start: int, semi: int) -> None:
         """Record the fields that tokens[start:semi] declares, or else the method it names."""
-        tokens = self.tokens
-        i = _skip_modifiers(tokens, self.match, start, semi, _FIELD_MODIFIERS)
+        texts = self.texts
+        i = _skip_modifiers(self.tokens, self.match, start, semi, _FIELD_MODIFIERS)
         found: list[tuple[str, str, int]] = []
-        _try_declaration(tokens, self.match, i, found)
+        _try_declaration(self.tokens, self.match, i, found)
         if found:
             ctx.field_names.update(name for name, _, _ in found)
             return
-        paren = next((k for k in range(start, semi) if tokens[k].text == "("), start)
-        if paren > start and tokens[paren - 1].kind == TokenKind.IDENTIFIER:
-            ctx.method_names.add(tokens[paren - 1].text)
+        paren = next((k for k in range(start, semi) if texts[k] == "("), start)
+        if paren > start and self.kinds[paren - 1] is TokenKind.IDENTIFIER:
+            ctx.method_names.add(texts[paren - 1])
 
     def _finish_braced_member(self, ctx: ClassContext, start: int, open_brace: int, close_brace: int) -> None:
-        header = self.tokens[start:open_brace]
-        paren = next((k for k, t in enumerate(header) if t.text == "("), None)
-        if paren is None or paren == 0 or header[paren - 1].kind != TokenKind.IDENTIFIER:
+        tokens, texts, lines = self.tokens, self.texts, self.tokens.lines
+        paren = next((k for k in range(start, open_brace) if texts[k] == "("), start)
+        if paren == start or self.kinds[paren - 1] is not TokenKind.IDENTIFIER:
             return  # initializer block or unrecognized construct
-        name_tok = header[paren - 1]
-        close_paren = self.match[start + paren]
+        name = texts[paren - 1]
+        close_paren = self.match[paren]
         if close_paren < 0 or close_paren >= open_brace:
             return
-        params = _parse_parameters(self.tokens, self.match, start + paren + 1, close_paren)
-        is_static = any(t.text == "static" for t in header[:paren])
-        body_tokens = self.tokens[open_brace + 1 : close_brace]
-        open_line = self.tokens[open_brace].line
-        _, _, close_line, close_column = self.tokens[close_brace]
-        if body_tokens:
-            start_line = body_tokens[0].line
-            end_line = body_tokens[-1].line
-        else:
-            start_line = end_line = open_line
-        bag = token_bag(body_tokens)
-        declarations = scan_declarations(self.tokens, self.match, open_brace + 1, close_brace)
-        method_id = f"{self.file_path}:{start_line}:{name_tok.text}"
+        params = _parse_parameters(tokens, self.match, paren + 1, close_paren)
+        lo, hi = open_brace + 1, close_brace
+        open_line = lines[open_brace]
+        start_line, end_line = (lines[lo], lines[hi - 1]) if lo < hi else (open_line, open_line)
+        body_texts = texts[lo:hi]
+        bag = token_bag(body_texts)
+        declarations = scan_declarations(tokens, self.match, lo, hi)
+        method_id = f"{self.file_path}:{start_line}:{name}"
         if method_id in self.ids:
             # Overloads whose bodies start on one line; their braces' columns differ.
-            method_id += f":{self.tokens[open_brace].column}"
+            method_id += f":{tokens.column(open_brace)}"
         self.ids.add(method_id)
         unit = MethodUnit(
             id=method_id,
-            name=name_tok.text,
+            name=name,
             parameter_list=tuple(params),
-            body_tokens=body_tokens,
+            tokens=tokens,
+            body=(lo, hi),
             start_line=start_line,
             end_line=end_line,
             local_declarations=dict(reversed(declarations)),
             owner=ctx,
-            is_static=is_static,
+            is_static="static" in texts[start:paren],
             symbol_count=count_symbols("\n".join(self.lines[start_line - 1 : end_line])),
-            area=sum(_profile(body_tokens, start_line, end_line)),
+            area=sum(_profile(tokens, lo, hi, start_line, end_line)),
             open_brace_line=open_line,
-            close_brace_line=close_line,
-            close_brace_column=close_column,
-            declaration_line=header[0].line if header else open_line,
-            body_texts=token_texts(body_tokens),
+            close_brace_line=lines[close_brace],
+            close_brace_column=tokens.column(close_brace),
+            declaration_line=lines[start],
+            body_texts=body_texts,
             bag=bag,
             bag_size=bag.total(),
         )
         self.methods.append(unit)
-        ctx.method_names.add(name_tok.text)
+        ctx.method_names.add(name)
 
 
-def _parse_parameters(tokens: list[Token], match: list[int], i: int, end: int) -> list[Parameter]:
+def _parse_parameters(tokens: Tokens, match: list[int], i: int, end: int) -> list[Parameter]:
     """Parameters declared by tokens[i:end], the inside of a parameter list or record header.
 
     Each is `Type name [dims]` after its annotations and `final`; the
     reading stops at the first one that is not. A receiver parameter,
     `A this` or `Outer Outer.this`, declares no variable.
     """
+    texts, kinds = tokens.texts, tokens.kinds
     params = []
     while i < end:
         i = _skip_modifiers(tokens, match, i, end, _FIELD_MODIFIERS)
@@ -575,17 +580,17 @@ def _parse_parameters(tokens: list[Token], match: list[int], i: int, end: int) -
         if read is None:
             break
         i = k = read[1]
-        while k + 1 < end and tokens[k].kind is TokenKind.IDENTIFIER and tokens[k + 1].text == ".":
+        while k + 1 < end and kinds[k] is TokenKind.IDENTIFIER and texts[k + 1] == ".":
             k += 2
-        if tokens[k].text == "this":
+        if texts[k] == "this":
             i = k + 1
         else:
             read = _read_declarator(tokens, match, i, read[0])
             if read is None:
                 break
-            params.append(Parameter(tokens[i].text, read[0]))
+            params.append(Parameter(texts[i], read[0]))
             i = read[1]
-        if i >= end or tokens[i].text != ",":
+        if i >= end or texts[i] != ",":
             break
         i += 1
     return params

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .lexer import Token, TokenKind, match_delimiters
+from .lexer import Tokens, TokenKind, match_delimiters
 
 
 class StatementParseError(Exception):
@@ -36,7 +36,8 @@ _TYPE_KEYWORDS = frozenset({"class", "interface", "enum"})
 
 @dataclass
 class _Parser:
-    tokens: list[Token]
+    texts: tuple[str, ...]
+    kinds: list[TokenKind]
     match: list[int]
     pos: int = 0
     # The loops, switches and labels of the fragment around the current statement.
@@ -45,13 +46,12 @@ class _Parser:
     labels: list[str] = field(default_factory=list)
     jumps: list[str] = field(default_factory=list)
 
-    def _peek(self, offset: int = 0) -> Token | None:
+    def _peek(self, offset: int = 0) -> str | None:
         i = self.pos + offset
-        return self.tokens[i] if i < len(self.tokens) else None
+        return self.texts[i] if i < len(self.texts) else None
 
     def _at(self, text: str) -> bool:
-        tok = self._peek()
-        return tok is not None and tok.text == text
+        return self._peek() == text
 
     def _expect(self, text: str) -> None:
         if not self._at(text):
@@ -64,21 +64,19 @@ class _Parser:
 
     def parse_all(self) -> tuple[str, ...]:
         self._statement()
-        while self.pos < len(self.tokens):
+        while self.pos < len(self.texts):
             self._statement()
         return tuple(self.jumps)
 
     def _statement(self) -> str:
         """Consume one statement and return its kind."""
-        tok = self._peek()
-        if tok is None:
+        text = self._peek()
+        if text is None:
             raise StatementParseError("expected a statement")
-        text = tok.text
 
         if text == "final":
             # Legal prefix for a local declaration; reject final types below.
-            nxt = self._peek(1)
-            if nxt is not None and nxt.text in _TYPE_KEYWORDS:
+            if self._peek(1) in _TYPE_KEYWORDS:
                 raise StatementParseError("type declaration is not a statement")
             return self._simple()
         if text in _MEMBER_MODIFIERS:
@@ -134,15 +132,15 @@ class _Parser:
             if text == "return":
                 self.jumps.append("return inside fragment")
             self.pos += 1
-            self._scan_to_semicolon(allow_brace=True)
+            self._scan_to_semicolon(allow_brace=True, takes_value=True)
             return text
         if text in ("break", "continue"):
             self.pos += 1
             nxt = self._peek()
-            if nxt is not None and nxt.kind == TokenKind.IDENTIFIER:
+            if nxt is not None and self.kinds[self.pos] is TokenKind.IDENTIFIER:
                 self.pos += 1
-                if nxt.text not in self.labels:
-                    self.jumps.append(f"{text} targets label '{nxt.text}' outside fragment")
+                if nxt not in self.labels:
+                    self.jumps.append(f"{text} targets label '{nxt}' outside fragment")
             elif text == "break" and not (self.loops or self.switches):
                 self.jumps.append("break targets a loop or switch outside fragment")
             elif text == "continue" and not self.loops:
@@ -150,14 +148,16 @@ class _Parser:
             self._expect(";")
             return text
         nxt = self._peek(1)
-        if tok.kind == TokenKind.IDENTIFIER and nxt is not None and nxt.text == ":":
+        if self.kinds[self.pos] is TokenKind.IDENTIFIER and nxt == ":":
             self.pos += 2
             self.labels.append(text)
             self._statement()
             self.labels.pop()
             return "label"
-        if text == "yield" and nxt is not None and nxt.text not in _YIELD_AS_NAME:
+        if text == "yield" and nxt is not None and nxt not in _YIELD_AS_NAME:
             self.jumps.append("yield targets a switch expression outside fragment")
+            self._scan_to_semicolon(takes_value=True)
+            return "simple"
         return self._simple()
 
     def _block(self) -> str:
@@ -173,10 +173,10 @@ class _Parser:
         self._expect("{")
         self.switches += 1
         while not self._at("}"):
-            tok = self._peek()
-            if tok is None:
+            text = self._peek()
+            if text is None:
                 raise StatementParseError("unterminated switch body")
-            if tok.text in ("case", "default"):
+            if text in ("case", "default"):
                 self.pos += 1
                 if self._scan_label() == "->":
                     self._arrow_body()
@@ -205,23 +205,25 @@ class _Parser:
         if clauses == 0 and not has_resources:
             raise StatementParseError("try without catch, finally, or resources")
 
-    def _scan_to_semicolon(self, allow_brace: bool = False) -> None:
+    def _scan_to_semicolon(self, allow_brace: bool = False, takes_value: bool = False) -> None:
         """Consume tokens through the next ';' at the statement's own level.
 
         Braces at top level are only legal after '=', '->' or 'new'
         (array initializers, lambdas, anonymous classes); a bare brace
-        signals a member declaration and fails the parse.
+        signals a member declaration and fails the parse. A top-level lambda
+        must be assigned, or be the value of a statement that `takes_value`.
         """
         depth = 0
         brace_ok = False
         while True:
-            tok = self._peek()
-            if tok is None:
+            text = self._peek()
+            if text is None:
                 raise StatementParseError("statement not terminated by ';'")
-            text = tok.text
             if depth == 0 and text == ";":
                 self.pos += 1
                 return
+            if text == "->" and depth == 0 and not (brace_ok or takes_value):
+                raise StatementParseError("a lambda is not a statement")
             if text in ("->", "new") or text in ASSIGNMENT_OPS:
                 brace_ok = True
             if text in "([{":
@@ -237,12 +239,12 @@ class _Parser:
     def _scan_label(self) -> str:
         """Consume a case label through its ':' or '->' and return that token."""
         while True:
-            tok = self._peek()
-            if tok is None:
+            text = self._peek()
+            if text is None:
                 raise StatementParseError("case label not terminated by ':' or '->'")
-            if tok.text in (":", "->"):
+            if text in (":", "->"):
                 self.pos += 1
-                return tok.text
+                return text
             close = self.match[self.pos]
             self.pos = close + 1 if close > self.pos else self.pos + 1
 
@@ -257,7 +259,7 @@ class _Parser:
         return "simple"
 
 
-def parse_statements(tokens: list[Token]) -> tuple[str, ...]:
+def parse_statements(tokens: Tokens) -> tuple[str, ...]:
     """Parse a token sequence as one or more Java block statements.
 
     Returns one message per jump that leaves the sequence, in source
@@ -268,16 +270,17 @@ def parse_statements(tokens: list[Token]) -> tuple[str, ...]:
     limit are a StatementParseError, like any other input that does
     not parse.
     """
-    match = match_delimiters(tokens)
+    texts = tokens.texts
+    match = match_delimiters(texts)[0]
     open_until: list[int] = []
-    for i, tok in enumerate(tokens):
-        if tok.text in ("(", "[", "{"):
+    for i, text in enumerate(texts):
+        if text in ("(", "[", "{"):
             open_until.append(match[i])
-        elif tok.text in (")", "]", "}") and (not open_until or open_until.pop() != i):
-            raise StatementParseError(f"{tok.text!r} at token {i} does not close the innermost pair")
+        elif text in (")", "]", "}") and (not open_until or open_until.pop() != i):
+            raise StatementParseError(f"{text!r} at token {i} does not close the innermost pair")
     if open_until:
         raise StatementParseError("unclosed delimiter")
     try:
-        return _Parser(tokens, match).parse_all()
+        return _Parser(texts, tokens.kinds, match).parse_all()
     except RecursionError:
         raise StatementParseError("statements nested too deeply to parse") from None

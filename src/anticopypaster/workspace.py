@@ -27,7 +27,7 @@ from pathlib import Path
 from .clones import WordIndex
 from .decision import PasteQueue
 from .errors import ConfigSyntax, EngineError, MissingRoot
-from .lexer import Token, normalize_newlines, tokenize
+from .lexer import Tokens, normalize_newlines, tokenize
 from .metrics import (
     ProjectDistribution,
     build_distributions,
@@ -45,7 +45,7 @@ class ProjectSession:
     settings: Settings
     files: dict[str, str] = field(default_factory=dict)
     # tokenize(files[p]) for every file that lexes; no entry for one that does not.
-    tokens: dict[str, list[Token]] = field(default_factory=dict)
+    tokens: dict[str, Tokens] = field(default_factory=dict)
     # In source_position order, so method_at can bisect.
     methods: list[MethodUnit] = field(default_factory=list)
     # The bag words of every method in `methods`.
@@ -155,7 +155,7 @@ def _file_range(methods: list[MethodUnit], path: str) -> tuple[int, int]:
 def _index_files(
     session: ProjectSession,
     rel_paths: list[str],
-    previous: Mapping[str, tuple[str, list[Token]]] | None = None,
+    previous: Mapping[str, tuple[str, Tokens]] | None = None,
 ) -> list[MethodUnit]:
     """Lex, index and compute each new method's metric vector; return the new methods.
 
@@ -193,7 +193,7 @@ def _index_files(
 def refresh_index(
     session: ProjectSession,
     changed_paths: list[str],
-    previous: Mapping[str, tuple[str, list[Token]]] | None = None,
+    previous: Mapping[str, tuple[str, Tokens]] | None = None,
 ) -> None:
     """Re-index only the changed files and update the distribution by their delta.
 

@@ -6,6 +6,7 @@ other test directory uses.
 
 from __future__ import annotations
 
+import re
 import shutil
 import subprocess
 import sys
@@ -15,7 +16,8 @@ from pathlib import Path
 import pytest
 
 from anticopypaster import lexer
-from anticopypaster.lexer import Token, TokenKind
+from anticopypaster.errors import LexError
+from anticopypaster.lexer import JAVA_KEYWORDS, WORD_LITERALS, Token, TokenKind, Tokens, normalize_newlines
 from anticopypaster.metrics import ProjectDistribution, build_distributions, method_vector, vector_values
 from anticopypaster.source_model import (
     PRIMITIVE_TYPES,
@@ -68,17 +70,94 @@ def count_lexing(monkeypatch) -> list[str]:
     return count_calls(monkeypatch, lexer.tokenize)
 
 
+# The lexer's regex from before it lexed into columns, one named group per
+# lexeme class, without the blanks each match then took after its lexeme:
+# one `finditer` match per token or gap.
+_REFERENCE_TOKEN = re.compile(
+    r'''
+    (?:
+      (?P<skip> \s+ | //[^\n]* | /\*[\s\S]*?\*/ )
+    | (?P<literal>
+          "{3} (?: [^"\\] | \\[\s\S] | "(?!"") )* "{3}
+        | "(?!"") (?: [^"\\\n] | \\[\s\S] )* "
+        | ' (?: [^'\\\n] | \\[\s\S] )* '
+        | 0[xX][0-9a-fA-F_]* [lLfFdD]?
+        | 0[bB][01_]* [lLfFdD]?
+        | (?: [0-9][0-9_]* (?: \.[0-9][0-9_]* )? | \.[0-9][0-9_]* )
+          (?: [eE][+-]?[0-9][0-9_]* )? [lLfFdD]?
+      )
+    | (?P<unclosed> /\* | "{3} | ["'] )
+    | (?P<word> [\w$]+ )
+    | (?P<punctuation> \.\.\. | [;,(){}\[\]@] )
+    | (?P<operator>
+          >>>= | >>> | <<= | >>= | [-+*/%&|^=!<>]= | && | \|\| | \+\+ | --
+        | << | >> | -> | :: | [-+*/%=<>!&|^~?:.]
+      )
+    | (?P<other> [\s\S] )
+    )
+    ''',
+    re.VERBOSE,
+)
+_REFERENCE_UNCLOSED = {
+    "/*": "unterminated block comment",
+    '"""': "unterminated text block",
+    '"': "unterminated string literal",
+    "'": "unterminated string literal",
+}
+
+
+def reference_tokenize(text: str) -> list[Token]:
+    """`lexer.tokenize` by one match and one Python step per token: the oracle for the columns.
+
+    Raises the same LexError, message and line, at the first token that is one.
+    """
+    text = normalize_newlines(text)
+    tokens: list[Token] = []
+    line, line_start = 1, 0
+    group_kinds = {"literal": TokenKind.LITERAL, "punctuation": TokenKind.PUNCTUATION, "operator": TokenKind.OPERATOR}
+    for m in _REFERENCE_TOKEN.finditer(text):
+        group, lexeme = m.lastgroup, m[m.lastgroup]
+        if group == "skip":
+            pass
+        elif group == "word":
+            if not (lexeme[0].isalpha() or lexeme[0] in "_$"):
+                raise LexError(f"unexpected character {lexeme[0]!r}", line)
+            if lexeme in JAVA_KEYWORDS:
+                kind = TokenKind.KEYWORD
+            else:
+                kind = TokenKind.LITERAL if lexeme in WORD_LITERALS else TokenKind.IDENTIFIER
+            tokens.append(Token(kind, lexeme, line, m.start() - line_start + 1))
+        elif group in group_kinds:
+            tokens.append(Token(group_kinds[group], lexeme, line, m.start() - line_start + 1))
+        else:
+            raise LexError(_REFERENCE_UNCLOSED.get(lexeme, f"unexpected character {lexeme!r}"), line)
+        if "\n" in lexeme:
+            line += lexeme.count("\n")
+            line_start = m.start() + lexeme.rindex("\n") + 1
+    return tokens
+
+
+def body_tokens(unit: MethodUnit) -> Tokens:
+    """A method's body as columns of its own, with the columns it has in its file."""
+    lo, hi = unit.body
+    tokens = unit.tokens
+    gaps = tokens.gaps[lo:hi]
+    if gaps:
+        gaps = ("\n" + " " * (tokens.column(lo) - 1),) + gaps[1:]
+    return Tokens(tokens.texts[lo:hi], tokens.kinds[lo:hi], tokens.lines[lo:hi], gaps)
+
+
 def token_walk_coupling(
-    tokens: list[Token], owner: ClassContext, shadow_from: dict[str, LocalDecl]
+    tokens: Tokens, owner: ClassContext, shadow_from: dict[str, LocalDecl]
 ) -> tuple[int, int]:
     """`metrics.coupling_counts` by walking every token: the oracle for its bag-driven count."""
     field_refs = 0
     method_refs = 0
-    for i, tok in enumerate(tokens):
-        if tok.kind != TokenKind.IDENTIFIER:
+    texts = tokens.texts
+    for i, name in enumerate(texts):
+        if tokens.kinds[i] != TokenKind.IDENTIFIER:
             continue
-        name = tok.text
-        followed_by_call = i + 1 < len(tokens) and tokens[i + 1].text == "("
+        followed_by_call = i + 1 < len(texts) and texts[i + 1] == "("
         if followed_by_call and name in owner.method_names:
             method_refs += 1
         if name in owner.field_names:
@@ -88,28 +167,29 @@ def token_walk_coupling(
     return field_refs, method_refs
 
 
-def declarations_of(tokens: list[Token]) -> list[tuple[str, LocalDecl]]:
+def declarations_of(tokens: Tokens) -> list[tuple[str, LocalDecl]]:
     """`source_model.scan_declarations` over the whole token sequence."""
-    return scan_declarations(tokens, lexer.match_delimiters(tokens), 0, len(tokens))
+    return scan_declarations(tokens, lexer.match_delimiters(tokens.texts)[0], 0, len(tokens))
 
 
-def candidate_declarations(tokens: list[Token]) -> list[tuple[str, LocalDecl]]:
+def candidate_declarations(tokens: Tokens) -> list[tuple[str, LocalDecl]]:
     """`source_model.scan_declarations` by trying a declaration at every spot one may start.
 
     The oracle for the scan, which also skips the spots where the token
     after a type's first one can neither go on with the type nor name it.
     """
-    spots = [0] if tokens else []
-    for i, tok in enumerate(tokens[:-1]):
-        if tok.text in (";", "{", "}"):
+    texts = tokens.texts
+    spots = [0] if texts else []
+    for i, text in enumerate(texts[:-1]):
+        if text in (";", "{", "}"):
             spots.append(i + 1)
-        elif tok.text == "(" and i > 0 and tokens[i - 1].text in ("for", "catch", "try"):
+        elif text == "(" and i > 0 and texts[i - 1] in ("for", "catch", "try"):
             spots.append(i + 1)
     found: list[tuple[str, str, int]] = []
-    match = lexer.match_delimiters(tokens)
+    match = lexer.match_delimiters(texts)[0]
     for start in spots:
-        j = start + 1 if tokens[start].text == "final" else start
-        if j < len(tokens) and (tokens[j].text in PRIMITIVE_TYPES or tokens[j].kind == TokenKind.IDENTIFIER):
+        j = start + 1 if texts[start] == "final" else start
+        if j < len(texts) and (texts[j] in PRIMITIVE_TYPES or tokens.kinds[j] == TokenKind.IDENTIFIER):
             _try_declaration(tokens, match, j, found)
     found.sort(key=lambda item: item[2])
     return [(name, LocalDecl(declared_type, k)) for name, declared_type, k in found]
@@ -124,7 +204,7 @@ def fresh_distributions(methods: list[MethodUnit], keywords: frozenset[str]) -> 
     return build_distributions([vector_values(method_vector(m, keywords)) for m in methods])
 
 
-def comma_split_parameters(tokens: list[Token], match: list[int], start: int, end: int) -> list[Parameter]:
+def comma_split_parameters(tokens: Tokens, match: list[int], start: int, end: int) -> list[Parameter]:
     """Parameters declared by tokens[start:end], read by splitting at top-level commas.
 
     The oracle for `source_model._parse_parameters`: each group loses its
@@ -135,8 +215,9 @@ def comma_split_parameters(tokens: list[Token], match: list[int], start: int, en
     groups: list[tuple[int, int]] = []
     group_start = start
     depth = 0
+    texts, kinds = tokens.texts, tokens.kinds
     for k in range(start, end):
-        text = tokens[k].text
+        text = texts[k]
         if text in ("(", "<", "["):
             depth += 1
         elif text in (")", "]"):
@@ -149,18 +230,20 @@ def comma_split_parameters(tokens: list[Token], match: list[int], start: int, en
     groups.append((group_start, end))
     params = []
     for lo, hi in groups:
-        body: list[Token] = []
+        body: list[int] = []
         i = lo
         while i < hi:
-            if tokens[i].text == "@":
+            if texts[i] == "@":
                 i = _skip_annotation(tokens, match, i, hi)
                 continue
-            if tokens[i].text != "final":
-                body.append(tokens[i])
+            if texts[i] != "final":
+                body.append(i)
             i += 1
-        names = [k for k, tok in enumerate(body) if tok.kind == TokenKind.IDENTIFIER]
+        names = [k for k, i in enumerate(body) if kinds[i] == TokenKind.IDENTIFIER]
         if names:
-            params.append(Parameter(body[names[-1]].text, _render_type(body[: names[-1]])))
+            kept = body[: names[-1]]
+            rendered = _render_type([texts[i] for i in kept], [kinds[i] for i in kept])
+            params.append(Parameter(texts[body[names[-1]]], rendered))
     return params
 
 

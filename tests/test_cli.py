@@ -8,7 +8,6 @@ from pathlib import Path
 import pytest
 
 from anticopypaster.cli import run_command
-from anticopypaster.lexer import token_texts
 from anticopypaster.source_model import validate_fragment
 from anticopypaster.statements import parse_statements
 from anticopypaster.workspace import open_project
@@ -333,7 +332,7 @@ def test_extract_parses_the_fragment_once(monkeypatch, capsys):
     assert run_command(argv) == 0
     capsys.readouterr()
     assert len(parsed) == 1
-    assert token_texts(parsed[0]) == token_texts(validated.tokens)
+    assert parsed[0].texts == validated.tokens.texts
     assert sorted(lexed) == sorted(sources + [validated.text])
 
 
@@ -497,6 +496,44 @@ def test_extract_at_a_line_that_does_not_start_the_fragment_exits_three(tmp_path
     assert err == "error: Edited at A.java:11\n"
     assert [p.name for p in root.iterdir()] == ["A.java"]
     assert (root / "A.java").read_text(encoding="utf-8") == before
+
+
+def _extract_second_copy(root: Path, at: str) -> dict[str, str]:
+    """`extract --write` on a copy of the two-copy fixture at `root`; its sources afterwards."""
+    shutil.copytree(FIXTURES_DIR / "second_copy" / "project", root)
+    fragment = FIXTURES_DIR / "second_copy" / "fragment.java"
+    argv = ["extract", str(root), "--fragment", str(fragment), "--at", at, "--name", "reset", "--write"]
+    assert run_command(argv) == 0
+    return {"A.java": (root / "A.java").read_text(encoding="utf-8")}
+
+
+def test_extract_rewrites_the_copy_at_the_given_line(tmp_path, capsys):
+    """`f` holds the fragment on lines 4-5 and again on 7-8; each `--at` rewrites its own copy."""
+    root = FIXTURES_DIR / "second_copy" / "project"
+    fragment = FIXTURES_DIR / "second_copy" / "fragment.java"
+    argv = ["extract", str(root), "--fragment", str(fragment), "--at", "A.java:7", "--name", "reset"]
+    assert run_command(argv) == 0
+    assert capsys.readouterr().out == (GOLDEN_DIR / "extract_second_copy.diff").read_text(encoding="utf-8")
+    second = _extract_second_copy(tmp_path / "second", "A.java:7")["A.java"].splitlines()
+    assert second[3:8] == [
+        "        total = 0;",
+        "        total += xs.length;",
+        "        int first = total;",
+        "        total = reset(total, xs);",
+        "        return first + total;",
+    ]
+    first = _extract_second_copy(tmp_path / "first", "A.java:4")["A.java"].splitlines()
+    assert first[3:7] == [
+        "        total = reset(total, xs);",
+        "        int first = total;",
+        "        total = 0;",
+        "        total += xs.length;",
+    ]
+
+
+@requires_javac
+def test_the_second_copy_extraction_compiles(tmp_path, capsys):
+    assert javac_errors(_extract_second_copy(tmp_path / "p", "A.java:7")) == ""
 
 
 # Declarations an extraction depends on. A field whose initializer calls

@@ -14,20 +14,19 @@ from anticopypaster.clones import (
     WordIndex,
     find_duplicates,
     find_subsequence,
-    normalize_bag,
     overlap_similarity,
 )
 from anticopypaster.errors import UndefinedSimilarity
-from anticopypaster.lexer import TokenKind, token_texts, tokenize
+from anticopypaster.lexer import TokenKind, token_bag, tokenize
 from anticopypaster.settings import CONFIG_FILENAME
 from anticopypaster.source_model import index_file, validate_fragment
 from anticopypaster.workspace import open_project
 
-from helpers import write_project
+from helpers import body_tokens, write_project
 
 
 def bag_of(source: str):
-    return normalize_bag(tokenize(source))
+    return token_bag(tokenize(source).texts)
 
 
 def test_bags_ignore_token_order():
@@ -40,13 +39,13 @@ def test_bags_ignore_whitespace():
 
 def test_bags_count_multiplicity():
     bag = bag_of("x x")
-    assert dict(bag.counts) == {"x": 2}
-    assert bag.total_count == 2
+    assert dict(bag) == {"x": 2}
+    assert bag.total() == 2
 
 
 def test_bags_exclude_punctuation_but_keep_operators():
     bag = bag_of("f(a, b[0]);")
-    assert set(dict(bag.counts)) == {"f", "a", "b", "0"}
+    assert set(bag) == {"f", "a", "b", "0"}
 
 
 def test_overlap_of_identical_bags_is_one():
@@ -147,9 +146,9 @@ def test_renamed_identifier_is_a_near_match_with_bag_similarity():
     matches = find_duplicates(fragment, _methods(), 0.5)
     per_method = {m.method_id.split(":")[-1]: m for m in matches}
     assert per_method["m5"].kind == "near"
-    frag_bag = normalize_bag(fragment.tokens)
+    frag_bag = token_bag(fragment.body_texts)
     m5 = next(m for m in _methods() if m.name == "m5")
-    expected = overlap_similarity(frag_bag, normalize_bag(m5.body_tokens))
+    expected = overlap_similarity(frag_bag, token_bag(m5.body_texts))
     assert per_method["m5"].similarity == expected
 
 
@@ -176,14 +175,14 @@ def test_match_span_points_at_the_cloned_lines():
 
 def brute_force_duplicates(fragment, methods, theta) -> list[CloneMatch]:
     """O(methods x body-length) oracle: scan every offset, then bag overlap."""
-    frag_seq = token_texts(fragment.tokens)
+    frag_seq = fragment.tokens.texts
     frag_counter = Counter(
         t.text for t in fragment.tokens if t.kind != TokenKind.PUNCTUATION
     )
     results = []
     for method in sorted(methods, key=lambda m: m.id):
-        body = method.body_tokens
-        body_seq = token_texts(body)
+        body = body_tokens(method)
+        body_seq = body.texts
         hit = None
         for start in range(0, len(body_seq) - len(frag_seq) + 1):
             if body_seq[start : start + len(frag_seq)] == frag_seq:
@@ -305,8 +304,8 @@ def _fingerprints(methods) -> list[tuple]:
 
 def _assert_fingerprints_fresh(methods) -> None:
     for method in methods:
-        words = [t.text for t in method.body_tokens if t.kind != TokenKind.PUNCTUATION]
-        assert method.body_texts == tuple(t.text for t in method.body_tokens)
+        words = [t.text for t in body_tokens(method) if t.kind != TokenKind.PUNCTUATION]
+        assert method.body_texts == tuple(t.text for t in body_tokens(method))
         assert method.bag == Counter(words)
         assert method.bag_size == len(words)
 
@@ -327,10 +326,10 @@ def test_statement_permutation_keeps_near_similarity():
     a = validate_fragment("x = p + 1;\ny = q + 2;")
     b = validate_fragment("y = q + 2;\nx = p + 1;")
     methods = _methods()
-    bag_a = normalize_bag(a.tokens)
-    bag_b = normalize_bag(b.tokens)
+    bag_a = token_bag(a.body_texts)
+    bag_b = token_bag(b.body_texts)
     for method in methods:
-        body = normalize_bag(method.body_tokens)
+        body = token_bag(method.body_texts)
         assert overlap_similarity(bag_a, body) == overlap_similarity(bag_b, body)
 
 

@@ -21,7 +21,7 @@ from anticopypaster.extraction import (
     plan_extraction,
     verify_by_inlining,
 )
-from anticopypaster.lexer import token_texts, tokenize
+from anticopypaster.lexer import tokenize
 from anticopypaster.source_model import index_file, validate_fragment
 from anticopypaster.workspace import open_project
 
@@ -463,12 +463,12 @@ def _packed_class(planted: list[bool], fillers: list[tuple[list[str], list[str]]
 
 def _undo_extraction(plan, rewritten: str) -> tuple[str, ...]:
     """The rewritten tokens without the new method, each call's tokens replaced by the fragment's."""
-    texts = token_texts(tokenize(rewritten))
-    method = token_texts(tokenize(f"{plan.signature} {{ {plan.body_text} }}"))
+    texts = tokenize(rewritten).texts
+    method = tokenize(f"{plan.signature} {{ {plan.body_text} }}").texts
     at = find_subsequence(texts, method)
     assert at >= 0
     texts = texts[:at] + texts[at + len(method) :]
-    call = token_texts(tokenize(plan.call_statement))
+    call = tokenize(plan.call_statement).texts
     undone: list[str] = []
     k = 0
     while k < len(texts):
@@ -515,7 +515,7 @@ def test_every_exact_site_on_packed_lines_is_rewritten_and_inlines_back(more, fi
     assert len(result.call_sites) == len(exact)
     verdict = verify_by_inlining(plan, files, result.sources, result)
     assert verdict.all_equivalent and len(verdict.sites) == len(exact)
-    assert _undo_extraction(plan, result.sources["Gen.java"]) == token_texts(tokenize(source))
+    assert _undo_extraction(plan, result.sources["Gen.java"]) == tokenize(source).texts
     # The new method is a member of the class, not a statement in another method.
     rewritten, _ = index_file(result.sources["Gen.java"], "Gen.java")
     assert sorted(m.name for m in rewritten) == sorted([*(m.name for m in methods), "reset"])

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import json
 import string
+import time
 from collections import Counter
 from itertools import product
 
@@ -15,17 +17,17 @@ from anticopypaster.lexer import (
     WORD_LITERALS,
     Token,
     TokenKind,
+    Tokens,
     match_delimiters,
     normalize_newlines,
     token_bag,
-    token_texts,
     tokenize,
 )
 
-from helpers import CORPUS_DIR, FIXTURES_DIR
+from helpers import CORPUS_DIR, FIXTURES_DIR, SCENARIOS_DIR, reference_tokenize
 
 
-def kinds_and_texts(tokens: list[Token]) -> list[tuple[str, str]]:
+def kinds_and_texts(tokens) -> list[tuple[str, str]]:
     return [(t.kind.value, t.text) for t in tokens]
 
 
@@ -40,13 +42,13 @@ def test_simple_statement_token_stream():
 
 
 def test_empty_input_yields_no_tokens():
-    assert tokenize("") == []
+    assert list(tokenize("")) == []
 
 
 def test_comments_are_stripped():
-    assert token_texts(tokenize("/*c*/ a")) == ("a",)
-    assert token_texts(tokenize("a // trailing\nb")) == ("a", "b")
-    assert token_texts(tokenize("x /* multi\nline */ y")) == ("x", "y")
+    assert tokenize("/*c*/ a").texts == ("a",)
+    assert tokenize("a // trailing\nb").texts == ("a", "b")
+    assert tokenize("x /* multi\nline */ y").texts == ("x", "y")
 
 
 def test_keyword_set_is_the_fifty_reserved_words():
@@ -88,7 +90,7 @@ def test_unterminated_string_reports_line():
 
 def test_text_block_is_one_literal_spanning_its_lines():
     tokens = tokenize('String s = """\n  hi "q"\n  """;\nx')
-    assert kinds_and_texts(tokens[3:]) == [
+    assert kinds_and_texts(list(tokens)[3:]) == [
         ("literal", '"""\n  hi "q"\n  """'),
         ("punctuation", ";"),
         ("identifier", "x"),
@@ -115,10 +117,10 @@ def test_unterminated_block_comment_is_an_error():
 
 
 def test_maximal_munch_for_compound_operators():
-    assert token_texts(tokenize("a>>>=b")) == ("a", ">>>=", "b")
-    assert token_texts(tokenize("a>>>b")) == ("a", ">>>", "b")
-    assert token_texts(tokenize("x->y")) == ("x", "->", "y")
-    assert token_texts(tokenize("List::of")) == ("List", "::", "of")
+    assert tokenize("a>>>=b").texts == ("a", ">>>=", "b")
+    assert tokenize("a>>>b").texts == ("a", ">>>", "b")
+    assert tokenize("x->y").texts == ("x", "->", "y")
+    assert tokenize("List::of").texts == ("List", "::", "of")
 
 
 def test_varargs_ellipsis_is_one_token():
@@ -145,11 +147,11 @@ _WORDS = st.sampled_from(["a", "bee", "if", "while", "x1", "0", "42", "sum"])
 def test_tokenization_is_whitespace_insensitive(words, sep):
     tight = " ".join(words)
     loose = sep.join(words)
-    assert token_texts(tokenize(tight)) == token_texts(tokenize(loose))
+    assert tokenize(tight).texts == tokenize(loose).texts
 
 
 def test_operator_spacing_does_not_change_texts():
-    assert token_texts(tokenize("a+b")) == token_texts(tokenize("a + b"))
+    assert tokenize("a+b").texts == tokenize("a + b").texts
 
 
 _LEXER_PROBES = st.text(
@@ -193,9 +195,9 @@ def test_tokens_sit_at_their_positions_and_gaps_lex_to_nothing(text):
     for tok in tokens:
         start = _offset(lines, tok)
         assert source[start : start + len(tok.text)] == tok.text
-        assert tokenize(source[end:start]) == []
+        assert len(tokenize(source[end:start])) == 0
         end = start + len(tok.text)
-    assert tokenize(source[end:]) == []
+    assert len(tokenize(source[end:])) == 0
 
 
 @given(_LEXER_PROBES)
@@ -231,12 +233,11 @@ def _per_kind_depth_partners(texts: list[str]) -> list[int]:
 
 @given(st.lists(st.sampled_from(list("(){}[]") + ["x", ";", "+"]), max_size=30))
 def test_match_delimiters_agrees_with_a_per_kind_depth_scan(texts):
-    tokens = [Token(TokenKind.PUNCTUATION, text, 1, i + 1) for i, text in enumerate(texts)]
-    assert match_delimiters(tokens) == _per_kind_depth_partners(texts)
+    assert match_delimiters(tuple(texts))[0] == _per_kind_depth_partners(texts)
 
 
 def test_match_delimiters_pairs_each_kind_on_its_own():
-    assert match_delimiters(tokenize("( { ) } ]")) == [2, 3, 0, 1, -1]
+    assert match_delimiters(tokenize("( { ) } ]").texts) == ([2, 3, 0, 1, -1], True)
 
 
 # --- token values and fingerprints ---------------------------------------------
@@ -246,7 +247,7 @@ def test_token_is_its_field_tuple_and_keeps_its_repr():
     assert tok == (TokenKind.IDENTIFIER, "total", 2, 3)
     assert (tok.kind, tok.text, tok.line, tok.column) == tok
     assert repr(tok) == "identifier('total'@2:3)"
-    assert repr(tokenize('s = "a;"')) == "[identifier('s'@1:1), operator('='@1:3), literal('\"a;\"'@1:5)]"
+    assert repr(list(tokenize('s = "a;"'))) == "[identifier('s'@1:1), operator('='@1:3), literal('\"a;\"'@1:5)]"
 
 
 # Words repeat, so the same lexeme comes out of several matches.
@@ -276,8 +277,8 @@ def test_fingerprints_agree_with_their_per_token_definitions(text):
         tokens = tokenize(text)
     except LexError:
         return
-    assert token_texts(tokens) == tuple(t.text for t in tokens)
-    bag = token_bag(tokens)
+    assert tokens.texts == tuple(t.text for t in tokens)
+    bag = token_bag(tokens.texts)
     expected = Counter(t.text for t in tokens if t.kind != TokenKind.PUNCTUATION)
     assert bag == expected
     assert list(bag) == list(expected)  # first-appearance order
@@ -296,7 +297,79 @@ def test_punctuation_lexemes_are_what_the_punctuation_group_emits():
             emitted.update(t.text for t in tokens if t.kind is TokenKind.PUNCTUATION)
     assert emitted == PUNCTUATION_LEXEMES
     for text in PUNCTUATION_LEXEMES:
-        assert tokenize(text) == [(TokenKind.PUNCTUATION, text, 1, 1)]
+        assert list(tokenize(text)) == [(TokenKind.PUNCTUATION, text, 1, 1)]
+
+
+# --- the columns against the per-token reference lexer -------------------------
+
+def _outcome(lex, text):
+    """What a lexer makes of the text: its tokens as tuples, or its LexError's message and line."""
+    try:
+        return [tuple(tok) for tok in lex(text)]
+    except LexError as exc:
+        return str(exc), exc.line
+
+
+def _assert_columns_match_the_reference(text: str) -> None:
+    assert _outcome(tokenize, text) == _outcome(reference_tokenize, text)
+
+
+def _repository_texts() -> list[str]:
+    """Every corpus, fixture and scenario source file, and every fragment a scenario pastes."""
+    paths = [*CORPUS_DIR.rglob("*.java"), *FIXTURES_DIR.rglob("*.java"), *SCENARIOS_DIR.rglob("*.java")]
+    texts = [path.read_text(encoding="utf-8") for path in sorted(paths)]
+    for path in sorted(SCENARIOS_DIR.glob("*.json")):
+        events = json.loads(path.read_text(encoding="utf-8")).get("events", [])
+        texts += [event["fragment"] for event in events if "fragment" in event]
+    return texts
+
+
+def test_columns_match_the_reference_lexer_on_every_repository_source():
+    texts = _repository_texts()
+    assert len(texts) >= 30
+    for text in texts:
+        _assert_columns_match_the_reference(text)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "a; // trailing",
+        "a; /* trailing */",
+        "a; \t ",
+        "a;\n",
+        "a;\n\n",
+        "",
+        "a /* never closed",
+        'a;\nb = """\n never closed\n',
+        "a;\n'",
+        "x = '\\n",
+        'String s = """\n  one\n  "two"\n  """;\nint n;',
+        's = "a\\\nb"; t',
+        "int ²x = 1;",
+        "a ² b",
+        "a\r\n  b\r\n\r\nc",
+        "a\r\n/* x\r\n */ b\rc",
+        "x\x85y \u2028 z",
+        "a # b",
+    ],
+)
+def test_columns_match_the_reference_lexer_on_edge_cases(text):
+    _assert_columns_match_the_reference(text)
+
+
+@given(st.one_of(_LEXER_PROBES, _WORDY_PROBES, st.text(max_size=60)))
+def test_columns_match_the_reference_lexer_on_random_text(text):
+    _assert_columns_match_the_reference(text)
+
+
+def test_a_long_run_of_blanks_lexes_in_bounded_time():
+    """The gap's nested `(?: \\s+ | ...)*` must never backtrack through the blanks it took."""
+    for text in (" " * 100_000, " " * 100_000 + "a", "a" + " \n" * 50_000 + "/"):
+        started = time.perf_counter()
+        tokens = tokenize(text)
+        assert time.perf_counter() - started < 1.0
+        assert tokens.texts == tuple(text.split())
 
 
 # --- splicing an edit into the previous revision's tokens -------------------
@@ -329,11 +402,31 @@ def _lex_outcome(text: str, previous=None):
 
 
 def _assert_splice_is_a_full_lex(old: str, new: str) -> None:
+    """All four columns and the gaps, or the first LexError, equal a full lex's."""
     try:
         old_tokens = tokenize(old)
     except LexError:
         return
-    assert _lex_outcome(new, (old, old_tokens)) == _lex_outcome(new)
+    spliced = _lex_outcome(new, (old, old_tokens))
+    assert spliced == _lex_outcome(new)
+    if isinstance(spliced, Tokens):
+        assert [tuple(tok) for tok in spliced] == _outcome(reference_tokenize, new)
+
+
+@given(
+    st.sampled_from(_JAVA_SOURCES).flatmap(
+        lambda old: st.tuples(st.just(old), _edited(old)).flatmap(lambda pair: st.tuples(st.just(pair), _edited(pair[1])))
+    )
+)
+def test_splicing_a_spliced_revision_gives_a_full_lex(revisions):
+    """The spliced columns serve as the previous revision of the next save."""
+    (old, middle), new = revisions
+    try:
+        old_tokens = tokenize(old)
+        middle_tokens = tokenize(middle, (old, old_tokens))
+    except LexError:
+        return
+    assert _lex_outcome(new, (middle, middle_tokens)) == _lex_outcome(new)
 
 
 @given(st.sampled_from(_JAVA_SOURCES).flatmap(lambda old: st.tuples(st.just(old), _edited(old))))
@@ -354,5 +447,10 @@ def test_splicing_an_edited_source_gives_a_full_lex(revisions):
 @example(("a ;", "a;"))
 @example(("a ;\t ", "a ; "))
 @example(("a \t\nb", "a \nb"))
+# The window ends inside a comment or text block that the edit opened or closed.
+@example(("a\nb\nc\nd\n", "a\n/*b\nc\nd\n"))
+@example(("a\n/*b\nc*/\nd\n", "a\nb\nc*/\nd\n"))
+@example(('a\nb\n"""\nc\n"""\nd', 'a\nb\n"""\nc\n""";\nd'))
+@example(("x\n/* a\n b */ y\n", "x\n/* a\n c */ y\n"))
 def test_splicing_a_short_edit_gives_a_full_lex(revisions):
     _assert_splice_is_a_full_lex(*revisions)

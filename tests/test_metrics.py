@@ -20,7 +20,7 @@ from anticopypaster.metrics import (
     percentile_threshold,
     update_distributions,
 )
-from anticopypaster.lexer import token_bag, token_texts, tokenize
+from anticopypaster.lexer import token_bag, tokenize
 from anticopypaster.source_model import ClassContext, index_file, validate_fragment
 from anticopypaster.workspace import open_project
 
@@ -28,6 +28,7 @@ from helpers import (
     CORPUS_DIR,
     FIXTURES_DIR,
     GOLDEN_DIR,
+    body_tokens,
     candidate_declarations,
     declarations_of,
     fresh_distributions,
@@ -319,8 +320,8 @@ def test_coupling_counts_fields_below_shadowed_locals_and_split_calls():
     host = next(m for m in methods if m.name == "host")
     assert _stored_coupling(host) == (7, 3)
     for unit in methods:
-        assert _stored_coupling(unit) == token_walk_coupling(unit.body_tokens, unit.owner, unit.local_declarations)
-        assert declarations_of(unit.body_tokens) == candidate_declarations(unit.body_tokens)
+        assert _stored_coupling(unit) == token_walk_coupling(body_tokens(unit), unit.owner, unit.local_declarations)
+        assert declarations_of(body_tokens(unit)) == candidate_declarations(body_tokens(unit))
 
 
 def test_fields_initialized_by_calls_or_constructors_count_toward_coupling():
@@ -353,7 +354,7 @@ def test_coupling_and_declarations_equal_the_oracles_on_corpus_and_fixture_metho
     compared = 0
     for root in roots:
         for unit in open_project(root).methods:
-            tokens = unit.body_tokens
+            tokens = body_tokens(unit)
             assert declarations_of(tokens) == candidate_declarations(tokens), unit.id
             assert unit.local_declarations == dict(reversed(declarations_of(tokens))), unit.id
             expected = token_walk_coupling(tokens, unit.owner, unit.local_declarations)
@@ -390,7 +391,7 @@ def test_coupling_and_declarations_equal_the_oracles_on_generated_bodies(text):
     assert declarations == candidate_declarations(tokens)
     shadow_from = dict(reversed(declarations))
     expected = token_walk_coupling(tokens, _OWNER, shadow_from)
-    assert coupling_counts(token_texts(tokens), token_bag(tokens), _OWNER, shadow_from) == expected
+    assert coupling_counts(tokens.texts, token_bag(tokens.texts), _OWNER, shadow_from) == expected
 
 
 # --- percentile thresholds ---------------------------------------------------

@@ -7,7 +7,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from anticopypaster.errors import EmptyScope, IndexingError
-from anticopypaster.lexer import _pair, token_bag, token_texts, tokenize
+from anticopypaster.lexer import match_delimiters, token_bag, tokenize
 from anticopypaster.metrics import KEYWORD_CATALOGUE, compute_vector
 from anticopypaster.source_model import (
     _profile,
@@ -16,7 +16,7 @@ from anticopypaster.source_model import (
 )
 from anticopypaster.statements import parse_statements
 
-from helpers import comma_split_parameters, declarations_of
+from helpers import body_tokens, comma_split_parameters, declarations_of
 
 TWO_METHODS = """\
 public class TwoMethods {
@@ -275,7 +275,7 @@ def test_retokenizing_body_lines_reproduces_body_tokens():
     methods, _ = index_file(TWO_METHODS, "TwoMethods.java")
     for method in methods:
         body_source = "\n".join(lines[method.start_line - 1 : method.end_line])
-        assert token_texts(tokenize(body_source)) == token_texts(method.body_tokens)
+        assert tokenize(body_source).texts == method.body_texts
 
 
 # --- fragment validity -------------------------------------------------------
@@ -400,6 +400,22 @@ def test_lambda_and_anonymous_class_statements_are_valid():
     assert validate_fragment("f(new Runnable() { public void run() { } });").valid
 
 
+@pytest.mark.parametrize(
+    "text, valid",
+    [
+        # javac: "not a statement"; a lambda is a value, so only an assignment or a value-taking statement holds one.
+        ("a -> b;", False),
+        ("(a) -> b;", False),
+        ("x = a -> b;", True),
+        ("r = () -> 1;", True),
+        ("return a -> b;", True),
+        ("switch (k) { case 1 -> a -> b; }", False),
+    ],
+)
+def test_a_bare_lambda_is_not_a_statement(text, valid):
+    assert validate_fragment(text).valid is valid
+
+
 def test_labeled_break_is_valid():
     assert validate_fragment("outer: for (;;) { break outer; }").valid
 
@@ -418,7 +434,7 @@ def test_line_count_trims_blank_edges():
 
 def fragment_profile(fragment):
     """Per-line depths of a fragment pasted at depth 1, whose sum is its area."""
-    profile = _profile(fragment.tokens, 1, fragment.line_count)
+    profile = _profile(fragment.tokens, 0, len(fragment.tokens), 1, fragment.line_count)
     assert fragment.area == sum(profile)
     return profile
 
@@ -460,7 +476,7 @@ def test_profile_changes_bounded_by_adjacent_brace_counts():
 def test_method_profile_starts_at_depth_one():
     methods, _ = index_file(TWO_METHODS, "TwoMethods.java")
     for method in methods:
-        profile = _profile(method.body_tokens, method.start_line, method.end_line)
+        profile = _profile(method.tokens, *method.body, method.start_line, method.end_line)
         assert all(d >= 1 for d in profile)
         assert len(profile) == method.end_line - method.start_line + 1
         assert method.area == sum(profile)
@@ -503,7 +519,7 @@ _TOKEN_GAPS = st.sampled_from([" ", " ", "\n", "\n\n", "\n  // note\n", " /* c\n
 
 @st.composite
 def _laid_out_statements(draw):
-    texts = token_texts(tokenize(" ".join(draw(st.lists(_BLOCK_STATEMENTS, min_size=1, max_size=4)))))
+    texts = tokenize(" ".join(draw(st.lists(_BLOCK_STATEMENTS, min_size=1, max_size=4)))).texts
     gaps = draw(st.lists(_TOKEN_GAPS, min_size=len(texts) - 1, max_size=len(texts) - 1))
     return "".join(text + gap for text, gap in zip(texts, [*gaps, ""]))
 
@@ -518,8 +534,8 @@ def test_nesting_profile_agrees_with_the_by_line_definition(text):
     indented = "\n".join("    " + line for line in text.split("\n"))
     methods, _ = index_file(f"class A {{\n  void m() {{\n{indented}\n  }}\n}}\n", "A.java")
     (method,) = methods
-    expected = _by_line_profile(method.body_tokens, method.start_line, method.end_line)
-    assert _profile(method.body_tokens, method.start_line, method.end_line) == expected
+    expected = _by_line_profile(body_tokens(method), method.start_line, method.end_line)
+    assert _profile(method.tokens, *method.body, method.start_line, method.end_line) == expected
     assert method.area == sum(expected)
 
 
@@ -546,8 +562,8 @@ def test_fragment_fields_agree_with_their_per_token_definitions(text):
     for name, decl in declarations_of(tokens):
         first_declarations.setdefault(name, decl)
     assert stored == (
-        token_texts(tokens), token_bag(tokens), token_bag(tokens).total(),
-        first_declarations, sum(_profile(tokens, 1, fragment.line_count)), parse_statements(tokens),
+        tokens.texts, token_bag(tokens.texts), token_bag(tokens.texts).total(),
+        first_declarations, sum(_profile(tokens, 0, len(tokens), 1, fragment.line_count)), parse_statements(tokens),
     )
 
 
@@ -645,7 +661,7 @@ def test_parameters_and_record_components_equal_the_comma_splitting_oracle(liste
     text, dims = listed
     source = f"class A {{ void f({text}) {{ }} }} record R({text}) {{ }}"
     tokens = tokenize(source)
-    match, _ = _pair(tokens)
+    match, _ = match_delimiters(tokens.texts)
     (method,), (_, record) = index_file(source, "A.java")
     opens = [k for k, tok in enumerate(tokens) if tok.text == "(" and tokens[k - 1].text in ("f", "R")]
     expected = comma_split_parameters(tokens, match, opens[0] + 1, match[opens[0]])

@@ -18,7 +18,7 @@ from anticopypaster.settings import CONFIG_FILENAME
 from anticopypaster.source_model import source_position
 from anticopypaster.workspace import open_project, refresh_index
 
-from helpers import CORPUS_DIR, FIXTURES_DIR, fresh_distributions, write_project
+from helpers import CORPUS_DIR, FIXTURES_DIR, body_tokens, fresh_distributions, write_project
 
 FILE_A = """\
 class A {
@@ -82,8 +82,8 @@ def test_text_blocks_do_not_drop_their_file():
     lines = {m.name: (m.start_line, m.end_line) for m in session.methods}
     assert lines == {"banner": (3, 7), "width": (11, 11)}
     banner = next(m for m in session.methods if m.name == "banner")
-    assert banner.body_tokens[3].text.startswith('"""')
-    assert banner.body_tokens[4].line == 6
+    assert body_tokens(banner)[3].text.startswith('"""')
+    assert body_tokens(banner)[4].line == 6
 
 
 def test_record_methods_and_components_are_indexed():
