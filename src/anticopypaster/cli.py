@@ -15,7 +15,9 @@ import os
 import shutil
 import statistics
 import sys
+from functools import partial
 from pathlib import Path
+from types import SimpleNamespace
 
 from .decision import (
     NOT_TRIGGERED,
@@ -130,7 +132,21 @@ def run_command(argv: list[str]) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    return run_command(sys.argv[1:] if argv is None else argv)
+    """Run a command to its own exit code; once a reader closes stdout (`| head`), output goes to os.devnull."""
+    stdout = sys.stdout
+
+    def unless_gone(call, *args) -> None:  # a pipe that breaks mid-output or at the final flush stops no command
+        try:
+            call(*args)
+        except BrokenPipeError:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), stdout.fileno())
+
+    sys.stdout = SimpleNamespace(write=partial(unless_gone, stdout.write), flush=partial(unless_gone, stdout.flush))
+    try:
+        return run_command(sys.argv[1:] if argv is None else argv)
+    finally:
+        sys.stdout.flush()
+        sys.stdout = stdout
 
 
 def _read_file(path: str) -> str:

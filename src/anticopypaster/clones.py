@@ -5,14 +5,14 @@ against contiguous runs of a method body; near matches fall back to
 multiset overlap between token bags, which tolerates statement
 reordering and small edits. Only exact matches are ever rewritten.
 
-The scan reads each method's fingerprint (`body_texts`, `bag`,
-`bag_size`), built once at index time, the fragment's, built the same
-way once when it is validated, and a `WordIndex` from each bag word to
-the methods holding it, which the session keeps up to date as files are
-indexed and re-indexed. A paste looks up the fragment's rarest words and
-compares only the methods holding them (SourcererCC's prefix filter), so
-its cost follows the number of possible matches rather than the size of
-the project.
+The scan reads each method's `bag` and `bag_size`, built once at index
+time, the fragment's, built once when it is validated, and a `WordIndex`
+from each bag word to the methods holding it, which the session keeps up
+to date as files are indexed and re-indexed. A paste looks up the
+fragment's rarest words and compares only the methods holding them
+(SourcererCC's prefix filter), so its cost follows the number of possible
+matches rather than the size of the project. A body is searched in place,
+as its index range into its file's tokens.
 """
 
 from __future__ import annotations
@@ -36,8 +36,8 @@ class CloneMatch:
     similarity: float
     kind: str
     match_span: tuple[int, int] | None = None
-    # Column of the matched run's first token; exact matches only.
-    column: int | None = None
+    # Index of the matched run's first token in the method's file; exact matches only.
+    token: int | None = None
 
 
 def overlap_similarity(a: Counter[str], b: Counter[str]) -> float:
@@ -47,18 +47,18 @@ def overlap_similarity(a: Counter[str], b: Counter[str]) -> float:
     return (a & b).total() / max(a.total(), b.total())
 
 
-def find_subsequence(haystack: tuple[str, ...], needle: tuple[str, ...]) -> int:
-    """Index of the first contiguous occurrence of needle, or -1."""
+def find_subsequence(texts: tuple[str, ...], needle: tuple[str, ...], lo: int, hi: int) -> int:
+    """Index in `texts` of the first contiguous occurrence of needle inside texts[lo:hi], or -1."""
     width = len(needle)
-    if not width or width > len(haystack):
+    stop = hi - width + 1
+    if not width or stop <= lo:  # a negative stop would reach past hi from the tuple's end
         return -1
     first = needle[0]
-    stop = len(haystack) - width + 1
-    i = 0
+    i = lo
     try:
         while True:
-            i = haystack.index(first, i, stop)
-            if haystack[i : i + width] == needle:
+            i = texts.index(first, i, stop)
+            if texts[i : i + width] == needle:
                 return i
             i += 1
     except ValueError:
@@ -151,7 +151,7 @@ def find_duplicates(
         raise ValueError("near-match threshold must be in (0, 1]")
     if index is None:
         index = WordIndex(methods)
-    frag_seq = fragment.body_texts
+    frag_seq = fragment.tokens.texts
     frag_bag = fragment.bag
     frag_size = fragment.bag_size
     last = len(frag_seq) - 1
@@ -181,12 +181,10 @@ def find_duplicates(
     for method in hosts:
         size = method.bag_size
         if size >= frag_size and (rarest is None or method.bag.get(rarest, 0) >= rarest_count):
-            at = find_subsequence(method.body_texts, frag_seq)
+            at = find_subsequence(method.tokens.texts, frag_seq, *method.body)
             if at >= 0:
-                at += method.body[0]
                 lines = method.tokens.lines
-                span = (lines[at], lines[at + last])
-                matches.append(CloneMatch(method.id, 1.0, EXACT, span, method.tokens.column(at)))
+                matches.append(CloneMatch(method.id, 1.0, EXACT, (lines[at], lines[at + last]), at))
                 continue
         larger = max(frag_size, size)
         if larger == 0 or min(frag_size, size) / larger < near_threshold:

@@ -193,7 +193,7 @@ def locate(
     if not fragment.valid:
         return INVALID_FRAGMENT
     tokens = session.tokens.get(file_path)
-    at = -1 if tokens is None else find_run(tokens, fragment.body_texts, (line, 0), (line + 1, 0))
+    at = -1 if tokens is None else find_run(tokens, fragment.tokens.texts, line)
     if at < 0:
         return EDITED
     enclosing = method_at(session.methods, file_path, line)

@@ -3,11 +3,11 @@
 Feasibility is a dataflow approximation: a fragment is extractable when
 it needs at most one value back from the new method and contains no
 control flow escaping it. A site is the run of tokens the duplicate scan
-matched, starting at a (line, column). Application replaces the
-characters of every exact site's run with a call and inserts the new
-method after the paste-site method; near matches are never touched. An
-inlining check closes the loop by substituting the generated body back
-into each call and comparing it with the run at the site.
+matched, at the index of its first token in its file. Application
+replaces the characters of every exact site's run with a call and inserts
+the new method after the paste-site method; near matches are never
+touched. An inlining check closes the loop by substituting the generated
+body back into each call and comparing it with the run at the site.
 """
 
 from __future__ import annotations
@@ -64,7 +64,7 @@ class TargetSite:
     file_path: str
     start_line: int
     end_line: int
-    column: int
+    token: int  # the run's first token in the file's tokens
 
 
 @dataclass(frozen=True)
@@ -103,18 +103,20 @@ def analyze_extractability(
     """
     if not fragment.valid:
         raise MissingContext("fragment is not a valid statement sequence")
-    frag_texts = fragment.body_texts
-    offset = find_subsequence(enclosing.body_texts, frag_texts) if at is None else at - enclosing.body[0]
-    if offset < 0 or enclosing.body_texts[offset : offset + len(frag_texts)] != frag_texts:
+    frag_texts = fragment.tokens.texts
+    texts, (lo, hi) = enclosing.tokens.texts, enclosing.body
+    if at is None:
+        at = find_subsequence(texts, frag_texts, lo, hi)
+    frag_end = at + len(frag_texts)
+    if at < lo or frag_end > hi or texts[at:frag_end] != frag_texts:
         raise MissingContext("fragment is not a contiguous span of the enclosing method")
-    frag_end = offset + len(frag_texts)
 
     frag_decls = fragment.local_declarations
     params = {p.name: p.declared_type for p in enclosing.parameter_list}
 
     def declared_before(name: str) -> str | None:
         local = enclosing.local_declarations.get(name)
-        if local is not None and local.token_index < offset:
+        if local is not None and local.token_index < at:
             return local.declared_type
         return params.get(name)
 
@@ -141,7 +143,7 @@ def analyze_extractability(
     for name, decl in frag_decls.items():
         assigned.setdefault(name, decl.token_index)
 
-    read_after = _read_after(enclosing, enclosing.body[0] + frag_end)
+    read_after = _read_after(enclosing, frag_end)
     outputs: list[Parameter] = []
     for name in sorted(assigned, key=assigned.get):
         if name not in read_after:
@@ -218,12 +220,13 @@ def plan_extraction(
         if match.kind != EXACT or match.match_span is None:
             continue
         method = methods_by_id[match.method_id]
-        span, column = match.match_span, match.column
+        span, token = match.match_span, match.token
         if at is not None and method.id == enclosing.id:
             lines = method.tokens.lines
-            span, column = (lines[at], lines[at + len(fragment.body_texts) - 1]), method.tokens.column(at)
-        sites.append(TargetSite(match.method_id, method.file_path, *span, column))
-    sites.sort(key=lambda s: (s.file_path, s.start_line, s.column))
+            span, token = (lines[at], lines[at + len(fragment.tokens) - 1]), at
+        sites.append(TargetSite(match.method_id, method.file_path, *span, token))
+    sites.sort(key=lambda s: (s.file_path, s.token))
+    tokens, close = enclosing.tokens, enclosing.body[1]  # the method's `}`
 
     return ExtractionPlan(
         method_name=name,
@@ -233,10 +236,10 @@ def plan_extraction(
         call_statement=call,
         target_sites=tuple(sites),
         insertion_file=enclosing.file_path,
-        insertion_point=(enclosing.close_brace_line, enclosing.close_brace_column + 1),
+        insertion_point=(tokens.lines[close], tokens.column(close) + 1),
         declaration_line=enclosing.declaration_line,
         is_static=enclosing.is_static,
-        fragment_token_texts=fragment.body_texts,
+        fragment_token_texts=fragment.tokens.texts,
     )
 
 
@@ -314,9 +317,9 @@ def _verify_sites(
 ) -> list[tuple[tuple[int, int], tuple[int, int]]]:
     """Where each site's run starts and ends, as (line, column); StaleSite at the first site without one.
 
-    A site's run must start at its exact (line, column). Sites come
-    grouped by file, so each file missing from `tokens` is lexed once and
-    only one such file's tokens are held at a time.
+    A site's run must still start at its token, on its start line. Sites
+    come grouped by file, so each file missing from `tokens` is lexed once
+    and only one such file's tokens are held at a time.
     """
     texts = plan.fragment_token_texts
     runs = []
@@ -330,8 +333,8 @@ def _verify_sites(
                 file_tokens = tokens.get(path) or tokenize(sources[path])
             except LexError as exc:
                 raise StaleSite(f"{path} no longer lexes: {exc}") from exc
-        i = find_run(file_tokens, texts, *_bounds(site))
-        if i < 0:
+        i = site.token
+        if file_tokens.texts[i : i + len(texts)] != texts or file_tokens.lines[i] != site.start_line:
             raise StaleSite(
                 f"{path}:{site.start_line}-{site.end_line} no longer matches the fragment"
             )
@@ -339,11 +342,6 @@ def _verify_sites(
         lines, column = file_tokens.lines, file_tokens.column
         runs.append(((lines[i], column(i)), (lines[k], column(k) + len(texts[-1]))))
     return runs
-
-
-def _bounds(site: TargetSite) -> tuple[tuple[int, int], tuple[int, int]]:
-    """The `find_run` bounds that admit only a run starting where the site does."""
-    return (site.start_line, site.column), (site.start_line, site.column + 1)
 
 
 def _render_method(plan: ExtractionPlan, lines: list[str]) -> str:
@@ -402,14 +400,13 @@ def verify_by_inlining(
             before = tokenize(before_sources[path])
             after = tokenize(after_sources[path])
             match = match_delimiters(after.texts)[0]
-        line = applied.call_line
-        at = find_run(after, call_texts, (line, applied.call_column), (line + 1, 0))
+        at = find_run(after, call_texts, applied.call_line, applied.call_column)
         rename = None if at < 0 else _argument_renaming(plan, after, match, at)
         if rename is None:
             verdicts.append(SiteVerdict(site, False))
             continue
         inlined = tuple(rename.get(text, text) for text in plan.fragment_token_texts)
-        verdicts.append(SiteVerdict(site, find_run(before, inlined, *_bounds(site)) >= 0))
+        verdicts.append(SiteVerdict(site, before.texts[site.token : site.token + len(inlined)] == inlined))
     return InliningVerdict(tuple(verdicts))
 
 

@@ -270,11 +270,11 @@ def _common_prefix(a: str, b: str) -> int:
     return lo
 
 
-def find_run(tokens: Tokens, run: tuple[str, ...], first: tuple[int, int], stop: tuple[int, int]) -> int:
-    """Index of the first token in [first, stop), two (line, column) positions, that starts `run`, or -1."""
+def find_run(tokens: Tokens, run: tuple[str, ...], line: int, column: int = 1) -> int:
+    """Index of the first token on `line`, at or after `column`, that starts `run`, or -1."""
     texts, lines = tokens.texts, tokens.lines
-    for i in range(bisect_left(lines, first[0]), bisect_left(lines, stop[0] + 1)):
-        if texts[i : i + len(run)] == run and first <= (lines[i], tokens.column(i)) < stop:
+    for i in range(bisect_left(lines, line), bisect_left(lines, line + 1)):
+        if texts[i : i + len(run)] == run and tokens.column(i) >= column:
             return i
     return -1
 

@@ -73,12 +73,12 @@ MetricVector = dict[Submetric, float]
 
 
 def coupling_counts(
-    texts: tuple[str, ...], bag: dict[str, int], owner: ClassContext,
+    texts: tuple[str, ...], body: tuple[int, int], bag: dict[str, int], owner: ClassContext,
     shadow_from: dict[str, LocalDecl],
 ) -> tuple[int, int]:
-    """Count field and method references from a token sequence into its owning class.
+    """Count field and method references from the run texts[lo:hi] (`body`) into its owning class.
 
-    `texts` are the sequence's token texts and `bag` its `token_bag`.
+    `texts` are a file's token texts and `bag` the run's `token_bag`.
     Field connectivity counts identifiers matching a declared field
     unless a local declaration of the same name textually precedes the
     occurrence (the declaring occurrence itself is shadowed).
@@ -86,16 +86,17 @@ def coupling_counts(
     declaration. Method connectivity counts identifiers immediately
     followed by '(' that match a declared method name.
     """
+    lo, hi = body
     field_refs = method_refs = 0
     fields, methods = owner.field_names, owner.method_names
     for name in bag.keys() & (fields | methods):
         if name in fields:
             decl = shadow_from.get(name)
-            field_refs += bag[name] if decl is None else texts[: decl.token_index].count(name)
+            field_refs += bag[name] if decl is None else texts[lo : decl.token_index].count(name)
         if name in methods:
-            i = -1
+            i = lo - 1
             for _ in range(bag[name]):
-                i = texts.index(name, i + 1)
+                i = texts.index(name, i + 1, hi)
                 method_refs += texts[i + 1 : i + 2] == ("(",)
     return field_refs, method_refs
 
@@ -113,7 +114,8 @@ def _measure(
     """
     bag = segment.bag
     keyword_total = sum(bag[k] for k in bag.keys() & keywords)
-    fields, calls = coupling_counts(segment.body_texts, bag, owner, segment.local_declarations)
+    declarations = segment.local_declarations
+    fields, calls = coupling_counts(segment.tokens.texts, segment.body, bag, owner, declarations)
     coupling = fields + calls
     lines, symbols, area = segment.line_count, segment.symbol_count, segment.area
     method_lines = method.line_count

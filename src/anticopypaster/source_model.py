@@ -1,10 +1,12 @@
 """Structural model of Java sources.
 
 Indexes method bodies and class context out of lexed files and validates
-pasted fragments as statement sequences. A method's token texts, bag,
-first local declarations and nesting area are built once, when it is
-indexed, and a valid fragment's once, when it is validated; everything
-downstream (clone detection, metrics, extraction) reads these fields.
+pasted fragments as statement sequences. A method's body, like a fragment,
+is an index range (`body`) into its file's token columns, as is every token
+index stored with it. Its bag, first local declarations and nesting area are
+built once, when it is indexed, and a valid fragment's once, when it is
+validated; everything downstream (clone detection, metrics, extraction)
+reads these fields.
 
 Method detection is header-pattern plus brace matching, not a full
 grammar: constructors count as methods, bodiless declarations are
@@ -44,7 +46,7 @@ class Parameter:
 @dataclass(frozen=True)
 class LocalDecl:
     declared_type: str
-    token_index: int
+    token_index: int  # the declared name's index in the file's tokens
 
 
 @dataclass
@@ -60,7 +62,8 @@ class MethodUnit:
     id: str
     name: str
     parameter_list: tuple[Parameter, ...]
-    # The file's tokens, and where the body's run among them starts and stops.
+    # The file's tokens, and where the body's run among them starts and stops:
+    # tokens[body[0] - 1] is the body's `{` and tokens[body[1]] its `}`.
     tokens: Tokens = field(repr=False, compare=False)
     body: tuple[int, int]
     start_line: int
@@ -73,12 +76,8 @@ class MethodUnit:
     # per-line nesting depths: the size and complexity the vector reads.
     symbol_count: int
     area: int
-    open_brace_line: int
-    close_brace_line: int
-    close_brace_column: int
     declaration_line: int
     # The duplicate scan's fingerprint, built once when the method is indexed.
-    body_texts: tuple[str, ...]
     bag: dict[str, int]
     bag_size: int
     # The 18 submetric values in ALL_SUBMETRICS order. The session sets
@@ -102,9 +101,9 @@ class Fragment:
     line_count: int
     symbol_count: int
     valid: bool
-    # A MethodUnit's indexing facts (area as if pasted at depth 1) and the
-    # jumps that leave the fragment, built once by validation; empty when invalid.
-    body_texts: tuple[str, ...] = ()
+    # A MethodUnit's indexing facts (body: all of `tokens`; area: as if pasted at
+    # depth 1) and the jumps that leave the fragment, built once by validation; empty when invalid.
+    body: tuple[int, int] = (0, 0)
     bag: dict[str, int] = field(default_factory=dict)
     bag_size: int = 0
     local_declarations: dict[str, LocalDecl] = field(default_factory=dict)
@@ -144,15 +143,16 @@ def validate_fragment(text: str) -> Fragment:
         tokens = tokenize(trimmed)
     except LexError:
         return Fragment(trimmed, Tokens(), line_count, symbol_count, False)
+    match = match_delimiters(tokens.texts)[0]
     try:
-        illegal_flow = parse_statements(tokens)
+        illegal_flow = parse_statements(tokens, match)
     except StatementParseError:
         return Fragment(trimmed, tokens, line_count, symbol_count, False)
     bag = token_bag(tokens.texts)
-    declarations = scan_declarations(tokens, match_delimiters(tokens.texts)[0], 0, len(tokens))
+    declarations = scan_declarations(tokens, match, 0, len(tokens))
     return Fragment(
         trimmed, tokens, line_count, symbol_count, True,
-        body_texts=tokens.texts,
+        body=(0, len(tokens)),
         bag=bag,
         bag_size=bag.total(),
         local_declarations=dict(reversed(declarations)),
@@ -195,8 +195,8 @@ def scan_declarations(tokens: Tokens, match: list[int], lo: int, hi: int) -> lis
 
     Covers ordinary declarations, multi-declarator lists, for-init,
     enhanced-for, catch parameters, and try-with-resources. Returns each
-    declared name with its rendered type and the index of the name token,
-    counted from lo; misparses fall out as 'not a declaration', never as a
+    declared name with its rendered type and the index of the name token
+    in `tokens`; misparses fall out as 'not a declaration', never as a
     crash. A declaration is tried where one may start (first, and after `;`,
     `{`, `}` or the `(` of `for`, `catch` or `try`) when, past a `final`, a type starts there.
     """
@@ -217,7 +217,7 @@ def scan_declarations(tokens: Tokens, match: list[int], lo: int, hi: int) -> lis
             _try_declaration(tokens, match, j, found)
     found.sort(key=lambda item: item[2])
     # A stray '(' may pair past `hi`; a name read beyond it is out of range.
-    return [(name, LocalDecl(declared_type, k - lo)) for name, declared_type, k in found if k < hi]
+    return [(name, LocalDecl(declared_type, k)) for name, declared_type, k in found if k < hi]
 
 
 def _render_type(texts: tuple[str, ...], kinds: list[TokenKind]) -> str:
@@ -530,10 +530,8 @@ class _Indexer:
             return
         params = _parse_parameters(tokens, self.match, paren + 1, close_paren)
         lo, hi = open_brace + 1, close_brace
-        open_line = lines[open_brace]
-        start_line, end_line = (lines[lo], lines[hi - 1]) if lo < hi else (open_line, open_line)
-        body_texts = texts[lo:hi]
-        bag = token_bag(body_texts)
+        start_line, end_line = (lines[lo], lines[hi - 1]) if lo < hi else (lines[open_brace],) * 2
+        bag = token_bag(texts[lo:hi])
         declarations = scan_declarations(tokens, self.match, lo, hi)
         method_id = f"{self.file_path}:{start_line}:{name}"
         if method_id in self.ids:
@@ -553,11 +551,7 @@ class _Indexer:
             is_static="static" in texts[start:paren],
             symbol_count=count_symbols("\n".join(self.lines[start_line - 1 : end_line])),
             area=sum(_profile(tokens, lo, hi, start_line, end_line)),
-            open_brace_line=open_line,
-            close_brace_line=lines[close_brace],
-            close_brace_column=tokens.column(close_brace),
             declaration_line=lines[start],
-            body_texts=body_texts,
             bag=bag,
             bag_size=bag.total(),
         )

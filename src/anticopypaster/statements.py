@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .lexer import Tokens, TokenKind, match_delimiters
+from .lexer import Tokens, TokenKind
 
 
 class StatementParseError(Exception):
@@ -259,8 +259,8 @@ class _Parser:
         return "simple"
 
 
-def parse_statements(tokens: Tokens) -> tuple[str, ...]:
-    """Parse a token sequence as one or more Java block statements.
+def parse_statements(tokens: Tokens, match: list[int]) -> tuple[str, ...]:
+    """Parse a token sequence, whose delimiters `match` pairs, as one or more Java block statements.
 
     Returns one message per jump that leaves the sequence, in source
     order; a `return` or `break` inside a lambda or anonymous class
@@ -271,7 +271,6 @@ def parse_statements(tokens: Tokens) -> tuple[str, ...]:
     not parse.
     """
     texts = tokens.texts
-    match = match_delimiters(texts)[0]
     open_until: list[int] = []
     for i, text in enumerate(texts):
         if text in ("(", "[", "{"):

@@ -137,6 +137,11 @@ def reference_tokenize(text: str) -> list[Token]:
     return tokens
 
 
+def body_texts(unit) -> tuple[str, ...]:
+    """The token texts of a method's or fragment's body range."""
+    return unit.tokens.texts[slice(*unit.body)]
+
+
 def body_tokens(unit: MethodUnit) -> Tokens:
     """A method's body as columns of its own, with the columns it has in its file."""
     lo, hi = unit.body
@@ -148,13 +153,14 @@ def body_tokens(unit: MethodUnit) -> Tokens:
 
 
 def token_walk_coupling(
-    tokens: Tokens, owner: ClassContext, shadow_from: dict[str, LocalDecl]
+    tokens: Tokens, body: tuple[int, int], owner: ClassContext, shadow_from: dict[str, LocalDecl]
 ) -> tuple[int, int]:
-    """`metrics.coupling_counts` by walking every token: the oracle for its bag-driven count."""
+    """`metrics.coupling_counts` by walking every token of the body range: the oracle for its bag-driven count."""
     field_refs = 0
     method_refs = 0
     texts = tokens.texts
-    for i, name in enumerate(texts):
+    for i in range(*body):
+        name = texts[i]
         if tokens.kinds[i] != TokenKind.IDENTIFIER:
             continue
         followed_by_call = i + 1 < len(texts) and texts[i + 1] == "("

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import json
+import os
 import shutil
+import subprocess
 import sys
 from pathlib import Path
 
@@ -13,8 +15,10 @@ from anticopypaster.statements import parse_statements
 from anticopypaster.workspace import open_project
 
 from helpers import (
+    CORPUS_DIR,
     FIXTURES_DIR,
     GOLDEN_DIR,
+    REPO_ROOT,
     SCENARIOS_DIR,
     count_calls,
     count_lexing,
@@ -170,6 +174,48 @@ def test_exit_codes_stay_in_the_documented_set(dup_root, tmp_path, capsys):
     codes.add(run_command(["--bogus"]))
     capsys.readouterr()
     assert codes <= {0, 1, 2, 3}
+
+
+def _run_with_closed_stdout(argv: list[str], unbuffered: bool) -> subprocess.CompletedProcess:
+    """`anticopypaster ... | true`: the pipe has no reader before the first write.
+
+    Block-buffered, a short output breaks the pipe only at the final flush;
+    unbuffered, it breaks at the first write, in the middle of the command.
+    """
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(REPO_ROOT / "src")
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    try:
+        return subprocess.run(
+            [sys.executable, "-m", "anticopypaster.cli", *argv],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120,
+        )
+    finally:
+        os.close(write_end)
+
+
+@pytest.mark.parametrize("unbuffered", [False, True])
+def test_a_reader_that_closes_stdout_early_leaves_exit_zero_and_no_traceback(unbuffered):
+    child = _run_with_closed_stdout(["analyze", str(CORPUS_DIR / "case01" / "project")], unbuffered)
+    assert (child.returncode, child.stderr) == (0, b"")
+
+
+@pytest.mark.parametrize("unbuffered", [False, True])
+def test_a_closed_stdout_keeps_the_exit_code_of_a_not_triggered_check(dup_root, tmp_path, unbuffered):
+    config = tmp_path / "strict.json"
+    config.write_text(
+        '{"submetrics": {"size.lines.segment": {"required": true}},'
+        ' "sensitivity": {"size": 100}}',
+        encoding="utf-8",
+    )
+    child = _run_with_closed_stdout(
+        ["check", str(dup_root), "--fragment", frag_path(tmp_path), "--at", "Host.java:5", "--config", str(config)],
+        unbuffered,
+    )
+    assert (child.returncode, child.stderr) == (1, b"")
 
 
 def test_json_outputs_are_byte_stable(dup_root, tmp_path, capsys):

@@ -10,6 +10,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from anticopypaster.clones import (
+    EXACT,
+    NEAR,
     CloneMatch,
     WordIndex,
     find_duplicates,
@@ -22,7 +24,7 @@ from anticopypaster.settings import CONFIG_FILENAME
 from anticopypaster.source_model import index_file, validate_fragment
 from anticopypaster.workspace import open_project
 
-from helpers import body_tokens, write_project
+from helpers import body_texts, body_tokens, write_project
 
 
 def bag_of(source: str):
@@ -146,9 +148,9 @@ def test_renamed_identifier_is_a_near_match_with_bag_similarity():
     matches = find_duplicates(fragment, _methods(), 0.5)
     per_method = {m.method_id.split(":")[-1]: m for m in matches}
     assert per_method["m5"].kind == "near"
-    frag_bag = token_bag(fragment.body_texts)
+    frag_bag = token_bag(fragment.tokens.texts)
     m5 = next(m for m in _methods() if m.name == "m5")
-    expected = overlap_similarity(frag_bag, token_bag(m5.body_texts))
+    expected = overlap_similarity(frag_bag, token_bag(body_texts(m5)))
     assert per_method["m5"].similarity == expected
 
 
@@ -174,7 +176,10 @@ def test_match_span_points_at_the_cloned_lines():
 
 
 def brute_force_duplicates(fragment, methods, theta) -> list[CloneMatch]:
-    """O(methods x body-length) oracle: scan every offset, then bag overlap."""
+    """O(methods x body-length) oracle: scan every offset, then bag overlap.
+
+    An exact match reports its run's first token as an index into the method's file.
+    """
     frag_seq = fragment.tokens.texts
     frag_counter = Counter(
         t.text for t in fragment.tokens if t.kind != TokenKind.PUNCTUATION
@@ -187,10 +192,11 @@ def brute_force_duplicates(fragment, methods, theta) -> list[CloneMatch]:
         for start in range(0, len(body_seq) - len(frag_seq) + 1):
             if body_seq[start : start + len(frag_seq)] == frag_seq:
                 hit = (body[start].line, body[start + len(frag_seq) - 1].line)
-                column = body[start].column
+                token = method.body[0] + start
+                assert method.tokens.texts[token : token + len(frag_seq)] == frag_seq
                 break
         if hit is not None:
-            results.append(CloneMatch(method.id, 1.0, "exact", hit, column))
+            results.append(CloneMatch(method.id, 1.0, "exact", hit, token))
             continue
         body_counter = Counter(
             t.text for t in body if t.kind != TokenKind.PUNCTUATION
@@ -299,13 +305,13 @@ def test_filtered_scan_agrees_with_brute_force_on_generated_projects(bodies, sav
 
 
 def _fingerprints(methods) -> list[tuple]:
-    return [(m.id, m.body_texts, m.bag, m.bag_size) for m in methods]
+    return [(m.id, body_texts(m), m.bag, m.bag_size) for m in methods]
 
 
 def _assert_fingerprints_fresh(methods) -> None:
     for method in methods:
         words = [t.text for t in body_tokens(method) if t.kind != TokenKind.PUNCTUATION]
-        assert method.body_texts == tuple(t.text for t in body_tokens(method))
+        assert body_texts(method) == tuple(t.text for t in body_tokens(method))
         assert method.bag == Counter(words)
         assert method.bag_size == len(words)
 
@@ -326,14 +332,30 @@ def test_statement_permutation_keeps_near_similarity():
     a = validate_fragment("x = p + 1;\ny = q + 2;")
     b = validate_fragment("y = q + 2;\nx = p + 1;")
     methods = _methods()
-    bag_a = token_bag(a.body_texts)
-    bag_b = token_bag(b.body_texts)
+    bag_a = token_bag(a.tokens.texts)
+    bag_b = token_bag(b.tokens.texts)
     for method in methods:
-        body = token_bag(method.body_texts)
+        body = token_bag(body_texts(method))
         assert overlap_similarity(bag_a, body) == overlap_similarity(bag_b, body)
 
 
+def test_a_short_method_early_in_the_file_does_not_match_a_later_copy():
+    """The fragment is longer than m's body but its bag fits in m's bag."""
+    source = "class S {\n    int x;\n    int m() { return x; }\n    int n() { return ((((((((((x)))))))))); }\n}\n"
+    methods = index_file(source, "S.java")[0]
+    matches = find_duplicates(validate_fragment("return ((((((((((x))))))))));"), methods, 0.9)
+    assert [(m.method_id, m.kind, m.match_span) for m in matches] == [
+        ("S.java:3:m", NEAR, None),
+        ("S.java:4:n", EXACT, (4, 4)),
+    ]
+
+
 def test_find_subsequence_basics():
-    assert find_subsequence(("a", "b", "c", "b", "c"), ("b", "c")) == 1
-    assert find_subsequence(("a", "b"), ("b", "a")) == -1
-    assert find_subsequence(("a",), ()) == -1
+    texts = ("a", "b", "c", "b", "c")
+    assert find_subsequence(texts, ("b", "c"), 0, 5) == 1
+    assert find_subsequence(texts, ("b", "c"), 2, 5) == 3
+    assert find_subsequence(texts, ("b", "c"), 2, 4) == -1
+    assert find_subsequence(("a", "b"), ("b", "a"), 0, 2) == -1
+    assert find_subsequence(("a",), (), 0, 1) == -1
+    # A needle longer than the range must not be looked for past hi.
+    assert find_subsequence(("a", "b", "x", "a", "b", "c"), ("a", "b", "c"), 0, 1) == -1

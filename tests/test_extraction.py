@@ -236,7 +236,8 @@ def test_two_site_extraction_matches_the_golden_diff():
 def test_sites_sharing_lines_with_other_statements_match_the_golden_diff():
     """Only the matched run is replaced: `int k = 1;` and `return total * 2;` stay."""
     session, _, plan = _plan_fixture("shared_line", "A.java", 4, "reset")
-    assert [(s.start_line, s.column) for s in plan.target_sites] == [(4, 20), (12, 9), (18, 24)]
+    columns = [(s.start_line, session.tokens[s.file_path].column(s.token)) for s in plan.target_sites]
+    assert columns == [(4, 20), (12, 9), (18, 24)]
     result = apply_extraction(plan, session.files, session.tokens)
     golden = (GOLDEN_DIR / "extract_shared_line.diff").read_text(encoding="utf-8")
     assert result.diff == golden
@@ -358,6 +359,29 @@ def test_stale_site_aborts_without_touching_sources():
     assert tampered == before
 
 
+@pytest.mark.parametrize(
+    "moved",
+    [
+        "        total++; total = 0;\n        total += xs.length;\n        return total;",
+        "\n        total = 0;\n        total += xs.length;\n        return total;",
+    ],
+    ids=["statement-before-on-its-line", "blank-line-before"],
+)
+def test_a_site_whose_run_moved_is_stale(moved):
+    """The run's text is unchanged, but it no longer starts at the site's token on the site's line."""
+    session, _, plan = _plan_fixture("shared_line", "A.java", 4, "reset")
+    assert [s.start_line for s in plan.target_sites] == [4, 12, 18]
+    tampered = dict(session.files)
+    tampered["A.java"] = tampered["A.java"].replace(
+        "        total = 0;\n        total += xs.length;\n        return total;", moved, 1
+    )
+    assert tampered != session.files
+    before = dict(tampered)
+    with pytest.raises(StaleSite):
+        apply_extraction(plan, tampered)
+    assert tampered == before
+
+
 def test_extraction_adds_exactly_one_method_and_still_lexes():
     session, _, plan = _extract_demo()
     result = apply_extraction(plan, session.files)
@@ -465,7 +489,7 @@ def _undo_extraction(plan, rewritten: str) -> tuple[str, ...]:
     """The rewritten tokens without the new method, each call's tokens replaced by the fragment's."""
     texts = tokenize(rewritten).texts
     method = tokenize(f"{plan.signature} {{ {plan.body_text} }}").texts
-    at = find_subsequence(texts, method)
+    at = find_subsequence(texts, method, 0, len(texts))
     assert at >= 0
     texts = texts[:at] + texts[at + len(method) :]
     call = tokenize(plan.call_statement).texts

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 from fractions import Fraction
 from math import ceil
 
@@ -271,7 +272,8 @@ def test_method_vector_equals_its_body_measured_as_a_fragment():
         methods += [(m, session.files[m.file_path]) for m in session.methods]
     compared = 0
     for method, text in methods:
-        if method.open_brace_line == method.start_line or method.close_brace_line == method.end_line:
+        lines, (lo, hi) = method.tokens.lines, method.body
+        if lines[lo - 1] == method.start_line or lines[hi] == method.end_line:
             continue
         body_lines = text.split("\n")[method.start_line - 1 : method.end_line]
         fragment = validate_fragment("\n".join(body_lines))
@@ -311,7 +313,7 @@ class Cases {
 
 
 def _stored_coupling(unit):
-    return coupling_counts(unit.body_texts, unit.bag, unit.owner, unit.local_declarations)
+    return coupling_counts(unit.tokens.texts, unit.body, unit.bag, unit.owner, unit.local_declarations)
 
 
 def test_coupling_counts_fields_below_shadowed_locals_and_split_calls():
@@ -320,7 +322,7 @@ def test_coupling_counts_fields_below_shadowed_locals_and_split_calls():
     host = next(m for m in methods if m.name == "host")
     assert _stored_coupling(host) == (7, 3)
     for unit in methods:
-        assert _stored_coupling(unit) == token_walk_coupling(body_tokens(unit), unit.owner, unit.local_declarations)
+        assert _stored_coupling(unit) == token_walk_coupling(unit.tokens, unit.body, unit.owner, unit.local_declarations)
         assert declarations_of(body_tokens(unit)) == candidate_declarations(body_tokens(unit))
 
 
@@ -356,8 +358,11 @@ def test_coupling_and_declarations_equal_the_oracles_on_corpus_and_fixture_metho
         for unit in open_project(root).methods:
             tokens = body_tokens(unit)
             assert declarations_of(tokens) == candidate_declarations(tokens), unit.id
-            assert unit.local_declarations == dict(reversed(declarations_of(tokens))), unit.id
-            expected = token_walk_coupling(tokens, unit.owner, unit.local_declarations)
+            # The body's own declarations, moved to their indices in the file.
+            lo = unit.body[0]
+            in_file = [(name, replace(d, token_index=d.token_index + lo)) for name, d in declarations_of(tokens)]
+            assert unit.local_declarations == dict(reversed(in_file)), unit.id
+            expected = token_walk_coupling(unit.tokens, unit.body, unit.owner, unit.local_declarations)
             assert _stored_coupling(unit) == expected, unit.id
             compared += 1
     assert compared >= 50
@@ -390,8 +395,9 @@ def test_coupling_and_declarations_equal_the_oracles_on_generated_bodies(text):
     declarations = declarations_of(tokens)
     assert declarations == candidate_declarations(tokens)
     shadow_from = dict(reversed(declarations))
-    expected = token_walk_coupling(tokens, _OWNER, shadow_from)
-    assert coupling_counts(tokens.texts, token_bag(tokens.texts), _OWNER, shadow_from) == expected
+    body = (0, len(tokens))
+    expected = token_walk_coupling(tokens, body, _OWNER, shadow_from)
+    assert coupling_counts(tokens.texts, body, token_bag(tokens.texts), _OWNER, shadow_from) == expected
 
 
 # --- percentile thresholds ---------------------------------------------------

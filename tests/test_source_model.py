@@ -16,7 +16,7 @@ from anticopypaster.source_model import (
 )
 from anticopypaster.statements import parse_statements
 
-from helpers import body_tokens, comma_split_parameters, declarations_of
+from helpers import body_texts, body_tokens, comma_split_parameters, declarations_of
 
 TWO_METHODS = """\
 public class TwoMethods {
@@ -275,7 +275,7 @@ def test_retokenizing_body_lines_reproduces_body_tokens():
     methods, _ = index_file(TWO_METHODS, "TwoMethods.java")
     for method in methods:
         body_source = "\n".join(lines[method.start_line - 1 : method.end_line])
-        assert tokenize(body_source).texts == method.body_texts
+        assert tokenize(body_source).texts == body_texts(method)
 
 
 # --- fragment validity -------------------------------------------------------
@@ -337,8 +337,8 @@ def test_arrow_case_takes_only_a_block_throw_or_expression():
 def test_case_label_control_flow():
     colon = validate_fragment("switch (k) { case 1: f(); break; default: return; }")
     arrow = validate_fragment("switch (k) { case 1 -> { break; } default -> g(); }")
-    assert parse_statements(colon.tokens) == ("return inside fragment",)
-    assert parse_statements(arrow.tokens) == ()
+    assert parse_statements(colon.tokens, match_delimiters(colon.tokens.texts)[0]) == ("return inside fragment",)
+    assert parse_statements(arrow.tokens, match_delimiters(arrow.tokens.texts)[0]) == ()
 
 
 RETURN = "return inside fragment"
@@ -392,7 +392,8 @@ YIELD = "yield targets a switch expression outside fragment"
     ],
 )
 def test_parse_statements_reports_the_jumps_that_leave_the_fragment(text, jumps):
-    assert parse_statements(tokenize(text)) == jumps
+    tokens = tokenize(text)
+    assert parse_statements(tokens, match_delimiters(tokens.texts)[0]) == jumps
 
 
 def test_lambda_and_anonymous_class_statements_are_valid():
@@ -552,18 +553,19 @@ def test_fragment_fields_agree_with_their_per_token_definitions(text):
     fragment = validate_fragment(text)
     tokens = fragment.tokens
     stored = (
-        fragment.body_texts, fragment.bag, fragment.bag_size,
+        fragment.body, fragment.bag, fragment.bag_size,
         fragment.local_declarations, fragment.area, fragment.illegal_flow,
     )
     if not fragment.valid:
-        assert stored == ((), {}, 0, {}, 0, ())
+        assert stored == ((0, 0), {}, 0, {}, 0, ())
         return
     first_declarations = {}
     for name, decl in declarations_of(tokens):
         first_declarations.setdefault(name, decl)
     assert stored == (
-        tokens.texts, token_bag(tokens.texts), token_bag(tokens.texts).total(),
-        first_declarations, sum(_profile(tokens, 0, len(tokens), 1, fragment.line_count)), parse_statements(tokens),
+        (0, len(tokens)), token_bag(tokens.texts), token_bag(tokens.texts).total(), first_declarations,
+        sum(_profile(tokens, 0, len(tokens), 1, fragment.line_count)),
+        parse_statements(tokens, match_delimiters(tokens.texts)[0]),
     )
 
 

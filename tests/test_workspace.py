@@ -18,7 +18,7 @@ from anticopypaster.settings import CONFIG_FILENAME
 from anticopypaster.source_model import source_position
 from anticopypaster.workspace import open_project, refresh_index
 
-from helpers import CORPUS_DIR, FIXTURES_DIR, body_tokens, fresh_distributions, write_project
+from helpers import CORPUS_DIR, FIXTURES_DIR, body_texts, body_tokens, fresh_distributions, write_project
 
 FILE_A = """\
 class A {
@@ -391,7 +391,7 @@ def _assert_fresh(session, fresh_root: Path) -> None:
     fresh = open_project(write_project(fresh_root, {**session.files, CONFIG_FILENAME: _KEYWORD_CONFIG}))
     assert [m.id for m in session.methods] == [m.id for m in fresh.methods]
     for mine, theirs in zip(session.methods, fresh.methods):
-        assert (mine.body_texts, mine.bag, mine.bag_size) == (theirs.body_texts, theirs.bag, theirs.bag_size)
+        assert (body_texts(mine), mine.bag, mine.bag_size) == (body_texts(theirs), theirs.bag, theirs.bag_size)
     if session.methods:
         assert session.distribution == fresh_distributions(session.methods, keywords)
     else:
