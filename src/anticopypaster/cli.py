@@ -168,7 +168,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     session = open_project(args.root, args.config)
     names = sorted(m.value for m in Submetric)
     summary: dict[str, dict] = {}
-    if session.distribution is not None:
+    if session.methods:
         thresholds = thresholds_for(session.distribution, session.settings.sensitivity)
         for submetric in Submetric:
             sample = session.distribution.samples[submetric]
@@ -356,7 +356,7 @@ def _cmd_thresholds(args: argparse.Namespace) -> int:
         if category not in sensitivities:
             raise _Fail(f"unknown metric category {category!r}")
         sensitivities[category] = value
-    if session.distribution is None:
+    if not session.methods:
         raise _Fail("project has no indexed methods; thresholds are undefined")
     thresholds = thresholds_for(session.distribution, sensitivities)
     if args.json:

@@ -222,15 +222,10 @@ def evaluate_paste(
     enclosing, matches, _ = located
     settings: Settings = session.settings
     vector = compute_vector(fragment, enclosing, enclosing.owner, settings.keywords)
-    try:
-        if session.distribution is None:
-            raise NotComputable("project has no indexed methods")
-        thresholds = thresholds_for(
-            session.distribution, settings.sensitivity, settings.enabled_submetrics()
-        )
-        report = evaluate_gate(vector, thresholds, settings.flags)
-    except NotComputable:
-        report = GateReport({}, False, False, False, reason="NotComputable")
+    # An enclosing method means the distribution holds a sample, and the
+    # thresholds cover exactly the submetrics the gate reads.
+    thresholds = thresholds_for(session.distribution, settings.sensitivity, settings.enabled_submetrics())
+    report = evaluate_gate(vector, thresholds, settings.flags)
     report = with_duplicates(report, len(matches), settings.min_duplicate_methods)
     if report.triggered:
         return Recommendation(event, report, matches, now)

@@ -266,8 +266,9 @@ def apply_extraction(
 
     Every site is re-verified against the current sources first; one
     stale site aborts the whole application with the sources untouched.
-    `tokens` may hold `tokenize(sources[p])` for some paths, such as a
-    session's stored tokens; the other paths are lexed here.
+    `tokens` may hold lexed files, such as a session's stored tokens; each
+    is read only where its `text` is `sources[p]`, and other paths are
+    lexed here.
     Each call replaces exactly the characters of its site's run, from the
     first token to the end of the last, so other statements on those
     lines stay. The method goes in at `insertion_point`.
@@ -318,8 +319,8 @@ def _verify_sites(
     """Where each site's run starts and ends, as (line, column); StaleSite at the first site without one.
 
     A site's run must still start at its token, on its start line. Sites
-    come grouped by file, so each file missing from `tokens` is lexed once
-    and only one such file's tokens are held at a time.
+    come grouped by file, so each file without tokens of its current text
+    is lexed once and only one such file's tokens are held at a time.
     """
     texts = plan.fragment_token_texts
     runs = []
@@ -329,8 +330,10 @@ def _verify_sites(
             path = site.file_path
             if path not in sources:
                 raise StaleSite(f"{path} is missing")
+            file_tokens = tokens.get(path)
             try:
-                file_tokens = tokens.get(path) or tokenize(sources[path])
+                if file_tokens is None or file_tokens.text != sources[path]:
+                    file_tokens = tokenize(sources[path])
             except LexError as exc:
                 raise StaleSite(f"{path} no longer lexes: {exc}") from exc
         i = site.token

@@ -2,7 +2,8 @@
 
 No Python code runs per token: texts, kinds and lines are each one C-level
 pass over the matches, and a column is counted from the gaps where read.
-Given a file's previous revision, `tokenize` lexes only a window around the
+Each `Tokens` keeps the text it was lexed from, so it can serve as a file's
+previous revision: given one, `tokenize` lexes only a window around the
 change and reuses the old columns on either side (the incremental lexing of
 Wagner & Graham, PLDI 1997).
 """
@@ -120,12 +121,14 @@ class Tokens:
     """Token i is `Token(kinds[i], texts[i], lines[i], column(i))`; equal words share one `str`.
 
     `gaps[i]` is the text between token i - 1, or the start, and token i.
+    `text` is the newline-normalized source the columns were lexed from.
     """
 
     texts: tuple[str, ...] = ()
     kinds: list[TokenKind] = field(default_factory=list)
     lines: array = field(default_factory=lambda: array("i"))
     gaps: tuple[str, ...] = ()
+    text: str = field(default="", repr=False)
 
     def __len__(self) -> int:
         return len(self.texts)
@@ -173,20 +176,20 @@ def _lex(text: str, pos: int, endpos: int, line: int) -> tuple[Tokens, str, tupl
         breaks = map(add, breaks, chain((0,), map(str.count, texts, repeat("\n"))))
     lines = array("i", accumulate(breaks, initial=line))
     del lines[0]
-    tokens = Tokens(texts, list(map(kind_of.__getitem__, texts)), lines, gaps)
+    tokens = Tokens(texts, list(map(kind_of.__getitem__, texts)), lines, gaps, text[pos:endpos])
     if not bad:
         return tokens, end_gap, None
     i = min(map(texts.index, bad))
     return tokens, end_gap, (_UNCLOSED.get(texts[i], f"unexpected character {texts[i][0]!r}"), lines[i])
 
 
-def tokenize(text: str, previous: tuple[str, Tokens] | None = None) -> Tokens:
+def tokenize(text: str, previous: Tokens | None = None) -> Tokens:
     """Lex arbitrary UTF-8 source text into token columns.
 
     Raises LexError with the starting line for unterminated block
     comments, string/char literals and text blocks, and for a character
-    that starts no token. `previous`, an earlier revision's `(text,
-    tokenize(text))`, lets it lex only a window around the change, to the same result.
+    that starts no token. `previous`, the tokens of an earlier revision,
+    lets it lex only a window around the change from `previous.text`, to the same result.
     """
     text = normalize_newlines(text)
     end = len(text)
@@ -195,8 +198,7 @@ def tokenize(text: str, previous: tuple[str, Tokens] | None = None) -> Tokens:
         if error:
             raise LexError(*error)
         return tokens
-    old_text, old = previous
-    old_text = normalize_newlines(old_text)
+    old, old_text = previous, previous.text
     prefix = _common_prefix(old_text, text)
     # The suffix may not overlap the prefix in either text.
     suffix = min(_common_prefix(old_text[::-1], text[::-1]), min(len(old_text), end) - prefix)
@@ -238,6 +240,7 @@ def tokenize(text: str, previous: tuple[str, Tokens] | None = None) -> Tokens:
         old.kinds[:k] + window.kinds + old.kinds[j:],
         old.lines[:k] + window.lines + lines,
         old.gaps[:k] + tuple(gaps),
+        text,
     )
 
 

@@ -13,7 +13,9 @@ built when it is indexed. A method's vector depends only on its own file
 and the keyword set, so a session computes it once, when the file is
 indexed, and keeps it on the MethodUnit. The distribution is sorted
 from the stored vectors on open; an edit takes the edited file's old
-vectors out of it and merges its new ones in.
+vectors out of it and merges its new ones in. A project without methods
+has a distribution of empty samples, on which every threshold raises
+EmptyDistribution.
 """
 
 from __future__ import annotations
@@ -176,10 +178,8 @@ class ProjectDistribution:
 
 
 def build_distributions(vectors: list[tuple[float, ...]]) -> ProjectDistribution:
-    """Sort per-method vectors, each in ALL_SUBMETRICS order, into samples."""
-    if not vectors:
-        raise EmptyDistribution("no indexed methods to sample")
-    columns = zip(*vectors)
+    """Sort per-method vectors, each in ALL_SUBMETRICS order, into samples; no vectors give empty ones."""
+    columns = zip(*vectors) if vectors else [()] * len(ALL_SUBMETRICS)
     return ProjectDistribution(
         {m: tuple(sorted(column)) for m, column in zip(ALL_SUBMETRICS, columns)},
         len(vectors),
@@ -187,34 +187,28 @@ def build_distributions(vectors: list[tuple[float, ...]]) -> ProjectDistribution
 
 
 def update_distributions(
-    distribution: ProjectDistribution | None,
+    distribution: ProjectDistribution,
     removed: list[tuple[float, ...]],
     added: list[tuple[float, ...]],
-) -> ProjectDistribution | None:
+) -> ProjectDistribution:
     """The distribution with the `removed` vectors taken out and `added` put in.
 
-    Equals `build_distributions` of the vectors that remain, or None when
-    none do, at the cost of the change: each removed value is found by
-    bisection, and the added vectors, sorted on their own, are merged in
-    by one sort of two ascending runs, which Timsort does in one pass.
-    Every removed vector must be in `distribution`.
+    Equals `build_distributions` of the vectors that remain, at the cost
+    of the change: each removed value is found by bisection, and the added
+    vectors, sorted on their own, are merged in by one sort of two
+    ascending runs, which Timsort does in one pass. Every removed vector
+    must be in `distribution`, which is left as it was.
     """
-    size = (distribution.sample_size if distribution else 0) - len(removed) + len(added)
-    if not size:
-        return None
-    fresh = build_distributions(added) if added else None
-    if distribution is None:
-        return fresh
+    fresh = build_distributions(added)
     samples = {}
     for i, m in enumerate(ALL_SUBMETRICS):
         column = list(distribution.samples[m])
         for vector in removed:
             del column[bisect_left(column, vector[i])]
-        if fresh is not None:
-            column += fresh.samples[m]
-            column.sort()
+        column += fresh.samples[m]
+        column.sort()
         samples[m] = tuple(column)
-    return ProjectDistribution(samples, size)
+    return ProjectDistribution(samples, distribution.sample_size - len(removed) + len(added))
 
 
 def percentile_threshold(sample: tuple[float, ...], sensitivity: int) -> float:

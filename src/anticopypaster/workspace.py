@@ -9,10 +9,11 @@ The session also keeps each file revision's tokens, lexed once when the
 file is indexed, and the duplicate scan's word index; due pastes and
 extraction read them instead of lexing the file again or visiting every
 method. So `files[p]` is written only together with
-`refresh_index(session, [p])`, as `apply_edit` does. A save hands the
-file's previous text and tokens along, so only the changed span is lexed
-again, and the distribution is updated by the file's old and new vectors
-instead of being sorted anew.
+`refresh_index(session, [p])`, as `apply_edit` does. The stored tokens
+carry the text they were lexed from, so they are the previous revision a
+refresh splices from: only the changed span is lexed again, and the
+distribution is updated by the file's old and new vectors instead of
+being sorted anew. A project without methods has an empty distribution.
 """
 
 from __future__ import annotations
@@ -50,7 +51,8 @@ class ProjectSession:
     methods: list[MethodUnit] = field(default_factory=list)
     # The bag words of every method in `methods`.
     index: WordIndex = field(default_factory=WordIndex)
-    distribution: ProjectDistribution | None = None
+    # Sorted from the vectors of `methods`; a snapshot, so sessions may share the empty one.
+    distribution: ProjectDistribution = build_distributions([])
     queue: PasteQueue = field(default_factory=PasteQueue)
     warnings: list[str] = field(default_factory=list)
 
@@ -75,14 +77,11 @@ class ProjectSession:
 
     def apply_edit(self, file_path: str, new_content: str | None) -> None:
         """Update the in-memory view of one file; None deletes it."""
-        previous = None
-        if file_path in self.tokens:
-            previous = {file_path: (self.files[file_path], self.tokens[file_path])}
         if new_content is None:
             self.files.pop(file_path, None)
         else:
             self.files[file_path] = normalize_newlines(new_content)
-        refresh_index(self, [file_path], previous)
+        refresh_index(self, [file_path])
 
 
 def _ignored(rel_path: str, globs: tuple[str, ...]) -> bool:
@@ -131,8 +130,7 @@ def open_project(root: str | Path, config_path: str | Path | None = None) -> Pro
             continue
         session.files[rel] = normalize_newlines(text)
     _index_files(session, sorted(session.files))
-    if session.methods:
-        session.distribution = build_distributions([m.vector for m in session.methods])
+    session.distribution = build_distributions([m.vector for m in session.methods])
     return session
 
 
@@ -152,17 +150,12 @@ def _file_range(methods: list[MethodUnit], path: str) -> tuple[int, int]:
     return bisect_left(methods, path, key=_file_of), bisect_right(methods, path, key=_file_of)
 
 
-def _index_files(
-    session: ProjectSession,
-    rel_paths: list[str],
-    previous: Mapping[str, tuple[str, Tokens]] | None = None,
-) -> list[MethodUnit]:
+def _index_files(session: ProjectSession, rel_paths: list[str]) -> list[MethodUnit]:
     """Lex, index and compute each new method's metric vector; return the new methods.
 
-    `previous` may hold a file's earlier `(text, tokens)`, so that only
-    what changed since is lexed again.
-
-    A file that lexes keeps its tokens even when indexing then fails.
+    A file's stored tokens, if it has any, are its previous revision, so
+    only what changed since is lexed again. A file that lexes keeps its
+    new tokens even when indexing then fails; one that does not has none.
     Warnings name the file here; indexing and lexing errors carry no path.
     The files must have no methods in the session yet. Each file's methods
     go in after those of the files whose paths sort before it, in the
@@ -171,12 +164,11 @@ def _index_files(
     sort.
     """
     keywords = session.settings.keywords
-    previous = previous or {}
     added: list[MethodUnit] = []
     for rel in rel_paths:
         text = session.files[rel]
         try:
-            tokens = session.tokens[rel] = tokenize(text, previous.get(rel))
+            tokens = session.tokens[rel] = tokenize(text, session.tokens.pop(rel, None))
             methods, _ = index_file(text, rel, tokens)
         except EngineError as exc:
             session.warnings.append(f"{rel}: {exc}")
@@ -190,30 +182,27 @@ def _index_files(
     return added
 
 
-def refresh_index(
-    session: ProjectSession,
-    changed_paths: list[str],
-    previous: Mapping[str, tuple[str, Tokens]] | None = None,
-) -> None:
+def refresh_index(session: ProjectSession, changed_paths: list[str]) -> None:
     """Re-index only the changed files and update the distribution by their delta.
 
-    `previous` may hold a changed file's text and tokens before the
-    change, which spares lexing its unchanged parts again. Deleted files
-    lose their methods, tokens and indexed words; pending events that
-    point at them surface as FileMissing at the next tick. Untouched
-    files keep their method ids, which are content-position based.
+    A changed file is lexed again only where its text differs from that
+    of its stored tokens. Deleted files lose their methods, tokens and
+    indexed words; pending events that point at them surface as
+    FileMissing at the next tick. Untouched files keep their method ids,
+    which are content-position based.
     """
     changed = set(changed_paths)
     methods = session.methods
     removed: list[tuple[float, ...]] = []
     for path in changed:
-        session.tokens.pop(path, None)
+        if path not in session.files:
+            session.tokens.pop(path, None)
         lo, hi = _file_range(methods, path)
         for method in methods[lo:hi]:
             session.index.remove(method)
             removed.append(method.vector)
         del methods[lo:hi]
-    added = _index_files(session, sorted(p for p in changed if p in session.files), previous)
+    added = _index_files(session, sorted(p for p in changed if p in session.files))
     session.distribution = update_distributions(
         session.distribution, removed, [m.vector for m in added]
     )

@@ -25,7 +25,7 @@ from anticopypaster.lexer import tokenize
 from anticopypaster.source_model import index_file, validate_fragment
 from anticopypaster.workspace import open_project
 
-from helpers import FIXTURES_DIR, GOLDEN_DIR, count_lexing, javac_errors, requires_javac
+from helpers import FIXTURES_DIR, GOLDEN_DIR, count_lexing, javac_errors, requires_javac, write_project
 
 FLOW_SOURCE = """\
 class Flow {
@@ -380,6 +380,39 @@ def test_a_site_whose_run_moved_is_stale(moved):
     with pytest.raises(StaleSite):
         apply_extraction(plan, tampered)
     assert tampered == before
+
+
+STALE_STORE = """\
+class S {
+    int f(int[] xs) {
+        int n = 0;
+        n += xs.length;
+        return n;
+    }
+
+    int g(int[] xs) {
+        int n = 0;
+        n += xs.length;
+        return n;
+    }
+}
+"""
+
+
+def test_tokens_of_another_text_are_not_trusted(tmp_path):
+    """Stored tokens whose text is not the source being rewritten would place every site one line off."""
+    session = open_project(write_project(tmp_path / "p", {"S.java": STALE_STORE}))
+    fragment = validate_fragment("int n = 0;\nn += xs.length;")
+    host = session.method_at("S.java", 3)
+    matches = find_duplicates(fragment, session.methods, 0.8, session.index)
+    summary = analyze_extractability(fragment, host, host.owner)
+    plan = plan_extraction(summary, "start", fragment, host, host.owner, matches, session.methods_by_id)
+    assert [s.start_line for s in plan.target_sites] == [3, 9]
+    sources = {"S.java": "// a comment line\n" + STALE_STORE}
+    before = dict(sources)
+    with pytest.raises(StaleSite):
+        apply_extraction(plan, sources, session.tokens)
+    assert sources == before
 
 
 def test_extraction_adds_exactly_one_method_and_still_lexes():

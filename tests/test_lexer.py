@@ -407,7 +407,7 @@ def _assert_splice_is_a_full_lex(old: str, new: str) -> None:
         old_tokens = tokenize(old)
     except LexError:
         return
-    spliced = _lex_outcome(new, (old, old_tokens))
+    spliced = _lex_outcome(new, old_tokens)
     assert spliced == _lex_outcome(new)
     if isinstance(spliced, Tokens):
         assert [tuple(tok) for tok in spliced] == _outcome(reference_tokenize, new)
@@ -423,10 +423,10 @@ def test_splicing_a_spliced_revision_gives_a_full_lex(revisions):
     (old, middle), new = revisions
     try:
         old_tokens = tokenize(old)
-        middle_tokens = tokenize(middle, (old, old_tokens))
+        middle_tokens = tokenize(middle, old_tokens)
     except LexError:
         return
-    assert _lex_outcome(new, (middle, middle_tokens)) == _lex_outcome(new)
+    assert _lex_outcome(new, middle_tokens) == _lex_outcome(new)
 
 
 @given(st.sampled_from(_JAVA_SOURCES).flatmap(lambda old: st.tuples(st.just(old), _edited(old))))

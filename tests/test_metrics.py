@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from anticopypaster.errors import EmptyDistribution, InvalidSensitivity
 from anticopypaster.metrics import (
+    CATEGORIES,
     CONFIGURABLE_KEYWORDS,
     KEYWORD_CATALOGUE,
     Submetric,
@@ -19,6 +20,7 @@ from anticopypaster.metrics import (
     coupling_counts,
     method_vector,
     percentile_threshold,
+    thresholds_for,
     update_distributions,
 )
 from anticopypaster.lexer import token_bag, tokenize
@@ -206,8 +208,12 @@ class S {
 
 
 def test_empty_project_raises_empty_distribution():
+    empty = fresh_distributions([], KEYWORD_CATALOGUE)
+    assert empty.sample_size == 0
+    assert set(empty.samples) == set(Submetric)
+    assert not any(empty.samples.values())
     with pytest.raises(EmptyDistribution):
-        fresh_distributions([], KEYWORD_CATALOGUE)
+        thresholds_for(empty, {category: 50 for category in CATEGORIES})
 
 
 def test_six_method_fixture_matches_golden_distribution():
@@ -490,6 +496,6 @@ _VECTORS = st.lists(st.tuples(*[st.sampled_from((0, 1, 2, 0.5, 2.5))] * len(Subm
 def test_updating_a_distribution_equals_sorting_what_remains(vectors, added, drop):
     removed = [v for i, v in enumerate(vectors) if i in drop]
     remaining = [v for i, v in enumerate(vectors) if i not in drop] + added
-    before = build_distributions(vectors) if vectors else None
+    before = build_distributions(vectors)
     after = update_distributions(before, removed, added)
-    assert after == (build_distributions(remaining) if remaining else None)
+    assert after == build_distributions(remaining)

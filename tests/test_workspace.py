@@ -72,7 +72,6 @@ def test_open_project_indexes_all_files_and_methods(tmp_path):
     session = open_project(make_tree(tmp_path / "p"))
     assert len(session.files) == 3
     assert len(session.methods) == 6
-    assert session.distribution is not None
     assert session.distribution.sample_size == 6
 
 
@@ -180,6 +179,24 @@ def test_refresh_reindexes_only_changed_files(tmp_path):
     assert len(session.methods) == 6
 
 
+def test_a_direct_write_then_refresh_splices_from_the_stored_tokens(tmp_path, monkeypatch):
+    session = open_project(make_tree(tmp_path / "p"))
+    stored = session.tokens["A.java"]
+    previous = []
+
+    def spied(text, prior=None):
+        previous.append(prior)
+        return tokenize(text, prior)
+
+    monkeypatch.setattr(workspace, "tokenize", spied)
+    new_text = FILE_A.replace("return 1;", "return 42;")
+    session.files["A.java"] = new_text
+    refresh_index(session, ["A.java"])
+    assert len(previous) == 1 and previous[0] is stored
+    assert session.tokens["A.java"] == tokenize(new_text)
+    assert session.tokens["A.java"].text == new_text
+
+
 def test_refresh_matches_a_from_scratch_rebuild(tmp_path):
     session = open_project(make_tree(tmp_path / "p"))
     session.files["C.java"] = FILE_C.replace("return 6;", "return 60;")
@@ -248,12 +265,12 @@ def test_session_isolation_under_interleaving(tmp_path):
     assert [m.id for m in solo_a.methods] == [m.id for m in inter_a.methods]
 
 
-def test_distribution_none_for_empty_tree(tmp_path):
+def test_distribution_empty_for_empty_tree(tmp_path):
     root = tmp_path / "empty"
     root.mkdir()
     session = open_project(root)
     assert session.methods == []
-    assert session.distribution is None
+    assert session.distribution.sample_size == 0
 
 
 # --- incremental edits equal a fresh open -------------------------------------
@@ -392,10 +409,7 @@ def _assert_fresh(session, fresh_root: Path) -> None:
     assert [m.id for m in session.methods] == [m.id for m in fresh.methods]
     for mine, theirs in zip(session.methods, fresh.methods):
         assert (body_texts(mine), mine.bag, mine.bag_size) == (body_texts(theirs), theirs.bag, theirs.bag_size)
-    if session.methods:
-        assert session.distribution == fresh_distributions(session.methods, keywords)
-    else:
-        assert session.distribution is None
+    assert session.distribution == fresh_distributions(session.methods, keywords)
     assert session.distribution == fresh.distribution
     rebuilt = WordIndex(session.methods)
     assert (session.index.holders, session.index.methods) == (rebuilt.holders, rebuilt.methods)
