@@ -237,7 +237,7 @@ def plan_extraction(
         target_sites=tuple(sites),
         insertion_file=enclosing.file_path,
         insertion_point=(tokens.lines[close], tokens.column(close) + 1),
-        declaration_line=enclosing.declaration_line,
+        declaration_line=tokens.lines[enclosing.header],
         is_static=enclosing.is_static,
         fragment_token_texts=fragment.tokens.texts,
     )
@@ -271,7 +271,8 @@ def apply_extraction(
     lexed here.
     Each call replaces exactly the characters of its site's run, from the
     first token to the end of the last, so other statements on those
-    lines stay. The method goes in at `insertion_point`.
+    lines stay. The method goes in at `insertion_point`. A source that is
+    not newline-normalized, as a session's are, raises StaleSite.
     """
     # Each edit's start and end as (line, column), and its site; the
     # insertion has none. Column 0 of a line is the end of the line before.
@@ -285,6 +286,8 @@ def apply_extraction(
     diff_parts: list[str] = []
     for path in sorted(edits):
         old = sources[path]
+        if "\r" in old:
+            raise StaleSite(f"{path} has carriage returns; extraction rewrites newline-normalized sources")
         old_lines = old.split("\n")
         # The offset of (line, column) is before_line[line - 1] + column.
         before_line = list(accumulate((len(line) + 1 for line in old_lines), initial=-1))

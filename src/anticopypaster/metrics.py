@@ -12,15 +12,16 @@ built once when it is validated, and a method's whole body, from those
 built when it is indexed. A method's vector depends only on its own file
 and the keyword set, so a session computes it once, when the file is
 indexed, and keeps it on the MethodUnit. The distribution is sorted
-from the stored vectors on open; an edit takes the edited file's old
-vectors out of it and merges its new ones in. A project without methods
+from the stored vectors on open; a save takes out the vectors that changed
+and puts their new values in where bisection places them, and a column
+none of them changes stays the same tuple. A project without methods
 has a distribution of empty samples, on which every threshold raises
 EmptyDistribution.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 from enum import Enum
 
@@ -194,20 +195,28 @@ def update_distributions(
     """The distribution with the `removed` vectors taken out and `added` put in.
 
     Equals `build_distributions` of the vectors that remain, at the cost
-    of the change: each removed value is found by bisection, and the added
-    vectors, sorted on their own, are merged in by one sort of two
-    ascending runs, which Timsort does in one pass. Every removed vector
-    must be in `distribution`, which is left as it was.
+    of the change. A column whose removed and added values are the same
+    is kept as it is; in every other column each value is taken out or put
+    in at the place bisection finds, so nothing is sorted again. No vectors
+    at all give `distribution` itself. Every removed vector must be in
+    `distribution`, which, like every snapshot, never changes.
     """
     fresh = build_distributions(added)
+    if not removed and not added:
+        return distribution
     samples = {}
     for i, m in enumerate(ALL_SUBMETRICS):
-        column = list(distribution.samples[m])
-        for vector in removed:
-            del column[bisect_left(column, vector[i])]
-        column += fresh.samples[m]
-        column.sort()
-        samples[m] = tuple(column)
+        column, came = distribution.samples[m], fresh.samples[m]
+        gone = sorted(v[i] for v in removed)
+        if gone == list(came):
+            samples[m] = column
+            continue
+        spliced = list(column)
+        for value in gone:
+            del spliced[bisect_left(spliced, value)]
+        for value in came:
+            insort(spliced, value)
+        samples[m] = tuple(spliced)
     return ProjectDistribution(samples, distribution.sample_size - len(removed) + len(added))
 
 

@@ -6,7 +6,10 @@ is an index range (`body`) into its file's token columns, as is every token
 index stored with it. Its bag, first local declarations and nesting area are
 built once, when it is indexed, and a valid fragment's once, when it is
 validated; everything downstream (clone detection, metrics, extraction)
-reads these fields.
+reads these fields. When a file is indexed again, a method whose run, from
+its `header` (the member's first token) to its closing `}`, has the same
+token texts and gaps, and whose body lines read the same, keeps these facts
+at its new place instead of building them again.
 
 Method detection is header-pattern plus brace matching, not a full
 grammar: constructors count as methods, bodiless declarations are
@@ -17,7 +20,7 @@ brace lines holding nothing but a brace never count toward the body.
 from __future__ import annotations
 
 from bisect import bisect_right
-from collections.abc import Container
+from collections.abc import Container, Sequence
 from dataclasses import dataclass, field
 from itertools import chain, compress, count
 
@@ -76,7 +79,8 @@ class MethodUnit:
     # per-line nesting depths: the size and complexity the vector reads.
     symbol_count: int
     area: int
-    declaration_line: int
+    # The member's first token past its annotations; the run from it to tokens[body[1]] is what a refresh compares.
+    header: int
     # The duplicate scan's fingerprint, built once when the method is indexed.
     bag: dict[str, int]
     bag_size: int
@@ -338,7 +342,7 @@ def _try_declaration(tokens: Tokens, match: list[int], j: int, found: list[tuple
 
 
 def index_file(
-    text: str, file_path: str, tokens: Tokens | None = None
+    text: str, file_path: str, tokens: Tokens | None = None, previous: Sequence[MethodUnit] = ()
 ) -> tuple[list[MethodUnit], list[ClassContext]]:
     """Index every method body and class context in one source file.
 
@@ -348,6 +352,8 @@ def index_file(
     a record's components are fields of its context. Raises IndexingError
     when braces are unbalanced at file scope or classes nest deeper than
     the interpreter's recursion limit; lex errors propagate as LexError.
+    `previous`, the methods of the file's last indexed revision, lets a
+    method whose run and body lines are unchanged keep its facts.
     """
     normalized = normalize_newlines(text)
     if tokens is None:
@@ -356,7 +362,7 @@ def index_file(
     if not braces_paired:
         raise IndexingError("unbalanced braces at file scope")
     lines = normalized.split("\n")
-    indexer = _Indexer(tokens, match, lines, file_path)
+    indexer = _Indexer(tokens, match, lines, file_path, previous)
     try:
         indexer.run()
     except RecursionError:
@@ -365,6 +371,8 @@ def index_file(
 
 
 _FIELD_MODIFIERS = frozenset({"public", "private", "protected", "static", "final", "transient", "volatile"})
+# What a method whose run is unchanged keeps; its local declarations move with the run.
+_KEPT_FACTS = ("parameter_list", "bag", "bag_size", "is_static", "symbol_count", "area", "local_declarations")
 
 
 def _skip_annotation(tokens: Tokens, match: list[int], i: int, end: int) -> int:
@@ -390,7 +398,12 @@ def _skip_modifiers(tokens: Tokens, match: list[int], i: int, end: int, words: C
 
 
 class _Indexer:
-    def __init__(self, tokens: Tokens, match: list[int], lines: list[str], file_path: str):
+    def __init__(self, tokens: Tokens, match: list[int], lines: list[str], file_path: str,
+                 previous: Sequence[MethodUnit]):
+        # An unchanged method starts at its old token, or past the edit, shifted by the change in token count.
+        self.previous = {m.header: m for m in previous}
+        self.shift = len(tokens) - len(previous[0].tokens) if previous else 0
+        self.old_lines = previous[0].tokens.text.split("\n") if previous else []
         self.tokens = tokens
         self.texts = tokens.texts
         self.kinds = tokens.kinds
@@ -528,35 +541,51 @@ class _Indexer:
         close_paren = self.match[paren]
         if close_paren < 0 or close_paren >= open_brace:
             return
-        params = _parse_parameters(tokens, self.match, paren + 1, close_paren)
         lo, hi = open_brace + 1, close_brace
         start_line, end_line = (lines[lo], lines[hi - 1]) if lo < hi else (lines[open_brace],) * 2
-        bag = token_bag(texts[lo:hi])
-        declarations = scan_declarations(tokens, self.match, lo, hi)
+        facts = self._kept(start, close_brace, start_line, end_line) if self.previous else None
+        if facts is None:
+            bag = token_bag(texts[lo:hi])
+            facts = dict(
+                parameter_list=tuple(_parse_parameters(tokens, self.match, paren + 1, close_paren)),
+                bag=bag, bag_size=bag.total(), is_static="static" in texts[start:paren],
+                local_declarations=dict(reversed(scan_declarations(tokens, self.match, lo, hi))),
+                symbol_count=count_symbols("\n".join(self.lines[start_line - 1 : end_line])),
+                area=sum(_profile(tokens, lo, hi, start_line, end_line)),
+            )
         method_id = f"{self.file_path}:{start_line}:{name}"
         if method_id in self.ids:
             # Overloads whose bodies start on one line; their braces' columns differ.
             method_id += f":{tokens.column(open_brace)}"
         self.ids.add(method_id)
-        unit = MethodUnit(
-            id=method_id,
-            name=name,
-            parameter_list=tuple(params),
-            tokens=tokens,
-            body=(lo, hi),
-            start_line=start_line,
-            end_line=end_line,
-            local_declarations=dict(reversed(declarations)),
-            owner=ctx,
-            is_static="static" in texts[start:paren],
-            symbol_count=count_symbols("\n".join(self.lines[start_line - 1 : end_line])),
-            area=sum(_profile(tokens, lo, hi, start_line, end_line)),
-            declaration_line=lines[start],
-            bag=bag,
-            bag_size=bag.total(),
-        )
-        self.methods.append(unit)
+        self.methods.append(MethodUnit(
+            id=method_id, name=name, tokens=tokens, body=(lo, hi), start_line=start_line,
+            end_line=end_line, owner=ctx, header=start, **facts,
+        ))
         ctx.method_names.add(name)
+
+    def _kept(self, start: int, close: int, start_line: int, end_line: int) -> dict | None:
+        """The facts of the previous revision's method with the same run, tokens[start:close + 1], and body lines.
+
+        The same texts and gaps make its lines shift as one; `symbol_count`
+        also reads the text around the run on its first and last body lines.
+        """
+        for old in filter(None, map(self.previous.get, (start, start - self.shift))):
+            first, end = old.header, old.body[1] + 1
+            if (
+                old.tokens.texts[first:end] == self.texts[start : close + 1]
+                and old.tokens.gaps[first + 1 : end] == self.tokens.gaps[start + 1 : close + 1]
+                and self.old_lines[old.start_line - 1 : old.end_line] == self.lines[start_line - 1 : end_line]
+            ):
+                facts = {name: getattr(old, name) for name in _KEPT_FACTS}
+                moved = start - first
+                if moved:
+                    facts["local_declarations"] = {
+                        name: LocalDecl(d.declared_type, d.token_index + moved)
+                        for name, d in old.local_declarations.items()
+                    }
+                return facts
+        return None
 
 
 def _parse_parameters(tokens: Tokens, match: list[int], i: int, end: int) -> list[Parameter]:

@@ -11,14 +11,18 @@ extraction read them instead of lexing the file again or visiting every
 method. So `files[p]` is written only together with
 `refresh_index(session, [p])`, as `apply_edit` does. The stored tokens
 carry the text they were lexed from, so they are the previous revision a
-refresh splices from: only the changed span is lexed again, and the
-distribution is updated by the file's old and new vectors instead of
-being sorted anew. A project without methods has an empty distribution.
+refresh splices from: only the changed span is lexed again. A save
+re-measures only the methods whose run changed: the file's other methods
+keep their facts, their vectors while their class's field and method
+names are unchanged, and their indexed words while their ids are, and the
+distribution is updated by the vectors that changed instead of being
+sorted anew. A project without methods has an empty distribution.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from collections import Counter
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fnmatch import fnmatch
@@ -150,60 +154,63 @@ def _file_range(methods: list[MethodUnit], path: str) -> tuple[int, int]:
     return bisect_left(methods, path, key=_file_of), bisect_right(methods, path, key=_file_of)
 
 
-def _index_files(session: ProjectSession, rel_paths: list[str]) -> list[MethodUnit]:
-    """Lex, index and compute each new method's metric vector; return the new methods.
+def _index_files(session: ProjectSession, rel_paths: list[str]) -> tuple[list[tuple], list[tuple]]:
+    """Index each file again, or drop a deleted one; return its old and its new methods' vectors.
 
-    A file's stored tokens, if it has any, are its previous revision, so
-    only what changed since is lexed again. A file that lexes keeps its
-    new tokens even when indexing then fails; one that does not has none.
-    Warnings name the file here; indexing and lexing errors carry no path.
-    The files must have no methods in the session yet. Each file's methods
-    go in after those of the files whose paths sort before it, in the
-    order the file declares them, which is also the order of their first
-    lines, so `session.methods` stays in source_position order without a
-    sort.
+    A file's stored tokens and methods are its previous revision. One that
+    lexes keeps its new tokens even when indexing then fails; one that does
+    not has none. Warnings name the file; indexing and lexing errors carry
+    no path. A file's methods go in after those of the files sorting before
+    it, in the order of their first lines, so `session.methods` stays in
+    source_position order without a sort.
     """
-    keywords = session.settings.keywords
-    added: list[MethodUnit] = []
+    keywords, index, methods = session.settings.keywords, session.index, session.methods
+    removed, added = [], []
     for rel in rel_paths:
-        text = session.files[rel]
+        lo, hi = _file_range(methods, rel)
+        old, new = methods[lo:hi], []
+        del methods[lo:hi]
+        text, tokens = session.files.get(rel), session.tokens.pop(rel, None)
         try:
-            tokens = session.tokens[rel] = tokenize(text, session.tokens.pop(rel, None))
-            methods, _ = index_file(text, rel, tokens)
+            if text is not None:
+                tokens = session.tokens[rel] = tokenize(text, tokens)
+                new = index_file(text, rel, tokens, old)[0]
         except EngineError as exc:
             session.warnings.append(f"{rel}: {exc}")
-            continue
-        for method in methods:
-            method.vector = vector_values(method_vector(method, keywords))
-            session.index.add(method)
-        at = bisect_left(session.methods, rel, key=_file_of)
-        session.methods[at:at] = methods
-        added += methods
-    return added
+        # A kept method shares its old unit's bag.
+        was = {id(m.bag): m for m in old}
+        pairs = [(m, was.get(id(m.bag))) for m in new]
+        carried = {m.id for m, prior in pairs if prior is not None and prior.id == m.id}
+        for method in old:
+            if method.id not in carried:
+                index.remove(method)
+        for method, prior in pairs:
+            # The vector also reads the class's field and method names.
+            if prior is not None and prior.owner == method.owner:
+                method.vector = prior.vector
+            else:
+                method.vector = vector_values(method_vector(method, keywords))
+            if method.id in carried:
+                index.methods[method.id] = method
+            else:
+                index.add(method)
+        methods[lo:lo] = new
+        removed += [m.vector for m in old]
+        added += [m.vector for m in new]
+    return removed, added
 
 
 def refresh_index(session: ProjectSession, changed_paths: list[str]) -> None:
-    """Re-index only the changed files and update the distribution by their delta.
+    """Re-index only the changed files and update the distribution by the vectors that changed.
 
     A changed file is lexed again only where its text differs from that
-    of its stored tokens. Deleted files lose their methods, tokens and
-    indexed words; pending events that point at them surface as
-    FileMissing at the next tick. Untouched files keep their method ids,
-    which are content-position based.
+    of its stored tokens, and only its changed methods are measured again.
+    Deleted files lose their methods, tokens and indexed words; pending
+    events that point at them surface as FileMissing at the next tick.
+    Untouched files keep their method ids, which are content-position
+    based.
     """
-    changed = set(changed_paths)
-    methods = session.methods
-    removed: list[tuple[float, ...]] = []
-    for path in changed:
-        if path not in session.files:
-            session.tokens.pop(path, None)
-        lo, hi = _file_range(methods, path)
-        for method in methods[lo:hi]:
-            session.index.remove(method)
-            removed.append(method.vector)
-        del methods[lo:hi]
-    added = _index_files(session, sorted(p for p in changed if p in session.files))
+    removed, added = map(Counter, _index_files(session, sorted(set(changed_paths))))
     session.distribution = update_distributions(
-        session.distribution, removed, [m.vector for m in added]
+        session.distribution, list((removed - added).elements()), list((added - removed).elements())
     )
-

@@ -4,8 +4,12 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 from helpers import CORPUS_DIR, REPO_ROOT
+
+# A longer search than the default profile's, for CI: `pytest --hypothesis-profile=deep`.
+settings.register_profile("deep", max_examples=2000, deadline=None)
 
 
 @pytest.fixture

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from anticopypaster.clones import EXACT, find_duplicates, find_subsequence
 from anticopypaster.errors import (
+    EngineError,
     IllegalFlow,
     InvalidIdentifier,
     NameCollision,
@@ -412,6 +413,22 @@ def test_tokens_of_another_text_are_not_trusted(tmp_path):
     before = dict(sources)
     with pytest.raises(StaleSite):
         apply_extraction(plan, sources, session.tokens)
+    assert sources == before
+
+
+@pytest.mark.parametrize("line_end", ["\r", "\r\n"], ids=["lone-cr", "crlf"])
+def test_carriage_return_sources_are_refused_by_name(tmp_path, line_end):
+    """Sites are placed on the newline-normalized lex; a `\r` source would be cut at the wrong offsets."""
+    session = open_project(write_project(tmp_path / "p", {"S.java": STALE_STORE}))
+    fragment = validate_fragment("int n = 0;\nn += xs.length;")
+    host = session.method_at("S.java", 3)
+    matches = find_duplicates(fragment, session.methods, 0.8, session.index)
+    summary = analyze_extractability(fragment, host, host.owner)
+    plan = plan_extraction(summary, "start", fragment, host, host.owner, matches, session.methods_by_id)
+    sources = {"S.java": STALE_STORE.replace("\n", line_end)}
+    before = dict(sources)
+    with pytest.raises(EngineError, match="S.java"):
+        apply_extraction(plan, sources)
     assert sources == before
 
 

@@ -499,3 +499,9 @@ def test_updating_a_distribution_equals_sorting_what_remains(vectors, added, dro
     before = build_distributions(vectors)
     after = update_distributions(before, removed, added)
     assert after == build_distributions(remaining)
+    # The snapshot a caller holds stays as it was, and a column whose values did not change is shared.
+    assert before == build_distributions(vectors)
+    for i, m in enumerate(Submetric):
+        if sorted(v[i] for v in removed) == sorted(v[i] for v in added):
+            assert after.samples[m] is before.samples[m]
+    assert update_distributions(before, [], []) is before

@@ -15,10 +15,10 @@ from anticopypaster.errors import LexError, MissingRoot
 from anticopypaster.lexer import tokenize
 from anticopypaster.metrics import method_vector, vector_values
 from anticopypaster.settings import CONFIG_FILENAME
-from anticopypaster.source_model import source_position
+from anticopypaster.source_model import Parameter, source_position
 from anticopypaster.workspace import open_project, refresh_index
 
-from helpers import CORPUS_DIR, FIXTURES_DIR, body_texts, body_tokens, fresh_distributions, write_project
+from helpers import CORPUS_DIR, FIXTURES_DIR, body_tokens, fresh_distributions, write_project
 
 FILE_A = """\
 class A {
@@ -216,7 +216,13 @@ def test_an_edit_computes_vectors_only_for_the_edited_files_methods(tmp_path, mo
 
     monkeypatch.setattr(metrics, "method_vector", counted)
     monkeypatch.setattr(workspace, "method_vector", counted, raising=False)
-    session.apply_edit("A.java", FILE_A.replace("return 1;", "return 42;"))
+    # Two more tokens in `one`, so `two` is found past the edit, two tokens on.
+    session.apply_edit("A.java", FILE_A.replace("return 1;", "return 1 + 1;"))
+    assert [m.name for m in computed] == ["one"]
+    assert computed[0] is session.methods_by_id["A.java:3:one"]
+    computed.clear()
+    # A new field may be read by any method of the class, so each is measured again.
+    session.apply_edit("A.java", FILE_A.replace("class A {", "class A {\n    int x;"))
     edited = [m for m in session.methods if m.file_path == "A.java"]
     assert len(computed) == len(edited) == 2
     assert {id(m) for m in computed} == {id(m) for m in edited}
@@ -240,6 +246,28 @@ def test_noop_refresh_keeps_the_snapshot(tmp_path):
     refresh_index(session, [])
     assert [m.id for m in session.methods] == ids
     assert session.distribution == dist
+
+
+def test_a_save_that_moves_every_method_keeps_their_facts_and_the_snapshot(tmp_path):
+    session = open_project(make_tree(tmp_path / "p"))
+    before = {m.name: m for m in session.methods if m.file_path == "A.java"}
+    dist = session.distribution
+    session.apply_edit("A.java", "// a new first line\n" + FILE_A)
+    after = {m.name: m for m in session.methods if m.file_path == "A.java"}
+    assert [m.id for m in after.values()] == ["A.java:4:one", "A.java:8:two"]
+    assert all(after[name].bag is before[name].bag for name in before)
+    assert all(after[name].vector is before[name].vector for name in before)
+    assert session.distribution is dist
+
+
+def test_a_header_changed_in_place_is_indexed_again(tmp_path):
+    """Same token count, gaps and body lines; only the header's texts differ."""
+    root = write_project(tmp_path / "p", {"H.java": "class H {\n    public int f(int a) {\n        return a;\n    }\n}\n"})
+    session = open_project(root)
+    session.apply_edit("H.java", "class H {\n    static int f(long a) {\n        return a;\n    }\n}\n")
+    (method,) = session.methods
+    assert method.is_static
+    assert method.parameter_list == (Parameter("a", "long"),)
 
 
 def test_session_isolation_under_interleaving(tmp_path):
@@ -291,6 +319,8 @@ _STATEMENTS = (
 _BREAKS = {"toggle unlexable": "    /* unterminated", "toggle unbalanced": "    {"}
 _EDIT_OPS = (
     "add method", "change method", "remove method", "add field below", "delete file", "add file",
+    # Edits that leave a method's run as it was but move it, or change what its facts read around it.
+    "pad above", "add overloads", "pack close", "comment out", "rename field",
     *_BREAKS,
 )
 _EDITS = st.tuples(
@@ -301,31 +331,48 @@ _EDITS = st.tuples(
 )
 # A keyword subset, so a vector computed with the default catalogue would differ.
 _KEYWORD_CONFIG = '{"keywords": ["if", "for", "int", "return"]}'
+# What each toggle makes of a method: its `}` shares a line with the next member, or it is commented out.
+_STYLES = {"pack close": "packed", "comment out": "commented"}
 
 
 def _render(members: list[tuple]) -> str:
+    """A member is ("field", name), ("raw", line) or ("method", name, statements, style)."""
     lines = ["class K {"]
+    packed = False  # the last line ends in a `}` the next member's first line joins
     for member in members:
         if member[0] == "field":
-            lines.append(f"    int {member[1]};")
+            rendered = [f"    int {member[1]};"]
         elif member[0] == "raw":
-            lines.append(member[1])
+            rendered = [member[1]]
+        elif member[3] == "overloads":
+            # Two bodies on one line, so the second one's id gets its `{` column.
+            body = " ".join(member[2])
+            rendered = [f"    void {member[1]}() {{ {body} }} void {member[1]}(int p) {{ {body} }}"]
         else:
-            lines.append(f"    void {member[1]}() {{")
-            lines += [f"        {statement}" for statement in member[2]]
-            lines.append("    }")
-    return "\n".join(lines + ["}", ""])
+            rendered = [f"    void {member[1]}() {{", *(f"        {s}" for s in member[2]), "    }"]
+            if member[3] == "commented":
+                rendered = ["    /*", *rendered, "    */"]
+        if packed:
+            lines[-1] += " " + rendered.pop(0).strip()
+        lines += rendered
+        packed = member[0] == "method" and member[3] == "packed"
+    if packed:
+        lines[-1] += " }"
+    else:
+        lines.append("}")
+    return "\n".join(lines + [""])
 
 
 def _edit(model: dict[str, list[tuple]], op: str, pick: int, name: str, body: tuple) -> str:
     """Apply one edit to the model of the project; returns the path it touched."""
     if op == "add file" or not model:
         path = f"F{pick % 3}.java"
-        model[path] = [("method", name, body)]
+        model[path] = [("method", name, body, "")]
         return path
     path = sorted(model)[pick % len(model)]
     members = model[path]
     methods = [i for i, member in enumerate(members) if member[0] == "method"]
+    fields = [i for i, member in enumerate(members) if member[0] == "field"]
     if op == "delete file":
         del model[path]
     elif op in _BREAKS:
@@ -334,14 +381,21 @@ def _edit(model: dict[str, list[tuple]], op: str, pick: int, name: str, body: tu
             members.remove(raw)
         else:
             members.append(raw)
-    elif op == "add method" or not methods:
-        members.insert(pick % (len(members) + 1), ("method", name, body))
+    elif op == "rename field" and fields:
+        members[fields[pick % len(fields)]] = ("field", name)
+    elif op in ("add method", "add overloads") or not methods:
+        members.insert(pick % (len(members) + 1), ("method", name, body, "overloads" * (op == "add overloads")))
     else:
         i = methods[pick % len(methods)]
+        _, kept_name, kept_body, style = members[i]
         if op == "change method":
-            members[i] = ("method", members[i][1], body)
+            members[i] = ("method", kept_name, body, style)
         elif op == "remove method":
             del members[i]
+        elif op == "pad above":
+            members.insert(i, ("raw", "    // pad" if pick % 2 else ""))
+        elif op in _STYLES:
+            members[i] = ("method", kept_name, kept_body, "" if style == _STYLES[op] else _STYLES[op])
         else:
             members.insert(i + 1, ("field", name))
     return path
@@ -406,13 +460,16 @@ def _assert_fresh(session, fresh_root: Path) -> None:
         else:
             assert session.tokens[path] == expected
     fresh = open_project(write_project(fresh_root, {**session.files, CONFIG_FILENAME: _KEYWORD_CONFIG}))
-    assert [m.id for m in session.methods] == [m.id for m in fresh.methods]
+    # Every field a fresh open sets: id, lines, header, body, facts, vector and the owner's names.
+    assert session.methods == fresh.methods
     for mine, theirs in zip(session.methods, fresh.methods):
-        assert (body_texts(mine), mine.bag, mine.bag_size) == (body_texts(theirs), theirs.bag, theirs.bag_size)
+        assert mine.tokens == theirs.tokens
+        assert list(mine.bag.items()) == list(theirs.bag.items())
     assert session.distribution == fresh_distributions(session.methods, keywords)
     assert session.distribution == fresh.distribution
     rebuilt = WordIndex(session.methods)
     assert (session.index.holders, session.index.methods) == (rebuilt.holders, rebuilt.methods)
+    assert all(session.index.methods[m.id] is m for m in session.methods)
     _assert_method_at_is_linear(session)
 
 
@@ -420,10 +477,21 @@ def _assert_fresh(session, fresh_root: Path) -> None:
 @given(st.lists(_EDITS, min_size=1, max_size=6))
 # Delete every file, so the distribution empties, then add one back.
 @example([("delete file", 0, "a", ()), ("delete file", 0, "a", ()), ("add file", 0, "f", ("a = b + 1;",))])
+# A blank line above f, and a comment above h: lines and ids move, token indices do not.
+@example([("pad above", 0, "a", ()), ("pad above", 1, "a", ())])
+# A declaring method moved by a method added above it: its declaration's token index shifts.
+@example([("change method", 1, "a", ("int c = 0;",)), ("add method", 1, "a", ("f(a);",))])
+@example([("add overloads", 0, "g", ("f(a);",)), ("change method", 0, "a", ("h();",))])
+# An empty body's only line is its header's, which the `}` before it joins and then leaves.
+@example([("add file", 0, "e", ()), ("add method", 2, "d", ("f(a);",)), ("pack close", 2, "a", ()),
+          ("pack close", 2, "a", ())])
+@example([("comment out", 0, "a", ()), ("comment out", 0, "a", ())])
+# f and g read field a; renaming it changes their coupling, not their runs.
+@example([("rename field", 0, "c", ())])
 def test_incremental_edits_keep_vectors_and_distribution_fresh(edits):
     model = {
-        "A.java": [("method", "f", ("f(a);",)), ("field", "a"), ("method", "g", ("a = b + 1;",))],
-        "B.java": [("field", "b"), ("method", "h", ("int a = 2;", "a = b + 1;"))],
+        "A.java": [("method", "f", ("f(a);",), ""), ("field", "a"), ("method", "g", ("a = b + 1;",), "")],
+        "B.java": [("field", "b"), ("method", "h", ("int a = 2;", "a = b + 1;"), "")],
     }
     files = {path: _render(members) for path, members in model.items()}
     with tempfile.TemporaryDirectory() as tmp:
