@@ -40,7 +40,7 @@ from .lexer import (
     match_delimiters,
     tokenize,
 )
-from .source_model import ClassContext, Fragment, MethodUnit, Parameter
+from .source_model import ClassContext, Fragment, MethodUnit, Parameter, method_declarations
 from .statements import ASSIGNMENT_OPS
 
 _IDENTIFIER_RE = re.compile(r"^[A-Za-z_$][A-Za-z0-9_$]*$")
@@ -112,13 +112,10 @@ def analyze_extractability(
         raise MissingContext("fragment is not a contiguous span of the enclosing method")
 
     frag_decls = fragment.local_declarations
-    params = {p.name: p.declared_type for p in enclosing.parameter_list}
-
-    def declared_before(name: str) -> str | None:
-        local = enclosing.local_declarations.get(name)
-        if local is not None and local.token_index < at:
-            return local.declared_type
-        return params.get(name)
+    parameters, local_declarations, _ = method_declarations(enclosing)
+    # The type of each name declared ahead of the fragment: a parameter, or a local hiding it.
+    declared_before = {p.name: p.declared_type for p in parameters} | {
+        name: d.declared_type for name, d in local_declarations.items() if d.token_index < at}
 
     # One pass finds the inputs, in order of first use, and the token
     # index of each name's first write.
@@ -137,7 +134,7 @@ def analyze_extractability(
         decl = frag_decls.get(name)
         if decl is not None and decl.token_index <= k:
             continue
-        declared_type = declared_before(name)
+        declared_type = declared_before.get(name)
         if declared_type is not None:
             inputs[name] = Parameter(name, declared_type)
     for name, decl in frag_decls.items():
@@ -151,7 +148,7 @@ def analyze_extractability(
         if name in frag_decls:
             outputs.append(Parameter(name, frag_decls[name].declared_type))
             continue
-        declared_type = declared_before(name)
+        declared_type = declared_before.get(name)
         if declared_type is not None:
             outputs.append(Parameter(name, declared_type))
             continue
@@ -238,7 +235,7 @@ def plan_extraction(
         insertion_file=enclosing.file_path,
         insertion_point=(tokens.lines[close], tokens.column(close) + 1),
         declaration_line=tokens.lines[enclosing.header],
-        is_static=enclosing.is_static,
+        is_static=method_declarations(enclosing)[2],
         fragment_token_texts=fragment.tokens.texts,
     )
 

@@ -26,7 +26,8 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .errors import EmptyDistribution, EmptyScope, InvalidSensitivity
-from .source_model import ClassContext, Fragment, LocalDecl, MethodUnit
+from .lexer import TokenKind
+from .source_model import PRIMITIVE_TYPES, ClassContext, Fragment, LocalDecl, MethodUnit, method_declarations
 
 # The configurable keyword catalogue: 31 statement/type/flow keywords,
 # visibility modifiers deliberately excluded.
@@ -85,9 +86,10 @@ def coupling_counts(
     Field connectivity counts identifiers matching a declared field
     unless a local declaration of the same name textually precedes the
     occurrence (the declaring occurrence itself is shadowed).
-    `shadow_from` maps each locally declared name to its first
-    declaration. Method connectivity counts identifiers immediately
-    followed by '(' that match a declared method name.
+    `shadow_from` maps each locally declared name, or at least each field
+    name among them, to its first declaration. Method connectivity counts
+    identifiers immediately followed by '(' that match a declared method
+    name.
     """
     lo, hi = body
     field_refs = method_refs = 0
@@ -104,20 +106,42 @@ def coupling_counts(
     return field_refs, method_refs
 
 
+# What a declared name follows besides an identifier: a type's last token, or the `,` between declarators.
+_BEFORE_NAME = PRIMITIVE_TYPES | {">", ">>", ">>>", "]", "...", ","}
+
+
+def shadows(method: MethodUnit) -> dict[str, LocalDecl]:
+    """`method_declarations(method)[1]` restricted to the field names of the method's class.
+
+    The body is scanned only where one of those names follows what a
+    declared name follows; mostly none does, and no declaration is read.
+    """
+    texts, kinds, (lo, hi), bag = method.tokens.texts, method.tokens.kinds, method.body, method.bag
+    fields = bag.keys() & method.owner.field_names
+    for name in fields:
+        k = lo - 1
+        for _ in range(bag[name]):
+            k = texts.index(name, k + 1, hi)
+            if kinds[k - 1] is TokenKind.IDENTIFIER or texts[k - 1] in _BEFORE_NAME:
+                return {f: d for f, d in method_declarations(method)[1].items() if f in fields}
+    return {}
+
+
 def _measure(
     segment: Fragment | MethodUnit, method: MethodUnit, owner: ClassContext,
     keywords: frozenset[str],
 ) -> MetricVector:
     """The 18 submetric values of a segment inside `method`.
 
-    Every fact was built once, when the segment was validated or indexed;
-    its bag holds every keyword, since no keyword is punctuation. Area is
-    the sum of per-line nesting depths, so it grows with both length and
-    nesting. Densities divide by their scope's lines.
+    Every fact but a method's `shadows` was built once, when the segment
+    was validated or indexed; its bag holds every keyword, since no
+    keyword is punctuation. Area is the sum of per-line nesting depths, so
+    it grows with both length and nesting. Densities divide by their
+    scope's lines.
     """
     bag = segment.bag
     keyword_total = sum(bag[k] for k in bag.keys() & keywords)
-    declarations = segment.local_declarations
+    declarations = segment.local_declarations if isinstance(segment, Fragment) else shadows(segment)
     fields, calls = coupling_counts(segment.tokens.texts, segment.body, bag, owner, declarations)
     coupling = fields + calls
     lines, symbols, area = segment.line_count, segment.symbol_count, segment.area

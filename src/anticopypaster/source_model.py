@@ -3,13 +3,15 @@
 Indexes method bodies and class context out of lexed files and validates
 pasted fragments as statement sequences. A method's body, like a fragment,
 is an index range (`body`) into its file's token columns, as is every token
-index stored with it. Its bag, first local declarations and nesting area are
-built once, when it is indexed, and a valid fragment's once, when it is
-validated; everything downstream (clone detection, metrics, extraction)
-reads these fields. When a file is indexed again, a method whose run, from
-its `header` (the member's first token) to its closing `}`, has the same
-token texts and gaps, and whose body lines read the same, keeps these facts
-at its new place instead of building them again.
+index stored with it. Its bag and nesting area are built once, when it is
+indexed, and a valid fragment's, with its first local declarations, once,
+when it is validated; everything downstream reads these fields. A method's
+parameters and locals are read on demand (`method_declarations`), for
+extraction and where a local may shadow a field. When a file is indexed
+again, a method whose run, from its `header` (the member's first token) to
+its closing `}`, has the same token texts and gaps, and whose body lines
+read the same, keeps these facts at its new place instead of building them
+again.
 
 Method detection is header-pattern plus brace matching, not a full
 grammar: constructors count as methods, bodiless declarations are
@@ -64,17 +66,13 @@ class ClassContext:
 class MethodUnit:
     id: str
     name: str
-    parameter_list: tuple[Parameter, ...]
     # The file's tokens, and where the body's run among them starts and stops:
     # tokens[body[0] - 1] is the body's `{` and tokens[body[1]] its `}`.
     tokens: Tokens = field(repr=False, compare=False)
     body: tuple[int, int]
     start_line: int
     end_line: int
-    # Each name declared in the body and its first declaration (the scan reversed, so the earliest wins).
-    local_declarations: dict[str, LocalDecl]
     owner: ClassContext
-    is_static: bool
     # Non-whitespace characters on the body's lines, and the sum of its
     # per-line nesting depths: the size and complexity the vector reads.
     symbol_count: int
@@ -105,8 +103,8 @@ class Fragment:
     line_count: int
     symbol_count: int
     valid: bool
-    # A MethodUnit's indexing facts (body: all of `tokens`; area: as if pasted at
-    # depth 1) and the jumps that leave the fragment, built once by validation; empty when invalid.
+    # A MethodUnit's indexing facts (body: all of `tokens`; area: as if pasted at depth 1), its first local
+    # declarations and the jumps that leave it, built once by validation; empty when invalid.
     body: tuple[int, int] = (0, 0)
     bag: dict[str, int] = field(default_factory=dict)
     bag_size: int = 0
@@ -341,6 +339,10 @@ def _try_declaration(tokens: Tokens, match: list[int], j: int, found: list[tuple
         j += 1
 
 
+# The tokens of the file `index_file` or `method_declarations` paired last, and their delimiters' partners.
+_paired: tuple[Tokens, list[int]] = (Tokens(), [])
+
+
 def index_file(
     text: str, file_path: str, tokens: Tokens | None = None, previous: Sequence[MethodUnit] = ()
 ) -> tuple[list[MethodUnit], list[ClassContext]]:
@@ -355,10 +357,12 @@ def index_file(
     `previous`, the methods of the file's last indexed revision, lets a
     method whose run and body lines are unchanged keep its facts.
     """
+    global _paired
     normalized = normalize_newlines(text)
     if tokens is None:
         tokens = tokenize(normalized)
     match, braces_paired = match_delimiters(tokens.texts)
+    _paired = tokens, match
     if not braces_paired:
         raise IndexingError("unbalanced braces at file scope")
     lines = normalized.split("\n")
@@ -371,8 +375,8 @@ def index_file(
 
 
 _FIELD_MODIFIERS = frozenset({"public", "private", "protected", "static", "final", "transient", "volatile"})
-# What a method whose run is unchanged keeps; its local declarations move with the run.
-_KEPT_FACTS = ("parameter_list", "bag", "bag_size", "is_static", "symbol_count", "area", "local_declarations")
+# What a method whose run is unchanged keeps.
+_KEPT_FACTS = ("bag", "bag_size", "symbol_count", "area")
 
 
 def _skip_annotation(tokens: Tokens, match: list[int], i: int, end: int) -> int:
@@ -547,9 +551,7 @@ class _Indexer:
         if facts is None:
             bag = token_bag(texts[lo:hi])
             facts = dict(
-                parameter_list=tuple(_parse_parameters(tokens, self.match, paren + 1, close_paren)),
-                bag=bag, bag_size=bag.total(), is_static="static" in texts[start:paren],
-                local_declarations=dict(reversed(scan_declarations(tokens, self.match, lo, hi))),
+                bag=bag, bag_size=bag.total(),
                 symbol_count=count_symbols("\n".join(self.lines[start_line - 1 : end_line])),
                 area=sum(_profile(tokens, lo, hi, start_line, end_line)),
             )
@@ -577,14 +579,7 @@ class _Indexer:
                 and old.tokens.gaps[first + 1 : end] == self.tokens.gaps[start + 1 : close + 1]
                 and self.old_lines[old.start_line - 1 : old.end_line] == self.lines[start_line - 1 : end_line]
             ):
-                facts = {name: getattr(old, name) for name in _KEPT_FACTS}
-                moved = start - first
-                if moved:
-                    facts["local_declarations"] = {
-                        name: LocalDecl(d.declared_type, d.token_index + moved)
-                        for name, d in old.local_declarations.items()
-                    }
-                return facts
+                return {name: getattr(old, name) for name in _KEPT_FACTS}
         return None
 
 
@@ -617,6 +612,23 @@ def _parse_parameters(tokens: Tokens, match: list[int], i: int, end: int) -> lis
             break
         i += 1
     return params
+
+
+def method_declarations(method: MethodUnit) -> tuple[tuple[Parameter, ...], dict[str, LocalDecl], bool]:
+    """The method's parameters, each local name with its first declaration, and whether it is static.
+
+    They are read against the whole file's delimiters, so a stray '(' in
+    the body pairs as it does in indexing; a file is paired once for its
+    methods read in a row.
+    """
+    global _paired
+    tokens, (lo, hi), start = method.tokens, method.body, method.header
+    paired = _paired if _paired[0] is tokens else (tokens, match_delimiters(tokens.texts)[0])
+    _paired, match = paired, paired[1]
+    paren = tokens.texts.index("(", start, lo - 1)
+    parameters = tuple(_parse_parameters(tokens, match, paren + 1, match[paren]))
+    local_declarations = dict(reversed(scan_declarations(tokens, match, lo, hi)))
+    return parameters, local_declarations, "static" in tokens.texts[start:paren]
 
 
 def source_position(method: MethodUnit) -> tuple[str, int]:

@@ -13,8 +13,8 @@ method. So `files[p]` is written only together with
 carry the text they were lexed from, so they are the previous revision a
 refresh splices from: only the changed span is lexed again. A save
 re-measures only the methods whose run changed: the file's other methods
-keep their facts, their vectors while their class's field and method
-names are unchanged, and their indexed words while their ids are, and the
+keep their facts, their vectors unless their bags name a field or method
+that came or went, and their indexed words while their ids are, and the
 distribution is updated by the vectors that changed instead of being
 sorted anew. A project without methods has an empty distribution.
 """
@@ -185,11 +185,14 @@ def _index_files(session: ProjectSession, rel_paths: list[str]) -> tuple[list[tu
             if method.id not in carried:
                 index.remove(method)
         for method, prior in pairs:
-            # The vector also reads the class's field and method names.
-            if prior is not None and prior.owner == method.owner:
-                method.vector = prior.vector
-            else:
+            # The vector reads the class only through the field and method names in the method's bag.
+            if prior is None or method.bag.keys() & (
+                (prior.owner.field_names ^ method.owner.field_names)
+                | (prior.owner.method_names ^ method.owner.method_names)
+            ):
                 method.vector = vector_values(method_vector(method, keywords))
+            else:
+                method.vector = prior.vector
             if method.id in carried:
                 index.methods[method.id] = method
             else:

@@ -18,10 +18,17 @@ import pytest
 from anticopypaster import lexer
 from anticopypaster.errors import LexError
 from anticopypaster.lexer import JAVA_KEYWORDS, WORD_LITERALS, Token, TokenKind, Tokens, normalize_newlines
-from anticopypaster.metrics import ProjectDistribution, build_distributions, method_vector, vector_values
+from anticopypaster.metrics import (
+    ProjectDistribution,
+    build_distributions,
+    compute_vector,
+    method_vector,
+    vector_values,
+)
 from anticopypaster.source_model import (
     PRIMITIVE_TYPES,
     ClassContext,
+    Fragment,
     LocalDecl,
     MethodUnit,
     Parameter,
@@ -208,6 +215,22 @@ def fresh_distributions(methods: list[MethodUnit], keywords: frozenset[str]) -> 
     vectors computed when each file was indexed.
     """
     return build_distributions([vector_values(method_vector(m, keywords)) for m in methods])
+
+
+def full_scan_vector(method: MethodUnit, match: list[int], keywords: frozenset[str]) -> tuple[float, ...]:
+    """The method's vector with its coupling shadowed by every local declaration its body declares.
+
+    The oracle for `metrics.shadows`, which scans a body only where a field
+    name in it may be declared. `match` pairs the delimiters of the
+    method's file. The method is measured as a fragment holding its facts,
+    since a fragment's coupling reads the declarations it is given.
+    """
+    declared = dict(reversed(scan_declarations(method.tokens, match, *method.body)))
+    segment = Fragment(
+        "", method.tokens, method.line_count, method.symbol_count, True, body=method.body,
+        bag=method.bag, bag_size=method.bag_size, local_declarations=declared, area=method.area,
+    )
+    return vector_values(compute_vector(segment, method, method.owner, keywords))
 
 
 def comma_split_parameters(tokens: Tokens, match: list[int], start: int, end: int) -> list[Parameter]:

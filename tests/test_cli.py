@@ -9,7 +9,8 @@ from pathlib import Path
 
 import pytest
 
-from anticopypaster.cli import run_command
+from anticopypaster.cli import build_parser, run_command
+from anticopypaster.settings import default_settings
 from anticopypaster.source_model import validate_fragment
 from anticopypaster.statements import parse_statements
 from anticopypaster.workspace import open_project
@@ -276,6 +277,22 @@ def test_thresholds_respects_sensitivity_overrides(dup_root, capsys):
 
 def test_thresholds_rejects_unknown_category(dup_root, capsys):
     assert run_command(["thresholds", str(dup_root), "--sensitivity", "bulk=10"]) == 3
+
+
+def test_commands_in_one_process_share_a_parser_and_none_of_their_arguments(dup_root, capsys):
+    """The parser is built once; an earlier command's `--sensitivity` list and `--json` do not carry over."""
+    defaults = default_settings().sensitivity
+    first = ["thresholds", str(dup_root), "--sensitivity", "size=100", "--sensitivity", "keyword=10", "--json"]
+    assert run_command(first) == 0
+    assert json.loads(capsys.readouterr().out)["sensitivity"] == {**defaults, "size": 100, "keyword": 10}
+    assert run_command(["thresholds", str(dup_root), "--sensitivity", "coupling=90", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["sensitivity"] == {**defaults, "coupling": 90}
+    assert run_command(["thresholds", str(dup_root)]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("sample size: ")
+    assert "sensitivity: " + ", ".join(f"{c}={defaults[c]}" for c in sorted(defaults)) in out.split("\n")
+    assert build_parser() is build_parser()
+    assert build_parser().parse_args(["thresholds", "r"]).sensitivity == []
 
 
 def test_simulate_prints_the_recommendation_log(capsys):

@@ -20,11 +20,19 @@ from anticopypaster.metrics import (
     coupling_counts,
     method_vector,
     percentile_threshold,
+    shadows,
     thresholds_for,
     update_distributions,
 )
-from anticopypaster.lexer import token_bag, tokenize
-from anticopypaster.source_model import ClassContext, index_file, validate_fragment
+from anticopypaster.lexer import match_delimiters, token_bag, tokenize
+from anticopypaster.source_model import (
+    ClassContext,
+    MethodUnit,
+    index_file,
+    method_declarations,
+    scan_declarations,
+    validate_fragment,
+)
 from anticopypaster.workspace import open_project
 
 from helpers import (
@@ -35,6 +43,7 @@ from helpers import (
     candidate_declarations,
     declarations_of,
     fresh_distributions,
+    full_scan_vector,
     token_walk_coupling,
 )
 
@@ -319,7 +328,7 @@ class Cases {
 
 
 def _stored_coupling(unit):
-    return coupling_counts(unit.tokens.texts, unit.body, unit.bag, unit.owner, unit.local_declarations)
+    return coupling_counts(unit.tokens.texts, unit.body, unit.bag, unit.owner, method_declarations(unit)[1])
 
 
 def test_coupling_counts_fields_below_shadowed_locals_and_split_calls():
@@ -328,7 +337,8 @@ def test_coupling_counts_fields_below_shadowed_locals_and_split_calls():
     host = next(m for m in methods if m.name == "host")
     assert _stored_coupling(host) == (7, 3)
     for unit in methods:
-        assert _stored_coupling(unit) == token_walk_coupling(unit.tokens, unit.body, unit.owner, unit.local_declarations)
+        local_declarations = method_declarations(unit)[1]
+        assert _stored_coupling(unit) == token_walk_coupling(unit.tokens, unit.body, unit.owner, local_declarations)
         assert declarations_of(body_tokens(unit)) == candidate_declarations(body_tokens(unit))
 
 
@@ -361,14 +371,20 @@ def test_coupling_and_declarations_equal_the_oracles_on_corpus_and_fixture_metho
     roots += sorted(p / "project" if (p / "project").is_dir() else p for p in FIXTURES_DIR.iterdir())
     compared = 0
     for root in roots:
-        for unit in open_project(root).methods:
+        session = open_project(root)
+        for unit in session.methods:
             tokens = body_tokens(unit)
             assert declarations_of(tokens) == candidate_declarations(tokens), unit.id
             # The body's own declarations, moved to their indices in the file.
             lo = unit.body[0]
             in_file = [(name, replace(d, token_index=d.token_index + lo)) for name, d in declarations_of(tokens)]
-            assert unit.local_declarations == dict(reversed(in_file)), unit.id
-            expected = token_walk_coupling(unit.tokens, unit.body, unit.owner, unit.local_declarations)
+            local_declarations = method_declarations(unit)[1]
+            assert local_declarations == dict(reversed(in_file)), unit.id
+            fields = unit.owner.field_names
+            assert shadows(unit) == {n: d for n, d in local_declarations.items() if n in fields}, unit.id
+            match = match_delimiters(unit.tokens.texts)[0]
+            assert unit.vector == full_scan_vector(unit, match, session.settings.keywords), unit.id
+            expected = token_walk_coupling(unit.tokens, unit.body, unit.owner, local_declarations)
             assert _stored_coupling(unit) == expected, unit.id
             compared += 1
     assert compared >= 50
@@ -404,6 +420,52 @@ def test_coupling_and_declarations_equal_the_oracles_on_generated_bodies(text):
     body = (0, len(tokens))
     expected = token_walk_coupling(tokens, body, _OWNER, shadow_from)
     assert coupling_counts(tokens.texts, body, token_bag(tokens.texts), _OWNER, shadow_from) == expected
+
+
+def _method_over(body: str, after: str) -> MethodUnit:
+    """`void m()` of class _OWNER with the given body, followed in its file by `after`.
+
+    The body's delimiters need not pair, and a stray one may pair in `after`.
+    """
+    tokens = tokenize("void m() {" + body + "}" + after)
+    lo, hi = 5, len(tokens) - len(tokenize(after)) - 1
+    assert tokens.texts[lo - 1] == "{" and tokens.texts[hi] == "}"
+    bag = token_bag(tokens.texts[lo:hi])
+    return MethodUnit(
+        id="m", name="m", tokens=tokens, body=(lo, hi), start_line=1, end_line=1, owner=_OWNER,
+        symbol_count=0, area=0, header=0, bag=bag, bag_size=bag.total(),
+    )
+
+
+@given(
+    st.lists(st.tuples(st.sampled_from(_PIECES), st.sampled_from(_SEPARATORS)), max_size=30).map(
+        lambda pairs: "".join(piece + gap for piece, gap in pairs)
+    ),
+    st.sampled_from(["", " )", ") ) ]", ") int f = 1;", "] ) both;"]),
+)
+@example("g(x, f); h(f, both);", "")
+@example("String s = null, f = s;", "")
+@example("int x, f = 1, both[] = {};", "")
+@example("for (int f = 0; f < 1; f++) { }", "")
+@example("for (final String f : xs) { }", "")
+@example("try { } catch (E f) { }", "")
+@example("try (R f = open()) { }", "")
+@example("var f = 1;", "")
+@example("int f[] = xs;", "")
+@example("int[] f = xs;", "")
+@example("String... f;", "")
+@example("List<String> f;", "")
+@example("List<List<String>> f;", "")
+@example("A<B<C<D>>> f;", "")
+@example("g(int f; m(", ") )")
+@example("List<@A( String> x; f = 1;", ") > f;")
+@example("m(f, (both) -> below);", ") int f = 1;")
+def test_shadows_equal_the_declaration_scan_on_generated_bodies(body, after):
+    """The pre-filtered shadows are the full scan's declarations of field names, stray parens and all."""
+    unit = _method_over(body, after)
+    lo, hi = unit.body
+    declared = dict(reversed(scan_declarations(unit.tokens, match_delimiters(unit.tokens.texts)[0], lo, hi)))
+    assert shadows(unit) == {n: d for n, d in declared.items() if n in _OWNER.field_names}
 
 
 # --- percentile thresholds ---------------------------------------------------

@@ -12,6 +12,7 @@ from anticopypaster.metrics import KEYWORD_CATALOGUE, compute_vector
 from anticopypaster.source_model import (
     _profile,
     index_file,
+    method_declarations,
     validate_fragment,
 )
 from anticopypaster.statements import parse_statements
@@ -104,8 +105,9 @@ class Util {
 }
 """
     (method,), _ = index_file(source, "Util.java")
-    assert method.is_static
-    assert [(p.name, p.declared_type) for p in method.parameter_list] == [
+    parameters, _, is_static = method_declarations(method)
+    assert is_static
+    assert [(p.name, p.declared_type) for p in parameters] == [
         ("head", "String"),
         ("tail", "int[]"),
     ]
@@ -153,8 +155,8 @@ def test_a_stray_paren_pairing_past_a_body_adds_no_local_to_it():
     """Locals are scanned in place; an annotation's `(` that pairs in the next method adds none."""
     source = "class A {\n    void f() { List<@A( String> x; }\n    void g() { int y = 0; ) > z; }\n}\n"
     (f, g), _ = index_file(source, "A.java")
-    assert f.local_declarations == {}
-    assert list(g.local_declarations) == ["y"]
+    assert method_declarations(f)[1] == {}
+    assert list(method_declarations(g)[1]) == ["y"]
 
 
 def test_annotated_parameters_keep_their_types():
@@ -169,7 +171,7 @@ class A {
 }
 """
     (method,), _ = index_file(source, "A.java")
-    assert [(p.name, p.declared_type) for p in method.parameter_list] == [
+    assert [(p.name, p.declared_type) for p in method_declarations(method)[0]] == [
         ("a", "int"),
         ("b", "List<Map<K,V>>"),
         ("c", "List<@X String>"),
@@ -184,7 +186,7 @@ class A {
 def test_dimensions_after_a_parameter_or_component_name_join_its_type():
     source = "record R(int xs[], String[] rows[]) { int f(int xs[], String[] rows[][], int... ns) { return 0; } }"
     (method,), (record,) = index_file(source, "R.java")
-    assert [(p.name, p.declared_type) for p in method.parameter_list] == [
+    assert [(p.name, p.declared_type) for p in method_declarations(method)[0]] == [
         ("xs", "int[]"),
         ("rows", "String[][][]"),
         ("ns", "int..."),
@@ -200,7 +202,7 @@ def test_a_receiver_parameter_declares_no_variable(source):
     """`A this`, or `Outer Outer.this` in an inner class's constructor, only lets the receiver take
     annotations; the parameters after it are read."""
     (method,), _ = index_file(source, "A.java")
-    assert [(p.name, p.declared_type) for p in method.parameter_list] == [("x", "int")]
+    assert [(p.name, p.declared_type) for p in method_declarations(method)[0]] == [("x", "int")]
 
 
 FIELD_INITIALIZERS = """\
@@ -667,7 +669,8 @@ def test_parameters_and_record_components_equal_the_comma_splitting_oracle(liste
     (method,), (_, record) = index_file(source, "A.java")
     opens = [k for k, tok in enumerate(tokens) if tok.text == "(" and tokens[k - 1].text in ("f", "R")]
     expected = comma_split_parameters(tokens, match, opens[0] + 1, match[opens[0]])
-    assert [(p.name, _without_type_annotations(p.declared_type)) for p in method.parameter_list] == [
+    parameters = method_declarations(method)[0]
+    assert [(p.name, _without_type_annotations(p.declared_type)) for p in parameters] == [
         (p.name, p.declared_type + "[]" * k) for p, k in zip(expected, dims)
     ]
     assert len(expected) == len(dims)

@@ -15,7 +15,7 @@ from anticopypaster.errors import LexError, MissingRoot
 from anticopypaster.lexer import tokenize
 from anticopypaster.metrics import method_vector, vector_values
 from anticopypaster.settings import CONFIG_FILENAME
-from anticopypaster.source_model import Parameter, source_position
+from anticopypaster.source_model import Parameter, method_declarations, source_position
 from anticopypaster.workspace import open_project, refresh_index
 
 from helpers import CORPUS_DIR, FIXTURES_DIR, body_tokens, fresh_distributions, write_project
@@ -221,11 +221,15 @@ def test_an_edit_computes_vectors_only_for_the_edited_files_methods(tmp_path, mo
     assert [m.name for m in computed] == ["one"]
     assert computed[0] is session.methods_by_id["A.java:3:one"]
     computed.clear()
-    # A new field may be read by any method of the class, so each is measured again.
+    # `one` changes back, and `two` names the new field, so each is measured again.
     session.apply_edit("A.java", FILE_A.replace("class A {", "class A {\n    int x;"))
     edited = [m for m in session.methods if m.file_path == "A.java"]
     assert len(computed) == len(edited) == 2
     assert {id(m) for m in computed} == {id(m) for m in edited}
+    computed.clear()
+    # A field and a method that no kept body names leave the kept vectors as they were.
+    session.apply_edit("A.java", FILE_A.replace("class A {", "class A {\n    int x, y;\n    void z() { }"))
+    assert [m.name for m in computed] == ["z"]
     computed.clear()
     session.apply_edit("sub/B.java", None)
     assert computed == []
@@ -266,8 +270,9 @@ def test_a_header_changed_in_place_is_indexed_again(tmp_path):
     session = open_project(root)
     session.apply_edit("H.java", "class H {\n    static int f(long a) {\n        return a;\n    }\n}\n")
     (method,) = session.methods
-    assert method.is_static
-    assert method.parameter_list == (Parameter("a", "long"),)
+    parameters, _, is_static = method_declarations(method)
+    assert is_static
+    assert parameters == (Parameter("a", "long"),)
 
 
 def test_session_isolation_under_interleaving(tmp_path):
