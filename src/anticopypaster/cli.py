@@ -15,7 +15,7 @@ import os
 import shutil
 import statistics
 import sys
-from functools import cache, partial
+from functools import partial
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -70,7 +70,6 @@ def _sensitivity_override(value: str) -> tuple[str, int]:
     return category, parsed
 
 
-@cache  # one parser per process: parsing leaves it as it was
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="anticopypaster",

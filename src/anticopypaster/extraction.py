@@ -112,7 +112,7 @@ def analyze_extractability(
         raise MissingContext("fragment is not a contiguous span of the enclosing method")
 
     frag_decls = fragment.local_declarations
-    parameters, local_declarations, _ = method_declarations(enclosing)
+    parameters, local_declarations = method_declarations(enclosing)
     # The type of each name declared ahead of the fragment: a parameter, or a local hiding it.
     declared_before = {p.name: p.declared_type for p in parameters} | {
         name: d.declared_type for name, d in local_declarations.items() if d.token_index < at}
@@ -235,7 +235,7 @@ def plan_extraction(
         insertion_file=enclosing.file_path,
         insertion_point=(tokens.lines[close], tokens.column(close) + 1),
         declaration_line=tokens.lines[enclosing.header],
-        is_static=method_declarations(enclosing)[2],
+        is_static=enclosing.is_static,
         fragment_token_texts=fragment.tokens.texts,
     )
 

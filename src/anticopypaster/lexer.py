@@ -299,18 +299,18 @@ _OPENER_OF = {")": "(", "]": "[", "}": "{"}
 _DELIMITERS = frozenset("()[]{}")
 
 
-def match_delimiters(texts: tuple[str, ...]) -> tuple[list[int], bool]:
+def match_delimiters(texts: tuple[str, ...], lo: int = 0, hi: int | None = None) -> tuple[list[int], bool]:
     """Index of each delimiter's partner token, -1 where there is none, and whether every brace has one.
 
     `(`, `[` and `{` are each matched by their own depth, so a stray
     token of one kind never shifts the pairs of another: in `( { ) }`
     the parens pair and the braces pair. Unmatched delimiters and all
-    other tokens map to -1.
+    other tokens map to -1. Only texts[lo:hi] is paired, as if it were all.
     """
     match = [-1] * len(texts)
     pending: dict[str, list[int]] = {"(": [], "[": [], "{": []}
     braces_paired = True
-    for i in compress(count(), map(_DELIMITERS.__contains__, texts)):
+    for i in compress(count(lo), map(_DELIMITERS.__contains__, texts[lo:hi])):
         text = texts[i]
         if text in pending:
             pending[text].append(i)

@@ -95,6 +95,11 @@ class MethodUnit:
     def file_path(self) -> str:
         return self.owner.file_path
 
+    @property
+    def is_static(self) -> bool:
+        texts = self.tokens.texts
+        return "static" in texts[self.header : texts.index("(", self.header)]
+
 
 @dataclass
 class Fragment:
@@ -339,10 +344,6 @@ def _try_declaration(tokens: Tokens, match: list[int], j: int, found: list[tuple
         j += 1
 
 
-# The tokens of the file `index_file` or `method_declarations` paired last, and their delimiters' partners.
-_paired: tuple[Tokens, list[int]] = (Tokens(), [])
-
-
 def index_file(
     text: str, file_path: str, tokens: Tokens | None = None, previous: Sequence[MethodUnit] = ()
 ) -> tuple[list[MethodUnit], list[ClassContext]]:
@@ -357,12 +358,10 @@ def index_file(
     `previous`, the methods of the file's last indexed revision, lets a
     method whose run and body lines are unchanged keep its facts.
     """
-    global _paired
     normalized = normalize_newlines(text)
     if tokens is None:
         tokens = tokenize(normalized)
     match, braces_paired = match_delimiters(tokens.texts)
-    _paired = tokens, match
     if not braces_paired:
         raise IndexingError("unbalanced braces at file scope")
     lines = normalized.split("\n")
@@ -614,21 +613,19 @@ def _parse_parameters(tokens: Tokens, match: list[int], i: int, end: int) -> lis
     return params
 
 
-def method_declarations(method: MethodUnit) -> tuple[tuple[Parameter, ...], dict[str, LocalDecl], bool]:
-    """The method's parameters, each local name with its first declaration, and whether it is static.
+def method_declarations(method: MethodUnit) -> tuple[tuple[Parameter, ...], dict[str, LocalDecl]]:
+    """The method's parameters, and each local name with its first declaration.
 
-    They are read against the whole file's delimiters, so a stray '(' in
-    the body pairs as it does in indexing; a file is paired once for its
-    methods read in a row.
+    Its run, from `header` to its `}`, is paired on its own. That pairs
+    each delimiter in it as the whole file does, except that one the file
+    pairs outside the run is left unpaired: reading then stops where it
+    would have left the body, past which no name is kept.
     """
-    global _paired
-    tokens, (lo, hi), start = method.tokens, method.body, method.header
-    paired = _paired if _paired[0] is tokens else (tokens, match_delimiters(tokens.texts)[0])
-    _paired, match = paired, paired[1]
-    paren = tokens.texts.index("(", start, lo - 1)
+    tokens, (lo, hi) = method.tokens, method.body
+    match = match_delimiters(tokens.texts, method.header, hi + 1)[0]
+    paren = tokens.texts.index("(", method.header, lo - 1)
     parameters = tuple(_parse_parameters(tokens, match, paren + 1, match[paren]))
-    local_declarations = dict(reversed(scan_declarations(tokens, match, lo, hi)))
-    return parameters, local_declarations, "static" in tokens.texts[start:paren]
+    return parameters, dict(reversed(scan_declarations(tokens, match, lo, hi)))
 
 
 def source_position(method: MethodUnit) -> tuple[str, int]:

@@ -461,11 +461,13 @@ def _method_over(body: str, after: str) -> MethodUnit:
 @example("List<@A( String> x; f = 1;", ") > f;")
 @example("m(f, (both) -> below);", ") int f = 1;")
 def test_shadows_equal_the_declaration_scan_on_generated_bodies(body, after):
-    """The pre-filtered shadows are the full scan's declarations of field names, stray parens and all."""
+    """The pre-filtered shadows are the full scan's declarations of field names, stray parens and all;
+    `method_declarations`, which pairs the method's run alone, reads every local the full scan does."""
     unit = _method_over(body, after)
     lo, hi = unit.body
     declared = dict(reversed(scan_declarations(unit.tokens, match_delimiters(unit.tokens.texts)[0], lo, hi)))
     assert shadows(unit) == {n: d for n, d in declared.items() if n in _OWNER.field_names}
+    assert method_declarations(unit)[1] == declared
 
 
 # --- percentile thresholds ---------------------------------------------------

@@ -105,8 +105,8 @@ class Util {
 }
 """
     (method,), _ = index_file(source, "Util.java")
-    parameters, _, is_static = method_declarations(method)
-    assert is_static
+    parameters, _ = method_declarations(method)
+    assert method.is_static
     assert [(p.name, p.declared_type) for p in parameters] == [
         ("head", "String"),
         ("tail", "int[]"),

@@ -270,8 +270,8 @@ def test_a_header_changed_in_place_is_indexed_again(tmp_path):
     session = open_project(root)
     session.apply_edit("H.java", "class H {\n    static int f(long a) {\n        return a;\n    }\n}\n")
     (method,) = session.methods
-    parameters, _, is_static = method_declarations(method)
-    assert is_static
+    parameters, _ = method_declarations(method)
+    assert method.is_static
     assert parameters == (Parameter("a", "long"),)
 
 
