@@ -37,13 +37,14 @@ from .lexer import (
     Tokens,
     TokenKind,
     find_run,
-    match_delimiters,
     tokenize,
 )
-from .source_model import ClassContext, Fragment, MethodUnit, Parameter, method_declarations
+from .source_model import ClassContext, Fragment, MethodUnit, Parameter, local_declarations, method_declarations
 from .statements import ASSIGNMENT_OPS
 
 _IDENTIFIER_RE = re.compile(r"^[A-Za-z_$][A-Za-z0-9_$]*$")
+# Identifiers that javac refuses as a method name, though they are not among the reserved words.
+_RESTRICTED_NAMES = frozenset({"_", "yield"})
 
 
 @dataclass(frozen=True)
@@ -80,13 +81,16 @@ class ExtractionPlan:
     insertion_point: tuple[int, int]
     declaration_line: int
     is_static: bool
+    # The paste-site method's type-parameter list, which the new method's types may name; "" for none.
+    type_parameters: str
     fragment_token_texts: tuple[str, ...]
 
     @property
     def signature(self) -> str:
         params = ", ".join(f"{p.declared_type} {p.name}" for p in self.parameter_list)
         static = "static " if self.is_static else ""
-        return f"private {static}{self.return_type} {self.method_name}({params})"
+        generic = f"{self.type_parameters} " if self.type_parameters else ""
+        return f"private {static}{generic}{self.return_type} {self.method_name}({params})"
 
 
 def analyze_extractability(
@@ -111,11 +115,11 @@ def analyze_extractability(
     if at < lo or frag_end > hi or texts[at:frag_end] != frag_texts:
         raise MissingContext("fragment is not a contiguous span of the enclosing method")
 
-    frag_decls = fragment.local_declarations
-    parameters, local_declarations = method_declarations(enclosing)
+    frag_decls = local_declarations(fragment.tokens, *fragment.body)
+    parameters, method_locals = method_declarations(enclosing)
     # The type of each name declared ahead of the fragment: a parameter, or a local hiding it.
     declared_before = {p.name: p.declared_type for p in parameters} | {
-        name: d.declared_type for name, d in local_declarations.items() if d.token_index < at}
+        name: d.declared_type for name, d in method_locals.items() if d.token_index < at}
 
     # One pass finds the inputs, in order of first use, and the token
     # index of each name's first write.
@@ -186,10 +190,10 @@ def plan_extraction(
 
     Only exact matches become call-replacement sites; in the paste-site
     method, the run at token `at` of its file, when given. The new method
-    is private, inherits staticness from the paste-site method, and is
-    inserted just past its closing brace.
+    is private, inherits staticness and type parameters from the
+    paste-site method, and is inserted just past its closing brace.
     """
-    if not _IDENTIFIER_RE.match(name) or name in JAVA_KEYWORDS or name in WORD_LITERALS:
+    if not _IDENTIFIER_RE.match(name) or name in JAVA_KEYWORDS or name in WORD_LITERALS or name in _RESTRICTED_NAMES:
         raise InvalidIdentifier(name)
     if name in owner.method_names:
         raise NameCollision(name)
@@ -236,6 +240,7 @@ def plan_extraction(
         insertion_point=(tokens.lines[close], tokens.column(close) + 1),
         declaration_line=tokens.lines[enclosing.header],
         is_static=enclosing.is_static,
+        type_parameters=enclosing.type_parameters,
         fragment_token_texts=fragment.tokens.texts,
     )
 
@@ -394,7 +399,7 @@ def verify_by_inlining(
     mismatches.
     """
     verdicts = []
-    path, before, after, match = None, Tokens(), Tokens(), []
+    path, before, after = None, Tokens(), Tokens()
     call_texts = (plan.method_name, "(")
     for applied in result.call_sites:
         site = applied.site
@@ -402,9 +407,8 @@ def verify_by_inlining(
             path = site.file_path
             before = tokenize(before_sources[path])
             after = tokenize(after_sources[path])
-            match = match_delimiters(after.texts)[0]
         at = find_run(after, call_texts, applied.call_line, applied.call_column)
-        rename = None if at < 0 else _argument_renaming(plan, after, match, at)
+        rename = None if at < 0 else _argument_renaming(plan, after, at)
         if rename is None:
             verdicts.append(SiteVerdict(site, False))
             continue
@@ -413,17 +417,12 @@ def verify_by_inlining(
     return InliningVerdict(tuple(verdicts))
 
 
-def _argument_renaming(
-    plan: ExtractionPlan, tokens: Tokens, match: list[int], at: int
-) -> dict[str, str] | None:
-    """Each parameter mapped to its argument in the call named by tokens[at].
-
-    `match` pairs the tokens' delimiters.
-    """
+def _argument_renaming(plan: ExtractionPlan, tokens: Tokens, at: int) -> dict[str, str] | None:
+    """Each parameter mapped to its argument in the call named by tokens[at]."""
+    texts, match = tokens.texts, tokens.pairs[0]
     close = match[at + 1]
     if close < 0:
         return None
-    texts = tokens.texts
     args: list[str] = []
     k = at + 2
     while k < close:

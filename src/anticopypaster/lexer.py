@@ -16,6 +16,7 @@ from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from itertools import accumulate, chain, compress, count, repeat
 from operator import add, itemgetter
 from typing import NamedTuple
@@ -122,6 +123,8 @@ class Tokens:
 
     `gaps[i]` is the text between token i - 1, or the start, and token i.
     `text` is the newline-normalized source the columns were lexed from.
+    `pairs` is `match_delimiters(texts)`, paired when first read and kept
+    with the columns, as compactly as `lines`.
     """
 
     texts: tuple[str, ...] = ()
@@ -132,6 +135,10 @@ class Tokens:
 
     def __len__(self) -> int:
         return len(self.texts)
+
+    @cached_property
+    def pairs(self) -> tuple[array, bool]:
+        return match_delimiters(self.texts)
 
     def column(self, i: int) -> int:
         """Column of token i, 1-based, counted back to the last line break before it."""
@@ -299,18 +306,18 @@ _OPENER_OF = {")": "(", "]": "[", "}": "{"}
 _DELIMITERS = frozenset("()[]{}")
 
 
-def match_delimiters(texts: tuple[str, ...], lo: int = 0, hi: int | None = None) -> tuple[list[int], bool]:
+def match_delimiters(texts: tuple[str, ...]) -> tuple[array, bool]:
     """Index of each delimiter's partner token, -1 where there is none, and whether every brace has one.
 
     `(`, `[` and `{` are each matched by their own depth, so a stray
     token of one kind never shifts the pairs of another: in `( { ) }`
     the parens pair and the braces pair. Unmatched delimiters and all
-    other tokens map to -1. Only texts[lo:hi] is paired, as if it were all.
+    other tokens map to -1.
     """
-    match = [-1] * len(texts)
+    match = array("i", [-1]) * len(texts)
     pending: dict[str, list[int]] = {"(": [], "[": [], "{": []}
     braces_paired = True
-    for i in compress(count(lo), map(_DELIMITERS.__contains__, texts[lo:hi])):
+    for i in compress(count(), map(_DELIMITERS.__contains__, texts)):
         text = texts[i]
         if text in pending:
             pending[text].append(i)

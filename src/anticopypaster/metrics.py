@@ -26,8 +26,8 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .errors import EmptyDistribution, EmptyScope, InvalidSensitivity
-from .lexer import TokenKind
-from .source_model import PRIMITIVE_TYPES, ClassContext, Fragment, LocalDecl, MethodUnit, method_declarations
+from .lexer import Tokens, TokenKind
+from .source_model import PRIMITIVE_TYPES, ClassContext, Fragment, LocalDecl, MethodUnit, local_declarations
 
 # The configurable keyword catalogue: 31 statement/type/flow keywords,
 # visibility modifiers deliberately excluded.
@@ -110,20 +110,20 @@ def coupling_counts(
 _BEFORE_NAME = PRIMITIVE_TYPES | {">", ">>", ">>>", "]", "...", ","}
 
 
-def shadows(method: MethodUnit) -> dict[str, LocalDecl]:
-    """`method_declarations(method)[1]` restricted to the field names of the method's class.
+def shadows(tokens: Tokens, body: tuple[int, int], bag: dict[str, int], field_names: set[str]) -> dict[str, LocalDecl]:
+    """`local_declarations` of tokens[lo:hi] (`body`), whose `token_bag` is `bag`, restricted to field_names.
 
-    The body is scanned only where one of those names follows what a
+    The run is scanned only where one of those names follows what a
     declared name follows; mostly none does, and no declaration is read.
     """
-    texts, kinds, (lo, hi), bag = method.tokens.texts, method.tokens.kinds, method.body, method.bag
-    fields = bag.keys() & method.owner.field_names
+    texts, kinds, (lo, hi) = tokens.texts, tokens.kinds, body
+    fields = bag.keys() & field_names
     for name in fields:
         k = lo - 1
         for _ in range(bag[name]):
             k = texts.index(name, k + 1, hi)
             if kinds[k - 1] is TokenKind.IDENTIFIER or texts[k - 1] in _BEFORE_NAME:
-                return {f: d for f, d in method_declarations(method)[1].items() if f in fields}
+                return {f: d for f, d in local_declarations(tokens, lo, hi).items() if f in fields}
     return {}
 
 
@@ -133,16 +133,15 @@ def _measure(
 ) -> MetricVector:
     """The 18 submetric values of a segment inside `method`.
 
-    Every fact but a method's `shadows` was built once, when the segment
-    was validated or indexed; its bag holds every keyword, since no
+    Every fact but `shadows` was built once, when the segment was
+    validated or indexed; its bag holds every keyword, since no
     keyword is punctuation. Area is the sum of per-line nesting depths, so
     it grows with both length and nesting. Densities divide by their
     scope's lines.
     """
-    bag = segment.bag
+    tokens, body, bag = segment.tokens, segment.body, segment.bag
     keyword_total = sum(bag[k] for k in bag.keys() & keywords)
-    declarations = segment.local_declarations if isinstance(segment, Fragment) else shadows(segment)
-    fields, calls = coupling_counts(segment.tokens.texts, segment.body, bag, owner, declarations)
+    fields, calls = coupling_counts(tokens.texts, body, bag, owner, shadows(tokens, body, bag, owner.field_names))
     coupling = fields + calls
     lines, symbols, area = segment.line_count, segment.symbol_count, segment.area
     method_lines = method.line_count

@@ -4,14 +4,15 @@ Indexes method bodies and class context out of lexed files and validates
 pasted fragments as statement sequences. A method's body, like a fragment,
 is an index range (`body`) into its file's token columns, as is every token
 index stored with it. Its bag and nesting area are built once, when it is
-indexed, and a valid fragment's, with its first local declarations, once,
-when it is validated; everything downstream reads these fields. A method's
-parameters and locals are read on demand (`method_declarations`), for
-extraction and where a local may shadow a field. When a file is indexed
-again, a method whose run, from its `header` (the member's first token) to
-its closing `}`, has the same token texts and gaps, and whose body lines
-read the same, keeps these facts at its new place instead of building them
-again.
+indexed, and a valid fragment's once, when it is validated; everything
+downstream reads these fields. The locals of either, and a method's
+parameters, are read on demand (`local_declarations`,
+`method_declarations`), for extraction and where a local may shadow a
+field. Every reader jumps through the one delimiter table that its
+`Tokens` keep (`Tokens.pairs`). When a file is indexed again, a method
+whose run, from its `header` (the member's first token) to its closing
+`}`, has the same token texts and gaps, and whose body lines read the
+same, keeps these facts at its new place instead of building them again.
 
 Method detection is header-pattern plus brace matching, not a full
 grammar: constructors count as methods, bodiless declarations are
@@ -30,7 +31,6 @@ from .errors import IndexingError, LexError
 from .lexer import (
     Tokens,
     TokenKind,
-    match_delimiters,
     normalize_newlines,
     token_bag,
     tokenize,
@@ -100,6 +100,14 @@ class MethodUnit:
         texts = self.tokens.texts
         return "static" in texts[self.header : texts.index("(", self.header)]
 
+    @property
+    def type_parameters(self) -> str:
+        """The header's type-parameter list, rendered as a type is (`<K,V>`), or "" when it has none."""
+        tokens = self.tokens
+        i = _skip_modifiers(tokens, self.header, self.body[0], _METHOD_MODIFIERS)
+        end = _skip_type_arguments(tokens, i) if tokens.texts[i] == "<" else -1
+        return _render_type(tokens.texts[i:end], tokens.kinds[i:end]) if end > 0 else ""
+
 
 @dataclass
 class Fragment:
@@ -108,12 +116,11 @@ class Fragment:
     line_count: int
     symbol_count: int
     valid: bool
-    # A MethodUnit's indexing facts (body: all of `tokens`; area: as if pasted at depth 1), its first local
-    # declarations and the jumps that leave it, built once by validation; empty when invalid.
+    # A MethodUnit's indexing facts (body: all of `tokens`; area: as if pasted at depth 1) and the jumps
+    # that leave it, built once by validation; empty when invalid.
     body: tuple[int, int] = (0, 0)
     bag: dict[str, int] = field(default_factory=dict)
     bag_size: int = 0
-    local_declarations: dict[str, LocalDecl] = field(default_factory=dict)
     area: int = 0
     illegal_flow: tuple[str, ...] = ()
 
@@ -150,19 +157,16 @@ def validate_fragment(text: str) -> Fragment:
         tokens = tokenize(trimmed)
     except LexError:
         return Fragment(trimmed, Tokens(), line_count, symbol_count, False)
-    match = match_delimiters(tokens.texts)[0]
     try:
-        illegal_flow = parse_statements(tokens, match)
+        illegal_flow = parse_statements(tokens)
     except StatementParseError:
         return Fragment(trimmed, tokens, line_count, symbol_count, False)
     bag = token_bag(tokens.texts)
-    declarations = scan_declarations(tokens, match, 0, len(tokens))
     return Fragment(
         trimmed, tokens, line_count, symbol_count, True,
         body=(0, len(tokens)),
         bag=bag,
         bag_size=bag.total(),
-        local_declarations=dict(reversed(declarations)),
         area=sum(_profile(tokens, 0, len(tokens), 1, line_count)),
         illegal_flow=illegal_flow,
     )
@@ -197,8 +201,8 @@ _TYPE_CONTINUATIONS = frozenset({".", "<", "[", "...", "@"})
 _STATEMENT_BOUNDS = frozenset({";", "{", "}", "("})
 
 
-def scan_declarations(tokens: Tokens, match: list[int], lo: int, hi: int) -> list[tuple[str, LocalDecl]]:
-    """Find the local variable declarations in tokens[lo:hi]; `match` pairs the delimiters of all of tokens.
+def scan_declarations(tokens: Tokens, lo: int, hi: int) -> list[tuple[str, LocalDecl]]:
+    """Find the local variable declarations in tokens[lo:hi].
 
     Covers ordinary declarations, multi-declarator lists, for-init,
     enhanced-for, catch parameters, and try-with-resources. Returns each
@@ -221,7 +225,7 @@ def scan_declarations(tokens: Tokens, match: list[int], lo: int, hi: int) -> lis
             and (kinds[j] is identifier or texts[j] in PRIMITIVE_TYPES)
             and (kinds[j + 1] is identifier or texts[j + 1] in _TYPE_CONTINUATIONS)
         ):
-            _try_declaration(tokens, match, j, found)
+            _try_declaration(tokens, j, found)
     found.sort(key=lambda item: item[2])
     # A stray '(' may pair past `hi`; a name read beyond it is out of range.
     return [(name, LocalDecl(declared_type, k)) for name, declared_type, k in found if k < hi]
@@ -241,7 +245,7 @@ def _render_type(texts: tuple[str, ...], kinds: list[TokenKind]) -> str:
     return "".join(out)
 
 
-def _read_type(tokens: Tokens, match: list[int], j: int) -> tuple[str, int] | None:
+def _read_type(tokens: Tokens, j: int) -> tuple[str, int] | None:
     """The type that tokens[j] starts, rendered, and the index just past it.
 
     A type is a primitive or a qualified name whose parts may take type
@@ -259,67 +263,75 @@ def _read_type(tokens: Tokens, match: list[int], j: int) -> tuple[str, int] | No
     j += 1
     while j < n:
         if named and texts[j] == ".":
-            k = _skip_modifiers(tokens, match, j + 1, n, ())
+            k = _skip_modifiers(tokens, j + 1, n, ())
             if k < n and kinds[k] is TokenKind.IDENTIFIER:
                 j = k + 1
                 continue
         if texts[j] != "<":
             break
-        depth = 0
-        while j < n:
-            text = texts[j]
-            if text == "@":
-                j = _skip_annotation(tokens, match, j, n)
-                continue
-            if text in (";", "{", "}", ")"):
-                return None
-            if text == "<":
-                depth += 1
-            elif text in (">", ">>", ">>>"):
-                depth -= len(text)
-            j += 1
-            if depth <= 0:
-                break
-        if depth > 0:
+        j = _skip_type_arguments(tokens, j)
+        if j < 0:
             return None
-    j = _skip_dims(tokens, match, j)[0]
-    k = _skip_modifiers(tokens, match, j, n, ())
+    j = _skip_dims(tokens, j)[0]
+    k = _skip_modifiers(tokens, j, n, ())
     if k < n and texts[k] == "...":
         j = k + 1
     return _render_type(texts[start:j], kinds[start:j]), j
 
 
-def _skip_dims(tokens: Tokens, match: list[int], j: int) -> tuple[int, int]:
+def _skip_type_arguments(tokens: Tokens, j: int) -> int:
+    """Index just past the `<...>` that tokens[j] opens; -1 when a `;`, `{`, `}` or `)` comes first."""
+    texts = tokens.texts
+    n = len(texts)
+    depth = 0
+    while j < n:
+        text = texts[j]
+        if text == "@":
+            j = _skip_annotation(tokens, j, n)
+            continue
+        if text in (";", "{", "}", ")"):
+            return -1
+        if text == "<":
+            depth += 1
+        elif text in (">", ">>", ">>>"):
+            depth -= len(text)
+        j += 1
+        if depth <= 0:
+            return j
+    return -1
+
+
+def _skip_dims(tokens: Tokens, j: int) -> tuple[int, int]:
     """Index just past the `[]` pairs, each after its annotations, from tokens[j] on, and their number."""
     texts = tokens.texts
     n = len(texts)
     dims = 0
     while True:
-        k = _skip_modifiers(tokens, match, j, n, ())
+        k = _skip_modifiers(tokens, j, n, ())
         if k + 1 >= n or texts[k] != "[" or texts[k + 1] != "]":
             return j, dims
         j, dims = k + 2, dims + 1
 
 
-def _read_declarator(tokens: Tokens, match: list[int], j: int, base_type: str) -> tuple[str, int] | None:
+def _read_declarator(tokens: Tokens, j: int, base_type: str) -> tuple[str, int] | None:
     """The type of the name at tokens[j], with the dimensions written after it, and the index past them."""
     if j >= len(tokens) or tokens.kinds[j] is not TokenKind.IDENTIFIER:
         return None
-    end, dims = _skip_dims(tokens, match, j + 1)
+    end, dims = _skip_dims(tokens, j + 1)
     return base_type + "[]" * dims, end
 
 
-def _try_declaration(tokens: Tokens, match: list[int], j: int, found: list[tuple[str, str, int]]) -> None:
+def _try_declaration(tokens: Tokens, j: int, found: list[tuple[str, str, int]]) -> None:
     """Add each declarator's (name, type, name index) if a type starting at tokens[j] starts one."""
-    texts = tokens.texts
+    texts, match = tokens.texts, tokens.pairs[0]
     n = len(texts)
-    read = _read_type(tokens, match, j)
+    read = _read_type(tokens, j)
     if read is None:
         return
     base_type, j = read
     while True:
         name_index = j
-        read = _read_declarator(tokens, match, j, base_type)
+        read = _read_declarator(tokens, j, base_type)
         if read is None:
             return
         declared_type, j = read
@@ -361,11 +373,10 @@ def index_file(
     normalized = normalize_newlines(text)
     if tokens is None:
         tokens = tokenize(normalized)
-    match, braces_paired = match_delimiters(tokens.texts)
-    if not braces_paired:
+    if not tokens.pairs[1]:
         raise IndexingError("unbalanced braces at file scope")
     lines = normalized.split("\n")
-    indexer = _Indexer(tokens, match, lines, file_path, previous)
+    indexer = _Indexer(tokens, lines, file_path, previous)
     try:
         indexer.run()
     except RecursionError:
@@ -374,11 +385,12 @@ def index_file(
 
 
 _FIELD_MODIFIERS = frozenset({"public", "private", "protected", "static", "final", "transient", "volatile"})
+_METHOD_MODIFIERS = _FIELD_MODIFIERS | {"abstract", "synchronized", "native", "strictfp", "default"}
 # What a method whose run is unchanged keeps.
 _KEPT_FACTS = ("bag", "bag_size", "symbol_count", "area")
 
 
-def _skip_annotation(tokens: Tokens, match: list[int], i: int, end: int) -> int:
+def _skip_annotation(tokens: Tokens, i: int, end: int) -> int:
     """Index just past the annotation whose '@' is tokens[i], at most end."""
     texts, kinds = tokens.texts, tokens.kinds
     i += 1
@@ -387,22 +399,21 @@ def _skip_annotation(tokens: Tokens, match: list[int], i: int, end: int) -> int:
     if i < end and kinds[i] in (TokenKind.IDENTIFIER, TokenKind.KEYWORD):
         i += 1
     if i < end and texts[i] == "(":
-        close = match[i]
+        close = tokens.pairs[0][i]
         i = end if close < 0 else min(close + 1, end)
     return i
 
 
-def _skip_modifiers(tokens: Tokens, match: list[int], i: int, end: int, words: Container[str]) -> int:
+def _skip_modifiers(tokens: Tokens, i: int, end: int, words: Container[str]) -> int:
     """Index of the first token from tokens[i] on, at most end, that is not an annotation or one of words."""
     texts = tokens.texts
     while i < end and (texts[i] == "@" or texts[i] in words):
-        i = _skip_annotation(tokens, match, i, end) if texts[i] == "@" else i + 1
+        i = _skip_annotation(tokens, i, end) if texts[i] == "@" else i + 1
     return i
 
 
 class _Indexer:
-    def __init__(self, tokens: Tokens, match: list[int], lines: list[str], file_path: str,
-                 previous: Sequence[MethodUnit]):
+    def __init__(self, tokens: Tokens, lines: list[str], file_path: str, previous: Sequence[MethodUnit]):
         # An unchanged method starts at its old token, or past the edit, shifted by the change in token count.
         self.previous = {m.header: m for m in previous}
         self.shift = len(tokens) - len(previous[0].tokens) if previous else 0
@@ -410,7 +421,7 @@ class _Indexer:
         self.tokens = tokens
         self.texts = tokens.texts
         self.kinds = tokens.kinds
-        self.match = match
+        self.match = tokens.pairs[0]
         self.lines = lines
         self.file_path = file_path
         self.methods: list[MethodUnit] = []
@@ -458,7 +469,7 @@ class _Indexer:
             raise IndexingError(f"class body missing for {texts[name]}")
         ctx = ClassContext(texts[name], set(), set(), self.file_path)
         if components >= 0 and 0 <= self.match[components] < self.pos:
-            header = _parse_parameters(self.tokens, self.match, components + 1, self.match[components])
+            header = _parse_parameters(self.tokens, components + 1, self.match[components])
             ctx.field_names.update(p.name for p in header)
         self.classes.append(ctx)
         body_end = self.match[self.pos]
@@ -486,7 +497,7 @@ class _Indexer:
     def _parse_member(self, ctx: ClassContext, body_end: int) -> None:
         texts = self.texts
         # Skip annotations so the first '(' found belongs to a parameter list.
-        i = member_start = _skip_modifiers(self.tokens, self.match, self.pos, body_end, ())
+        i = member_start = _skip_modifiers(self.tokens, self.pos, body_end, ())
         saw_assign = False
         while i < body_end:
             text = texts[i]
@@ -525,9 +536,9 @@ class _Indexer:
     def _finish_bodiless_member(self, ctx: ClassContext, start: int, semi: int) -> None:
         """Record the fields that tokens[start:semi] declares, or else the method it names."""
         texts = self.texts
-        i = _skip_modifiers(self.tokens, self.match, start, semi, _FIELD_MODIFIERS)
+        i = _skip_modifiers(self.tokens, start, semi, _FIELD_MODIFIERS)
         found: list[tuple[str, str, int]] = []
-        _try_declaration(self.tokens, self.match, i, found)
+        _try_declaration(self.tokens, i, found)
         if found:
             ctx.field_names.update(name for name, _, _ in found)
             return
@@ -582,7 +593,7 @@ class _Indexer:
         return None
 
 
-def _parse_parameters(tokens: Tokens, match: list[int], i: int, end: int) -> list[Parameter]:
+def _parse_parameters(tokens: Tokens, i: int, end: int) -> list[Parameter]:
     """Parameters declared by tokens[i:end], the inside of a parameter list or record header.
 
     Each is `Type name [dims]` after its annotations and `final`; the
@@ -592,8 +603,8 @@ def _parse_parameters(tokens: Tokens, match: list[int], i: int, end: int) -> lis
     texts, kinds = tokens.texts, tokens.kinds
     params = []
     while i < end:
-        i = _skip_modifiers(tokens, match, i, end, _FIELD_MODIFIERS)
-        read = _read_type(tokens, match, i)
+        i = _skip_modifiers(tokens, i, end, _FIELD_MODIFIERS)
+        read = _read_type(tokens, i)
         if read is None:
             break
         i = k = read[1]
@@ -602,7 +613,7 @@ def _parse_parameters(tokens: Tokens, match: list[int], i: int, end: int) -> lis
         if texts[k] == "this":
             i = k + 1
         else:
-            read = _read_declarator(tokens, match, i, read[0])
+            read = _read_declarator(tokens, i, read[0])
             if read is None:
                 break
             params.append(Parameter(texts[i], read[0]))
@@ -613,19 +624,17 @@ def _parse_parameters(tokens: Tokens, match: list[int], i: int, end: int) -> lis
     return params
 
 
-def method_declarations(method: MethodUnit) -> tuple[tuple[Parameter, ...], dict[str, LocalDecl]]:
-    """The method's parameters, and each local name with its first declaration.
+def local_declarations(tokens: Tokens, lo: int, hi: int) -> dict[str, LocalDecl]:
+    """Each local name declared in tokens[lo:hi], a method's body or a fragment, with its first declaration."""
+    return dict(reversed(scan_declarations(tokens, lo, hi)))
 
-    Its run, from `header` to its `}`, is paired on its own. That pairs
-    each delimiter in it as the whole file does, except that one the file
-    pairs outside the run is left unpaired: reading then stops where it
-    would have left the body, past which no name is kept.
-    """
+
+def method_declarations(method: MethodUnit) -> tuple[tuple[Parameter, ...], dict[str, LocalDecl]]:
+    """The method's parameters, and each local name with its first declaration."""
     tokens, (lo, hi) = method.tokens, method.body
-    match = match_delimiters(tokens.texts, method.header, hi + 1)[0]
     paren = tokens.texts.index("(", method.header, lo - 1)
-    parameters = tuple(_parse_parameters(tokens, match, paren + 1, match[paren]))
-    return parameters, dict(reversed(scan_declarations(tokens, match, lo, hi)))
+    parameters = tuple(_parse_parameters(tokens, paren + 1, tokens.pairs[0][paren]))
+    return parameters, local_declarations(tokens, lo, hi)
 
 
 def source_position(method: MethodUnit) -> tuple[str, int]:

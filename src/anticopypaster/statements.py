@@ -36,15 +36,16 @@ _TYPE_KEYWORDS = frozenset({"class", "interface", "enum"})
 
 @dataclass
 class _Parser:
-    texts: tuple[str, ...]
-    kinds: list[TokenKind]
-    match: list[int]
+    tokens: Tokens
     pos: int = 0
     # The loops, switches and labels of the fragment around the current statement.
     loops: int = 0
     switches: int = 0
     labels: list[str] = field(default_factory=list)
     jumps: list[str] = field(default_factory=list)
+
+    def __post_init__(self) -> None:
+        self.texts, self.kinds, self.match = self.tokens.texts, self.tokens.kinds, self.tokens.pairs[0]
 
     def _peek(self, offset: int = 0) -> str | None:
         i = self.pos + offset
@@ -259,8 +260,8 @@ class _Parser:
         return "simple"
 
 
-def parse_statements(tokens: Tokens, match: list[int]) -> tuple[str, ...]:
-    """Parse a token sequence, whose delimiters `match` pairs, as one or more Java block statements.
+def parse_statements(tokens: Tokens) -> tuple[str, ...]:
+    """Parse a token sequence as one or more Java block statements.
 
     Returns one message per jump that leaves the sequence, in source
     order; a `return` or `break` inside a lambda or anonymous class
@@ -270,7 +271,7 @@ def parse_statements(tokens: Tokens, match: list[int]) -> tuple[str, ...]:
     limit are a StatementParseError, like any other input that does
     not parse.
     """
-    texts = tokens.texts
+    texts, match = tokens.texts, tokens.pairs[0]
     open_until: list[int] = []
     for i, text in enumerate(texts):
         if text in ("(", "[", "{"):
@@ -280,6 +281,6 @@ def parse_statements(tokens: Tokens, match: list[int]) -> tuple[str, ...]:
     if open_until:
         raise StatementParseError("unclosed delimiter")
     try:
-        return _Parser(texts, tokens.kinds, match).parse_all()
+        return _Parser(tokens).parse_all()
     except RecursionError:
         raise StatementParseError("statements nested too deeply to parse") from None

@@ -12,29 +12,24 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
-from anticopypaster import lexer
+from anticopypaster import lexer, metrics
 from anticopypaster.errors import LexError
 from anticopypaster.lexer import JAVA_KEYWORDS, WORD_LITERALS, Token, TokenKind, Tokens, normalize_newlines
-from anticopypaster.metrics import (
-    ProjectDistribution,
-    build_distributions,
-    compute_vector,
-    method_vector,
-    vector_values,
-)
+from anticopypaster.metrics import ProjectDistribution, build_distributions, method_vector, vector_values
 from anticopypaster.source_model import (
     PRIMITIVE_TYPES,
     ClassContext,
-    Fragment,
     LocalDecl,
     MethodUnit,
     Parameter,
     _render_type,
     _skip_annotation,
     _try_declaration,
+    local_declarations,
     scan_declarations,
 )
 
@@ -182,7 +177,7 @@ def token_walk_coupling(
 
 def declarations_of(tokens: Tokens) -> list[tuple[str, LocalDecl]]:
     """`source_model.scan_declarations` over the whole token sequence."""
-    return scan_declarations(tokens, lexer.match_delimiters(tokens.texts)[0], 0, len(tokens))
+    return scan_declarations(tokens, 0, len(tokens))
 
 
 def candidate_declarations(tokens: Tokens) -> list[tuple[str, LocalDecl]]:
@@ -199,11 +194,10 @@ def candidate_declarations(tokens: Tokens) -> list[tuple[str, LocalDecl]]:
         elif text == "(" and i > 0 and texts[i - 1] in ("for", "catch", "try"):
             spots.append(i + 1)
     found: list[tuple[str, str, int]] = []
-    match = lexer.match_delimiters(texts)[0]
     for start in spots:
         j = start + 1 if texts[start] == "final" else start
         if j < len(texts) and (texts[j] in PRIMITIVE_TYPES or tokens.kinds[j] == TokenKind.IDENTIFIER):
-            _try_declaration(tokens, match, j, found)
+            _try_declaration(tokens, j, found)
     found.sort(key=lambda item: item[2])
     return [(name, LocalDecl(declared_type, k)) for name, declared_type, k in found]
 
@@ -217,23 +211,21 @@ def fresh_distributions(methods: list[MethodUnit], keywords: frozenset[str]) -> 
     return build_distributions([vector_values(method_vector(m, keywords)) for m in methods])
 
 
-def full_scan_vector(method: MethodUnit, match: list[int], keywords: frozenset[str]) -> tuple[float, ...]:
+def full_scan_vector(method: MethodUnit, keywords: frozenset[str]) -> tuple[float, ...]:
     """The method's vector with its coupling shadowed by every local declaration its body declares.
 
     The oracle for `metrics.shadows`, which scans a body only where a field
-    name in it may be declared. `match` pairs the delimiters of the
-    method's file. The method is measured as a fragment holding its facts,
-    since a fragment's coupling reads the declarations it is given.
+    name in it may be declared: while the method is measured, `shadows` is
+    replaced by the full scan of the body's declarations.
     """
-    declared = dict(reversed(scan_declarations(method.tokens, match, *method.body)))
-    segment = Fragment(
-        "", method.tokens, method.line_count, method.symbol_count, True, body=method.body,
-        bag=method.bag, bag_size=method.bag_size, local_declarations=declared, area=method.area,
-    )
-    return vector_values(compute_vector(segment, method, method.owner, keywords))
+    def full_scan(tokens, body, bag, field_names):
+        return local_declarations(tokens, *body)
+
+    with mock.patch.object(metrics, "shadows", full_scan):
+        return vector_values(method_vector(method, keywords))
 
 
-def comma_split_parameters(tokens: Tokens, match: list[int], start: int, end: int) -> list[Parameter]:
+def comma_split_parameters(tokens: Tokens, start: int, end: int) -> list[Parameter]:
     """Parameters declared by tokens[start:end], read by splitting at top-level commas.
 
     The oracle for `source_model._parse_parameters`: each group loses its
@@ -263,7 +255,7 @@ def comma_split_parameters(tokens: Tokens, match: list[int], start: int, end: in
         i = lo
         while i < hi:
             if texts[i] == "@":
-                i = _skip_annotation(tokens, match, i, hi)
+                i = _skip_annotation(tokens, i, hi)
                 continue
             if texts[i] != "final":
                 body.append(i)

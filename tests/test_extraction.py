@@ -202,9 +202,13 @@ def test_name_collision_and_invalid_identifier_are_rejected():
     summary = analyze_extractability(fragment, host, owner)
     with pytest.raises(NameCollision):
         plan_extraction(summary, "report", fragment, host, owner, [], {})
-    for bad in ("1abc", "a-b", "class", ""):
+    # javac 17: "as of release 9, '_' is a keyword"; "invalid use of a restricted identifier 'yield'".
+    for bad in ("1abc", "a-b", "class", "", "_", "yield"):
         with pytest.raises(InvalidIdentifier):
             plan_extraction(summary, bad, fragment, host, owner, [], {})
+    # Restricted identifiers that javac takes as a method name.
+    for name in ("var", "record", "sealed", "permits"):
+        assert plan_extraction(summary, name, fragment, host, owner, [], {}).method_name == name
 
 
 # --- application and round trip -----------------------------------------------
@@ -246,6 +250,15 @@ def test_sites_sharing_lines_with_other_statements_match_the_golden_diff():
     assert verify_by_inlining(plan, session.files, result.sources, result).all_equivalent
 
 
+def test_a_generic_methods_type_parameters_go_into_the_new_signature():
+    """Without `<T>`, the new method's `List<T>` would name a type that is not in scope."""
+    session, _, plan = _plan_fixture("generic_method", "G.java", 5, "count")
+    assert plan.signature == "private <T> int count(List<T> xs)"
+    result = apply_extraction(plan, session.files, session.tokens)
+    assert result.diff == (GOLDEN_DIR / "extract_generic_method.diff").read_text(encoding="utf-8")
+    assert verify_by_inlining(plan, session.files, result.sources, result).all_equivalent
+
+
 def test_a_method_whose_closing_brace_shares_its_line_is_followed_by_the_new_method():
     """m0 closes on the line that opens m1, so the method goes in right after m0's `}`."""
     session, _, plan = _plan_fixture("packed_close", "P.java", 4, "reset")
@@ -264,6 +277,7 @@ def test_a_method_whose_closing_brace_shares_its_line_is_followed_by_the_new_met
         ("extract_demo", "Pipeline.java", 5, "bundle"),
         ("shared_line", "A.java", 4, "reset"),
         ("packed_close", "P.java", 4, "reset"),
+        ("generic_method", "G.java", 5, "count"),
     ],
 )
 def test_the_extract_goldens_rewritten_projects_compile(fixture, at_file, at_line, name):

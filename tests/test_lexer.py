@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import string
 import time
+from array import array
 from collections import Counter
 from itertools import product
 
@@ -231,18 +232,17 @@ def _per_kind_depth_partners(texts: list[str]) -> list[int]:
     return partner
 
 
-@given(st.lists(st.sampled_from(list("(){}[]") + ["x", ";", "+"]), max_size=30), st.integers(0, 30), st.integers(0, 30))
-def test_match_delimiters_agrees_with_a_per_kind_depth_scan(texts, lo, hi):
-    """Over all of `texts`, and over texts[lo:hi] alone, at its own indices."""
-    assert match_delimiters(tuple(texts))[0] == _per_kind_depth_partners(texts)
-    inside = _per_kind_depth_partners(texts[lo:hi])
-    expected = [-1] * len(texts)
-    expected[lo : lo + len(inside)] = [k + lo if k >= 0 else -1 for k in inside]
-    assert match_delimiters(tuple(texts), lo, hi)[0] == expected
+@given(st.lists(st.sampled_from(list("(){}[]") + ["x", ";", "+"]), max_size=30))
+def test_match_delimiters_agrees_with_a_per_kind_depth_scan(texts):
+    assert match_delimiters(tuple(texts))[0].tolist() == _per_kind_depth_partners(texts)
 
 
 def test_match_delimiters_pairs_each_kind_on_its_own():
-    assert match_delimiters(tokenize("( { ) } ]").texts) == ([2, 3, 0, 1, -1], True)
+    tokens = tokenize("( { ) } ]")
+    assert match_delimiters(tokens.texts) == (array("i", [2, 3, 0, 1, -1]), True)
+    # A revision pairs its delimiters once, on first read, and keeps the table.
+    assert tokens.pairs == match_delimiters(tokens.texts)
+    assert tokens.pairs is tokens.pairs
 
 
 # --- token values and fingerprints ---------------------------------------------

@@ -24,7 +24,7 @@ from anticopypaster.metrics import (
     thresholds_for,
     update_distributions,
 )
-from anticopypaster.lexer import match_delimiters, token_bag, tokenize
+from anticopypaster.lexer import token_bag, tokenize
 from anticopypaster.source_model import (
     ClassContext,
     MethodUnit,
@@ -381,9 +381,9 @@ def test_coupling_and_declarations_equal_the_oracles_on_corpus_and_fixture_metho
             local_declarations = method_declarations(unit)[1]
             assert local_declarations == dict(reversed(in_file)), unit.id
             fields = unit.owner.field_names
-            assert shadows(unit) == {n: d for n, d in local_declarations.items() if n in fields}, unit.id
-            match = match_delimiters(unit.tokens.texts)[0]
-            assert unit.vector == full_scan_vector(unit, match, session.settings.keywords), unit.id
+            assert shadows(unit.tokens, unit.body, unit.bag, fields) == {
+                n: d for n, d in local_declarations.items() if n in fields}, unit.id
+            assert unit.vector == full_scan_vector(unit, session.settings.keywords), unit.id
             expected = token_walk_coupling(unit.tokens, unit.body, unit.owner, local_declarations)
             assert _stored_coupling(unit) == expected, unit.id
             compared += 1
@@ -461,13 +461,19 @@ def _method_over(body: str, after: str) -> MethodUnit:
 @example("List<@A( String> x; f = 1;", ") > f;")
 @example("m(f, (both) -> below);", ") int f = 1;")
 def test_shadows_equal_the_declaration_scan_on_generated_bodies(body, after):
-    """The pre-filtered shadows are the full scan's declarations of field names, stray parens and all;
-    `method_declarations`, which pairs the method's run alone, reads every local the full scan does."""
+    """The pre-filtered shadows are the full scan's declarations of field names, stray parens and all,
+    for a method's body and for the same tokens as a fragment, which starts at token 0 of its own;
+    `method_declarations` reads every local the full scan does."""
+    fields = _OWNER.field_names
     unit = _method_over(body, after)
     lo, hi = unit.body
-    declared = dict(reversed(scan_declarations(unit.tokens, match_delimiters(unit.tokens.texts)[0], lo, hi)))
-    assert shadows(unit) == {n: d for n, d in declared.items() if n in _OWNER.field_names}
+    declared = dict(reversed(scan_declarations(unit.tokens, lo, hi)))
+    assert shadows(unit.tokens, unit.body, unit.bag, fields) == {n: d for n, d in declared.items() if n in fields}
     assert method_declarations(unit)[1] == declared
+    tokens = tokenize(body)
+    declared = dict(reversed(scan_declarations(tokens, 0, len(tokens))))
+    run = (0, len(tokens))
+    assert shadows(tokens, run, token_bag(tokens.texts), fields) == {n: d for n, d in declared.items() if n in fields}
 
 
 # --- percentile thresholds ---------------------------------------------------

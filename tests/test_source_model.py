@@ -7,11 +7,12 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from anticopypaster.errors import EmptyScope, IndexingError
-from anticopypaster.lexer import match_delimiters, token_bag, tokenize
+from anticopypaster.lexer import token_bag, tokenize
 from anticopypaster.metrics import KEYWORD_CATALOGUE, compute_vector
 from anticopypaster.source_model import (
     _profile,
     index_file,
+    local_declarations,
     method_declarations,
     validate_fragment,
 )
@@ -94,6 +95,20 @@ abstract class Shape {
     methods, classes = index_file(source, "Shape.java")
     assert [m.name for m in methods] == ["Shape"]
     assert classes[0].method_names == {"Shape", "area"}
+
+
+def test_type_parameters_are_read_from_the_header_past_modifiers_and_annotations():
+    source = """\
+class Util {
+    public static <K, V extends Comparable<V>> int a(java.util.Map<K, V> m) { return 0; }
+    @SafeVarargs final <@A T> void b(T... xs) { }
+    <T> Util(T t) { }
+    java.util.List<String> c() { return null; }
+    private synchronized int d() { return 0; }
+}
+"""
+    methods, _ = index_file(source, "Util.java")
+    assert [m.type_parameters for m in methods] == ["<K,V extends Comparable<V>>", "<@A T>", "<T>", "", ""]
 
 
 def test_static_flag_and_parameters():
@@ -339,8 +354,8 @@ def test_arrow_case_takes_only_a_block_throw_or_expression():
 def test_case_label_control_flow():
     colon = validate_fragment("switch (k) { case 1: f(); break; default: return; }")
     arrow = validate_fragment("switch (k) { case 1 -> { break; } default -> g(); }")
-    assert parse_statements(colon.tokens, match_delimiters(colon.tokens.texts)[0]) == ("return inside fragment",)
-    assert parse_statements(arrow.tokens, match_delimiters(arrow.tokens.texts)[0]) == ()
+    assert parse_statements(colon.tokens) == ("return inside fragment",)
+    assert parse_statements(arrow.tokens) == ()
 
 
 RETURN = "return inside fragment"
@@ -395,7 +410,7 @@ YIELD = "yield targets a switch expression outside fragment"
 )
 def test_parse_statements_reports_the_jumps_that_leave_the_fragment(text, jumps):
     tokens = tokenize(text)
-    assert parse_statements(tokens, match_delimiters(tokens.texts)[0]) == jumps
+    assert parse_statements(tokens) == jumps
 
 
 def test_lambda_and_anonymous_class_statements_are_valid():
@@ -554,21 +569,20 @@ def test_fragment_fields_agree_with_their_per_token_definitions(text):
     """What validation stores is what the per-token definitions give, or empty when invalid."""
     fragment = validate_fragment(text)
     tokens = fragment.tokens
-    stored = (
-        fragment.body, fragment.bag, fragment.bag_size,
-        fragment.local_declarations, fragment.area, fragment.illegal_flow,
-    )
+    stored = (fragment.body, fragment.bag, fragment.bag_size, fragment.area, fragment.illegal_flow)
     if not fragment.valid:
-        assert stored == ((0, 0), {}, 0, {}, 0, ())
+        assert stored == ((0, 0), {}, 0, 0, ())
         return
+    assert stored == (
+        (0, len(tokens)), token_bag(tokens.texts), token_bag(tokens.texts).total(),
+        sum(_profile(tokens, 0, len(tokens), 1, fragment.line_count)),
+        parse_statements(tokens),
+    )
+    # Its locals are read on demand, by the reader a method's go through.
     first_declarations = {}
     for name, decl in declarations_of(tokens):
         first_declarations.setdefault(name, decl)
-    assert stored == (
-        (0, len(tokens)), token_bag(tokens.texts), token_bag(tokens.texts).total(), first_declarations,
-        sum(_profile(tokens, 0, len(tokens), 1, fragment.line_count)),
-        parse_statements(tokens, match_delimiters(tokens.texts)[0]),
-    )
+    assert local_declarations(tokens, *fragment.body) == first_declarations
 
 
 # --- declaration scanning ----------------------------------------------------
@@ -665,13 +679,13 @@ def test_parameters_and_record_components_equal_the_comma_splitting_oracle(liste
     text, dims = listed
     source = f"class A {{ void f({text}) {{ }} }} record R({text}) {{ }}"
     tokens = tokenize(source)
-    match, _ = match_delimiters(tokens.texts)
+    match = tokens.pairs[0]
     (method,), (_, record) = index_file(source, "A.java")
     opens = [k for k, tok in enumerate(tokens) if tok.text == "(" and tokens[k - 1].text in ("f", "R")]
-    expected = comma_split_parameters(tokens, match, opens[0] + 1, match[opens[0]])
+    expected = comma_split_parameters(tokens, opens[0] + 1, match[opens[0]])
     parameters = method_declarations(method)[0]
     assert [(p.name, _without_type_annotations(p.declared_type)) for p in parameters] == [
         (p.name, p.declared_type + "[]" * k) for p, k in zip(expected, dims)
     ]
     assert len(expected) == len(dims)
-    assert record.field_names == {p.name for p in comma_split_parameters(tokens, match, opens[1] + 1, match[opens[1]])}
+    assert record.field_names == {p.name for p in comma_split_parameters(tokens, opens[1] + 1, match[opens[1]])}
