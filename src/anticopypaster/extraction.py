@@ -3,11 +3,12 @@
 Feasibility is a dataflow approximation: a fragment is extractable when
 it needs at most one value back from the new method and contains no
 control flow escaping it. A site is the run of tokens the duplicate scan
-matched, at the index of its first token in its file. Application
-replaces the characters of every exact site's run with a call and inserts
-the new method after the paste-site method; near matches are never
-touched. An inlining check closes the loop by substituting the generated
-body back into each call and comparing it with the run at the site.
+matched, at the index of its first token in its file; only a run that
+starts a statement is one. Application replaces the characters of every
+exact site's run with a call and inserts the new method after the
+paste-site method; near matches are never touched. An inlining check
+closes the loop by substituting the generated body back into each call
+and comparing it with the run at the site.
 """
 
 from __future__ import annotations
@@ -45,6 +46,8 @@ from .statements import ASSIGNMENT_OPS
 _IDENTIFIER_RE = re.compile(r"^[A-Za-z_$][A-Za-z0-9_$]*$")
 # Identifiers that javac refuses as a method name, though they are not among the reserved words.
 _RESTRICTED_NAMES = frozenset({"_", "yield"})
+# What a site's run follows: the end of a statement or a block's brace, so that the run starts a statement.
+_BEFORE_STATEMENT = frozenset({";", "{", "}"})
 
 
 @dataclass(frozen=True)
@@ -99,11 +102,11 @@ def analyze_extractability(
     """Infer the inputs, outputs, and flow violations of a fragment.
 
     The fragment is the run at token `at` of the method's file, by default
-    its first copy in the body. Inputs are variables used in the fragment
-    but declared earlier in the method or among its parameters, ordered by
-    first use. Outputs are locals declared or assigned in the fragment and
-    read after it. Class fields never count: they stay visible to the new
-    method.
+    its first copy in the body; a run that does not start a statement is
+    refused. Inputs are variables used in the fragment but declared
+    earlier in the method or among its parameters, ordered by first use.
+    Outputs are locals declared or assigned in the fragment and read after
+    it. Class fields never count: they stay visible to the new method.
     """
     if not fragment.valid:
         raise MissingContext("fragment is not a valid statement sequence")
@@ -114,6 +117,9 @@ def analyze_extractability(
     frag_end = at + len(frag_texts)
     if at < lo or frag_end > hi or texts[at:frag_end] != frag_texts:
         raise MissingContext("fragment is not a contiguous span of the enclosing method")
+    if texts[at - 1] not in _BEFORE_STATEMENT:
+        line = enclosing.tokens.lines[at]
+        raise MissingContext(f"the fragment at {enclosing.file_path}:{line} does not start a statement")
 
     frag_decls = local_declarations(fragment.tokens, *fragment.body)
     parameters, method_locals = method_declarations(enclosing)
@@ -188,10 +194,11 @@ def plan_extraction(
 ) -> ExtractionPlan:
     """Turn a feasible summary into a concrete rewrite plan.
 
-    Only exact matches become call-replacement sites; in the paste-site
-    method, the run at token `at` of its file, when given. The new method
-    is private, inherits staticness and type parameters from the
-    paste-site method, and is inserted just past its closing brace.
+    Only exact matches whose run starts a statement become call-replacement
+    sites; in the paste-site method, the run at token `at` of its file,
+    when given. The new method is private, inherits staticness and type
+    parameters from the paste-site method, and is inserted just past its
+    closing brace.
     """
     if not _IDENTIFIER_RE.match(name) or name in JAVA_KEYWORDS or name in WORD_LITERALS or name in _RESTRICTED_NAMES:
         raise InvalidIdentifier(name)
@@ -225,7 +232,9 @@ def plan_extraction(
         if at is not None and method.id == enclosing.id:
             lines = method.tokens.lines
             span, token = (lines[at], lines[at + len(fragment.tokens) - 1]), at
-        sites.append(TargetSite(match.method_id, method.file_path, *span, token))
+        # A run that does not start a statement, such as `n = 0; ...` after `int`, is no place for a call.
+        if method.tokens.texts[token - 1] in _BEFORE_STATEMENT:
+            sites.append(TargetSite(match.method_id, method.file_path, *span, token))
     sites.sort(key=lambda s: (s.file_path, s.token))
     tokens, close = enclosing.tokens, enclosing.body[1]  # the method's `}`
 

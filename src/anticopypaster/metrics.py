@@ -7,16 +7,16 @@ the scope's line count. Thresholds are nearest-rank percentiles over
 the per-method samples of the project, so a threshold is always a value
 some real method attains.
 
-One function measures both scopes: a pasted fragment, from the facts
-built once when it is validated, and a method's whole body, from those
-built when it is indexed. A method's vector depends only on its own file
-and the keyword set, so a session computes it once, when the file is
-indexed, and keeps it on the MethodUnit. The distribution is sorted
-from the stored vectors on open; a save takes out the vectors that changed
-and puts their new values in where bisection places them, and a column
-none of them changes stays the same tuple. A project without methods
-has a distribution of empty samples, on which every threshold raises
-EmptyDistribution.
+One function measures both scopes: a pasted fragment, from the facts built
+once when it is validated, and a method's whole body, from those built when
+it is indexed; coupling is one pass over the class's names in the bag. A
+method's vector depends only on its own file and the keyword set, so a
+session computes it once, when the file is indexed, and keeps it on the
+MethodUnit. The distribution is sorted from the stored vectors on open; a
+save takes out the vectors that changed and puts their new values in where
+bisection places them, and a column none of them changes stays the same
+tuple. A project without methods has a distribution of empty samples, on
+which every threshold raises EmptyDistribution.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from enum import Enum
 
 from .errors import EmptyDistribution, EmptyScope, InvalidSensitivity
 from .lexer import Tokens, TokenKind
-from .source_model import PRIMITIVE_TYPES, ClassContext, Fragment, LocalDecl, MethodUnit, local_declarations
+from .source_model import PRIMITIVE_TYPES, ClassContext, Fragment, MethodUnit, local_declarations
 
 # The configurable keyword catalogue: 31 statement/type/flow keywords,
 # visibility modifiers deliberately excluded.
@@ -76,55 +76,37 @@ SUBMETRIC_BY_NAME = {m.value: m for m in Submetric}
 MetricVector = dict[Submetric, float]
 
 
-def coupling_counts(
-    texts: tuple[str, ...], body: tuple[int, int], bag: dict[str, int], owner: ClassContext,
-    shadow_from: dict[str, LocalDecl],
-) -> tuple[int, int]:
-    """Count field and method references from the run texts[lo:hi] (`body`) into its owning class.
-
-    `texts` are a file's token texts and `bag` the run's `token_bag`.
-    Field connectivity counts identifiers matching a declared field
-    unless a local declaration of the same name textually precedes the
-    occurrence (the declaring occurrence itself is shadowed).
-    `shadow_from` maps each locally declared name, or at least each field
-    name among them, to its first declaration. Method connectivity counts
-    identifiers immediately followed by '(' that match a declared method
-    name.
-    """
-    lo, hi = body
-    field_refs = method_refs = 0
-    fields, methods = owner.field_names, owner.method_names
-    for name in bag.keys() & (fields | methods):
-        if name in fields:
-            decl = shadow_from.get(name)
-            field_refs += bag[name] if decl is None else texts[lo : decl.token_index].count(name)
-        if name in methods:
-            i = lo - 1
-            for _ in range(bag[name]):
-                i = texts.index(name, i + 1, hi)
-                method_refs += texts[i + 1 : i + 2] == ("(",)
-    return field_refs, method_refs
-
-
 # What a declared name follows besides an identifier: a type's last token, or the `,` between declarators.
 _BEFORE_NAME = PRIMITIVE_TYPES | {">", ">>", ">>>", "]", "...", ","}
 
 
-def shadows(tokens: Tokens, body: tuple[int, int], bag: dict[str, int], field_names: set[str]) -> dict[str, LocalDecl]:
-    """`local_declarations` of tokens[lo:hi] (`body`), whose `token_bag` is `bag`, restricted to field_names.
+def coupling_counts(tokens: Tokens, body: tuple[int, int], bag: dict[str, int], owner: ClassContext) -> tuple[int, int]:
+    """Count field and method references from the run tokens[lo:hi] (`body`), whose `token_bag` is `bag`, into its class.
 
-    The run is scanned only where one of those names follows what a
-    declared name follows; mostly none does, and no declaration is read.
+    One walk visits each occurrence of the class's field and method names.
+    Method connectivity counts those immediately followed by '('. Field
+    connectivity counts identifiers matching a declared field unless a
+    local declaration of the same name textually precedes the occurrence
+    (the declaring occurrence itself is shadowed). The run's
+    `local_declarations` are read once, and only when a field name follows
+    what a declared name follows; mostly none does, and none is read.
     """
     texts, kinds, (lo, hi) = tokens.texts, tokens.kinds, body
-    fields = bag.keys() & field_names
-    for name in fields:
-        k = lo - 1
+    field_refs = method_refs = 0
+    fields, methods = owner.field_names, owner.method_names
+    declared = None
+    for name in bag.keys() & (fields | methods):
+        i = lo - 1
         for _ in range(bag[name]):
-            k = texts.index(name, k + 1, hi)
-            if kinds[k - 1] is TokenKind.IDENTIFIER or texts[k - 1] in _BEFORE_NAME:
-                return {f: d for f, d in local_declarations(tokens, lo, hi).items() if f in fields}
-    return {}
+            i = texts.index(name, i + 1, hi)
+            method_refs += name in methods and texts[i + 1 : i + 2] == ("(",)
+            if name in fields:
+                # A declared name never starts the run, and a fragment's tokens[lo - 1] is its last token.
+                if declared is None and i > lo and (kinds[i - 1] is TokenKind.IDENTIFIER or texts[i - 1] in _BEFORE_NAME):
+                    declared = local_declarations(tokens, lo, hi)
+                decl = declared.get(name) if declared else None
+                field_refs += decl is None or i < decl.token_index
+    return field_refs, method_refs
 
 
 def _measure(
@@ -133,7 +115,7 @@ def _measure(
 ) -> MetricVector:
     """The 18 submetric values of a segment inside `method`.
 
-    Every fact but `shadows` was built once, when the segment was
+    Every fact but coupling was built once, when the segment was
     validated or indexed; its bag holds every keyword, since no
     keyword is punctuation. Area is the sum of per-line nesting depths, so
     it grows with both length and nesting. Densities divide by their
@@ -141,7 +123,7 @@ def _measure(
     """
     tokens, body, bag = segment.tokens, segment.body, segment.bag
     keyword_total = sum(bag[k] for k in bag.keys() & keywords)
-    fields, calls = coupling_counts(tokens.texts, body, bag, owner, shadows(tokens, body, bag, owner.field_names))
+    fields, calls = coupling_counts(tokens, body, bag, owner)
     coupling = fields + calls
     lines, symbols, area = segment.line_count, segment.symbol_count, segment.area
     method_lines = method.line_count

@@ -2,14 +2,14 @@
 
 Indexes method bodies and class context out of lexed files and validates
 pasted fragments as statement sequences. A method's body, like a fragment,
-is an index range (`body`) into its file's token columns, as is every token
-index stored with it. Its bag and nesting area are built once, when it is
-indexed, and a valid fragment's once, when it is validated; everything
-downstream reads these fields. The locals of either, and a method's
-parameters, are read on demand (`local_declarations`,
-`method_declarations`), for extraction and where a local may shadow a
-field. Every reader jumps through the one delimiter table that its
-`Tokens` keep (`Tokens.pairs`). When a file is indexed again, a method
+is an index range (`body`) into its file's token columns, as is every
+token index stored with it. Its bag and nesting area are built once, when
+it is indexed, and a valid fragment's once, when it is validated;
+everything downstream reads these fields. The locals of either, and a
+method's parameters, are read on demand (`local_declarations`,
+`method_declarations`), for extraction and by coupling where a local may
+shadow a field. Every reader jumps through the one delimiter table that
+its `Tokens` keep (`Tokens.pairs`). When a file is indexed again, a method
 whose run, from its `header` (the member's first token) to its closing
 `}`, has the same token texts and gaps, and whose body lines read the
 same, keeps these facts at its new place instead of building them again.
@@ -201,15 +201,15 @@ _TYPE_CONTINUATIONS = frozenset({".", "<", "[", "...", "@"})
 _STATEMENT_BOUNDS = frozenset({";", "{", "}", "("})
 
 
-def scan_declarations(tokens: Tokens, lo: int, hi: int) -> list[tuple[str, LocalDecl]]:
-    """Find the local variable declarations in tokens[lo:hi].
+def local_declarations(tokens: Tokens, lo: int, hi: int) -> dict[str, LocalDecl]:
+    """Each local name declared in tokens[lo:hi], a method's body or a fragment, with its first declaration.
 
     Covers ordinary declarations, multi-declarator lists, for-init,
-    enhanced-for, catch parameters, and try-with-resources. Returns each
-    declared name with its rendered type and the index of the name token
-    in `tokens`; misparses fall out as 'not a declaration', never as a
-    crash. A declaration is tried where one may start (first, and after `;`,
-    `{`, `}` or the `(` of `for`, `catch` or `try`) when, past a `final`, a type starts there.
+    enhanced-for, catch parameters, and try-with-resources. Each name maps
+    to its rendered type and the index of its name token in `tokens`;
+    misparses fall out as 'not a declaration', never as a crash. A
+    declaration is tried where one may start (first, and after `;`, `{`,
+    `}` or the `(` of `for`, `catch` or `try`) when, past a `final`, a type starts there.
     """
     texts, kinds = tokens.texts, tokens.kinds
     found: list[tuple[str, str, int]] = []
@@ -226,9 +226,12 @@ def scan_declarations(tokens: Tokens, lo: int, hi: int) -> list[tuple[str, Local
             and (kinds[j + 1] is identifier or texts[j + 1] in _TYPE_CONTINUATIONS)
         ):
             _try_declaration(tokens, j, found)
-    found.sort(key=lambda item: item[2])
-    # A stray '(' may pair past `hi`; a name read beyond it is out of range.
-    return [(name, LocalDecl(declared_type, k)) for name, declared_type, k in found if k < hi]
+    first: dict[str, LocalDecl] = {}
+    for name, declared_type, k in found:
+        # A stray '(' may pair past `hi`; a name read beyond it is out of range.
+        if k < hi and (name not in first or k < first[name].token_index):
+            first[name] = LocalDecl(declared_type, k)
+    return first
 
 
 def _render_type(texts: tuple[str, ...], kinds: list[TokenKind]) -> str:
@@ -622,11 +625,6 @@ def _parse_parameters(tokens: Tokens, i: int, end: int) -> list[Parameter]:
             break
         i += 1
     return params
-
-
-def local_declarations(tokens: Tokens, lo: int, hi: int) -> dict[str, LocalDecl]:
-    """Each local name declared in tokens[lo:hi], a method's body or a fragment, with its first declaration."""
-    return dict(reversed(scan_declarations(tokens, lo, hi)))
 
 
 def method_declarations(method: MethodUnit) -> tuple[tuple[Parameter, ...], dict[str, LocalDecl]]:

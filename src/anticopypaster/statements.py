@@ -2,12 +2,12 @@
 
 Recognizes the statement shapes a pasted fragment may contain
 (declarations, expression statements, control-flow blocks) without
-checking expression structure or types. Type and member declarations
-are rejected, which is what distinguishes a pastable fragment from a
-class body snippet. While parsing, it records each jump that would
-leave the fragment: a `return`, a `break` or `continue` whose loop,
-switch or label lies outside, and a `yield`, whose switch expression
-always does.
+checking expression structure or types, jumping over each bracketed group
+through the fragment's delimiter table (`Tokens.pairs`). Type and member
+declarations are rejected, which is what distinguishes a pastable fragment
+from a class body snippet. While parsing, it records each jump that would
+leave the fragment: a `return`, a `break` or `continue` whose loop, switch
+or label lies outside, and a `yield`, whose switch expression always does.
 """
 
 from __future__ import annotations
@@ -207,34 +207,29 @@ class _Parser:
             raise StatementParseError("try without catch, finally, or resources")
 
     def _scan_to_semicolon(self, allow_brace: bool = False, takes_value: bool = False) -> None:
-        """Consume tokens through the next ';' at the statement's own level.
+        """Consume tokens through the next ';' at the statement's own level, jumping over each bracketed group.
 
-        Braces at top level are only legal after '=', '->' or 'new'
-        (array initializers, lambdas, anonymous classes); a bare brace
-        signals a member declaration and fails the parse. A top-level lambda
-        must be assigned, or be the value of a statement that `takes_value`.
+        A closer or the end before that ';' fails the parse. So does a brace
+        at that level unless after '=', '->' or 'new' (array initializers,
+        lambdas, anonymous classes): a bare one signals a member declaration.
+        A lambda there must be assigned, or be the value of a statement that `takes_value`.
         """
-        depth = 0
         brace_ok = False
         while True:
             text = self._peek()
-            if text is None:
+            if text is None or text in ")]}":
                 raise StatementParseError("statement not terminated by ';'")
-            if depth == 0 and text == ";":
+            if text == ";":
                 self.pos += 1
                 return
-            if text == "->" and depth == 0 and not (brace_ok or takes_value):
+            if text == "->" and not (brace_ok or takes_value):
                 raise StatementParseError("a lambda is not a statement")
             if text in ("->", "new") or text in ASSIGNMENT_OPS:
                 brace_ok = True
             if text in "([{":
-                if text == "{" and depth == 0 and not brace_ok and not allow_brace:
+                if text == "{" and not brace_ok and not allow_brace:
                     raise StatementParseError("unexpected '{' in statement")
-                depth += 1
-            elif text in ")]}":
-                depth -= 1
-                if depth < 0:
-                    raise StatementParseError("unbalanced delimiter in statement")
+                self.pos = self.match[self.pos]  # parse_statements checked every pair
             self.pos += 1
 
     def _scan_label(self) -> str:

@@ -30,7 +30,6 @@ from anticopypaster.source_model import (
     _skip_annotation,
     _try_declaration,
     local_declarations,
-    scan_declarations,
 )
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -155,9 +154,13 @@ def body_tokens(unit: MethodUnit) -> Tokens:
 
 
 def token_walk_coupling(
-    tokens: Tokens, body: tuple[int, int], owner: ClassContext, shadow_from: dict[str, LocalDecl]
+    tokens: Tokens, body: tuple[int, int], owner: ClassContext, declared: dict[str, LocalDecl]
 ) -> tuple[int, int]:
-    """`metrics.coupling_counts` by walking every token of the body range: the oracle for its bag-driven count."""
+    """`metrics.coupling_counts` by walking every token of the body range: the oracle for its bag-driven count.
+
+    A field name counts until its declaration in `declared`, which maps
+    each name to its first one, such as all of `local_declarations`.
+    """
     field_refs = 0
     method_refs = 0
     texts = tokens.texts
@@ -169,22 +172,23 @@ def token_walk_coupling(
         if followed_by_call and name in owner.method_names:
             method_refs += 1
         if name in owner.field_names:
-            if name in shadow_from and shadow_from[name].token_index <= i:
+            if name in declared and declared[name].token_index <= i:
                 continue
             field_refs += 1
     return field_refs, method_refs
 
 
-def declarations_of(tokens: Tokens) -> list[tuple[str, LocalDecl]]:
-    """`source_model.scan_declarations` over the whole token sequence."""
-    return scan_declarations(tokens, 0, len(tokens))
+def declarations_of(tokens: Tokens) -> dict[str, LocalDecl]:
+    """`source_model.local_declarations` over the whole token sequence."""
+    return local_declarations(tokens, 0, len(tokens))
 
 
-def candidate_declarations(tokens: Tokens) -> list[tuple[str, LocalDecl]]:
-    """`source_model.scan_declarations` by trying a declaration at every spot one may start.
+def candidate_declarations(tokens: Tokens) -> dict[str, LocalDecl]:
+    """`source_model.local_declarations` by trying a declaration at every spot one may start.
 
     The oracle for the scan, which also skips the spots where the token
     after a type's first one can neither go on with the type nor name it.
+    Each name keeps the declaration with the lowest name index.
     """
     texts = tokens.texts
     spots = [0] if texts else []
@@ -199,7 +203,7 @@ def candidate_declarations(tokens: Tokens) -> list[tuple[str, LocalDecl]]:
         if j < len(texts) and (texts[j] in PRIMITIVE_TYPES or tokens.kinds[j] == TokenKind.IDENTIFIER):
             _try_declaration(tokens, j, found)
     found.sort(key=lambda item: item[2])
-    return [(name, LocalDecl(declared_type, k)) for name, declared_type, k in found]
+    return {name: LocalDecl(declared_type, k) for name, declared_type, k in reversed(found)}
 
 
 def fresh_distributions(methods: list[MethodUnit], keywords: frozenset[str]) -> ProjectDistribution:
@@ -212,16 +216,17 @@ def fresh_distributions(methods: list[MethodUnit], keywords: frozenset[str]) -> 
 
 
 def full_scan_vector(method: MethodUnit, keywords: frozenset[str]) -> tuple[float, ...]:
-    """The method's vector with its coupling shadowed by every local declaration its body declares.
+    """The method's vector with its coupling counted by `token_walk_coupling` over every local its body declares.
 
-    The oracle for `metrics.shadows`, which scans a body only where a field
-    name in it may be declared: while the method is measured, `shadows` is
-    replaced by the full scan of the body's declarations.
+    The oracle for `metrics.coupling_counts`, which walks only the bag's
+    field and method names and reads the declarations only where a field
+    name may be declared: while the method is measured, it is replaced by
+    the token walk over the full declaration scan.
     """
-    def full_scan(tokens, body, bag, field_names):
-        return local_declarations(tokens, *body)
+    def token_walk(tokens, body, bag, owner):
+        return token_walk_coupling(tokens, body, owner, local_declarations(tokens, *body))
 
-    with mock.patch.object(metrics, "shadows", full_scan):
+    with mock.patch.object(metrics, "coupling_counts", token_walk):
         return vector_values(method_vector(method, keywords))
 
 

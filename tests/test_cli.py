@@ -559,6 +559,25 @@ def test_extract_at_a_line_that_does_not_start_the_fragment_exits_three(tmp_path
     assert (root / "A.java").read_text(encoding="utf-8") == before
 
 
+def _extract_mid_statement(at: str) -> list[str]:
+    root = FIXTURES_DIR / "mid_statement" / "project"
+    fragment = FIXTURES_DIR / "mid_statement" / "fragment.java"
+    return ["extract", str(root), "--fragment", str(fragment), "--at", at, "--name", "reset"]
+
+
+def test_extract_leaves_a_copy_that_does_not_start_a_statement(capsys):
+    """`g` holds the fragment's tokens after `int`; only `f`'s copy, a statement of its own, becomes a call."""
+    assert run_command(_extract_mid_statement("A.java:4")) == 0
+    assert capsys.readouterr().out == (GOLDEN_DIR / "extract_mid_statement.diff").read_text(encoding="utf-8")
+
+
+def test_extract_at_a_run_that_does_not_start_a_statement_exits_three(capsys):
+    assert run_command(_extract_mid_statement("A.java:10")) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: the fragment at A.java:10 does not start a statement\n"
+
+
 def _extract_second_copy(root: Path, at: str) -> dict[str, str]:
     """`extract --write` on a copy of the two-copy fixture at `root`; its sources afterwards."""
     shutil.copytree(FIXTURES_DIR / "second_copy" / "project", root)

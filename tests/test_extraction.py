@@ -12,6 +12,7 @@ from anticopypaster.errors import (
     EngineError,
     IllegalFlow,
     InvalidIdentifier,
+    MissingContext,
     NameCollision,
     StaleSite,
     TooManyOutputs,
@@ -22,7 +23,7 @@ from anticopypaster.extraction import (
     plan_extraction,
     verify_by_inlining,
 )
-from anticopypaster.lexer import tokenize
+from anticopypaster.lexer import find_run, tokenize
 from anticopypaster.source_model import index_file, validate_fragment
 from anticopypaster.workspace import open_project
 
@@ -270,6 +271,26 @@ def test_a_method_whose_closing_brace_shares_its_line_is_followed_by_the_new_met
     assert verify_by_inlining(plan, session.files, result.sources, result).all_equivalent
 
 
+def test_a_copy_that_does_not_start_a_statement_is_matched_but_not_rewritten():
+    """`g`'s copy of `n = 0; n += xs.length;` follows `int`: a call there would read `int n = reset(n, xs);`."""
+    session, fragment, plan = _plan_fixture("mid_statement", "A.java", 4, "reset")
+    matches = find_duplicates(fragment, session.methods, 0.8)
+    assert sorted((m.method_id, m.kind) for m in matches) == [("A.java:10:g", EXACT), ("A.java:3:f", EXACT)]
+    assert [(s.method_id, s.start_line) for s in plan.target_sites] == [("A.java:3:f", 4)]
+    result = apply_extraction(plan, session.files, session.tokens)
+    assert result.diff == (GOLDEN_DIR / "extract_mid_statement.diff").read_text(encoding="utf-8")
+    assert verify_by_inlining(plan, session.files, result.sources, result).all_equivalent
+
+
+def test_a_paste_site_that_does_not_start_a_statement_is_refused_by_name():
+    session = open_project(FIXTURES_DIR / "mid_statement" / "project")
+    fragment = validate_fragment((FIXTURES_DIR / "mid_statement" / "fragment.java").read_text())
+    host = session.method_at("A.java", 10)
+    at = find_run(session.tokens["A.java"], fragment.tokens.texts, 10)
+    with pytest.raises(MissingContext, match=r"^the fragment at A\.java:10 does not start a statement$"):
+        analyze_extractability(fragment, host, host.owner, at)
+
+
 @requires_javac
 @pytest.mark.parametrize(
     "fixture, at_file, at_line, name",
@@ -278,6 +299,7 @@ def test_a_method_whose_closing_brace_shares_its_line_is_followed_by_the_new_met
         ("shared_line", "A.java", 4, "reset"),
         ("packed_close", "P.java", 4, "reset"),
         ("generic_method", "G.java", 5, "count"),
+        ("mid_statement", "A.java", 4, "reset"),
     ],
 )
 def test_the_extract_goldens_rewritten_projects_compile(fixture, at_file, at_line, name):

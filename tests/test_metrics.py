@@ -20,7 +20,6 @@ from anticopypaster.metrics import (
     coupling_counts,
     method_vector,
     percentile_threshold,
-    shadows,
     thresholds_for,
     update_distributions,
 )
@@ -29,8 +28,8 @@ from anticopypaster.source_model import (
     ClassContext,
     MethodUnit,
     index_file,
+    local_declarations,
     method_declarations,
-    scan_declarations,
     validate_fragment,
 )
 from anticopypaster.workspace import open_project
@@ -41,6 +40,7 @@ from helpers import (
     GOLDEN_DIR,
     body_tokens,
     candidate_declarations,
+    count_calls,
     declarations_of,
     fresh_distributions,
     full_scan_vector,
@@ -328,7 +328,7 @@ class Cases {
 
 
 def _stored_coupling(unit):
-    return coupling_counts(unit.tokens.texts, unit.body, unit.bag, unit.owner, method_declarations(unit)[1])
+    return coupling_counts(unit.tokens, unit.body, unit.bag, unit.owner)
 
 
 def test_coupling_counts_fields_below_shadowed_locals_and_split_calls():
@@ -337,8 +337,8 @@ def test_coupling_counts_fields_below_shadowed_locals_and_split_calls():
     host = next(m for m in methods if m.name == "host")
     assert _stored_coupling(host) == (7, 3)
     for unit in methods:
-        local_declarations = method_declarations(unit)[1]
-        assert _stored_coupling(unit) == token_walk_coupling(unit.tokens, unit.body, unit.owner, local_declarations)
+        declared = method_declarations(unit)[1]
+        assert _stored_coupling(unit) == token_walk_coupling(unit.tokens, unit.body, unit.owner, declared)
         assert declarations_of(body_tokens(unit)) == candidate_declarations(body_tokens(unit))
 
 
@@ -367,6 +367,7 @@ class Counter {
 
 
 def test_coupling_and_declarations_equal_the_oracles_on_corpus_and_fixture_methods():
+    """Each body is measured in its file and as a fragment's run, which starts at token 0 of its own tokens."""
     roots = sorted(p for p in CORPUS_DIR.glob("*/project") if p.is_dir())
     roots += sorted(p / "project" if (p / "project").is_dir() else p for p in FIXTURES_DIR.iterdir())
     compared = 0
@@ -374,18 +375,17 @@ def test_coupling_and_declarations_equal_the_oracles_on_corpus_and_fixture_metho
         session = open_project(root)
         for unit in session.methods:
             tokens = body_tokens(unit)
-            assert declarations_of(tokens) == candidate_declarations(tokens), unit.id
+            declared = declarations_of(tokens)
+            assert declared == candidate_declarations(tokens), unit.id
             # The body's own declarations, moved to their indices in the file.
             lo = unit.body[0]
-            in_file = [(name, replace(d, token_index=d.token_index + lo)) for name, d in declarations_of(tokens)]
-            local_declarations = method_declarations(unit)[1]
-            assert local_declarations == dict(reversed(in_file)), unit.id
-            fields = unit.owner.field_names
-            assert shadows(unit.tokens, unit.body, unit.bag, fields) == {
-                n: d for n, d in local_declarations.items() if n in fields}, unit.id
+            in_file = {name: replace(d, token_index=d.token_index + lo) for name, d in declared.items()}
+            assert method_declarations(unit)[1] == in_file, unit.id
             assert unit.vector == full_scan_vector(unit, session.settings.keywords), unit.id
-            expected = token_walk_coupling(unit.tokens, unit.body, unit.owner, local_declarations)
+            expected = token_walk_coupling(unit.tokens, unit.body, unit.owner, in_file)
             assert _stored_coupling(unit) == expected, unit.id
+            run = (0, len(tokens))
+            assert coupling_counts(tokens, run, token_bag(tokens.texts), unit.owner) == expected, unit.id
             compared += 1
     assert compared >= 50
 
@@ -412,14 +412,15 @@ _SEPARATORS = [" ", "\n", "\t", " /*c*/ ", ""]
 @example("int")
 @example("List<List<String>> f = null; String... both;")
 @example("int[] f = xs; String[][] both, x[];")
+# The declaration after the `;` inside the parens declares `f` before the outer one's second declarator does.
+@example("int x = g(both; int f = 1), f; f++;")
 def test_coupling_and_declarations_equal_the_oracles_on_generated_bodies(text):
     tokens = tokenize(text)
-    declarations = declarations_of(tokens)
-    assert declarations == candidate_declarations(tokens)
-    shadow_from = dict(reversed(declarations))
+    declared = declarations_of(tokens)
+    assert declared == candidate_declarations(tokens)
     body = (0, len(tokens))
-    expected = token_walk_coupling(tokens, body, _OWNER, shadow_from)
-    assert coupling_counts(tokens.texts, body, token_bag(tokens.texts), _OWNER, shadow_from) == expected
+    expected = token_walk_coupling(tokens, body, _OWNER, declared)
+    assert coupling_counts(tokens, body, token_bag(tokens.texts), _OWNER) == expected
 
 
 def _method_over(body: str, after: str) -> MethodUnit:
@@ -460,20 +461,37 @@ def _method_over(body: str, after: str) -> MethodUnit:
 @example("g(int f; m(", ") )")
 @example("List<@A( String> x; f = 1;", ") > f;")
 @example("m(f, (both) -> below);", ") int f = 1;")
-def test_shadows_equal_the_declaration_scan_on_generated_bodies(body, after):
-    """The pre-filtered shadows are the full scan's declarations of field names, stray parens and all,
+def test_coupling_equals_the_token_walk_over_the_full_scan_on_generated_bodies(body, after):
+    """Coupling counts what the token walk over every local declaration counts, stray parens and all,
     for a method's body and for the same tokens as a fragment, which starts at token 0 of its own;
     `method_declarations` reads every local the full scan does."""
-    fields = _OWNER.field_names
     unit = _method_over(body, after)
     lo, hi = unit.body
-    declared = dict(reversed(scan_declarations(unit.tokens, lo, hi)))
-    assert shadows(unit.tokens, unit.body, unit.bag, fields) == {n: d for n, d in declared.items() if n in fields}
+    declared = local_declarations(unit.tokens, lo, hi)
+    assert _stored_coupling(unit) == token_walk_coupling(unit.tokens, unit.body, _OWNER, declared)
     assert method_declarations(unit)[1] == declared
     tokens = tokenize(body)
-    declared = dict(reversed(scan_declarations(tokens, 0, len(tokens))))
     run = (0, len(tokens))
-    assert shadows(tokens, run, token_bag(tokens.texts), fields) == {n: d for n, d in declared.items() if n in fields}
+    expected = token_walk_coupling(tokens, run, _OWNER, declarations_of(tokens))
+    assert coupling_counts(tokens, run, token_bag(tokens.texts), _OWNER) == expected
+
+
+@pytest.mark.parametrize(
+    "text, reads, counts",
+    [
+        ("f = g(both); both(f);", 0, (4, 1)),
+        # A fragment's run starts at token 0; the token before its first `f` is not its last `x`.
+        ("f = 1; both = x", 0, (2, 0)),
+        ("x = f; int f = 1; f++;", 1, (1, 0)),
+        ("String s = null, f = s; both = f;", 1, (1, 0)),
+        ("int f = 1; long both = f;", 1, (0, 0)),
+    ],
+)
+def test_coupling_reads_the_declarations_once_and_only_where_a_field_may_be_declared(monkeypatch, text, reads, counts):
+    calls = count_calls(monkeypatch, local_declarations)
+    tokens = tokenize(text)
+    assert coupling_counts(tokens, (0, len(tokens)), token_bag(tokens.texts), _OWNER) == counts
+    assert len(calls) == reads
 
 
 # --- percentile thresholds ---------------------------------------------------

@@ -18,7 +18,7 @@ from anticopypaster.source_model import (
 )
 from anticopypaster.statements import parse_statements
 
-from helpers import body_texts, body_tokens, comma_split_parameters, declarations_of
+from helpers import body_texts, body_tokens, candidate_declarations, comma_split_parameters, declarations_of
 
 TWO_METHODS = """\
 public class TwoMethods {
@@ -428,6 +428,13 @@ def test_lambda_and_anonymous_class_statements_are_valid():
         ("r = () -> 1;", True),
         ("return a -> b;", True),
         ("switch (k) { case 1 -> a -> b; }", False),
+        # A brace or lambda arrow after a bracketed group: what the group holds does not allow it at the statement's level.
+        ("foo(x = 1) { };", False),  # javac: "';' expected"
+        ("foo(new int[0]) { };", False),  # javac: "';' expected"
+        ("m(a -> b) { };", False),  # javac: "';' expected"
+        ("foo(x = 1) -> b;", False),  # javac: "';' expected"
+        ("a[x = 1] { };", False),  # javac: "not a statement"
+        ("foo(x = 1, () -> { });", True),
     ],
 )
 def test_a_bare_lambda_is_not_a_statement(text, valid):
@@ -579,10 +586,7 @@ def test_fragment_fields_agree_with_their_per_token_definitions(text):
         parse_statements(tokens),
     )
     # Its locals are read on demand, by the reader a method's go through.
-    first_declarations = {}
-    for name, decl in declarations_of(tokens):
-        first_declarations.setdefault(name, decl)
-    assert local_declarations(tokens, *fragment.body) == first_declarations
+    assert local_declarations(tokens, *fragment.body) == candidate_declarations(tokens)
 
 
 # --- declaration scanning ----------------------------------------------------
@@ -597,7 +601,7 @@ def test_scan_finds_declarations_in_common_shapes():
         "Outer<K>.Inner node = root;\n"
         "try (Closeable c = open()) { c.hashCode(); } catch (Exception e) { log(e); }"
     )
-    declared = {name: decl.declared_type for name, decl in declarations_of(tokens)}
+    declared = {name: decl.declared_type for name, decl in declarations_of(tokens).items()}
     assert declared == {
         "a": "int",
         "b": "int",
@@ -615,7 +619,7 @@ def test_scan_finds_declarations_in_common_shapes():
 
 def test_scan_does_not_mistake_assignments_or_calls_for_declarations():
     tokens = tokenize("x = 1;\nfoo(a);\na.b = 2;\nx < y;")
-    assert declarations_of(tokens) == []
+    assert declarations_of(tokens) == {}
 
 
 # --- parameters against the comma-splitting oracle ----------------------------

@@ -7,11 +7,12 @@ Run from the repository root, outside the pytest suite:
 It generates the `javagen` project of 400 files x 25 methods (seed 3,
 `dup_rate` 0.1, `motif_width` 6, `motifs` 4) in a temporary directory,
 opens it, and compares each method's stored vector with
-`helpers.full_scan_vector`, which reads every local declaration of the
-body. It then does the same for a variant of the project in which every
-third method begins with `int <one of its class's fields> = 0;`, so that
-`metrics.shadows` has to take its fallback scan there, and reports how many
-methods of each project took it. Exits 1 when any vector differs, a
+`helpers.full_scan_vector`, which counts coupling by walking every token
+of the body against all of its local declarations. It then does the same
+for a variant of the project in which every third method begins with
+`int <one of its class's fields> = 0;`, so that `metrics.coupling_counts`
+has to read the body's declarations (the fallback scan) there, and reports
+how many methods of each project took it. Exits 1 when any vector differs, a
 project has too few methods, or no method of the variant took the fallback.
 """
 
@@ -36,7 +37,7 @@ SEED = 3
 
 
 def open_counting_fallbacks(sources: dict[str, str], manifest: javagen.Manifest) -> tuple[ProjectSession, int]:
-    """Open the sources as a project, and count the methods whose `shadows` took the fallback scan."""
+    """Open the sources as a project, and count the methods whose coupling took the fallback scan."""
     calls = 0
     scan = metrics.local_declarations
 
