@@ -308,10 +308,7 @@ def _cmd_extract(args: argparse.Namespace) -> int:
         raise _Fail(f"{located} at {file_path}:{line}")
     enclosing, matches, at = located
     summary = analyze_extractability(fragment, enclosing, enclosing.owner, at)
-    plan = plan_extraction(
-        summary, args.name, fragment, enclosing, enclosing.owner, matches,
-        session.methods_by_id, at,
-    )
+    plan = plan_extraction(summary, args.name, fragment, enclosing, enclosing.owner, matches, session.methods_by_id)
     result = apply_extraction(plan, session.files, session.tokens)
     if args.write:
         changed = {

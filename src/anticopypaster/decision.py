@@ -221,7 +221,7 @@ def evaluate_paste(
         return DropRecord(event, located, now)
     enclosing, matches, _ = located
     settings: Settings = session.settings
-    vector = compute_vector(fragment, enclosing, enclosing.owner, settings.keywords)
+    vector = compute_vector(fragment, enclosing, settings.keywords)
     # An enclosing method means the distribution holds a sample, and the
     # thresholds cover exactly the submetrics the gate reads.
     thresholds = thresholds_for(session.distribution, settings.sensitivity, settings.enabled_submetrics())

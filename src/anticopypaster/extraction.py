@@ -4,7 +4,8 @@ Feasibility is a dataflow approximation: a fragment is extractable when
 it needs at most one value back from the new method and contains no
 control flow escaping it. A site is the run of tokens the duplicate scan
 matched, at the index of its first token in its file; only a run that
-starts a statement is one. Application replaces the characters of every
+starts a statement is one, and in the paste-site method it is the run
+the flow analysis read. Application replaces the characters of every
 exact site's run with a call and inserts the new method after the
 paste-site method; near matches are never touched. An inlining check
 closes the loop by substituting the generated body back into each call
@@ -40,7 +41,7 @@ from .lexer import (
     find_run,
     tokenize,
 )
-from .source_model import ClassContext, Fragment, MethodUnit, Parameter, local_declarations, method_declarations
+from .source_model import ClassContext, Fragment, MethodUnit, local_declarations, method_declarations
 from .statements import ASSIGNMENT_OPS
 
 _IDENTIFIER_RE = re.compile(r"^[A-Za-z_$][A-Za-z0-9_$]*$")
@@ -51,15 +52,17 @@ _BEFORE_STATEMENT = frozenset({";", "{", "}"})
 
 
 @dataclass(frozen=True)
+class Parameter:
+    name: str
+    declared_type: str
+
+
+@dataclass(frozen=True)
 class DataFlowSummary:
     inputs: tuple[Parameter, ...]
     outputs: tuple[Parameter, ...]
-    illegal_flow: tuple[str, ...]
     output_declared_inside: bool
-
-    @property
-    def feasible(self) -> bool:
-        return len(self.outputs) <= 1 and not self.illegal_flow
+    at: int  # the analyzed run's first token in the paste-site method's file
 
 
 @dataclass(frozen=True)
@@ -103,8 +106,8 @@ def analyze_extractability(
 
     The fragment is the run at token `at` of the method's file, by default
     its first copy in the body; a run that does not start a statement is
-    refused. Inputs are variables used in the fragment but declared
-    earlier in the method or among its parameters, ordered by first use.
+    refused. Inputs are variables used in the fragment that name a
+    parameter, or a local in scope where it starts, ordered by first use.
     Outputs are locals declared or assigned in the fragment and read after
     it. Class fields never count: they stay visible to the new method.
     """
@@ -122,10 +125,8 @@ def analyze_extractability(
         raise MissingContext(f"the fragment at {enclosing.file_path}:{line} does not start a statement")
 
     frag_decls = local_declarations(fragment.tokens, *fragment.body)
-    parameters, method_locals = method_declarations(enclosing)
-    # The type of each name declared ahead of the fragment: a parameter, or a local hiding it.
-    declared_before = {p.name: p.declared_type for p in parameters} | {
-        name: d.declared_type for name, d in method_locals.items() if d.token_index < at}
+    # The parameter or local that each name means where the fragment starts.
+    declared = method_declarations(enclosing, at)
 
     # One pass finds the inputs, in order of first use, and the token
     # index of each name's first write.
@@ -144,32 +145,22 @@ def analyze_extractability(
         decl = frag_decls.get(name)
         if decl is not None and decl.token_index <= k:
             continue
-        declared_type = declared_before.get(name)
-        if declared_type is not None:
-            inputs[name] = Parameter(name, declared_type)
+        if name in declared:
+            inputs[name] = Parameter(name, declared[name].declared_type)
     for name, decl in frag_decls.items():
         assigned.setdefault(name, decl.token_index)
 
     read_after = _read_after(enclosing, frag_end)
     outputs: list[Parameter] = []
-    for name in sorted(assigned, key=assigned.get):
-        if name not in read_after:
-            continue
-        if name in frag_decls:
-            outputs.append(Parameter(name, frag_decls[name].declared_type))
-            continue
-        declared_type = declared_before.get(name)
-        if declared_type is not None:
-            outputs.append(Parameter(name, declared_type))
-            continue
-        if name in owner.field_names or name in owner.method_names:
-            continue  # class member: persists without plumbing
-        raise UnresolvedType(name)
+    for name in sorted(assigned.keys() & read_after, key=assigned.get):
+        decl = frag_decls.get(name) or declared.get(name)
+        if decl is not None:
+            outputs.append(Parameter(name, decl.declared_type))
+        elif name not in owner.field_names and name not in owner.method_names:
+            raise UnresolvedType(name)  # a class member persists without plumbing
 
     declared_inside = len(outputs) == 1 and outputs[0].name in frag_decls
-    return DataFlowSummary(
-        tuple(inputs.values()), tuple(outputs), fragment.illegal_flow, declared_inside
-    )
+    return DataFlowSummary(tuple(inputs.values()), tuple(outputs), declared_inside, at)
 
 
 def _read_after(method: MethodUnit, start: int) -> set[str]:
@@ -190,13 +181,12 @@ def plan_extraction(
     owner: ClassContext,
     matches: list[CloneMatch],
     methods_by_id: Mapping[str, MethodUnit],
-    at: int | None = None,
 ) -> ExtractionPlan:
-    """Turn a feasible summary into a concrete rewrite plan.
+    """Turn the summary of the fragment's flow in `enclosing` into a concrete rewrite plan.
 
     Only exact matches whose run starts a statement become call-replacement
-    sites; in the paste-site method, the run at token `at` of its file,
-    when given. The new method is private, inherits staticness and type
+    sites; in the paste-site method, the run the summary analyzed
+    (`summary.at`). The new method is private, inherits staticness and type
     parameters from the paste-site method, and is inserted just past its
     closing brace.
     """
@@ -204,8 +194,8 @@ def plan_extraction(
         raise InvalidIdentifier(name)
     if name in owner.method_names:
         raise NameCollision(name)
-    if summary.illegal_flow:
-        raise IllegalFlow(list(summary.illegal_flow))
+    if fragment.illegal_flow:
+        raise IllegalFlow(list(fragment.illegal_flow))
     if len(summary.outputs) > 1:
         raise TooManyOutputs([p.name for p in summary.outputs])
 
@@ -229,8 +219,8 @@ def plan_extraction(
             continue
         method = methods_by_id[match.method_id]
         span, token = match.match_span, match.token
-        if at is not None and method.id == enclosing.id:
-            lines = method.tokens.lines
+        if method.id == enclosing.id:
+            at, lines = summary.at, method.tokens.lines
             span, token = (lines[at], lines[at + len(fragment.tokens) - 1]), at
         # A run that does not start a statement, such as `n = 0; ...` after `int`, is no place for a call.
         if method.tokens.texts[token - 1] in _BEFORE_STATEMENT:

@@ -9,14 +9,15 @@ some real method attains.
 
 One function measures both scopes: a pasted fragment, from the facts built
 once when it is validated, and a method's whole body, from those built when
-it is indexed; coupling is one pass over the class's names in the bag. A
-method's vector depends only on its own file and the keyword set, so a
-session computes it once, when the file is indexed, and keeps it on the
-MethodUnit. The distribution is sorted from the stored vectors on open; a
-save takes out the vectors that changed and puts their new values in where
-bisection places them, and a column none of them changes stays the same
-tuple. A project without methods has a distribution of empty samples, on
-which every threshold raises EmptyDistribution.
+it is indexed; coupling is one pass over the names in the bag of the
+method's class (`MethodUnit.owner`). A method's vector depends only on
+its own file and the keyword set, so a session computes it once, when the
+file is indexed, and keeps it on the MethodUnit. The distribution is
+sorted from the stored vectors on open; a save takes out the vectors that
+changed and puts their new values in where bisection places them, and a
+column none of them changes stays the same tuple. A project without
+methods has a distribution of empty samples, on which every threshold
+raises EmptyDistribution.
 """
 
 from __future__ import annotations
@@ -109,11 +110,8 @@ def coupling_counts(tokens: Tokens, body: tuple[int, int], bag: dict[str, int], 
     return field_refs, method_refs
 
 
-def _measure(
-    segment: Fragment | MethodUnit, method: MethodUnit, owner: ClassContext,
-    keywords: frozenset[str],
-) -> MetricVector:
-    """The 18 submetric values of a segment inside `method`.
+def _measure(segment: Fragment | MethodUnit, method: MethodUnit, keywords: frozenset[str]) -> MetricVector:
+    """The 18 submetric values of a segment inside `method`, whose class is `method.owner`.
 
     Every fact but coupling was built once, when the segment was
     validated or indexed; its bag holds every keyword, since no
@@ -123,7 +121,7 @@ def _measure(
     """
     tokens, body, bag = segment.tokens, segment.body, segment.bag
     keyword_total = sum(bag[k] for k in bag.keys() & keywords)
-    fields, calls = coupling_counts(tokens, body, bag, owner)
+    fields, calls = coupling_counts(tokens, body, bag, method.owner)
     coupling = fields + calls
     lines, symbols, area = segment.line_count, segment.symbol_count, segment.area
     method_lines = method.line_count
@@ -149,25 +147,20 @@ def _measure(
     }
 
 
-def compute_vector(
-    fragment: Fragment,
-    enclosing: MethodUnit,
-    owner: ClassContext,
-    keywords: frozenset[str],
-) -> MetricVector:
-    """All submetric values for a fragment pasted inside a method.
+def compute_vector(fragment: Fragment, enclosing: MethodUnit, keywords: frozenset[str]) -> MetricVector:
+    """All submetric values for a fragment pasted inside a method; coupling reads the method's class.
 
     Raises EmptyScope for a fragment that is not a valid statement
     sequence, which is also every fragment without lines.
     """
     if not fragment.valid:
         raise EmptyScope("fragment is not a valid statement sequence")
-    return _measure(fragment, enclosing, owner, keywords)
+    return _measure(fragment, enclosing, keywords)
 
 
 def method_vector(method: MethodUnit, keywords: frozenset[str]) -> MetricVector:
     """Submetric values of a method, treating the whole body as the segment."""
-    return _measure(method, method, method.owner, keywords)
+    return _measure(method, method, keywords)
 
 
 def vector_values(vector: MetricVector) -> tuple[float, ...]:

@@ -5,14 +5,15 @@ pasted fragments as statement sequences. A method's body, like a fragment,
 is an index range (`body`) into its file's token columns, as is every
 token index stored with it. Its bag and nesting area are built once, when
 it is indexed, and a valid fragment's once, when it is validated;
-everything downstream reads these fields. The locals of either, and a
-method's parameters, are read on demand (`local_declarations`,
-`method_declarations`), for extraction and by coupling where a local may
-shadow a field. Every reader jumps through the one delimiter table that
-its `Tokens` keep (`Tokens.pairs`). When a file is indexed again, a method
-whose run, from its `header` (the member's first token) to its closing
-`}`, has the same token texts and gaps, and whose body lines read the
-same, keeps these facts at its new place instead of building them again.
+everything downstream reads these fields. Declarations are read on
+demand: the locals of either by `local_declarations`, and the parameter
+or local that each name means at a point of a method's body by
+`method_declarations`. Every reader jumps through the one delimiter
+table that its `Tokens` keep (`Tokens.pairs`). When a file is indexed
+again, a method whose run, from its `header` (the member's first token)
+to its closing `}`, has the same token texts and gaps, and whose body
+lines read the same, keeps these facts at its new place instead of
+building them again.
 
 Method detection is header-pattern plus brace matching, not a full
 grammar: constructors count as methods, bodiless declarations are
@@ -26,6 +27,7 @@ from bisect import bisect_right
 from collections.abc import Container, Sequence
 from dataclasses import dataclass, field
 from itertools import chain, compress, count
+from operator import itemgetter
 
 from .errors import IndexingError, LexError
 from .lexer import (
@@ -40,12 +42,6 @@ from .statements import StatementParseError, parse_statements
 PRIMITIVE_TYPES = frozenset(
     {"boolean", "byte", "char", "short", "int", "long", "float", "double"}
 )
-
-
-@dataclass(frozen=True)
-class Parameter:
-    name: str
-    declared_type: str
 
 
 @dataclass(frozen=True)
@@ -202,13 +198,20 @@ _STATEMENT_BOUNDS = frozenset({";", "{", "}", "("})
 
 
 def local_declarations(tokens: Tokens, lo: int, hi: int) -> dict[str, LocalDecl]:
-    """Each local name declared in tokens[lo:hi], a method's body or a fragment, with its first declaration.
+    """Each local name declared in tokens[lo:hi], a method's body or a fragment, with its first declaration."""
+    # The latest first, so that each name's first declaration is put in last.
+    found = sorted(_declarations(tokens, lo, hi), key=itemgetter(2), reverse=True)
+    return {name: LocalDecl(declared_type, k) for name, declared_type, k in found}
+
+
+def _declarations(tokens: Tokens, lo: int, hi: int) -> list[tuple[str, str, int]]:
+    """Each local declaration in tokens[lo:hi] as (name, type, name index), a name's every one.
 
     Covers ordinary declarations, multi-declarator lists, for-init,
-    enhanced-for, catch parameters, and try-with-resources. Each name maps
-    to its rendered type and the index of its name token in `tokens`;
-    misparses fall out as 'not a declaration', never as a crash. A
-    declaration is tried where one may start (first, and after `;`, `{`,
+    enhanced-for, catch parameters, and try-with-resources. Each name
+    comes with its rendered type and the index of its name token in
+    `tokens`; misparses fall out as 'not a declaration', never as a crash.
+    A declaration is tried where one may start (first, and after `;`, `{`,
     `}` or the `(` of `for`, `catch` or `try`) when, past a `final`, a type starts there.
     """
     texts, kinds = tokens.texts, tokens.kinds
@@ -226,12 +229,8 @@ def local_declarations(tokens: Tokens, lo: int, hi: int) -> dict[str, LocalDecl]
             and (kinds[j + 1] is identifier or texts[j + 1] in _TYPE_CONTINUATIONS)
         ):
             _try_declaration(tokens, j, found)
-    first: dict[str, LocalDecl] = {}
-    for name, declared_type, k in found:
-        # A stray '(' may pair past `hi`; a name read beyond it is out of range.
-        if k < hi and (name not in first or k < first[name].token_index):
-            first[name] = LocalDecl(declared_type, k)
-    return first
+    # A stray '(' may pair past `hi`; a name read beyond it is out of range.
+    return [d for d in found if d[2] < hi]
 
 
 def _render_type(texts: tuple[str, ...], kinds: list[TokenKind]) -> str:
@@ -360,26 +359,21 @@ def _try_declaration(tokens: Tokens, j: int, found: list[tuple[str, str, int]]) 
 
 
 def index_file(
-    text: str, file_path: str, tokens: Tokens | None = None, previous: Sequence[MethodUnit] = ()
+    tokens: Tokens, file_path: str, previous: Sequence[MethodUnit] = ()
 ) -> tuple[list[MethodUnit], list[ClassContext]]:
-    """Index every method body and class context in one source file.
+    """Index every method body and class context in one lexed source file.
 
-    `tokens`, when given, must be `tokenize(text)`; the file is lexed
-    only when they are not. Method bodies are runs of those tokens.
-    Nested classes produce their own ClassContext and own their methods;
-    a record's components are fields of its context. Raises IndexingError
-    when braces are unbalanced at file scope or classes nest deeper than
-    the interpreter's recursion limit; lex errors propagate as LexError.
+    Method bodies are runs of `tokens`, and the lines they measure are
+    those of `tokens.text`. Nested classes produce their own ClassContext
+    and own their methods; a record's components are fields of its
+    context. Raises IndexingError when braces are unbalanced at file scope
+    or classes nest deeper than the interpreter's recursion limit.
     `previous`, the methods of the file's last indexed revision, lets a
     method whose run and body lines are unchanged keep its facts.
     """
-    normalized = normalize_newlines(text)
-    if tokens is None:
-        tokens = tokenize(normalized)
     if not tokens.pairs[1]:
         raise IndexingError("unbalanced braces at file scope")
-    lines = normalized.split("\n")
-    indexer = _Indexer(tokens, lines, file_path, previous)
+    indexer = _Indexer(tokens, file_path, previous)
     try:
         indexer.run()
     except RecursionError:
@@ -416,7 +410,7 @@ def _skip_modifiers(tokens: Tokens, i: int, end: int, words: Container[str]) -> 
 
 
 class _Indexer:
-    def __init__(self, tokens: Tokens, lines: list[str], file_path: str, previous: Sequence[MethodUnit]):
+    def __init__(self, tokens: Tokens, file_path: str, previous: Sequence[MethodUnit]):
         # An unchanged method starts at its old token, or past the edit, shifted by the change in token count.
         self.previous = {m.header: m for m in previous}
         self.shift = len(tokens) - len(previous[0].tokens) if previous else 0
@@ -425,7 +419,7 @@ class _Indexer:
         self.texts = tokens.texts
         self.kinds = tokens.kinds
         self.match = tokens.pairs[0]
-        self.lines = lines
+        self.lines = tokens.text.split("\n")
         self.file_path = file_path
         self.methods: list[MethodUnit] = []
         self.classes: list[ClassContext] = []
@@ -472,8 +466,7 @@ class _Indexer:
             raise IndexingError(f"class body missing for {texts[name]}")
         ctx = ClassContext(texts[name], set(), set(), self.file_path)
         if components >= 0 and 0 <= self.match[components] < self.pos:
-            header = _parse_parameters(self.tokens, components + 1, self.match[components])
-            ctx.field_names.update(p.name for p in header)
+            ctx.field_names.update(_parse_parameters(self.tokens, components + 1, self.match[components]))
         self.classes.append(ctx)
         body_end = self.match[self.pos]
         self.pos += 1
@@ -596,15 +589,15 @@ class _Indexer:
         return None
 
 
-def _parse_parameters(tokens: Tokens, i: int, end: int) -> list[Parameter]:
-    """Parameters declared by tokens[i:end], the inside of a parameter list or record header.
+def _parse_parameters(tokens: Tokens, i: int, end: int) -> dict[str, LocalDecl]:
+    """Each name declared by tokens[i:end], inside a parameter list or record header, with its first declaration.
 
     Each is `Type name [dims]` after its annotations and `final`; the
     reading stops at the first one that is not. A receiver parameter,
     `A this` or `Outer Outer.this`, declares no variable.
     """
     texts, kinds = tokens.texts, tokens.kinds
-    params = []
+    params: dict[str, LocalDecl] = {}
     while i < end:
         i = _skip_modifiers(tokens, i, end, _FIELD_MODIFIERS)
         read = _read_type(tokens, i)
@@ -619,7 +612,7 @@ def _parse_parameters(tokens: Tokens, i: int, end: int) -> list[Parameter]:
             read = _read_declarator(tokens, i, read[0])
             if read is None:
                 break
-            params.append(Parameter(texts[i], read[0]))
+            params.setdefault(texts[i], LocalDecl(read[0], i))
             i = read[1]
         if i >= end or texts[i] != ",":
             break
@@ -627,12 +620,25 @@ def _parse_parameters(tokens: Tokens, i: int, end: int) -> list[Parameter]:
     return params
 
 
-def method_declarations(method: MethodUnit) -> tuple[tuple[Parameter, ...], dict[str, LocalDecl]]:
-    """The method's parameters, and each local name with its first declaration."""
+def method_declarations(method: MethodUnit, at: int) -> dict[str, LocalDecl]:
+    """Each name in scope at token `at` of the method's body, with the declaration it names there.
+
+    A local declared ahead of `at` in a block that holds `at` hides a
+    parameter, and the last such one hides the others, as a nested class's does.
+    """
     tokens, (lo, hi) = method.tokens, method.body
-    paren = tokens.texts.index("(", method.header, lo - 1)
-    parameters = tuple(_parse_parameters(tokens, paren + 1, tokens.pairs[0][paren]))
-    return parameters, local_declarations(tokens, lo, hi)
+    texts, match = tokens.texts, tokens.pairs[0]
+    paren = texts.index("(", method.header, lo - 1)
+    ahead = {k: LocalDecl(declared_type, k) for _, declared_type, k in _declarations(tokens, lo, hi) if k < at}
+    in_scope: dict[str, LocalDecl] = {}
+    k = at - 1
+    while k >= lo:
+        if texts[k] == "}" and match[k] >= lo:
+            k = match[k]
+        elif k in ahead:
+            in_scope.setdefault(texts[k], ahead[k])
+        k -= 1
+    return _parse_parameters(tokens, paren + 1, match[paren]) | in_scope
 
 
 def source_position(method: MethodUnit) -> tuple[str, int]:

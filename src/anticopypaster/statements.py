@@ -133,7 +133,7 @@ class _Parser:
             if text == "return":
                 self.jumps.append("return inside fragment")
             self.pos += 1
-            self._scan_to_semicolon(allow_brace=True, takes_value=True)
+            self._scan_to_semicolon(takes_value=True)
             return text
         if text in ("break", "continue"):
             self.pos += 1
@@ -164,8 +164,6 @@ class _Parser:
     def _block(self) -> str:
         self._expect("{")
         while not self._at("}"):
-            if self._peek() is None:
-                raise StatementParseError("unterminated block")
             self._statement()
         self.pos += 1
         return "block"
@@ -174,10 +172,7 @@ class _Parser:
         self._expect("{")
         self.switches += 1
         while not self._at("}"):
-            text = self._peek()
-            if text is None:
-                raise StatementParseError("unterminated switch body")
-            if text in ("case", "default"):
+            if self._peek() in ("case", "default"):
                 self.pos += 1
                 if self._scan_label() == "->":
                     self._arrow_body()
@@ -206,12 +201,13 @@ class _Parser:
         if clauses == 0 and not has_resources:
             raise StatementParseError("try without catch, finally, or resources")
 
-    def _scan_to_semicolon(self, allow_brace: bool = False, takes_value: bool = False) -> None:
+    def _scan_to_semicolon(self, takes_value: bool = False) -> None:
         """Consume tokens through the next ';' at the statement's own level, jumping over each bracketed group.
 
         A closer or the end before that ';' fails the parse. So does a brace
         at that level unless after '=', '->' or 'new' (array initializers,
-        lambdas, anonymous classes): a bare one signals a member declaration.
+        lambdas, anonymous classes), or 'switch' where the statement `takes_value`
+        (a switch expression): a bare one signals a member declaration.
         A lambda there must be assigned, or be the value of a statement that `takes_value`.
         """
         brace_ok = False
@@ -224,10 +220,10 @@ class _Parser:
                 return
             if text == "->" and not (brace_ok or takes_value):
                 raise StatementParseError("a lambda is not a statement")
-            if text in ("->", "new") or text in ASSIGNMENT_OPS:
+            if text in ("->", "new") or text in ASSIGNMENT_OPS or takes_value and text == "switch":
                 brace_ok = True
             if text in "([{":
-                if text == "{" and not brace_ok and not allow_brace:
+                if text == "{" and not brace_ok:
                     raise StatementParseError("unexpected '{' in statement")
                 self.pos = self.match[self.pos]  # parse_statements checked every pair
             self.pos += 1

@@ -174,7 +174,7 @@ def _index_files(session: ProjectSession, rel_paths: list[str]) -> tuple[list[tu
         try:
             if text is not None:
                 tokens = session.tokens[rel] = tokenize(text, tokens)
-                new = index_file(text, rel, tokens, old)[0]
+                new = index_file(tokens, rel, old)[0]
         except EngineError as exc:
             session.warnings.append(f"{rel}: {exc}")
         # A kept method shares its old unit's bag.

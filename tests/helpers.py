@@ -18,6 +18,7 @@ import pytest
 
 from anticopypaster import lexer, metrics
 from anticopypaster.errors import LexError
+from anticopypaster.extraction import Parameter
 from anticopypaster.lexer import JAVA_KEYWORDS, WORD_LITERALS, Token, TokenKind, Tokens, normalize_newlines
 from anticopypaster.metrics import ProjectDistribution, build_distributions, method_vector, vector_values
 from anticopypaster.source_model import (
@@ -25,11 +26,11 @@ from anticopypaster.source_model import (
     ClassContext,
     LocalDecl,
     MethodUnit,
-    Parameter,
     _render_type,
     _skip_annotation,
     _try_declaration,
     local_declarations,
+    method_declarations,
 )
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -190,20 +191,54 @@ def candidate_declarations(tokens: Tokens) -> dict[str, LocalDecl]:
     after a type's first one can neither go on with the type nor name it.
     Each name keeps the declaration with the lowest name index.
     """
+    found = sorted(_candidate_scan(tokens, 0, len(tokens)), key=lambda item: item[2])
+    return {name: LocalDecl(declared_type, k) for name, declared_type, k in reversed(found)}
+
+
+def _candidate_scan(tokens: Tokens, lo: int, hi: int) -> list[tuple[str, str, int]]:
+    """Every (name, type, name index) that a declaration tried at each spot of tokens[lo:hi] reads, below `hi`."""
     texts = tokens.texts
-    spots = [0] if texts else []
-    for i, text in enumerate(texts[:-1]):
-        if text in (";", "{", "}"):
+    spots = [lo] if lo < hi else []
+    for i in range(lo, hi - 1):
+        if texts[i] in (";", "{", "}"):
             spots.append(i + 1)
-        elif text == "(" and i > 0 and texts[i - 1] in ("for", "catch", "try"):
+        elif texts[i] == "(" and i > lo and texts[i - 1] in ("for", "catch", "try"):
             spots.append(i + 1)
     found: list[tuple[str, str, int]] = []
     for start in spots:
         j = start + 1 if texts[start] == "final" else start
         if j < len(texts) and (texts[j] in PRIMITIVE_TYPES or tokens.kinds[j] == TokenKind.IDENTIFIER):
             _try_declaration(tokens, j, found)
-    found.sort(key=lambda item: item[2])
-    return {name: LocalDecl(declared_type, k) for name, declared_type, k in reversed(found)}
+    return [d for d in found if d[2] < hi]
+
+
+def parameters_of(method: MethodUnit) -> dict[str, LocalDecl]:
+    """The method's parameters: `method_declarations` at its body's first token, ahead of every local."""
+    return method_declarations(method, method.body[0])
+
+
+def declarations_in_scope(method: MethodUnit, at: int) -> dict[str, LocalDecl]:
+    """`source_model.method_declarations` by finding each local's block through `Tokens.pairs`.
+
+    The oracle for its backward walk: a local declared ahead of `at` is in
+    scope when the innermost `{ }` opened in the body around its name
+    closes at or past `at`, or there is none; the last such declaration of
+    a name hides the others and the parameter.
+    """
+    tokens, (lo, hi) = method.tokens, method.body
+    match = tokens.pairs[0]
+    opens = [o for o in range(lo, at) if tokens.texts[o] == "{"]
+    in_scope = parameters_of(method)
+    for name, declared_type, k in sorted(_candidate_scan(tokens, lo, hi), key=lambda item: item[2]):
+        if k < at and min((match[o] for o in opens if o < k < match[o]), default=at) >= at:
+            in_scope[name] = LocalDecl(declared_type, k)
+    return in_scope
+
+
+def statement_starts(method: MethodUnit) -> list[int]:
+    """Each token of the body that follows `;`, `{` or `}`, and its closing `}`: a place a fragment may start."""
+    texts, (lo, hi) = method.tokens.texts, method.body
+    return [k for k in range(lo, hi + 1) if texts[k - 1] in (";", "{", "}")]
 
 
 def fresh_distributions(methods: list[MethodUnit], keywords: frozenset[str]) -> ProjectDistribution:

@@ -22,6 +22,7 @@ from anticopypaster.extraction import (
     plan_extraction,
     verify_by_inlining,
 )
+from anticopypaster.lexer import tokenize
 from anticopypaster.metrics import (
     KEYWORD_CATALOGUE,
     Submetric,
@@ -135,7 +136,7 @@ def _synthetic_project(n_methods: int) -> tuple[list, str]:
             body = f"        use({i});"
         bodies.append(f"    void m{i:02d}(int[] xs) {{\n{body}\n    }}")
     source = "class Synth {\n    private int total;\n\n" + "\n\n".join(bodies) + "\n\n    void use(int v) {\n    }\n}\n"
-    methods, _ = index_file(source, "Synth.java")
+    methods, _ = index_file(tokenize(source), "Synth.java")
     return methods, source
 
 
@@ -174,11 +175,10 @@ def test_criterion_4_metric_fixtures():
         "    }\n"
         "}\n"
     )
-    methods, classes = index_file(owner_source, "Owner.java")
-    owner = classes[0]
+    methods, _ = index_file(tokenize(owner_source), "Owner.java")
 
     def vector(text: str):
-        return compute_vector(validate_fragment(text), methods[0], owner, KEYWORD_CATALOGUE)
+        return compute_vector(validate_fragment(text), methods[0], KEYWORD_CATALOGUE)
 
     guarded = vector("if (x > 0) {\n    sum += x;\n}")
     total, density = guarded[Submetric.KEYWORD_TOTAL], guarded[Submetric.KEYWORD_DENSITY]
@@ -314,7 +314,7 @@ def test_criterion_7_extraction_round_trip():
         before_count = len(session.methods)
         after_count = 0
         for rel, text in result.sources.items():
-            after_count += len(index_file(text, rel)[0])
+            after_count += len(index_file(tokenize(text), rel)[0])
         assert after_count == before_count + 1, root
 
     session = open_project(FIXTURES_DIR / "extract_demo" / "project")

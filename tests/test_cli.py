@@ -263,6 +263,20 @@ def test_analyze_counts_files_read_and_warns_for_those_it_skips(tmp_path, capsys
     assert (payload["files"], payload["methods"], len(payload["warnings"])) == (3, 1, 2)
 
 
+def test_a_custom_ignore_glob_leaves_analyze_no_files(tmp_path, capsys):
+    root = write_project(
+        tmp_path / "proj",
+        {
+            "legacy/A.java": "class A {\n    int f() {\n        return 1;\n    }\n}\n",
+            "legacy/deep/B.java": "class B {\n    int g() {\n        return 2;\n    }\n}\n",
+            ".anticopypaster.json": '{"ignore": ["legacy/**"]}',
+        },
+    )
+    assert run_command(["analyze", str(root), "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert (payload["files"], payload["methods"], payload["warnings"]) == (0, 0, [])
+
+
 def test_thresholds_respects_sensitivity_overrides(dup_root, capsys):
     assert run_command(["thresholds", str(dup_root), "--json"]) == 0
     base = json.loads(capsys.readouterr().out)

@@ -123,7 +123,7 @@ class Five {
 
 
 def _methods():
-    return index_file(FIVE_METHODS, "Five.java")[0]
+    return index_file(tokenize(FIVE_METHODS), "Five.java")[0]
 
 
 def test_verbatim_fragment_matches_exactly_in_two_methods():
@@ -217,10 +217,10 @@ ONE_LINE_OVERLOADS = "class O { void a() { g(); } void a(int y) { g(); } }\n"
 
 @pytest.mark.parametrize("theta", [0.3, 0.8, 1.0])
 def test_find_duplicates_agrees_with_brute_force(theta):
-    overloads = index_file(ONE_LINE_OVERLOADS, "O.java")[0]
+    overloads = index_file(tokenize(ONE_LINE_OVERLOADS), "O.java")[0]
     assert len({m.id for m in overloads}) == 2
     # Holds one method more than the scan is offered.
-    wider = WordIndex(overloads + index_file("class P { void p() { g(); } }\n", "P.java")[0])
+    wider = WordIndex(overloads + index_file(tokenize("class P { void p() { g(); } }\n"), "P.java")[0])
     for methods, index in ((_methods(), None), (overloads, None), (overloads, wider)):
         for source in ("int t = v + 1;\nt = t * 2;", "int w = v + 1;\nreturn w;", "g();"):
             fragment = validate_fragment(source)
@@ -283,7 +283,7 @@ _SAVES = st.lists(st.tuples(st.integers(0, 2), st.none() | _BODIES), max_size=3)
 def test_filtered_scan_agrees_with_brute_force_on_generated_projects(bodies, saves, statements, theta, scope):
     fragment = validate_fragment("\n".join(statements))
     assert fragment.valid
-    methods = index_file(_class_of(bodies), "Gen.java")[0]
+    methods = index_file(tokenize(_class_of(bodies)), "Gen.java")[0]
     assert find_duplicates(fragment, methods, theta) == brute_force_duplicates(
         fragment, methods, theta
     )
@@ -342,7 +342,7 @@ def test_statement_permutation_keeps_near_similarity():
 def test_a_short_method_early_in_the_file_does_not_match_a_later_copy():
     """The fragment is longer than m's body but its bag fits in m's bag."""
     source = "class S {\n    int x;\n    int m() { return x; }\n    int n() { return ((((((((((x)))))))))); }\n}\n"
-    methods = index_file(source, "S.java")[0]
+    methods = index_file(tokenize(source), "S.java")[0]
     matches = find_duplicates(validate_fragment("return ((((((((((x))))))))));"), methods, 0.9)
     assert [(m.method_id, m.kind, m.match_span) for m in matches] == [
         ("S.java:3:m", NEAR, None),

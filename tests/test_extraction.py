@@ -54,7 +54,7 @@ def hunk_count(diff: str) -> int:
 
 
 def _flow():
-    methods, classes = index_file(FLOW_SOURCE, "Flow.java")
+    methods, classes = index_file(tokenize(FLOW_SOURCE), "Flow.java")
     return methods[0], classes[0]
 
 
@@ -64,7 +64,7 @@ def test_reads_become_inputs_and_later_reads_become_outputs():
     summary = analyze_extractability(fragment, host, owner)
     assert [p.name for p in summary.inputs] == ["y", "x"]
     assert [p.name for p in summary.outputs] == ["y"]
-    assert summary.feasible
+    assert fragment.illegal_flow == ()
     assert not summary.output_declared_inside
 
 
@@ -74,7 +74,7 @@ def test_self_contained_fragment_has_no_inputs_or_outputs():
     summary = analyze_extractability(fragment, host, owner)
     assert summary.inputs == ()
     assert summary.outputs == ()
-    assert summary.feasible
+    assert fragment.illegal_flow == ()
 
 
 def test_two_escaping_locals_are_too_many_outputs():
@@ -87,11 +87,10 @@ class Two {
     }
 }
 """
-    (host,), (owner,) = index_file(source, "Two.java")
+    (host,), (owner,) = index_file(tokenize(source), "Two.java")
     fragment = validate_fragment("int a = x + 1;\nint b = x + 2;")
     summary = analyze_extractability(fragment, host, owner)
     assert [p.name for p in summary.outputs] == ["a", "b"]
-    assert not summary.feasible
     with pytest.raises(TooManyOutputs):
         plan_extraction(summary, "helper", fragment, host, owner, [], {})
 
@@ -100,7 +99,7 @@ def test_return_inside_fragment_is_illegal_flow():
     host, owner = _flow()
     fragment = validate_fragment("z++;\nreturn y;")
     summary = analyze_extractability(fragment, host, owner)
-    assert any("return" in v for v in summary.illegal_flow)
+    assert any("return" in v for v in fragment.illegal_flow)
     with pytest.raises(IllegalFlow):
         plan_extraction(summary, "helper", fragment, host, owner, [], {})
 
@@ -121,12 +120,12 @@ class Loops {
     }
 }
 """
-    methods, classes = index_file(source, "Loops.java")
+    methods, classes = index_file(tokenize(source), "Loops.java")
     fragment = validate_fragment(
         "for (int x : xs) {\n    if (x < 0) {\n        break;\n    }\n}"
     )
     summary = analyze_extractability(fragment, methods[0], classes[0])
-    assert summary.illegal_flow == ()
+    assert fragment.illegal_flow == ()
 
 
 def test_bare_break_without_a_loop_is_illegal():
@@ -143,10 +142,10 @@ class Bare {
     }
 }
 """
-    methods, classes = index_file(source, "Bare.java")
+    methods, classes = index_file(tokenize(source), "Bare.java")
     fragment = validate_fragment("mark();\nbreak;")
     summary = analyze_extractability(fragment, methods[0], classes[0])
-    assert any("break" in v for v in summary.illegal_flow)
+    assert any("break" in v for v in fragment.illegal_flow)
 
 
 def test_field_assignment_is_not_an_output():
@@ -189,7 +188,7 @@ class Fresh {
     }
 }
 """
-    (host, _), (owner,) = index_file(source, "Fresh.java")
+    (host, _), (owner,) = index_file(tokenize(source), "Fresh.java")
     fragment = validate_fragment("int y = x * 3;\ny++;")
     summary = analyze_extractability(fragment, host, owner)
     plan = plan_extraction(summary, "seed", fragment, host, owner, [], {})
@@ -260,13 +259,93 @@ def test_a_generic_methods_type_parameters_go_into_the_new_signature():
     assert verify_by_inlining(plan, session.files, result.sources, result).all_equivalent
 
 
+def test_a_parameter_keeps_its_type_where_a_nested_class_declares_its_name():
+    """`String n` in an anonymous class's body does not hide `f`'s `int n`, so the new method takes an `int`."""
+    session, _, plan = _plan_fixture("shadowed_parameter", "A.java", 4, "bump")
+    assert plan.signature == "private int bump(int n, int[] xs)"
+    result = apply_extraction(plan, session.files, session.tokens)
+    assert result.diff == (GOLDEN_DIR / "extract_shadowed_parameter.diff").read_text(encoding="utf-8")
+    assert verify_by_inlining(plan, session.files, result.sources, result).all_equivalent
+
+
+def test_a_local_of_a_nested_class_hides_the_parameter_where_the_fragment_lies_in_its_body():
+    """Inside `run()`, `n` is its `String n`; the copy in `g` names `g`'s `String n`, so the new method takes a `String`."""
+    session, _, plan = _plan_fixture("nested_scope", "A.java", 6, "bump")
+    assert plan.signature == "private String bump(String n, int[] xs)"
+    assert [(s.method_id, s.start_line) for s in plan.target_sites] == [("A.java:3:f", 6), ("A.java:15:g", 15)]
+    result = apply_extraction(plan, session.files, session.tokens)
+    assert result.diff == (GOLDEN_DIR / "extract_nested_scope.diff").read_text(encoding="utf-8")
+    assert verify_by_inlining(plan, session.files, result.sources, result).all_equivalent
+
+
+# A local declared in a nested class's body is out of scope after that body: there a name
+# means the method's own local, or a field, which the new method reaches without a parameter.
+SCOPED_AFTER_NESTED_BODY = [
+    (
+        """\
+class A {
+    int f(int[] xs) {
+        Runnable r = new Runnable() { public void run() { String k = ""; } };
+        int k = 1;
+        k += xs.length;
+        return k;
+    }
+}
+""",
+        "k += xs.length;",
+        "private int bump(int k, int[] xs)",
+    ),
+    (
+        """\
+class A {
+    int s;
+    int f(int[] xs) {
+        Runnable r = new Runnable() { public void run() { String s = ""; } };
+        s += xs.length;
+        return s;
+    }
+}
+""",
+        "s += xs.length;",
+        "private void bump(int[] xs)",
+    ),
+]
+
+
+def _plan_source(root, source: str, fragment_text: str):
+    session = open_project(write_project(root, {"A.java": source}))
+    fragment = validate_fragment(fragment_text)
+    line = source.splitlines().index("        " + fragment_text) + 1
+    host = session.method_at("A.java", line)
+    at = find_run(session.tokens["A.java"], fragment.tokens.texts, line)
+    summary = analyze_extractability(fragment, host, host.owner, at)
+    matches = find_duplicates(fragment, session.methods, 0.8)
+    plan = plan_extraction(summary, "bump", fragment, host, host.owner, matches, session.methods_by_id)
+    return session, plan
+
+
+@pytest.mark.parametrize("source, fragment_text, signature", SCOPED_AFTER_NESTED_BODY)
+def test_a_nested_class_local_is_out_of_scope_after_its_body(tmp_path, source, fragment_text, signature):
+    session, plan = _plan_source(tmp_path / "p", source, fragment_text)
+    assert plan.signature == signature
+    result = apply_extraction(plan, session.files, session.tokens)
+    assert verify_by_inlining(plan, session.files, result.sources, result).all_equivalent
+
+
+@requires_javac
+@pytest.mark.parametrize("source, fragment_text, signature", SCOPED_AFTER_NESTED_BODY)
+def test_extracting_after_a_nested_class_body_compiles(tmp_path, source, fragment_text, signature):
+    session, plan = _plan_source(tmp_path / "p", source, fragment_text)
+    assert javac_errors(apply_extraction(plan, session.files, session.tokens).sources) == ""
+
+
 def test_a_method_whose_closing_brace_shares_its_line_is_followed_by_the_new_method():
     """m0 closes on the line that opens m1, so the method goes in right after m0's `}`."""
     session, _, plan = _plan_fixture("packed_close", "P.java", 4, "reset")
     result = apply_extraction(plan, session.files, session.tokens)
     golden = (GOLDEN_DIR / "extract_packed_close.diff").read_text(encoding="utf-8")
     assert result.diff == golden
-    methods, _ = index_file(result.sources["P.java"], "P.java")
+    methods, _ = index_file(tokenize(result.sources["P.java"]), "P.java")
     assert [m.name for m in methods] == ["m0", "reset", "m1"]
     assert verify_by_inlining(plan, session.files, result.sources, result).all_equivalent
 
@@ -300,6 +379,8 @@ def test_a_paste_site_that_does_not_start_a_statement_is_refused_by_name():
         ("packed_close", "P.java", 4, "reset"),
         ("generic_method", "G.java", 5, "count"),
         ("mid_statement", "A.java", 4, "reset"),
+        ("shadowed_parameter", "A.java", 4, "bump"),
+        ("nested_scope", "A.java", 6, "bump"),
     ],
 )
 def test_the_extract_goldens_rewritten_projects_compile(fixture, at_file, at_line, name):
@@ -322,7 +403,7 @@ class C {
     }
 }
 """
-    methods, classes = index_file(source, "C.java")
+    methods, classes = index_file(tokenize(source), "C.java")
     fragment = validate_fragment("total = 0;\ntotal += xs.length;")
     matches = find_duplicates(fragment, methods, 0.8)
     summary = analyze_extractability(fragment, methods[0], classes[0])
@@ -331,7 +412,7 @@ class C {
         {m.id: m for m in methods},
     )
     result = apply_extraction(plan, {"C.java": source})
-    rewritten, _ = index_file(result.sources["C.java"], "C.java")
+    rewritten, _ = index_file(tokenize(result.sources["C.java"]), "C.java")
     assert [m.name for m in rewritten] == ["m0", "reset", "m1"]
 
 
@@ -352,7 +433,7 @@ class Solo {
     }
 }
 """
-    methods, classes = index_file(source, "Solo.java")
+    methods, classes = index_file(tokenize(source), "Solo.java")
     files = {"Solo.java": source}
     fragment = validate_fragment("int y = x + 1;\ny = y * 2;")
     matches = find_duplicates(fragment, methods, 0.8)
@@ -471,7 +552,7 @@ def test_carriage_return_sources_are_refused_by_name(tmp_path, line_end):
 def test_extraction_adds_exactly_one_method_and_still_lexes():
     session, _, plan = _extract_demo()
     result = apply_extraction(plan, session.files)
-    methods_after, _ = index_file(result.sources["Pipeline.java"], "Pipeline.java")
+    methods_after, _ = index_file(tokenize(result.sources["Pipeline.java"]), "Pipeline.java")
     assert len(methods_after) == len(session.methods) + 1
     assert "bundle" in {m.name for m in methods_after}
 
@@ -521,7 +602,7 @@ class Pair {
     }
 }
 """
-    methods, classes = index_file(source, "Pair.java")
+    methods, classes = index_file(tokenize(source), "Pair.java")
     files = {"Pair.java": source}
     frag = validate_fragment("int c = a - b;\nc = c * a;")
     matches = find_duplicates(frag, methods, 0.8)
@@ -609,7 +690,7 @@ _FILLER_LISTS = st.lists(st.sampled_from(_FILLERS), max_size=2)
 def test_every_exact_site_on_packed_lines_is_rewritten_and_inlines_back(more, fillers, layout):
     planted = [True, *more]
     source = _packed_class(planted, fillers, layout)
-    methods, classes = index_file(source, "Gen.java")
+    methods, classes = index_file(tokenize(source), "Gen.java")
     files = {"Gen.java": source}
     fragment = validate_fragment(PACKED_FRAGMENT)
     matches = find_duplicates(fragment, methods, 0.8)
@@ -627,6 +708,6 @@ def test_every_exact_site_on_packed_lines_is_rewritten_and_inlines_back(more, fi
     assert verdict.all_equivalent and len(verdict.sites) == len(exact)
     assert _undo_extraction(plan, result.sources["Gen.java"]) == tokenize(source).texts
     # The new method is a member of the class, not a statement in another method.
-    rewritten, _ = index_file(result.sources["Gen.java"], "Gen.java")
+    rewritten, _ = index_file(tokenize(result.sources["Gen.java"]), "Gen.java")
     assert sorted(m.name for m in rewritten) == sorted([*(m.name for m in methods), "reset"])
     assert all(m.owner.class_name == "Gen" for m in rewritten)

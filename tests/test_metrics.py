@@ -41,9 +41,11 @@ from helpers import (
     body_tokens,
     candidate_declarations,
     count_calls,
+    declarations_in_scope,
     declarations_of,
     fresh_distributions,
     full_scan_vector,
+    statement_starts,
     token_walk_coupling,
 )
 
@@ -63,9 +65,8 @@ class Owner {
 """
 
 
-def _owner():
-    methods, classes = index_file(OWNER_SOURCE, "Owner.java")
-    return methods, classes[0]
+def _owner_methods():
+    return index_file(tokenize(OWNER_SOURCE), "Owner.java")[0]
 
 
 def test_keyword_catalogue_has_exactly_31_entries():
@@ -76,8 +77,8 @@ def test_keyword_catalogue_has_exactly_31_entries():
 
 
 def _vector(text: str, keywords: frozenset[str] = KEYWORD_CATALOGUE):
-    methods, owner = _owner()
-    return compute_vector(validate_fragment(text), methods[0], owner, keywords)
+    methods = _owner_methods()
+    return compute_vector(validate_fragment(text), methods[0], keywords)
 
 
 def _pick(vector, *submetrics: Submetric) -> tuple:
@@ -210,7 +211,7 @@ class S {
     }
 }
 """
-    methods, _ = index_file(source, "S.java")
+    methods, _ = index_file(tokenize(source), "S.java")
     dist = fresh_distributions(methods, KEYWORD_CATALOGUE)
     assert dist.samples[Submetric.SIZE_LINES_SEGMENT] == (2, 5, 9)
     assert dist.sample_size == 3
@@ -273,7 +274,7 @@ class S {
 
 
 def test_method_vector_shadows_fields_from_the_first_local_declaration():
-    (method,), _ = index_file(SHADOWED_SOURCE, "S.java")
+    (method,), _ = index_file(tokenize(SHADOWED_SOURCE), "S.java")
     assert method_vector(method, KEYWORD_CATALOGUE)[Submetric.COUPLING_TOTAL_FIELD] == 1
 
 
@@ -281,7 +282,7 @@ def test_method_vector_equals_its_body_measured_as_a_fragment():
     """The stored declarations give the coupling a fresh scan of the body gives."""
     roots = sorted(p for p in CORPUS_DIR.glob("*/project") if p.is_dir())
     roots += [FIXTURES_DIR / "distribution_demo", FIXTURES_DIR / "extract_demo"]
-    methods = [(m, SHADOWED_SOURCE) for m in index_file(SHADOWED_SOURCE, "S.java")[0]]
+    methods = [(m, SHADOWED_SOURCE) for m in index_file(tokenize(SHADOWED_SOURCE), "S.java")[0]]
     for root in roots:
         session = open_project(root)
         methods += [(m, session.files[m.file_path]) for m in session.methods]
@@ -294,7 +295,7 @@ def test_method_vector_equals_its_body_measured_as_a_fragment():
         fragment = validate_fragment("\n".join(body_lines))
         if not fragment.valid:
             continue
-        expected = compute_vector(fragment, method, method.owner, KEYWORD_CATALOGUE)
+        expected = compute_vector(fragment, method, KEYWORD_CATALOGUE)
         assert method_vector(method, KEYWORD_CATALOGUE) == expected, method.id
         compared += 1
     assert compared >= 20
@@ -333,11 +334,11 @@ def _stored_coupling(unit):
 
 def test_coupling_counts_fields_below_shadowed_locals_and_split_calls():
     """`x` counts 4 times before its local shadows it, `both` twice, `below` once; 3 calls."""
-    methods, _ = index_file(COUPLING_CASES, "Cases.java")
+    methods, _ = index_file(tokenize(COUPLING_CASES), "Cases.java")
     host = next(m for m in methods if m.name == "host")
     assert _stored_coupling(host) == (7, 3)
     for unit in methods:
-        declared = method_declarations(unit)[1]
+        declared = local_declarations(unit.tokens, *unit.body)
         assert _stored_coupling(unit) == token_walk_coupling(unit.tokens, unit.body, unit.owner, declared)
         assert declarations_of(body_tokens(unit)) == candidate_declarations(body_tokens(unit))
 
@@ -361,7 +362,7 @@ class Counter {
     }
 }
 """
-    total, largest = index_file(source, "Counter.java")[0]
+    total, largest = index_file(tokenize(source), "Counter.java")[0]
     assert _stored_coupling(total) == (4, 0)
     assert _stored_coupling(largest) == (0, 0)
 
@@ -380,7 +381,9 @@ def test_coupling_and_declarations_equal_the_oracles_on_corpus_and_fixture_metho
             # The body's own declarations, moved to their indices in the file.
             lo = unit.body[0]
             in_file = {name: replace(d, token_index=d.token_index + lo) for name, d in declared.items()}
-            assert method_declarations(unit)[1] == in_file, unit.id
+            # Where a fragment may start, each name means the declaration the block rule gives.
+            for at in statement_starts(unit):
+                assert method_declarations(unit, at) == declarations_in_scope(unit, at), (unit.id, at)
             assert unit.vector == full_scan_vector(unit, session.settings.keywords), unit.id
             expected = token_walk_coupling(unit.tokens, unit.body, unit.owner, in_file)
             assert _stored_coupling(unit) == expected, unit.id
@@ -464,12 +467,13 @@ def _method_over(body: str, after: str) -> MethodUnit:
 def test_coupling_equals_the_token_walk_over_the_full_scan_on_generated_bodies(body, after):
     """Coupling counts what the token walk over every local declaration counts, stray parens and all,
     for a method's body and for the same tokens as a fragment, which starts at token 0 of its own;
-    `method_declarations` reads every local the full scan does."""
+    `method_declarations` of a method without parameters gives what the block rule gives."""
     unit = _method_over(body, after)
     lo, hi = unit.body
     declared = local_declarations(unit.tokens, lo, hi)
     assert _stored_coupling(unit) == token_walk_coupling(unit.tokens, unit.body, _OWNER, declared)
-    assert method_declarations(unit)[1] == declared
+    for at in statement_starts(unit):
+        assert method_declarations(unit, at) == declarations_in_scope(unit, at), at
     tokens = tokenize(body)
     run = (0, len(tokens))
     expected = token_walk_coupling(tokens, run, _OWNER, declarations_of(tokens))
@@ -534,9 +538,9 @@ def test_percentile_is_monotone_in_sensitivity(values):
 # --- vector-level properties -------------------------------------------------
 
 def _vector_fixture():
-    methods, owner = _owner()
+    methods = _owner_methods()
     fragment = validate_fragment(GUARDED)
-    return compute_vector(fragment, methods[0], owner, KEYWORD_CATALOGUE), fragment, methods[0]
+    return compute_vector(fragment, methods[0], KEYWORD_CATALOGUE), fragment, methods[0]
 
 
 def test_every_density_times_lines_equals_its_total():
@@ -556,16 +560,16 @@ def test_every_density_times_lines_equals_its_total():
 
 
 def test_appending_a_blank_line_keeps_totals_and_never_raises_densities():
-    methods, owner = _owner()
+    methods = _owner_methods()
     host = methods[0]
     base = validate_fragment(GUARDED)
-    v_base = compute_vector(base, host, owner, KEYWORD_CATALOGUE)
+    v_base = compute_vector(base, host, KEYWORD_CATALOGUE)
     # Trailing blank lines are trimmed away entirely.
     trailing = validate_fragment(GUARDED + "\n   \n")
-    assert compute_vector(trailing, host, owner, KEYWORD_CATALOGUE) == v_base
+    assert compute_vector(trailing, host, KEYWORD_CATALOGUE) == v_base
     # An interior blank line keeps totals and can only lower densities.
     padded = validate_fragment(GUARDED + "\n    \nx();")
-    v_padded = compute_vector(padded, host, owner, KEYWORD_CATALOGUE)
+    v_padded = compute_vector(padded, host, KEYWORD_CATALOGUE)
     assert v_padded[Submetric.KEYWORD_TOTAL] == v_base[Submetric.KEYWORD_TOTAL]
     assert v_padded[Submetric.KEYWORD_DENSITY] <= v_base[Submetric.KEYWORD_DENSITY]
 

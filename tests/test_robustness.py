@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 
 from anticopypaster.cli import run_command
 from anticopypaster.errors import EngineError
+from anticopypaster.lexer import tokenize
 from anticopypaster.metrics import CATEGORIES, CONFIGURABLE_KEYWORDS, SUBMETRIC_BY_NAME
 from anticopypaster.settings import load_settings
 from anticopypaster.source_model import index_file, validate_fragment
@@ -44,7 +45,7 @@ _JAVA_TEXT = st.one_of(st.text(max_size=60), st.lists(_JAVA_PIECES, max_size=60)
 @example("x = " + "(" * 5000 + "1" + ")" * 5000 + ";")
 def test_java_text_raises_only_engine_errors(text):
     try:
-        index_file(text, "A.java")
+        index_file(tokenize(text), "A.java")
     except EngineError:
         pass
     validate_fragment(text)  # invalidity is a value, never an error

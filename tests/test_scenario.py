@@ -6,7 +6,7 @@ import pytest
 
 from anticopypaster.scenario import ScenarioError, load_scenario, run_scenario, serialize_log
 
-from helpers import SCENARIOS_DIR
+from helpers import SCENARIOS_DIR, write_project
 
 
 def _scenario(name: str):
@@ -63,6 +63,27 @@ def test_replay_is_deterministic_byte_for_byte():
     first = serialize_log(run_scenario(_scenario("two_projects")))
     second = serialize_log(run_scenario(_scenario("two_projects")))
     assert first == second
+
+
+def test_pastes_dropped_when_queued_are_logged_at_their_paste_time(tmp_path):
+    """An invalid fragment, and a valid one outside every method body, never reach the queue."""
+    write_project(tmp_path / "p", {"A.java": "class A {\n    int f(int x) {\n        return x;\n    }\n}\n"})
+    paste = {"type": "paste", "root": "p", "file": "A.java"}
+    scenario = {
+        "projects": [{"root": "p"}],
+        "events": [
+            {**paste, "line": 3, "fragment": "class X { }", "t": 0},
+            {**paste, "line": 1, "fragment": "x = 1;", "t": 2},
+        ],
+        "until": 30,
+    }
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(scenario), encoding="utf-8")
+    log = run_scenario(load_scenario(path))
+    assert [(e["type"], e["t"], e["line"], e["reason"]) for e in log] == [
+        ("drop", 0, 3, "InvalidFragment"),
+        ("drop", 2, 1, "NoEnclosingMethod"),
+    ]
 
 
 def test_no_recommendation_before_the_delay_elapses():

@@ -18,7 +18,14 @@ from anticopypaster.source_model import (
 )
 from anticopypaster.statements import parse_statements
 
-from helpers import body_texts, body_tokens, candidate_declarations, comma_split_parameters, declarations_of
+from helpers import (
+    body_texts,
+    body_tokens,
+    candidate_declarations,
+    comma_split_parameters,
+    declarations_of,
+    parameters_of,
+)
 
 TWO_METHODS = """\
 public class TwoMethods {
@@ -38,7 +45,7 @@ public class TwoMethods {
 
 
 def test_two_methods_fixture_has_hand_annotated_ranges():
-    methods, classes = index_file(TWO_METHODS, "TwoMethods.java")
+    methods, classes = index_file(tokenize(TWO_METHODS), "TwoMethods.java")
     assert [m.name for m in methods] == ["first", "second"]
     first, second = methods
     assert (first.start_line, first.end_line) == (3, 5)
@@ -49,7 +56,7 @@ def test_two_methods_fixture_has_hand_annotated_ranges():
 
 def test_fields_only_file_produces_class_context_without_methods():
     source = "class Holder {\n    private int a;\n    private String b;\n}\n"
-    methods, classes = index_file(source, "Holder.java")
+    methods, classes = index_file(tokenize(source), "Holder.java")
     assert methods == []
     assert classes[0].field_names == {"a", "b"}
 
@@ -72,7 +79,7 @@ class Outer {
     }
 }
 """
-    methods, classes = index_file(source, "Outer.java")
+    methods, classes = index_file(tokenize(source), "Outer.java")
     by_name = {m.name: m for m in methods}
     assert by_name["innerMethod"].owner.class_name == "Inner"
     assert by_name["outerMethod"].owner.class_name == "Outer"
@@ -92,7 +99,7 @@ abstract class Shape {
     abstract int area();
 }
 """
-    methods, classes = index_file(source, "Shape.java")
+    methods, classes = index_file(tokenize(source), "Shape.java")
     assert [m.name for m in methods] == ["Shape"]
     assert classes[0].method_names == {"Shape", "area"}
 
@@ -107,7 +114,7 @@ class Util {
     private synchronized int d() { return 0; }
 }
 """
-    methods, _ = index_file(source, "Util.java")
+    methods, _ = index_file(tokenize(source), "Util.java")
     assert [m.type_parameters for m in methods] == ["<K,V extends Comparable<V>>", "<@A T>", "<T>", "", ""]
 
 
@@ -119,10 +126,9 @@ class Util {
     }
 }
 """
-    (method,), _ = index_file(source, "Util.java")
-    parameters, _ = method_declarations(method)
+    (method,), _ = index_file(tokenize(source), "Util.java")
     assert method.is_static
-    assert [(p.name, p.declared_type) for p in parameters] == [
+    assert [(name, d.declared_type) for name, d in parameters_of(method).items()] == [
         ("head", "String"),
         ("tail", "int[]"),
     ]
@@ -138,14 +144,14 @@ class Table {
     }
 }
 """
-    methods, classes = index_file(source, "Table.java")
+    methods, classes = index_file(tokenize(source), "Table.java")
     assert [m.name for m in methods] == ["lookup"]
     assert "sizes" in classes[0].field_names
 
 
 def test_unbalanced_braces_raise_indexing_error():
     with pytest.raises(IndexingError):
-        index_file("class A { void f() { }", "A.java")
+        index_file(tokenize("class A { void f() { }"), "A.java")
 
 
 STRAY_DELIMITER_HOST = """\
@@ -162,16 +168,32 @@ class A {
 
 @pytest.mark.parametrize("broken", ["g(;", "g( { ) };"])
 def test_stray_delimiters_in_a_body_do_not_hide_later_methods(broken):
-    methods, _ = index_file(STRAY_DELIMITER_HOST % broken, "A.java")
+    methods, _ = index_file(tokenize(STRAY_DELIMITER_HOST % broken), "A.java")
     assert [(m.name, m.start_line) for m in methods] == [("f", 3), ("h", 6)]
+
+
+def test_method_declarations_give_each_name_the_declaration_in_scope():
+    """A nested class's `String n` hides `f`'s `int n` inside its body, and after the body does not."""
+    source = "class A { int f(int n, int[] xs) { Runnable r = new Runnable() { public void run() { String n = \"\"; n = n; } }; int k = n; k = n; } }"
+    (method,), _ = index_file(tokenize(source), "A.java")
+    texts = method.tokens.texts
+    # The statements `n = n;` inside `run()` and `k = n;` after `int k = n;`.
+    inside, after = (texts.index(";", texts.index(word)) + 1 for word in ("String", "k"))
+
+    def types(at):
+        return {name: d.declared_type for name, d in method_declarations(method, at).items()}
+
+    assert types(inside) == {"n": "String", "xs": "int[]", "r": "Runnable"}
+    assert types(after) == {"n": "int", "xs": "int[]", "r": "Runnable", "k": "int"}
+    assert parameters_of(method) == {name: d for name, d in method_declarations(method, after).items() if name in ("n", "xs")}
 
 
 def test_a_stray_paren_pairing_past_a_body_adds_no_local_to_it():
     """Locals are scanned in place; an annotation's `(` that pairs in the next method adds none."""
     source = "class A {\n    void f() { List<@A( String> x; }\n    void g() { int y = 0; ) > z; }\n}\n"
-    (f, g), _ = index_file(source, "A.java")
-    assert method_declarations(f)[1] == {}
-    assert list(method_declarations(g)[1]) == ["y"]
+    (f, g), _ = index_file(tokenize(source), "A.java")
+    assert method_declarations(f, f.body[1]) == {}
+    assert list(method_declarations(g, g.body[1])) == ["y"]
 
 
 def test_annotated_parameters_keep_their_types():
@@ -185,8 +207,8 @@ class A {
     }
 }
 """
-    (method,), _ = index_file(source, "A.java")
-    assert [(p.name, p.declared_type) for p in method_declarations(method)[0]] == [
+    (method,), _ = index_file(tokenize(source), "A.java")
+    assert [(name, d.declared_type) for name, d in parameters_of(method).items()] == [
         ("a", "int"),
         ("b", "List<Map<K,V>>"),
         ("c", "List<@X String>"),
@@ -200,8 +222,8 @@ class A {
 
 def test_dimensions_after_a_parameter_or_component_name_join_its_type():
     source = "record R(int xs[], String[] rows[]) { int f(int xs[], String[] rows[][], int... ns) { return 0; } }"
-    (method,), (record,) = index_file(source, "R.java")
-    assert [(p.name, p.declared_type) for p in method_declarations(method)[0]] == [
+    (method,), (record,) = index_file(tokenize(source), "R.java")
+    assert [(name, d.declared_type) for name, d in parameters_of(method).items()] == [
         ("xs", "int[]"),
         ("rows", "String[][][]"),
         ("ns", "int..."),
@@ -216,8 +238,8 @@ def test_dimensions_after_a_parameter_or_component_name_join_its_type():
 def test_a_receiver_parameter_declares_no_variable(source):
     """`A this`, or `Outer Outer.this` in an inner class's constructor, only lets the receiver take
     annotations; the parameters after it are read."""
-    (method,), _ = index_file(source, "A.java")
-    assert [(p.name, p.declared_type) for p in method_declarations(method)[0]] == [("x", "int")]
+    (method,), _ = index_file(tokenize(source), "A.java")
+    assert [(name, d.declared_type) for name, d in parameters_of(method).items()] == [("x", "int")]
 
 
 FIELD_INITIALIZERS = """\
@@ -245,7 +267,7 @@ abstract class A {
 
 def test_fields_whose_initializers_call_construct_or_declare_are_fields():
     """Only a member that declares no field names a method; the lambda's local is no field."""
-    (method,), (owner,) = index_file(FIELD_INITIALIZERS, "A.java")
+    (method,), (owner,) = index_file(tokenize(FIELD_INITIALIZERS), "A.java")
     assert owner.field_names == {"count", "names", "s", "next", "sizes", "more"}
     assert owner.method_names == {"area", "pick", "total"}
     assert method.name == "total"
@@ -254,7 +276,7 @@ def test_fields_whose_initializers_call_construct_or_declare_are_fields():
 def test_a_parenthesized_initializer_is_skipped_as_one_span():
     """The member scan jumps from `(` to its partner, so the anonymous class inside is not a member."""
     source = "class A { Object o = f(new Object() { int g() { return 1; } }); void h() { } }"
-    methods, (owner,) = index_file(source, "A.java")
+    methods, (owner,) = index_file(tokenize(source), "A.java")
     assert [m.name for m in methods] == ["h"]
     assert owner.field_names == {"o"}
     assert owner.method_names == {"h"}
@@ -263,33 +285,33 @@ def test_a_parenthesized_initializer_is_skipped_as_one_span():
 @pytest.mark.parametrize("stray", [")", "]", "("])
 def test_a_stray_bracket_in_a_member_runs_it_to_the_end_of_the_body(stray):
     source = f"class A {{ int a = 1 {stray}; void f() {{ }} }} class B {{ void g() {{ }} }}"
-    methods, classes = index_file(source, "A.java")
+    methods, classes = index_file(tokenize(source), "A.java")
     assert [m.name for m in methods] == ["g"]
     assert [c.class_name for c in classes] == ["A", "B"]
 
 
 def test_enum_constant_bodies_are_skipped():
     source = "enum E { A(1), B(2) { int f() { return 1; } }; int g() { return 0; } }"
-    methods, _ = index_file(source, "E.java")
+    methods, _ = index_file(tokenize(source), "E.java")
     assert [m.name for m in methods] == ["g"]
 
 
 def test_enum_with_unclosed_constant_arguments_indexes_nothing():
     source = "enum E { A(1, B(2; int g() { return 0; } }"
-    methods, _ = index_file(source, "E.java")
+    methods, _ = index_file(tokenize(source), "E.java")
     assert methods == []
 
 
 def test_indexing_is_deterministic():
-    a = index_file(TWO_METHODS, "TwoMethods.java")[0]
-    b = index_file(TWO_METHODS, "TwoMethods.java")[0]
+    a = index_file(tokenize(TWO_METHODS), "TwoMethods.java")[0]
+    b = index_file(tokenize(TWO_METHODS), "TwoMethods.java")[0]
     assert [m.id for m in a] == [m.id for m in b]
     assert [(m.start_line, m.end_line) for m in a] == [(m.start_line, m.end_line) for m in b]
 
 
 def test_retokenizing_body_lines_reproduces_body_tokens():
     lines = TWO_METHODS.split("\n")
-    methods, _ = index_file(TWO_METHODS, "TwoMethods.java")
+    methods, _ = index_file(tokenize(TWO_METHODS), "TwoMethods.java")
     for method in methods:
         body_source = "\n".join(lines[method.start_line - 1 : method.end_line])
         assert tokenize(body_source).texts == body_texts(method)
@@ -435,6 +457,15 @@ def test_lambda_and_anonymous_class_statements_are_valid():
         ("foo(x = 1) -> b;", False),  # javac: "';' expected"
         ("a[x = 1] { };", False),  # javac: "not a statement"
         ("foo(x = 1, () -> { });", True),
+        # A value-taking statement allows a brace only where an expression may hold one.
+        ("return { 1 };", False),  # javac: "illegal start of expression"
+        ("throw { e };", False),  # javac: "illegal start of expression"
+        ("assert x : { };", False),  # javac: "illegal start of expression"
+        ("yield switch (k) { default -> 1; };", True),  # javac accepts it inside a switch expression
+        ("x switch (k) { default -> 1; };", False),  # javac: "not a statement"
+        # `final` starts a local declaration, never a type: javac takes a local class, but no fragment declares a type.
+        ("final int x = 1;", True),  # javac accepts it
+        ("final class X { }", False),
     ],
 )
 def test_a_bare_lambda_is_not_a_statement(text, valid):
@@ -475,10 +506,10 @@ def test_flat_statements_profile_at_depth_one():
 
 
 def test_empty_scope_raises():
-    host = index_file(TWO_METHODS, "TwoMethods.java")[0][0]
+    host = index_file(tokenize(TWO_METHODS), "TwoMethods.java")[0][0]
     for text in ("", "// only a comment", "class C { }", "x = (1;"):
         with pytest.raises(EmptyScope):
-            compute_vector(validate_fragment(text), host, host.owner, KEYWORD_CATALOGUE)
+            compute_vector(validate_fragment(text), host, KEYWORD_CATALOGUE)
 
 
 def test_blank_interior_lines_keep_running_depth():
@@ -499,7 +530,7 @@ def test_profile_changes_bounded_by_adjacent_brace_counts():
 
 
 def test_method_profile_starts_at_depth_one():
-    methods, _ = index_file(TWO_METHODS, "TwoMethods.java")
+    methods, _ = index_file(tokenize(TWO_METHODS), "TwoMethods.java")
     for method in methods:
         profile = _profile(method.tokens, *method.body, method.start_line, method.end_line)
         assert all(d >= 1 for d in profile)
@@ -557,7 +588,7 @@ def test_nesting_profile_agrees_with_the_by_line_definition(text):
     assert fragment.valid
     assert fragment_profile(fragment) == _by_line_profile(fragment.tokens, 1, fragment.line_count)
     indented = "\n".join("    " + line for line in text.split("\n"))
-    methods, _ = index_file(f"class A {{\n  void m() {{\n{indented}\n  }}\n}}\n", "A.java")
+    methods, _ = index_file(tokenize(f"class A {{\n  void m() {{\n{indented}\n  }}\n}}\n"), "A.java")
     (method,) = methods
     expected = _by_line_profile(body_tokens(method), method.start_line, method.end_line)
     assert _profile(method.tokens, *method.body, method.start_line, method.end_line) == expected
@@ -684,12 +715,14 @@ def test_parameters_and_record_components_equal_the_comma_splitting_oracle(liste
     source = f"class A {{ void f({text}) {{ }} }} record R({text}) {{ }}"
     tokens = tokenize(source)
     match = tokens.pairs[0]
-    (method,), (_, record) = index_file(source, "A.java")
+    (method,), (_, record) = index_file(tokenize(source), "A.java")
     opens = [k for k, tok in enumerate(tokens) if tok.text == "(" and tokens[k - 1].text in ("f", "R")]
     expected = comma_split_parameters(tokens, opens[0] + 1, match[opens[0]])
-    parameters = method_declarations(method)[0]
-    assert [(p.name, _without_type_annotations(p.declared_type)) for p in parameters] == [
-        (p.name, p.declared_type + "[]" * k) for p, k in zip(expected, dims)
-    ]
+    # A name declared twice, which javac rejects, keeps its first declaration.
+    first: dict[str, str] = {}
+    for p, k in zip(expected, dims):
+        first.setdefault(p.name, p.declared_type + "[]" * k)
+    declared = parameters_of(method)
+    assert [(name, _without_type_annotations(d.declared_type)) for name, d in declared.items()] == list(first.items())
     assert len(expected) == len(dims)
     assert record.field_names == {p.name for p in comma_split_parameters(tokens, opens[1] + 1, match[opens[1]])}

@@ -15,10 +15,10 @@ from anticopypaster.errors import LexError, MissingRoot
 from anticopypaster.lexer import tokenize
 from anticopypaster.metrics import method_vector, vector_values
 from anticopypaster.settings import CONFIG_FILENAME
-from anticopypaster.source_model import Parameter, method_declarations, source_position
+from anticopypaster.source_model import source_position
 from anticopypaster.workspace import open_project, refresh_index
 
-from helpers import CORPUS_DIR, FIXTURES_DIR, body_tokens, fresh_distributions, write_project
+from helpers import CORPUS_DIR, FIXTURES_DIR, body_tokens, fresh_distributions, parameters_of, write_project
 
 FILE_A = """\
 class A {
@@ -270,9 +270,8 @@ def test_a_header_changed_in_place_is_indexed_again(tmp_path):
     session = open_project(root)
     session.apply_edit("H.java", "class H {\n    static int f(long a) {\n        return a;\n    }\n}\n")
     (method,) = session.methods
-    parameters, _ = method_declarations(method)
     assert method.is_static
-    assert parameters == (Parameter("a", "long"),)
+    assert [(name, d.declared_type) for name, d in parameters_of(method).items()] == [("a", "long")]
 
 
 def test_session_isolation_under_interleaving(tmp_path):
