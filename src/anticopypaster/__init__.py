@@ -29,7 +29,7 @@ from .metrics import (
     compute_vector,
     percentile_threshold,
 )
-from .settings import Settings, default_settings, load_settings
+from .settings import Settings, load_settings
 from .source_model import (
     ClassContext,
     Fragment,
@@ -70,7 +70,6 @@ __all__ = [
     "compute_vector",
     "percentile_threshold",
     "Settings",
-    "default_settings",
     "load_settings",
     "ClassContext",
     "Fragment",

@@ -33,6 +33,7 @@ from .errors import EngineError
 from .extraction import analyze_extractability, apply_extraction, plan_extraction
 from .metrics import Submetric, thresholds_for
 from .scenario import load_scenario, run_scenario, serialize_log
+from .settings import with_sensitivity
 from .source_model import validate_fragment
 from .workspace import open_project
 
@@ -348,11 +349,7 @@ def _write_all(contents: dict[Path, str]) -> None:
 
 def _cmd_thresholds(args: argparse.Namespace) -> int:
     session = open_project(args.root, args.config)
-    sensitivities = dict(session.settings.sensitivity)
-    for category, value in args.sensitivity:
-        if category not in sensitivities:
-            raise _Fail(f"unknown metric category {category!r}")
-        sensitivities[category] = value
+    sensitivities = with_sensitivity(session.settings, dict(args.sensitivity)).sensitivity
     if not session.methods:
         raise _Fail("project has no indexed methods; thresholds are undefined")
     thresholds = thresholds_for(session.distribution, sensitivities)

@@ -222,9 +222,8 @@ def evaluate_paste(
     enclosing, matches, _ = located
     settings: Settings = session.settings
     vector = compute_vector(fragment, enclosing, settings.keywords)
-    # An enclosing method means the distribution holds a sample, and the
-    # thresholds cover exactly the submetrics the gate reads.
-    thresholds = thresholds_for(session.distribution, settings.sensitivity, settings.enabled_submetrics())
+    # An enclosing method means the distribution holds a sample; the gate reads the enabled submetrics' thresholds.
+    thresholds = thresholds_for(session.distribution, settings.sensitivity)
     report = evaluate_gate(vector, thresholds, settings.flags)
     report = with_duplicates(report, len(matches), settings.min_duplicate_methods)
     if report.triggered:

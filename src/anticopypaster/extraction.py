@@ -89,6 +89,8 @@ class ExtractionPlan:
     is_static: bool
     # The paste-site method's type-parameter list, which the new method's types may name; "" for none.
     type_parameters: str
+    # The types the paste-site method's `throws` clause names, which the new method declares too.
+    thrown: tuple[str, ...]
     fragment_token_texts: tuple[str, ...]
 
     @property
@@ -96,7 +98,8 @@ class ExtractionPlan:
         params = ", ".join(f"{p.declared_type} {p.name}" for p in self.parameter_list)
         static = "static " if self.is_static else ""
         generic = f"{self.type_parameters} " if self.type_parameters else ""
-        return f"private {static}{generic}{self.return_type} {self.method_name}({params})"
+        throws = f" throws {', '.join(self.thrown)}" if self.thrown else ""
+        return f"private {static}{generic}{self.return_type} {self.method_name}({params}){throws}"
 
 
 def analyze_extractability(
@@ -186,9 +189,11 @@ def plan_extraction(
 
     Only exact matches whose run starts a statement become call-replacement
     sites; in the paste-site method, the run the summary analyzed
-    (`summary.at`). The new method is private, inherits staticness and type
-    parameters from the paste-site method, and is inserted just past its
-    closing brace.
+    (`summary.at`). The new method is private, inherits staticness, type
+    parameters and the `throws` clause from the paste-site method, and is
+    inserted just past its closing brace. So a copy is no site when its
+    method is static and the paste-site method is not, or when its
+    method's `throws` clause misses one of those types as written.
     """
     if not _IDENTIFIER_RE.match(name) or name in JAVA_KEYWORDS or name in WORD_LITERALS or name in _RESTRICTED_NAMES:
         raise InvalidIdentifier(name)
@@ -213,11 +218,13 @@ def plan_extraction(
     else:
         call = f"{output.name} = {name}({args});"
 
-    sites = []
+    sites, thrown = [], enclosing.thrown
     for match in matches:
         if match.kind != EXACT or match.match_span is None:
             continue
         method = methods_by_id[match.method_id]
+        if method.is_static and not enclosing.is_static or not set(thrown) <= set(method.thrown):
+            continue
         span, token = match.match_span, match.token
         if method.id == enclosing.id:
             at, lines = summary.at, method.tokens.lines
@@ -240,6 +247,7 @@ def plan_extraction(
         declaration_line=tokens.lines[enclosing.header],
         is_static=enclosing.is_static,
         type_parameters=enclosing.type_parameters,
+        thrown=thrown,
         fragment_token_texts=fragment.tokens.texts,
     )
 

@@ -236,10 +236,9 @@ def percentile_threshold(sample: tuple[float, ...], sensitivity: int) -> float:
 def thresholds_for(
     distribution: ProjectDistribution,
     sensitivities: dict[str, int],
-    submetrics: tuple[Submetric, ...] = ALL_SUBMETRICS,
 ) -> dict[Submetric, float]:
-    """Per-submetric thresholds at each category's sensitivity."""
+    """Every submetric's threshold at its category's sensitivity."""
     return {
         m: percentile_threshold(distribution.samples[m], sensitivities[m.category])
-        for m in submetrics
+        for m in ALL_SUBMETRICS
     }

@@ -1,9 +1,13 @@
 """Detection-rule settings and their JSON config format.
 
 A project's config lives at `<root>/.anticopypaster.json`. Absent keys
-take the documented defaults: two duplicate methods, a ten-second
+take the defaults of `Settings()`: two duplicate methods, a ten-second
 delay, sensitivity 50 everywhere, every submetric enabled and none
-required, all 31 keywords active.
+required, all 31 keywords active. `load_settings` checks each key as
+it walks the config once, so the first fault in file order is the one
+named; a submetric's flags take only `enabled` and `required`.
+`with_sensitivity` is the one check of sensitivity values, for the
+config's `sensitivity` object and for `thresholds --sensitivity` alike.
 """
 
 from __future__ import annotations
@@ -46,20 +50,27 @@ class Settings:
     search_scope: str = "project"
     ignore: tuple[str, ...] = DEFAULT_IGNORE
 
-    def enabled_submetrics(self) -> tuple[Submetric, ...]:
-        return tuple(m for m in Submetric if self.flags[m].enabled)
 
-
-def default_settings() -> Settings:
-    return Settings()
+def with_sensitivity(settings: Settings, block: object) -> Settings:
+    """`settings` with the categories `block` names set to its values; each must exist and be an integer in 1..100."""
+    if not isinstance(block, dict):
+        raise InvalidSetting("sensitivity must be an object of category -> value")
+    for category, value in block.items():
+        if category not in CATEGORIES:
+            raise InvalidSetting(f"unknown metric category {category!r}")
+        if not isinstance(value, int) or isinstance(value, bool) or not 1 <= value <= 100:
+            raise InvalidSensitivity(f"sensitivity for {category!r} must be 1..100, got {value!r}")
+    return replace(settings, sensitivity={**settings.sensitivity, **block})
 
 
 def load_settings(config_text: str) -> Settings:
     """Parse a JSON config, merging absent keys with defaults.
 
-    required=true forces enabled=true for that submetric. Unknown
-    submetric names, keywords outside the catalogue, and out-of-range
-    values are rejected rather than ignored.
+    One walk over the keys checks and records each value, so a config with
+    several faults names the first in file order. required=true forces
+    enabled=true for that submetric. Unknown keys, submetric names and flag
+    names, keywords outside the catalogue, and out-of-range values are
+    rejected rather than ignored.
     """
     try:
         data = json.loads(config_text)
@@ -70,87 +81,54 @@ def load_settings(config_text: str) -> Settings:
     if not isinstance(data, dict):
         raise ConfigSyntax("config root must be a JSON object")
 
-    known = {
-        "minDuplicateMethods", "delaySeconds", "sensitivity", "submetrics",
-        "keywords", "nearMatchThreshold", "searchScope", "ignore",
-    }
-    for key in data:
-        if key not in known:
+    defaults = Settings()
+    fields: dict[str, object] = {}
+    for key, value in data.items():
+        if key == "minDuplicateMethods":
+            if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+                raise InvalidSetting(f"minDuplicateMethods must be an integer >= 1, got {value!r}")
+            fields["min_duplicate_methods"] = value
+        elif key == "delaySeconds":
+            if not isinstance(value, int) or isinstance(value, bool) or value < 0:
+                raise InvalidSetting(f"delaySeconds must be an integer >= 0, got {value!r}")
+            fields["delay_seconds"] = value
+        elif key == "sensitivity":
+            fields["sensitivity"] = with_sensitivity(defaults, value).sensitivity
+        elif key == "submetrics":
+            if not isinstance(value, dict):
+                raise InvalidSetting("submetrics must be an object of name -> flags")
+            flags = dict(defaults.flags)
+            for name, given in value.items():
+                if name not in SUBMETRIC_BY_NAME:
+                    raise UnknownSubmetric(f"unknown submetric {name!r}")
+                if not isinstance(given, dict):
+                    raise InvalidSetting(f"flags for {name!r} must be an object")
+                if not given.keys() <= {"enabled", "required"}:
+                    raise InvalidSetting(f"flags for {name!r} take only 'enabled' and 'required', got {sorted(given)}")
+                enabled, required = given.get("enabled", True), given.get("required", False)
+                if not isinstance(enabled, bool) or not isinstance(required, bool):
+                    raise InvalidSetting(f"flags for {name!r} must be booleans")
+                flags[SUBMETRIC_BY_NAME[name]] = SubmetricFlags(enabled or required, required)
+            fields["flags"] = flags
+        elif key == "keywords":
+            if not isinstance(value, list) or not all(isinstance(k, str) for k in value):
+                raise InvalidSetting("keywords must be a list of strings")
+            unknown = sorted(set(value) - KEYWORD_CATALOGUE)
+            if unknown:
+                raise UnknownKeyword(f"not in the configurable catalogue: {', '.join(unknown)}")
+            fields["keywords"] = frozenset(value)
+        elif key == "nearMatchThreshold":
+            if not isinstance(value, (int, float)) or isinstance(value, bool) or not 0 < value <= 1:
+                raise InvalidSetting(f"nearMatchThreshold must be in (0, 1], got {value!r}")
+            fields["near_match_threshold"] = float(value)
+        elif key == "searchScope":
+            if value not in ("file", "project"):
+                raise InvalidSetting(f"searchScope must be 'file' or 'project', got {value!r}")
+            fields["search_scope"] = value
+        elif key == "ignore":
+            if not isinstance(value, list) or not all(isinstance(g, str) for g in value):
+                raise InvalidSetting("ignore must be a list of glob strings")
+            fields["ignore"] = tuple(value)
+        else:
             raise InvalidSetting(f"unknown config key {key!r}")
-
-    settings = default_settings()
-
-    if "minDuplicateMethods" in data:
-        value = data["minDuplicateMethods"]
-        if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-            raise InvalidSetting(f"minDuplicateMethods must be an integer >= 1, got {value!r}")
-        settings = replace(settings, min_duplicate_methods=value)
-
-    if "delaySeconds" in data:
-        value = data["delaySeconds"]
-        if not isinstance(value, int) or isinstance(value, bool) or value < 0:
-            raise InvalidSetting(f"delaySeconds must be an integer >= 0, got {value!r}")
-        settings = replace(settings, delay_seconds=value)
-
-    if "sensitivity" in data:
-        block = data["sensitivity"]
-        if not isinstance(block, dict):
-            raise InvalidSetting("sensitivity must be an object of category -> value")
-        merged = dict(settings.sensitivity)
-        for category, value in block.items():
-            if category not in CATEGORIES:
-                raise InvalidSetting(f"unknown metric category {category!r}")
-            if not isinstance(value, int) or isinstance(value, bool) or not 1 <= value <= 100:
-                raise InvalidSensitivity(f"sensitivity for {category!r} must be 1..100, got {value!r}")
-            merged[category] = value
-        settings = replace(settings, sensitivity=merged)
-
-    if "submetrics" in data:
-        block = data["submetrics"]
-        if not isinstance(block, dict):
-            raise InvalidSetting("submetrics must be an object of name -> flags")
-        merged_flags = dict(settings.flags)
-        for name, flag_obj in block.items():
-            if name not in SUBMETRIC_BY_NAME:
-                raise UnknownSubmetric(f"unknown submetric {name!r}")
-            if not isinstance(flag_obj, dict):
-                raise InvalidSetting(f"flags for {name!r} must be an object")
-            submetric = SUBMETRIC_BY_NAME[name]
-            current = merged_flags[submetric]
-            enabled = flag_obj.get("enabled", current.enabled)
-            required = flag_obj.get("required", current.required)
-            if not isinstance(enabled, bool) or not isinstance(required, bool):
-                raise InvalidSetting(f"flags for {name!r} must be booleans")
-            if required:
-                enabled = True
-            merged_flags[submetric] = SubmetricFlags(enabled, required)
-        settings = replace(settings, flags=merged_flags)
-
-    if "keywords" in data:
-        block = data["keywords"]
-        if not isinstance(block, list) or not all(isinstance(k, str) for k in block):
-            raise InvalidSetting("keywords must be a list of strings")
-        unknown = sorted(set(block) - KEYWORD_CATALOGUE)
-        if unknown:
-            raise UnknownKeyword(f"not in the configurable catalogue: {', '.join(unknown)}")
-        settings = replace(settings, keywords=frozenset(block))
-
-    if "nearMatchThreshold" in data:
-        value = data["nearMatchThreshold"]
-        if not isinstance(value, (int, float)) or isinstance(value, bool) or not 0 < value <= 1:
-            raise InvalidSetting(f"nearMatchThreshold must be in (0, 1], got {value!r}")
-        settings = replace(settings, near_match_threshold=float(value))
-
-    if "searchScope" in data:
-        value = data["searchScope"]
-        if value not in ("file", "project"):
-            raise InvalidSetting(f"searchScope must be 'file' or 'project', got {value!r}")
-        settings = replace(settings, search_scope=value)
-
-    if "ignore" in data:
-        block = data["ignore"]
-        if not isinstance(block, list) or not all(isinstance(g, str) for g in block):
-            raise InvalidSetting("ignore must be a list of glob strings")
-        settings = replace(settings, ignore=tuple(block))
-
-    return settings
+    return replace(defaults, **fields)

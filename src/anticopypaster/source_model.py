@@ -97,6 +97,15 @@ class MethodUnit:
         return "static" in texts[self.header : texts.index("(", self.header)]
 
     @property
+    def thrown(self) -> tuple[str, ...]:
+        """The types the header's `throws` clause names, each rendered as a type is; () when it has none."""
+        texts, end = self.tokens.texts, self.body[0] - 1
+        if "throws" not in texts[self.header : end]:
+            return ()
+        start = texts.index("throws", self.header) + 1
+        return tuple(_render_type(texts[start:end], self.tokens.kinds[start:end]).split(","))
+
+    @property
     def type_parameters(self) -> str:
         """The header's type-parameter list, rendered as a type is (`<K,V>`), or "" when it has none."""
         tokens = self.tokens

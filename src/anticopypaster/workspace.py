@@ -40,7 +40,7 @@ from .metrics import (
     update_distributions,
     vector_values,
 )
-from .settings import CONFIG_FILENAME, Settings, default_settings, load_settings
+from .settings import CONFIG_FILENAME, Settings, load_settings
 from .source_model import MethodUnit, index_file, method_at
 
 
@@ -116,7 +116,7 @@ def open_project(root: str | Path, config_path: str | Path | None = None) -> Pro
         if default_config.is_file():
             settings = _read_settings(default_config)
         else:
-            settings = default_settings()
+            settings = Settings()
 
     session = ProjectSession(root_path, settings)
     for path in sorted(root_path.rglob("*.java")):

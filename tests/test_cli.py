@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from anticopypaster.cli import run_command
-from anticopypaster.settings import default_settings
+from anticopypaster.settings import Settings
 from anticopypaster.source_model import validate_fragment
 from anticopypaster.statements import parse_statements
 from anticopypaster.workspace import open_project
@@ -291,11 +291,18 @@ def test_thresholds_respects_sensitivity_overrides(dup_root, capsys):
 
 def test_thresholds_rejects_unknown_category(dup_root, capsys):
     assert run_command(["thresholds", str(dup_root), "--sensitivity", "bulk=10"]) == 3
+    assert capsys.readouterr().err == "error: unknown metric category 'bulk'\n"
+
+
+@pytest.mark.parametrize("value", ["0", "101"])
+def test_thresholds_checks_a_sensitivity_override_as_the_config_does(dup_root, capsys, value):
+    assert run_command(["thresholds", str(dup_root), "--sensitivity", f"size={value}"]) == 3
+    assert capsys.readouterr().err == f"error: sensitivity for 'size' must be 1..100, got {value}\n"
 
 
 def test_commands_in_one_process_share_none_of_their_arguments(dup_root, capsys):
     """An earlier command's `--sensitivity` list and `--json` do not carry over to a later one."""
-    defaults = default_settings().sensitivity
+    defaults = Settings().sensitivity
     first = ["thresholds", str(dup_root), "--sensitivity", "size=100", "--sensitivity", "keyword=10", "--json"]
     assert run_command(first) == 0
     assert json.loads(capsys.readouterr().out)["sensitivity"] == {**defaults, "size": 100, "keyword": 10}
@@ -442,6 +449,19 @@ def test_extract_write_failure_is_an_analysis_error(tmp_path, monkeypatch, capsy
     )
     assert code == 3
     assert f"error: cannot write {root / 'Pipeline.java'}: " in capsys.readouterr().err
+
+
+def test_extract_of_a_field_the_class_inherits_is_refused_by_name(tmp_path, capsys):
+    """`total` is declared in `A`, not in `B`, so the flow analysis cannot type the output it would return."""
+    root = write_project(tmp_path / "proj", {
+        "A.java": "class A {\n    int total;\n}\n",
+        "B.java": "class B extends A {\n    int f(int[] xs) {\n        total = 0;\n"
+                  "        total += xs.length;\n        return total;\n    }\n}\n",
+    })
+    (tmp_path / "frag.java").write_text("total = 0; total += xs.length;", encoding="utf-8")
+    argv = ["extract", str(root), "--fragment", frag_path(tmp_path), "--at", "B.java:3", "--name", "reset"]
+    assert run_command(argv) == 3
+    assert capsys.readouterr().err == "error: cannot resolve declared type of 'total'\n"
 
 
 def test_extract_name_collision_is_an_analysis_error(capsys):

@@ -278,6 +278,46 @@ def test_a_local_of_a_nested_class_hides_the_parameter_where_the_fragment_lies_i
     assert verify_by_inlining(plan, session.files, result.sources, result).all_equivalent
 
 
+def test_a_copy_in_a_static_method_is_left_alone_when_the_paste_site_method_is_not_static():
+    """`static g` cannot call the instance method `bump`; its copy still counts as a duplicate."""
+    session, fragment, plan = _plan_fixture("static_site", "A.java", 4, "bump")
+    matches = find_duplicates(fragment, session.methods, 0.8)
+    assert sorted((m.method_id, m.kind) for m in matches) == [("A.java:3:f", EXACT), ("A.java:9:g", EXACT)]
+    assert plan.signature == "private int bump(int n, int[] xs)"
+    assert [(s.method_id, s.start_line) for s in plan.target_sites] == [("A.java:3:f", 4)]
+    result = apply_extraction(plan, session.files, session.tokens)
+    assert result.diff == (GOLDEN_DIR / "extract_static_site.diff").read_text(encoding="utf-8")
+    assert verify_by_inlining(plan, session.files, result.sources, result).all_equivalent
+
+
+def test_a_static_paste_site_method_rewrites_the_copies_in_instance_methods_too():
+    _, _, plan = _plan_fixture("static_site", "A.java", 10, "bump")
+    assert plan.signature == "private static int bump(int n, int[] xs)"
+    assert [(s.method_id, s.start_line) for s in plan.target_sites] == [("A.java:3:f", 4), ("A.java:9:g", 10)]
+
+
+def test_the_new_method_declares_the_paste_site_methods_throws_clause():
+    """`h` declares `throws Exception`, which is not `IOException` as written, so its copy is left alone."""
+    session, _, plan = _plan_fixture("throws_clause", "T.java", 6, "count")
+    assert plan.signature == "private int count(Reader r) throws IOException"
+    assert [s.method_id for s in plan.target_sites] == ["T.java:6:f", "T.java:12:g"]
+    result = apply_extraction(plan, session.files, session.tokens)
+    assert result.diff == (GOLDEN_DIR / "extract_throws_clause.diff").read_text(encoding="utf-8")
+    assert verify_by_inlining(plan, session.files, result.sources, result).all_equivalent
+
+
+def test_thrown_renders_each_type_of_the_throws_clause_as_written():
+    source = """\
+class C {
+    <E extends Exception> int f(int x) throws java.io.IOException, @Deprecated E { return x; }
+    int g(String throwsName) { return 0; }
+    int h()[] throws IllegalStateException { return null; }
+}
+"""
+    methods, _ = index_file(tokenize(source), "C.java")
+    assert [m.thrown for m in methods] == [("java.io.IOException", "@Deprecated E"), (), ("IllegalStateException",)]
+
+
 # A local declared in a nested class's body is out of scope after that body: there a name
 # means the method's own local, or a field, which the new method reaches without a parameter.
 SCOPED_AFTER_NESTED_BODY = [
@@ -381,6 +421,8 @@ def test_a_paste_site_that_does_not_start_a_statement_is_refused_by_name():
         ("mid_statement", "A.java", 4, "reset"),
         ("shadowed_parameter", "A.java", 4, "bump"),
         ("nested_scope", "A.java", 6, "bump"),
+        ("static_site", "A.java", 4, "bump"),
+        ("throws_clause", "T.java", 6, "count"),
     ],
 )
 def test_the_extract_goldens_rewritten_projects_compile(fixture, at_file, at_line, name):
@@ -531,6 +573,25 @@ def test_tokens_of_another_text_are_not_trusted(tmp_path):
     with pytest.raises(StaleSite):
         apply_extraction(plan, sources, session.tokens)
     assert sources == before
+
+
+@pytest.mark.parametrize(
+    "sources, message",
+    [
+        ({}, r"^S\.java is missing$"),
+        ({"S.java": STALE_STORE + "/* never closed"}, r"^S\.java no longer lexes: "),
+    ],
+    ids=["missing", "unlexable"],
+)
+def test_a_site_file_that_is_gone_or_no_longer_lexes_is_stale(tmp_path, sources, message):
+    session = open_project(write_project(tmp_path / "p", {"S.java": STALE_STORE}))
+    fragment = validate_fragment("int n = 0;\nn += xs.length;")
+    host = session.method_at("S.java", 3)
+    matches = find_duplicates(fragment, session.methods, 0.8, session.index)
+    summary = analyze_extractability(fragment, host, host.owner)
+    plan = plan_extraction(summary, "start", fragment, host, host.owner, matches, session.methods_by_id)
+    with pytest.raises(StaleSite, match=message):
+        apply_extraction(plan, sources, session.tokens)
 
 
 @pytest.mark.parametrize("line_end", ["\r", "\r\n"], ids=["lone-cr", "crlf"])
