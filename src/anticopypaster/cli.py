@@ -20,6 +20,7 @@ from pathlib import Path
 from types import SimpleNamespace
 
 from .decision import (
+    INVALID_FRAGMENT,
     NOT_TRIGGERED,
     DropRecord,
     PasteEvent,
@@ -29,7 +30,7 @@ from .decision import (
     match_to_dict,
     report_to_dict,
 )
-from .errors import EngineError
+from .errors import EngineError, InvalidFragment
 from .extraction import analyze_extractability, apply_extraction, plan_extraction
 from .metrics import Submetric, thresholds_for
 from .scenario import load_scenario, run_scenario, serialize_log
@@ -248,13 +249,18 @@ def _cmd_check(args: argparse.Namespace) -> int:
     fragment_text = _read_file(args.fragment)
     file_path, line = args.at
     event = PasteEvent(args.root, file_path, line, fragment_text, 0)
-    fragment = validate_fragment(fragment_text)
-    outcome = evaluate_paste(session, event, fragment, session.settings.delay_seconds)
+    why = ""
+    try:
+        fragment = validate_fragment(fragment_text)
+    except InvalidFragment as exc:
+        outcome, why = DropRecord(event, INVALID_FRAGMENT, 0), f": {exc}"
+    else:
+        outcome = evaluate_paste(session, event, fragment, session.settings.delay_seconds)
 
     if isinstance(outcome, DropRecord) and outcome.reason != NOT_TRIGGERED:
         if args.json:
             _json_dump({"triggered": False, "reason": outcome.reason})
-        print(f"error: {outcome.reason} at {file_path}:{line}", file=sys.stderr)
+        print(f"error: {outcome.reason} at {file_path}:{line}{why}", file=sys.stderr)
         return EXIT_ANALYSIS
 
     triggered = isinstance(outcome, Recommendation)
@@ -303,7 +309,10 @@ def _cmd_extract(args: argparse.Namespace) -> int:
     session = open_project(args.root, args.config)
     fragment_text = _read_file(args.fragment)
     file_path, line = args.at
-    fragment = validate_fragment(fragment_text)
+    try:
+        fragment = validate_fragment(fragment_text)
+    except InvalidFragment as exc:
+        raise _Fail(f"{INVALID_FRAGMENT} at {file_path}:{line}: {exc}") from None
     located = locate(session, file_path, line, fragment)
     if isinstance(located, str):
         raise _Fail(f"{located} at {file_path}:{line}")

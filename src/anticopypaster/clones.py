@@ -145,8 +145,6 @@ def find_duplicates(
     taken word, so the scan reads their stored sizes and bags, not their
     token sequences.
     """
-    if not fragment.valid:
-        raise ValueError("find_duplicates requires a valid fragment")
     if not 0 < near_threshold <= 1:
         raise ValueError("near-match threshold must be in (0, 1]")
     if index is None:

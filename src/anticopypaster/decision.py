@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Union
 
 from .clones import CloneMatch, find_duplicates
-from .errors import NotComputable
+from .errors import InvalidFragment
 from .lexer import find_run
 from .metrics import MetricVector, Submetric, compute_vector, thresholds_for
 from .settings import Settings, SubmetricFlags
@@ -98,11 +98,6 @@ def evaluate_gate(
     enabled = [m for m in Submetric if m in flags and flags[m].enabled]
     if not enabled:
         return GateReport({}, False, False, False, reason="NoSubmetricsEnabled")
-    missing = [m for m in enabled if m not in thresholds]
-    if missing:
-        raise NotComputable(
-            "no thresholds for: " + ", ".join(m.value for m in missing)
-        )
     entries = {
         m: GateEntry(vector[m], thresholds[m], vector[m] >= thresholds[m])
         for m in enabled
@@ -162,8 +157,9 @@ def enqueue_paste(session: "ProjectSession", event: PasteEvent) -> DropRecord | 
     dropped immediately. The validated fragment is queued with the event,
     so it is lexed only here.
     """
-    fragment = validate_fragment(event.fragment_text)
-    if not fragment.valid:
+    try:
+        fragment = validate_fragment(event.fragment_text)
+    except InvalidFragment:
         return DropRecord(event, INVALID_FRAGMENT, event.timestamp)
     if method_at(session.methods, event.file_path, event.paste_line) is None:
         return DropRecord(event, NO_ENCLOSING_METHOD, event.timestamp)
@@ -190,8 +186,6 @@ def locate(
     """
     if file_path not in session.files:
         return FILE_MISSING
-    if not fragment.valid:
-        return INVALID_FRAGMENT
     tokens = session.tokens.get(file_path)
     at = -1 if tokens is None else find_run(tokens, fragment.tokens.texts, line)
     if at < 0:

@@ -17,8 +17,8 @@ class IndexingError(EngineError):
     """Source file cannot be structurally indexed (e.g. unbalanced braces)."""
 
 
-class EmptyScope(EngineError):
-    """`compute_vector` was given a fragment that is not a valid statement sequence."""
+class InvalidFragment(EngineError):
+    """A pasted fragment does not lex, or does not parse as a statement sequence; the message says why."""
 
 
 class UndefinedSimilarity(EngineError):
@@ -35,10 +35,6 @@ class EmptyDistribution(EngineError):
 
 class InvalidSensitivity(EngineError):
     """Sensitivity outside the 1..100 range."""
-
-
-class NotComputable(EngineError):
-    """Thresholds cannot be computed for an enabled submetric."""
 
 
 class ConfigSyntax(EngineError):

@@ -114,8 +114,6 @@ def analyze_extractability(
     Outputs are locals declared or assigned in the fragment and read after
     it. Class fields never count: they stay visible to the new method.
     """
-    if not fragment.valid:
-        raise MissingContext("fragment is not a valid statement sequence")
     frag_texts = fragment.tokens.texts
     texts, (lo, hi) = enclosing.tokens.texts, enclosing.body
     if at is None:

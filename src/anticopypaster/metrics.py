@@ -26,7 +26,7 @@ from bisect import bisect_left, insort
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import EmptyDistribution, EmptyScope, InvalidSensitivity
+from .errors import EmptyDistribution, InvalidSensitivity
 from .lexer import Tokens, TokenKind
 from .source_model import PRIMITIVE_TYPES, ClassContext, Fragment, MethodUnit, local_declarations
 
@@ -148,13 +148,7 @@ def _measure(segment: Fragment | MethodUnit, method: MethodUnit, keywords: froze
 
 
 def compute_vector(fragment: Fragment, enclosing: MethodUnit, keywords: frozenset[str]) -> MetricVector:
-    """All submetric values for a fragment pasted inside a method; coupling reads the method's class.
-
-    Raises EmptyScope for a fragment that is not a valid statement
-    sequence, which is also every fragment without lines.
-    """
-    if not fragment.valid:
-        raise EmptyScope("fragment is not a valid statement sequence")
+    """All submetric values for a fragment pasted inside a method; coupling reads the method's class."""
     return _measure(fragment, enclosing, keywords)
 
 
@@ -199,9 +193,9 @@ def update_distributions(
     at all give `distribution` itself. Every removed vector must be in
     `distribution`, which, like every snapshot, never changes.
     """
-    fresh = build_distributions(added)
     if not removed and not added:
         return distribution
+    fresh = build_distributions(added)
     samples = {}
     for i, m in enumerate(ALL_SUBMETRICS):
         column, came = distribution.samples[m], fresh.samples[m]

@@ -3,9 +3,12 @@
 Indexes method bodies and class context out of lexed files and validates
 pasted fragments as statement sequences. A method's body, like a fragment,
 is an index range (`body`) into its file's token columns, as is every
-token index stored with it. Its bag and nesting area are built once, when
-it is indexed, and a valid fragment's once, when it is validated;
-everything downstream reads these fields. Declarations are read on
+token index stored with it. Its bag, symbol count and nesting area are
+built once, by `_facts`, when it is indexed, and a fragment's, by the same
+builder, when it is validated; everything downstream reads these fields.
+`validate_fragment` is the one place that decides validity: it returns
+only a statement sequence and raises InvalidFragment for any other text,
+so a Fragment is valid wherever it goes. Declarations are read on
 demand: the locals of either by `local_declarations`, and the parameter
 or local that each name means at a point of a method's body by
 `method_declarations`. Every reader jumps through the one delimiter
@@ -29,7 +32,7 @@ from dataclasses import dataclass, field
 from itertools import chain, compress, count
 from operator import itemgetter
 
-from .errors import IndexingError, LexError
+from .errors import IndexingError, InvalidFragment, LexError
 from .lexer import (
     Tokens,
     TokenKind,
@@ -119,15 +122,14 @@ class Fragment:
     text: str
     tokens: Tokens
     line_count: int
-    symbol_count: int
-    valid: bool
     # A MethodUnit's indexing facts (body: all of `tokens`; area: as if pasted at depth 1) and the jumps
-    # that leave it, built once by validation; empty when invalid.
-    body: tuple[int, int] = (0, 0)
-    bag: dict[str, int] = field(default_factory=dict)
-    bag_size: int = 0
-    area: int = 0
-    illegal_flow: tuple[str, ...] = ()
+    # that leave it, built once by validation.
+    body: tuple[int, int]
+    illegal_flow: tuple[str, ...]
+    bag: dict[str, int]
+    bag_size: int
+    symbol_count: int
+    area: int
 
 
 def _trim_blank_lines(text: str) -> str:
@@ -141,40 +143,29 @@ def _trim_blank_lines(text: str) -> str:
     return "\n".join(lines[start:end])
 
 
-def count_symbols(text: str) -> int:
-    """Number of non-whitespace characters in the text."""
-    return len("".join(text.split()))
-
-
 def validate_fragment(text: str) -> Fragment:
-    """Build a Fragment, deciding validity instead of raising.
+    """The Fragment of a pasted text that is a statement sequence; InvalidFragment for any other text.
 
     Valid means: lexes, all delimiters balanced, and the tokens parse as
     one or more block statements. Type and member declarations at top
-    level are invalid; invalidity is a value, not an error. A valid
-    fragment keeps the jumps that would leave it in `illegal_flow`.
+    level are invalid. InvalidFragment carries the lexer's or the parser's
+    message. A fragment keeps the jumps that would leave it in `illegal_flow`.
     """
-    normalized = normalize_newlines(text)
-    trimmed = _trim_blank_lines(normalized)
-    line_count = len(trimmed.split("\n")) if trimmed else 0
-    symbol_count = count_symbols(trimmed)
+    trimmed = _trim_blank_lines(normalize_newlines(text))
     try:
         tokens = tokenize(trimmed)
-    except LexError:
-        return Fragment(trimmed, Tokens(), line_count, symbol_count, False)
-    try:
         illegal_flow = parse_statements(tokens)
-    except StatementParseError:
-        return Fragment(trimmed, tokens, line_count, symbol_count, False)
-    bag = token_bag(tokens.texts)
-    return Fragment(
-        trimmed, tokens, line_count, symbol_count, True,
-        body=(0, len(tokens)),
-        bag=bag,
-        bag_size=bag.total(),
-        area=sum(_profile(tokens, 0, len(tokens), 1, line_count)),
-        illegal_flow=illegal_flow,
-    )
+    except (LexError, StatementParseError) as exc:
+        raise InvalidFragment(str(exc)) from None
+    lines, hi = trimmed.split("\n"), len(tokens)
+    return Fragment(trimmed, tokens, len(lines), (0, hi), illegal_flow, **_facts(tokens, 0, hi, lines, 1, len(lines)))
+
+
+def _facts(tokens: Tokens, lo: int, hi: int, lines: list[str], first: int, last: int) -> dict:
+    """The bag, its size, the symbol count (of lines `first` to `last`) and the nesting area of tokens[lo:hi]."""
+    bag = token_bag(tokens.texts[lo:hi])
+    symbols = len("".join("".join(lines[first - 1 : last]).split()))
+    return dict(bag=bag, bag_size=bag.total(), symbol_count=symbols, area=sum(_profile(tokens, lo, hi, first, last)))
 
 
 def _profile(tokens: Tokens, lo: int, hi: int, first_line: int, last_line: int) -> list[int]:
@@ -562,14 +553,8 @@ class _Indexer:
             return
         lo, hi = open_brace + 1, close_brace
         start_line, end_line = (lines[lo], lines[hi - 1]) if lo < hi else (lines[open_brace],) * 2
-        facts = self._kept(start, close_brace, start_line, end_line) if self.previous else None
-        if facts is None:
-            bag = token_bag(texts[lo:hi])
-            facts = dict(
-                bag=bag, bag_size=bag.total(),
-                symbol_count=count_symbols("\n".join(self.lines[start_line - 1 : end_line])),
-                area=sum(_profile(tokens, lo, hi, start_line, end_line)),
-            )
+        kept = self.previous and self._kept(start, close_brace, start_line, end_line)
+        facts = kept or _facts(tokens, lo, hi, self.lines, start_line, end_line)
         method_id = f"{self.file_path}:{start_line}:{name}"
         if method_id in self.ids:
             # Overloads whose bodies start on one line; their braces' columns differ.

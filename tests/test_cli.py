@@ -153,6 +153,38 @@ def test_check_on_a_fragment_nested_too_deeply_exits_three(dup_root, tmp_path, c
     assert json.loads(capsys.readouterr().out) == {"triggered": False, "reason": "InvalidFragment"}
 
 
+def test_check_says_why_a_fragment_is_invalid(dup_root, tmp_path, capsys):
+    bad = tmp_path / "bad.java"
+    bad.write_text("if (x {", encoding="utf-8")
+    args = ["check", str(dup_root), "--fragment", str(bad), "--at", "Host.java:5", "--json"]
+    assert run_command(args) == 3
+    out, err = capsys.readouterr()
+    assert json.loads(out) == {"triggered": False, "reason": "InvalidFragment"}
+    assert err == "error: InvalidFragment at Host.java:5: unclosed delimiter\n"
+    # The fragment is validated before the site is looked up, so a file that is gone reports it too.
+    assert run_command(["check", str(dup_root), "--fragment", str(bad), "--at", "Gone.java:5"]) == 3
+    assert capsys.readouterr().err == "error: InvalidFragment at Gone.java:5: unclosed delimiter\n"
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [("if (x {", "unclosed delimiter"), ('x = "open;', "unterminated string literal (line 1)")],
+)
+def test_extract_of_an_invalid_fragment_exits_three_and_writes_nothing(text, message, tmp_path, capsys):
+    root = tmp_path / "writable"
+    shutil.copytree(FIXTURES_DIR / "extract_demo" / "project", root)
+    before = {p: p.read_bytes() for p in root.rglob("*")}
+    bad = tmp_path / "bad.java"
+    bad.write_text(text, encoding="utf-8")
+    argv = ["extract", str(root), "--fragment", str(bad), "--at", "Pipeline.java:5", "--name", "bundle"]
+    for options in ([], ["--write"]):
+        assert run_command(argv + options) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: InvalidFragment at Pipeline.java:5: {message}\n"
+        assert {p: p.read_bytes() for p in root.rglob("*")} == before
+
+
 def test_missing_root_is_an_analysis_error(tmp_path, capsys):
     code = run_command(["analyze", str(tmp_path / "ghost")])
     assert code == 3

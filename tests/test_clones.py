@@ -282,7 +282,6 @@ _SAVES = st.lists(st.tuples(st.integers(0, 2), st.none() | _BODIES), max_size=3)
 @example([["a = b;"]], [(1, [["a = b;"]])], ["a = b;"], 0.8, "file")
 def test_filtered_scan_agrees_with_brute_force_on_generated_projects(bodies, saves, statements, theta, scope):
     fragment = validate_fragment("\n".join(statements))
-    assert fragment.valid
     methods = index_file(tokenize(_class_of(bodies)), "Gen.java")[0]
     assert find_duplicates(fragment, methods, theta) == brute_force_duplicates(
         fragment, methods, theta

@@ -19,7 +19,6 @@ from anticopypaster.decision import (
     tick,
     with_duplicates,
 )
-from anticopypaster.errors import NotComputable
 from anticopypaster.metrics import Submetric
 from anticopypaster.settings import SubmetricFlags
 from anticopypaster.workspace import open_project
@@ -128,11 +127,6 @@ def test_ties_pass():
         flags=_flags(enabled=[LINES]),
     )
     assert report.entries[LINES].passed
-
-
-def test_missing_threshold_raises_not_computable():
-    with pytest.raises(NotComputable):
-        evaluate_gate({LINES: 1}, {}, _flags(enabled=[LINES]))
 
 
 def test_duplicate_count_gates_the_final_verdict():

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from anticopypaster.errors import EmptyDistribution, InvalidSensitivity
+from anticopypaster.errors import EmptyDistribution, InvalidFragment, InvalidSensitivity
 from anticopypaster.metrics import (
     CATEGORIES,
     CONFIGURABLE_KEYWORDS,
@@ -292,8 +292,9 @@ def test_method_vector_equals_its_body_measured_as_a_fragment():
         if lines[lo - 1] == method.start_line or lines[hi] == method.end_line:
             continue
         body_lines = text.split("\n")[method.start_line - 1 : method.end_line]
-        fragment = validate_fragment("\n".join(body_lines))
-        if not fragment.valid:
+        try:
+            fragment = validate_fragment("\n".join(body_lines))
+        except InvalidFragment:
             continue
         expected = compute_vector(fragment, method, KEYWORD_CATALOGUE)
         assert method_vector(method, KEYWORD_CATALOGUE) == expected, method.id

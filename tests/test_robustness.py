@@ -18,7 +18,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from anticopypaster.cli import run_command
-from anticopypaster.errors import EngineError
+from anticopypaster.errors import EngineError, InvalidFragment
 from anticopypaster.lexer import tokenize
 from anticopypaster.metrics import CATEGORIES, CONFIGURABLE_KEYWORDS, SUBMETRIC_BY_NAME
 from anticopypaster.settings import load_settings
@@ -48,7 +48,10 @@ def test_java_text_raises_only_engine_errors(text):
         index_file(tokenize(text), "A.java")
     except EngineError:
         pass
-    validate_fragment(text)  # invalidity is a value, never an error
+    try:
+        validate_fragment(text)
+    except InvalidFragment:  # the one error a fragment may raise
+        pass
 
 
 _JSON = st.recursive(

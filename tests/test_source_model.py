@@ -6,9 +6,8 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from anticopypaster.errors import EmptyScope, IndexingError
-from anticopypaster.lexer import token_bag, tokenize
-from anticopypaster.metrics import KEYWORD_CATALOGUE, compute_vector
+from anticopypaster.errors import IndexingError, InvalidFragment, LexError
+from anticopypaster.lexer import normalize_newlines, token_bag, tokenize
 from anticopypaster.source_model import (
     _profile,
     index_file,
@@ -16,7 +15,7 @@ from anticopypaster.source_model import (
     method_declarations,
     validate_fragment,
 )
-from anticopypaster.statements import parse_statements
+from anticopypaster.statements import StatementParseError, parse_statements
 
 from helpers import (
     body_texts,
@@ -320,41 +319,60 @@ def test_retokenizing_body_lines_reproduces_body_tokens():
 # --- fragment validity -------------------------------------------------------
 
 def test_expression_statement_is_valid():
-    assert validate_fragment("x = 1;").valid
+    validate_fragment("x = 1;")
 
 
 def test_unbalanced_delimiters_are_invalid():
-    assert not validate_fragment("if (x {").valid
+    with pytest.raises(InvalidFragment, match="unclosed delimiter"):
+        validate_fragment("if (x {")
 
 
 @pytest.mark.parametrize("text", ["a[(b]);", "x = (a[b)];", "f((a);"])
 def test_crossed_or_unmatched_delimiters_are_invalid(text):
-    assert not validate_fragment(text).valid
+    with pytest.raises(InvalidFragment):
+        validate_fragment(text)
 
 
-def test_type_declaration_is_invalid():
-    assert not validate_fragment("public class A {}").valid
-    assert not validate_fragment("class A {}").valid
+@pytest.mark.parametrize("text", ["public class A {}", "class A {}"])
+def test_type_declaration_is_invalid(text):
+    with pytest.raises(InvalidFragment):
+        validate_fragment(text)
 
 
-def test_method_declaration_is_invalid():
-    assert not validate_fragment("void foo() { run(); }").valid
-    assert not validate_fragment("int foo() { return 1; }").valid
+@pytest.mark.parametrize("text", ["void foo() { run(); }", "int foo() { return 1; }"])
+def test_method_declaration_is_invalid(text):
+    with pytest.raises(InvalidFragment):
+        validate_fragment(text)
 
 
 def test_empty_text_is_invalid():
-    fragment = validate_fragment("")
-    assert not fragment.valid
-    assert fragment.line_count == 0
+    with pytest.raises(InvalidFragment):
+        validate_fragment("")
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("class A {}", "type declaration is not a statement"),
+        ("void foo() { run(); }", "method declaration is not a statement"),
+        ("", "expected a statement"),
+        ('x = "unclosed;', "unterminated string literal (line 1)"),
+        ("a[(b]);", "']' at token 4 does not close the innermost pair"),
+    ],
+)
+def test_invalid_fragment_carries_the_lexer_or_parser_message(text, message):
+    with pytest.raises(InvalidFragment) as raised:
+        validate_fragment(text)
+    assert str(raised.value) == message
 
 
 def test_control_flow_statements_are_valid():
-    assert validate_fragment("if (a) { b(); } else { c(); }").valid
-    assert validate_fragment("for (int i = 0; i < n; i++) { f(i); }").valid
-    assert validate_fragment("do { poll(); } while (busy);").valid
-    assert validate_fragment("try { open(); } catch (Exception e) { log(e); }").valid
-    assert validate_fragment("switch (k) { case 1: f(); break; default: g(); }").valid
-    assert validate_fragment("synchronized (lock) { counter++; }").valid
+    validate_fragment("if (a) { b(); } else { c(); }")
+    validate_fragment("for (int i = 0; i < n; i++) { f(i); }")
+    validate_fragment("do { poll(); } while (busy);")
+    validate_fragment("try { open(); } catch (Exception e) { log(e); }")
+    validate_fragment("switch (k) { case 1: f(); break; default: g(); }")
+    validate_fragment("synchronized (lock) { counter++; }")
 
 
 @pytest.mark.parametrize(
@@ -365,12 +383,13 @@ def test_control_flow_statements_are_valid():
     ],
 )
 def test_arrow_case_labels_are_valid(text):
-    assert validate_fragment(text).valid
+    validate_fragment(text)
 
 
-def test_arrow_case_takes_only_a_block_throw_or_expression():
-    assert not validate_fragment("switch (k) { case 1 -> return; }").valid
-    assert not validate_fragment("switch (k) { case 1 -> }").valid
+@pytest.mark.parametrize("text", ["switch (k) { case 1 -> return; }", "switch (k) { case 1 -> }"])
+def test_arrow_case_takes_only_a_block_throw_or_expression(text):
+    with pytest.raises(InvalidFragment):
+        validate_fragment(text)
 
 
 def test_case_label_control_flow():
@@ -436,8 +455,8 @@ def test_parse_statements_reports_the_jumps_that_leave_the_fragment(text, jumps)
 
 
 def test_lambda_and_anonymous_class_statements_are_valid():
-    assert validate_fragment("Runnable r = () -> { run(); };").valid
-    assert validate_fragment("f(new Runnable() { public void run() { } });").valid
+    validate_fragment("Runnable r = () -> { run(); };")
+    validate_fragment("f(new Runnable() { public void run() { } });")
 
 
 @pytest.mark.parametrize(
@@ -469,15 +488,20 @@ def test_lambda_and_anonymous_class_statements_are_valid():
     ],
 )
 def test_a_bare_lambda_is_not_a_statement(text, valid):
-    assert validate_fragment(text).valid is valid
+    if valid:
+        validate_fragment(text)
+    else:
+        with pytest.raises(InvalidFragment):
+            validate_fragment(text)
 
 
 def test_labeled_break_is_valid():
-    assert validate_fragment("outer: for (;;) { break outer; }").valid
+    validate_fragment("outer: for (;;) { break outer; }")
 
 
 def test_try_without_catch_or_finally_is_invalid():
-    assert not validate_fragment("try { open(); }").valid
+    with pytest.raises(InvalidFragment, match="try without catch"):
+        validate_fragment("try { open(); }")
 
 
 def test_line_count_trims_blank_edges():
@@ -505,11 +529,10 @@ def test_flat_statements_profile_at_depth_one():
     assert fragment_profile(validate_fragment("x = 1;")) == [1]
 
 
-def test_empty_scope_raises():
-    host = index_file(tokenize(TWO_METHODS), "TwoMethods.java")[0][0]
-    for text in ("", "// only a comment", "class C { }", "x = (1;"):
-        with pytest.raises(EmptyScope):
-            compute_vector(validate_fragment(text), host, KEYWORD_CATALOGUE)
+@pytest.mark.parametrize("text", ["", "// only a comment", "class C { }", "x = (1;"])
+def test_text_without_a_statement_sequence_raises_invalid_fragment(text):
+    with pytest.raises(InvalidFragment):
+        validate_fragment(text)
 
 
 def test_blank_interior_lines_keep_running_depth():
@@ -585,7 +608,6 @@ def _laid_out_statements(draw):
 @example("{ { { a(); } }\n} // c\n\n x = 1;")
 def test_nesting_profile_agrees_with_the_by_line_definition(text):
     fragment = validate_fragment(text)
-    assert fragment.valid
     assert fragment_profile(fragment) == _by_line_profile(fragment.tokens, 1, fragment.line_count)
     indented = "\n".join("    " + line for line in text.split("\n"))
     methods, _ = index_file(tokenize(f"class A {{\n  void m() {{\n{indented}\n  }}\n}}\n"), "A.java")
@@ -604,16 +626,19 @@ _TOKEN_SOUP = st.lists(st.sampled_from([*"abn =;,(){}[]\n\"", "int ", "for ", "c
 @example("class C { }")
 @example('x = "unclosed;')
 def test_fragment_fields_agree_with_their_per_token_definitions(text):
-    """What validation stores is what the per-token definitions give, or empty when invalid."""
-    fragment = validate_fragment(text)
-    tokens = fragment.tokens
-    stored = (fragment.body, fragment.bag, fragment.bag_size, fragment.area, fragment.illegal_flow)
-    if not fragment.valid:
-        assert stored == ((0, 0), {}, 0, 0, ())
+    """What validation stores is what the per-token definitions give; text it refuses does not lex or parse."""
+    try:
+        fragment = validate_fragment(text)
+    except InvalidFragment:
+        with pytest.raises((LexError, StatementParseError)):
+            parse_statements(tokenize(normalize_newlines(text)))
         return
+    tokens = fragment.tokens
+    stored = (fragment.body, fragment.bag, fragment.bag_size, fragment.symbol_count, fragment.area,
+              fragment.illegal_flow)
     assert stored == (
         (0, len(tokens)), token_bag(tokens.texts), token_bag(tokens.texts).total(),
-        sum(_profile(tokens, 0, len(tokens), 1, fragment.line_count)),
+        len("".join(text.split())), sum(_profile(tokens, 0, len(tokens), 1, fragment.line_count)),
         parse_statements(tokens),
     )
     # Its locals are read on demand, by the reader a method's go through.
