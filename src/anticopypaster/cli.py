@@ -320,6 +320,8 @@ def _cmd_extract(args: argparse.Namespace) -> int:
     summary = analyze_extractability(fragment, enclosing, enclosing.owner, at)
     plan = plan_extraction(summary, args.name, fragment, enclosing, enclosing.owner, matches, session.methods_by_id)
     result = apply_extraction(plan, session.files, session.tokens)
+    for site, refusal in plan.left_alone:
+        print(f"note: {site.file_path}:{site.start_line} left as it is: {refusal}", file=sys.stderr)
     if args.write:
         changed = {
             session.root / path: text

@@ -3,13 +3,13 @@
 Feasibility is a dataflow approximation: a fragment is extractable when
 it needs at most one value back from the new method and contains no
 control flow escaping it. A site is the run of tokens the duplicate scan
-matched, at the index of its first token in its file; only a run that
-starts a statement is one, and in the paste-site method it is the run
-the flow analysis read. Application replaces the characters of every
-exact site's run with a call and inserts the new method after the
-paste-site method; near matches are never touched. An inlining check
-closes the loop by substituting the generated body back into each call
-and comparing it with the run at the site.
+matched, at the index of its first token in its file; in the paste-site
+method it is the run the flow analysis read. One rule, `_refusal`, says
+which runs may become calls: the paste site must pass it, and an exact
+copy that fails it is left alone. Application replaces each site's run
+with a call and inserts the new method after the paste-site method; near
+matches are never touched. An inlining check substitutes the generated
+body back into each call and compares it with the run at the site.
 """
 
 from __future__ import annotations
@@ -76,29 +76,25 @@ class TargetSite:
 
 @dataclass(frozen=True)
 class ExtractionPlan:
+    """Extract `fragment` into a method after `enclosing`, with its modifiers; `left_alone`: each copy kept, and why."""
+
     method_name: str
     parameter_list: tuple[Parameter, ...]
     return_type: str
     body_text: str
     call_statement: str
     target_sites: tuple[TargetSite, ...]
-    insertion_file: str
-    # (line, column) where the new method goes: just past the paste-site method's `}`.
-    insertion_point: tuple[int, int]
-    declaration_line: int
-    is_static: bool
-    # The paste-site method's type-parameter list, which the new method's types may name; "" for none.
-    type_parameters: str
-    # The types the paste-site method's `throws` clause names, which the new method declares too.
-    thrown: tuple[str, ...]
-    fragment_token_texts: tuple[str, ...]
+    left_alone: tuple[tuple[TargetSite, str], ...]
+    enclosing: MethodUnit
+    fragment: Fragment
 
     @property
     def signature(self) -> str:
         params = ", ".join(f"{p.declared_type} {p.name}" for p in self.parameter_list)
-        static = "static " if self.is_static else ""
-        generic = f"{self.type_parameters} " if self.type_parameters else ""
-        throws = f" throws {', '.join(self.thrown)}" if self.thrown else ""
+        method = self.enclosing
+        static = "static " if method.is_static else ""
+        generic = f"{method.type_parameters} " if method.type_parameters else ""
+        throws = f" throws {', '.join(method.thrown)}" if method.thrown else ""
         return f"private {static}{generic}{self.return_type} {self.method_name}({params}){throws}"
 
 
@@ -108,11 +104,11 @@ def analyze_extractability(
     """Infer the inputs, outputs, and flow violations of a fragment.
 
     The fragment is the run at token `at` of the method's file, by default
-    its first copy in the body; a run that does not start a statement is
-    refused. Inputs are variables used in the fragment that name a
-    parameter, or a local in scope where it starts, ordered by first use.
-    Outputs are locals declared or assigned in the fragment and read after
-    it. Class fields never count: they stay visible to the new method.
+    its first copy in the body; `_refusal` must accept it. Inputs are
+    variables used in the fragment that name a parameter, or a local in
+    scope where it starts, ordered by first use. Outputs are locals
+    declared or assigned in the fragment and read after it. Class fields
+    never count: they stay visible to the new method.
     """
     frag_texts = fragment.tokens.texts
     texts, (lo, hi) = enclosing.tokens.texts, enclosing.body
@@ -121,9 +117,8 @@ def analyze_extractability(
     frag_end = at + len(frag_texts)
     if at < lo or frag_end > hi or texts[at:frag_end] != frag_texts:
         raise MissingContext("fragment is not a contiguous span of the enclosing method")
-    if texts[at - 1] not in _BEFORE_STATEMENT:
-        line = enclosing.tokens.lines[at]
-        raise MissingContext(f"the fragment at {enclosing.file_path}:{line} does not start a statement")
+    if refusal := _refusal(enclosing, at, enclosing):
+        raise MissingContext(f"the fragment at {enclosing.file_path}:{enclosing.tokens.lines[at]} {refusal}")
 
     frag_decls = local_declarations(fragment.tokens, *fragment.body)
     # The parameter or local that each name means where the fragment starts.
@@ -151,7 +146,13 @@ def analyze_extractability(
     for name, decl in frag_decls.items():
         assigned.setdefault(name, decl.token_index)
 
-    read_after = _read_after(enclosing, frag_end)
+    # Names read after the fragment: identifiers not after '.' nor before a plain '='.
+    method_kinds = enclosing.tokens.kinds
+    read_after = {
+        texts[k]
+        for k in range(frag_end, hi)
+        if method_kinds[k] is TokenKind.IDENTIFIER and texts[k - 1] != "." and texts[k + 1] != "="
+    }
     outputs: list[Parameter] = []
     for name in sorted(assigned.keys() & read_after, key=assigned.get):
         decl = frag_decls.get(name) or declared.get(name)
@@ -164,14 +165,24 @@ def analyze_extractability(
     return DataFlowSummary(tuple(inputs.values()), tuple(outputs), declared_inside, at)
 
 
-def _read_after(method: MethodUnit, start: int) -> set[str]:
-    """Names read from token `start` to the body's end: identifiers not after '.' nor before a plain '='."""
-    texts, kinds = method.tokens.texts, method.tokens.kinds
-    return {
-        texts[k]
-        for k in range(start, method.body[1])
-        if kinds[k] is TokenKind.IDENTIFIER and texts[k - 1] != "." and texts[k + 1] != "="
-    }
+def _refusal(method: MethodUnit, token: int, enclosing: MethodUnit, params: tuple[Parameter, ...] = ()) -> str:
+    """Why the run at `token` of `method` may not become a call of the method extracted from `enclosing`; "" if it may.
+
+    The run starts a statement; its method is static only if `enclosing`
+    is, and names each type `enclosing` throws, as written. Each of `params`
+    is a parameter or local there with its paste-site type (a field is not).
+    """
+    if method.tokens.texts[token - 1] not in _BEFORE_STATEMENT:
+        return "does not start a statement"
+    if method.is_static and not enclosing.is_static:
+        return f"{method.name} is static and {enclosing.name} is not"
+    if missing := [t for t in enclosing.thrown if t not in method.thrown]:
+        return f"{method.name} does not declare throws {', '.join(missing)}"
+    declared = method_declarations(method, token) if params else {}
+    for p in params:
+        if p.name not in declared or declared[p.name].declared_type != p.declared_type:
+            return f"{p.name} is not a parameter or local of type {p.declared_type} there"
+    return ""
 
 
 def plan_extraction(
@@ -185,13 +196,10 @@ def plan_extraction(
 ) -> ExtractionPlan:
     """Turn the summary of the fragment's flow in `enclosing` into a concrete rewrite plan.
 
-    Only exact matches whose run starts a statement become call-replacement
-    sites; in the paste-site method, the run the summary analyzed
-    (`summary.at`). The new method is private, inherits staticness, type
-    parameters and the `throws` clause from the paste-site method, and is
-    inserted just past its closing brace. So a copy is no site when its
-    method is static and the paste-site method is not, or when its
-    method's `throws` clause misses one of those types as written.
+    Each exact match is a run: the analyzed one (`summary.at`) in the
+    paste-site method, the match's own elsewhere. It becomes a site if
+    `_refusal` accepts it, given the inputs and an output declared outside
+    the fragment as the names it passes; otherwise it is left alone.
     """
     if not _IDENTIFIER_RE.match(name) or name in JAVA_KEYWORDS or name in WORD_LITERALS or name in _RESTRICTED_NAMES:
         raise InvalidIdentifier(name)
@@ -216,22 +224,17 @@ def plan_extraction(
     else:
         call = f"{output.name} = {name}({args});"
 
-    sites, thrown = [], enclosing.thrown
+    params = summary.inputs if summary.output_declared_inside else summary.inputs + summary.outputs
+    runs = []  # each exact match's site and its refusal
     for match in matches:
-        if match.kind != EXACT or match.match_span is None:
+        if match.kind != EXACT:
             continue
         method = methods_by_id[match.method_id]
-        if method.is_static and not enclosing.is_static or not set(thrown) <= set(method.thrown):
-            continue
-        span, token = match.match_span, match.token
-        if method.id == enclosing.id:
-            at, lines = summary.at, method.tokens.lines
-            span, token = (lines[at], lines[at + len(fragment.tokens) - 1]), at
-        # A run that does not start a statement, such as `n = 0; ...` after `int`, is no place for a call.
-        if method.tokens.texts[token - 1] in _BEFORE_STATEMENT:
-            sites.append(TargetSite(match.method_id, method.file_path, *span, token))
-    sites.sort(key=lambda s: (s.file_path, s.token))
-    tokens, close = enclosing.tokens, enclosing.body[1]  # the method's `}`
+        token = summary.at if method.id == enclosing.id else match.token
+        lines = method.tokens.lines
+        site = TargetSite(method.id, method.file_path, lines[token], lines[token + len(fragment.tokens) - 1], token)
+        runs.append((site, _refusal(method, token, enclosing, params)))
+    runs.sort(key=lambda run: (run[0].file_path, run[0].token))
 
     return ExtractionPlan(
         method_name=name,
@@ -239,14 +242,10 @@ def plan_extraction(
         return_type=return_type,
         body_text=body,
         call_statement=call,
-        target_sites=tuple(sites),
-        insertion_file=enclosing.file_path,
-        insertion_point=(tokens.lines[close], tokens.column(close) + 1),
-        declaration_line=tokens.lines[enclosing.header],
-        is_static=enclosing.is_static,
-        type_parameters=enclosing.type_parameters,
-        thrown=thrown,
-        fragment_token_texts=fragment.tokens.texts,
+        target_sites=tuple(site for site, refusal in runs if not refusal),
+        left_alone=tuple(run for run in runs if run[1]),
+        enclosing=enclosing,
+        fragment=fragment,
     )
 
 
@@ -265,9 +264,7 @@ class ApplyResult:
 
 
 def apply_extraction(
-    plan: ExtractionPlan,
-    sources: Mapping[str, str],
-    tokens: Mapping[str, Tokens] | None = None,
+    plan: ExtractionPlan, sources: Mapping[str, str], tokens: Mapping[str, Tokens] | None = None
 ) -> ApplyResult:
     """Rewrite all exact sites and insert the new method; all-or-nothing.
 
@@ -278,13 +275,14 @@ def apply_extraction(
     lexed here.
     Each call replaces exactly the characters of its site's run, from the
     first token to the end of the last, so other statements on those
-    lines stay. The method goes in at `insertion_point`. A source that is
-    not newline-normalized, as a session's are, raises StaleSite.
+    lines stay. The method goes in just past the paste-site method's `}`.
+    A source that is not newline-normalized, as a session's are, raises StaleSite.
     """
     # Each edit's start and end as (line, column), and its site; the
     # insertion has none. Column 0 of a line is the end of the line before.
-    at = plan.insertion_point
-    edits = {plan.insertion_file: [(at, at, None)]}
+    method, close = plan.enclosing, plan.enclosing.body[1]  # the method's `}`
+    at = (method.tokens.lines[close], method.tokens.column(close) + 1)
+    edits = {method.file_path: [(at, at, None)]}
     for site, (start, end) in zip(plan.target_sites, _verify_sites(plan, sources, tokens or {})):
         edits.setdefault(site.file_path, []).append((start, end, site))
 
@@ -312,15 +310,8 @@ def apply_extraction(
             cursor = before_line[end[0] - 1] + end[1]
         pieces.append(old[cursor:])
         new_sources[path] = new = "".join(pieces)
-        diff_parts.extend(
-            difflib.unified_diff(
-                old_lines, new.split("\n"), fromfile=f"a/{path}", tofile=f"b/{path}", lineterm=""
-            )
-        )
-    diff = "\n".join(diff_parts)
-    if diff:
-        diff += "\n"
-    return ApplyResult(new_sources, diff, tuple(call_sites))
+        diff_parts += difflib.unified_diff(old_lines, new.split("\n"), f"a/{path}", f"b/{path}", lineterm="")
+    return ApplyResult(new_sources, "".join(line + "\n" for line in diff_parts), tuple(call_sites))
 
 
 def _verify_sites(
@@ -332,7 +323,7 @@ def _verify_sites(
     come grouped by file, so each file without tokens of its current text
     is lexed once and only one such file's tokens are held at a time.
     """
-    texts = plan.fragment_token_texts
+    texts = plan.fragment.tokens.texts
     runs = []
     path, file_tokens = None, Tokens()
     for site in plan.target_sites:
@@ -348,9 +339,7 @@ def _verify_sites(
                 raise StaleSite(f"{path} no longer lexes: {exc}") from exc
         i = site.token
         if file_tokens.texts[i : i + len(texts)] != texts or file_tokens.lines[i] != site.start_line:
-            raise StaleSite(
-                f"{path}:{site.start_line}-{site.end_line} no longer matches the fragment"
-            )
+            raise StaleSite(f"{path}:{site.start_line}-{site.end_line} no longer matches the fragment")
         k = i + len(texts) - 1  # a fragment ends in a one-line token
         lines, column = file_tokens.lines, file_tokens.column
         runs.append(((lines[i], column(i)), (lines[k], column(k) + len(texts[-1]))))
@@ -359,10 +348,9 @@ def _verify_sites(
 
 def _render_method(plan: ExtractionPlan, lines: list[str]) -> str:
     """The new method after a blank line, to be put after a method's closing brace."""
-    decl_indent = ""
-    if 1 <= plan.declaration_line <= len(lines):
-        declaration = lines[plan.declaration_line - 1]
-        decl_indent = declaration[: len(declaration) - len(declaration.lstrip())]
+    header = plan.enclosing.tokens.lines[plan.enclosing.header]
+    declaration = lines[header - 1] if 1 <= header <= len(lines) else ""
+    decl_indent = declaration[: len(declaration) - len(declaration.lstrip())]
     body_indent = decl_indent + "    "
     rendered = ["", "", f"{decl_indent}{plan.signature} {{"]
     for line in plan.body_text.split("\n"):
@@ -417,7 +405,7 @@ def verify_by_inlining(
         if rename is None:
             verdicts.append(SiteVerdict(site, False))
             continue
-        inlined = tuple(rename.get(text, text) for text in plan.fragment_token_texts)
+        inlined = tuple(rename.get(text, text) for text in plan.fragment.tokens.texts)
         verdicts.append(SiteVerdict(site, before.texts[site.token : site.token + len(inlined)] == inlined))
     return InliningVerdict(tuple(verdicts))
 

@@ -149,14 +149,17 @@ def validate_fragment(text: str) -> Fragment:
     Valid means: lexes, all delimiters balanced, and the tokens parse as
     one or more block statements. Type and member declarations at top
     level are invalid. InvalidFragment carries the lexer's or the parser's
-    message. A fragment keeps the jumps that would leave it in `illegal_flow`.
+    message and line. A fragment keeps the jumps that would leave it in `illegal_flow`.
     """
     trimmed = _trim_blank_lines(normalize_newlines(text))
     try:
         tokens = tokenize(trimmed)
         illegal_flow = parse_statements(tokens)
-    except (LexError, StatementParseError) as exc:
+    except LexError as exc:
         raise InvalidFragment(str(exc)) from None
+    except StatementParseError as exc:
+        line = tokens.lines[min(exc.token, len(tokens) - 1)] if tokens else 1  # the last line if the text ended first
+        raise InvalidFragment(f"{exc} (line {line})") from None
     lines, hi = trimmed.split("\n"), len(tokens)
     return Fragment(trimmed, tokens, len(lines), (0, hi), illegal_flow, **_facts(tokens, 0, hi, lines, 1, len(lines)))
 

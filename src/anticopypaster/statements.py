@@ -18,7 +18,11 @@ from .lexer import Tokens, TokenKind
 
 
 class StatementParseError(Exception):
-    """Internal: token stream is not a statement sequence."""
+    """Internal: token stream is not a statement sequence; `token` is the index where the parse failed."""
+
+    def __init__(self, message: str, token: int):
+        super().__init__(message)
+        self.token = token
 
 
 ASSIGNMENT_OPS = frozenset(
@@ -56,7 +60,7 @@ class _Parser:
 
     def _expect(self, text: str) -> None:
         if not self._at(text):
-            raise StatementParseError(f"expected {text!r} at token {self.pos}")
+            raise StatementParseError(f"expected {text!r}", self.pos)
         self.pos += 1
 
     def _skip_parenthesized(self) -> None:
@@ -73,19 +77,19 @@ class _Parser:
         """Consume one statement and return its kind."""
         text = self._peek()
         if text is None:
-            raise StatementParseError("expected a statement")
+            raise StatementParseError("expected a statement", self.pos)
 
         if text == "final":
             # Legal prefix for a local declaration; reject final types below.
             if self._peek(1) in _TYPE_KEYWORDS:
-                raise StatementParseError("type declaration is not a statement")
+                raise StatementParseError("type declaration is not a statement", self.pos)
             return self._simple()
         if text in _MEMBER_MODIFIERS:
-            raise StatementParseError("member declaration is not a statement")
+            raise StatementParseError("member declaration is not a statement", self.pos)
         if text in _TYPE_KEYWORDS:
-            raise StatementParseError("type declaration is not a statement")
+            raise StatementParseError("type declaration is not a statement", self.pos)
         if text == "void":
-            raise StatementParseError("method declaration is not a statement")
+            raise StatementParseError("method declaration is not a statement", self.pos)
 
         if text == ";":
             self.pos += 1
@@ -182,6 +186,7 @@ class _Parser:
         self.pos += 1
 
     def _try(self) -> None:
+        start = self.pos
         self._expect("try")
         has_resources = False
         if self._at("("):
@@ -199,7 +204,7 @@ class _Parser:
             self._block()
             clauses += 1
         if clauses == 0 and not has_resources:
-            raise StatementParseError("try without catch, finally, or resources")
+            raise StatementParseError("try without catch, finally, or resources", start)
 
     def _scan_to_semicolon(self, takes_value: bool = False) -> None:
         """Consume tokens through the next ';' at the statement's own level, jumping over each bracketed group.
@@ -214,17 +219,17 @@ class _Parser:
         while True:
             text = self._peek()
             if text is None or text in ")]}":
-                raise StatementParseError("statement not terminated by ';'")
+                raise StatementParseError("statement not terminated by ';'", self.pos)
             if text == ";":
                 self.pos += 1
                 return
             if text == "->" and not (brace_ok or takes_value):
-                raise StatementParseError("a lambda is not a statement")
+                raise StatementParseError("a lambda is not a statement", self.pos)
             if text in ("->", "new") or text in ASSIGNMENT_OPS or takes_value and text == "switch":
                 brace_ok = True
             if text in "([{":
                 if text == "{" and not brace_ok:
-                    raise StatementParseError("unexpected '{' in statement")
+                    raise StatementParseError("unexpected '{' in statement", self.pos)
                 self.pos = self.match[self.pos]  # parse_statements checked every pair
             self.pos += 1
 
@@ -233,7 +238,7 @@ class _Parser:
         while True:
             text = self._peek()
             if text is None:
-                raise StatementParseError("case label not terminated by ':' or '->'")
+                raise StatementParseError("case label not terminated by ':' or '->'", self.pos)
             if text in (":", "->"):
                 self.pos += 1
                 return text
@@ -242,9 +247,9 @@ class _Parser:
 
     def _arrow_body(self) -> None:
         """The one statement after 'case ... ->': a block, a throw or an expression."""
-        kind = self._statement()
-        if kind not in ("block", "throw", "simple"):
-            raise StatementParseError(f"{kind!r} statement cannot follow '->'")
+        start = self.pos
+        if (kind := self._statement()) not in ("block", "throw", "simple"):
+            raise StatementParseError(f"{kind!r} statement cannot follow '->'", start)
 
     def _simple(self) -> str:
         self._scan_to_semicolon()
@@ -263,15 +268,16 @@ def parse_statements(tokens: Tokens) -> tuple[str, ...]:
     not parse.
     """
     texts, match = tokens.texts, tokens.pairs[0]
-    open_until: list[int] = []
+    open_at: list[int] = []
     for i, text in enumerate(texts):
         if text in ("(", "[", "{"):
-            open_until.append(match[i])
-        elif text in (")", "]", "}") and (not open_until or open_until.pop() != i):
-            raise StatementParseError(f"{text!r} at token {i} does not close the innermost pair")
-    if open_until:
-        raise StatementParseError("unclosed delimiter")
+            open_at.append(i)
+        elif text in (")", "]", "}") and (not open_at or match[open_at.pop()] != i):
+            raise StatementParseError(f"{text!r} does not close the innermost pair", i)
+    if open_at:
+        raise StatementParseError(f"unclosed {texts[open_at[0]]!r}", open_at[0])
+    parser = _Parser(tokens)
     try:
-        return _Parser(tokens).parse_all()
+        return parser.parse_all()
     except RecursionError:
-        raise StatementParseError("statements nested too deeply to parse") from None
+        raise StatementParseError("statements nested too deeply to parse", parser.pos) from None

@@ -160,15 +160,15 @@ def test_check_says_why_a_fragment_is_invalid(dup_root, tmp_path, capsys):
     assert run_command(args) == 3
     out, err = capsys.readouterr()
     assert json.loads(out) == {"triggered": False, "reason": "InvalidFragment"}
-    assert err == "error: InvalidFragment at Host.java:5: unclosed delimiter\n"
+    assert err == "error: InvalidFragment at Host.java:5: unclosed '(' (line 1)\n"
     # The fragment is validated before the site is looked up, so a file that is gone reports it too.
     assert run_command(["check", str(dup_root), "--fragment", str(bad), "--at", "Gone.java:5"]) == 3
-    assert capsys.readouterr().err == "error: InvalidFragment at Gone.java:5: unclosed delimiter\n"
+    assert capsys.readouterr().err == "error: InvalidFragment at Gone.java:5: unclosed '(' (line 1)\n"
 
 
 @pytest.mark.parametrize(
     "text, message",
-    [("if (x {", "unclosed delimiter"), ('x = "open;', "unterminated string literal (line 1)")],
+    [("if (x {", "unclosed '(' (line 1)"), ('x = "open;', "unterminated string literal (line 1)")],
 )
 def test_extract_of_an_invalid_fragment_exits_three_and_writes_nothing(text, message, tmp_path, capsys):
     root = tmp_path / "writable"
@@ -635,6 +635,24 @@ def test_extract_leaves_a_copy_that_does_not_start_a_statement(capsys):
     """`g` holds the fragment's tokens after `int`; only `f`'s copy, a statement of its own, becomes a call."""
     assert run_command(_extract_mid_statement("A.java:4")) == 0
     assert capsys.readouterr().out == (GOLDEN_DIR / "extract_mid_statement.diff").read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize(
+    "fixture, at, name, note",
+    [
+        ("static_site", "A.java:4", "bump", "A.java:10 left as it is: g is static and f is not"),
+        ("throws_clause", "T.java:6", "count", "T.java:18 left as it is: h does not declare throws IOException"),
+        ("mid_statement", "A.java:4", "reset", "A.java:10 left as it is: does not start a statement"),
+        ("cross_site_types", "A.java:3", "bump", "A.java:8 left as it is: n is not a parameter or local of type int there"),
+    ],
+)
+def test_extract_names_each_copy_it_leaves_alone_on_stderr(fixture, at, name, note, capsys):
+    """The note goes to stderr, so the diff on stdout stays the golden."""
+    root, fragment = FIXTURES_DIR / fixture / "project", FIXTURES_DIR / fixture / "fragment.java"
+    assert run_command(["extract", str(root), "--fragment", str(fragment), "--at", at, "--name", name]) == 0
+    out, err = capsys.readouterr()
+    assert out == (GOLDEN_DIR / f"extract_{fixture}.diff").read_text(encoding="utf-8")
+    assert err == f"note: {note}\n"
 
 
 def test_extract_at_a_run_that_does_not_start_a_statement_exits_three(capsys):

@@ -219,7 +219,8 @@ def _plan_fixture(name: str, file_path: str, line: int, method_name: str):
     fragment = validate_fragment(fragment_text)
     host = session.method_at(file_path, line)
     matches = find_duplicates(fragment, session.methods, 0.8)
-    summary = analyze_extractability(fragment, host, host.owner)
+    at = find_run(session.tokens[file_path], fragment.tokens.texts, line)
+    summary = analyze_extractability(fragment, host, host.owner, at)
     plan = plan_extraction(
         summary, method_name, fragment, host, host.owner, matches, session.methods_by_id
     )
@@ -410,24 +411,73 @@ def test_a_paste_site_that_does_not_start_a_statement_is_refused_by_name():
         analyze_extractability(fragment, host, host.owner, at)
 
 
+def test_a_copy_whose_variable_has_another_type_is_left_alone():
+    """`g`'s `n` is a `String`: `n = bump(n, xs);` there would pass it to `bump(int n, int[] xs)`."""
+    session, _, plan = _plan_fixture("cross_site_types", "A.java", 3, "bump")
+    assert plan.signature == "private int bump(int n, int[] xs)"
+    assert [s.method_id for s in plan.target_sites] == ["A.java:3:f"]
+    assert [(s.method_id, why) for s, why in plan.left_alone] == [
+        ("A.java:8:g", "n is not a parameter or local of type int there")
+    ]
+    result = apply_extraction(plan, session.files, session.tokens)
+    assert result.diff == (GOLDEN_DIR / "extract_cross_site_types.diff").read_text(encoding="utf-8")
+    assert verify_by_inlining(plan, session.files, result.sources, result).all_equivalent
+
+
+def test_a_copy_whose_variable_is_a_field_is_left_alone():
+    """In `g`, `n` is the field that `f`'s parameter hides; the new method would take it as an argument."""
+    _, _, plan = _plan_fixture("field_site", "A.java", 5, "bump")
+    assert [s.method_id for s in plan.target_sites] == ["A.java:5:f"]
+    assert [(s.method_id, s.start_line, why) for s, why in plan.left_alone] == [
+        ("A.java:10:g", 10, "n is not a parameter or local of type int there")
+    ]
+
+
+# Each extract fixture, with the paste site and the new method's name.
+EXTRACT_FIXTURES = [
+    ("extract_demo", "Pipeline.java", 5, "bundle"),
+    ("shared_line", "A.java", 4, "reset"),
+    ("packed_close", "P.java", 4, "reset"),
+    ("second_copy", "A.java", 7, "reset"),
+    ("generic_method", "G.java", 5, "count"),
+    ("mid_statement", "A.java", 4, "reset"),
+    ("shadowed_parameter", "A.java", 4, "bump"),
+    ("nested_scope", "A.java", 6, "bump"),
+    ("static_site", "A.java", 4, "bump"),
+    ("throws_clause", "T.java", 6, "count"),
+    ("cross_site_types", "A.java", 3, "bump"),
+    ("field_site", "A.java", 5, "bump"),
+]
+
+
+def test_every_fixture_with_a_fragment_is_listed():
+    assert sorted(p.parent.name for p in FIXTURES_DIR.glob("*/fragment.java")) == sorted(f[0] for f in EXTRACT_FIXTURES)
+
+
+@pytest.mark.parametrize("fixture, at_file, at_line, name", EXTRACT_FIXTURES)
+def test_every_exact_match_is_a_site_or_left_alone_with_a_reason(fixture, at_file, at_line, name):
+    session, fragment, plan = _plan_fixture(fixture, at_file, at_line, name)
+    exact = sorted(m.method_id for m in find_duplicates(fragment, session.methods, 0.8) if m.kind == EXACT)
+    left_alone = [site for site, _ in plan.left_alone]
+    assert sorted(s.method_id for s in [*plan.target_sites, *left_alone]) == exact
+    assert all(why for _, why in plan.left_alone)
+    assert session.method_at(at_file, at_line).id in {s.method_id for s in plan.target_sites}
+
+
 @requires_javac
-@pytest.mark.parametrize(
-    "fixture, at_file, at_line, name",
-    [
-        ("extract_demo", "Pipeline.java", 5, "bundle"),
-        ("shared_line", "A.java", 4, "reset"),
-        ("packed_close", "P.java", 4, "reset"),
-        ("generic_method", "G.java", 5, "count"),
-        ("mid_statement", "A.java", 4, "reset"),
-        ("shadowed_parameter", "A.java", 4, "bump"),
-        ("nested_scope", "A.java", 6, "bump"),
-        ("static_site", "A.java", 4, "bump"),
-        ("throws_clause", "T.java", 6, "count"),
-    ],
-)
+@pytest.mark.parametrize("fixture, at_file, at_line, name", EXTRACT_FIXTURES)
 def test_the_extract_goldens_rewritten_projects_compile(fixture, at_file, at_line, name):
     session, _, plan = _plan_fixture(fixture, at_file, at_line, name)
     assert javac_errors(apply_extraction(plan, session.files, session.tokens).sources) == ""
+
+
+@requires_javac
+def test_rewriting_the_copy_with_another_type_too_does_not_compile():
+    """What `extract` wrote before the types rule: `g`'s copy as a call too."""
+    session, _, plan = _plan_fixture("cross_site_types", "A.java", 3, "bump")
+    every_copy = replace(plan, target_sites=(*plan.target_sites, *(site for site, _ in plan.left_alone)))
+    errors = javac_errors(apply_extraction(every_copy, session.files, session.tokens).sources)
+    assert "incompatible types: String cannot be converted to int" in errors
 
 
 def test_a_comment_opened_after_the_closing_brace_does_not_swallow_the_new_method():
@@ -725,7 +775,7 @@ def _undo_extraction(plan, rewritten: str) -> tuple[str, ...]:
     k = 0
     while k < len(texts):
         if texts[k : k + len(call)] == call:
-            undone += plan.fragment_token_texts
+            undone += plan.fragment.tokens.texts
             k += len(call)
         else:
             undone.append(texts[k])

@@ -323,7 +323,7 @@ def test_expression_statement_is_valid():
 
 
 def test_unbalanced_delimiters_are_invalid():
-    with pytest.raises(InvalidFragment, match="unclosed delimiter"):
+    with pytest.raises(InvalidFragment, match=r"^unclosed '\(' \(line 1\)$"):
         validate_fragment("if (x {")
 
 
@@ -353,11 +353,17 @@ def test_empty_text_is_invalid():
 @pytest.mark.parametrize(
     "text, message",
     [
-        ("class A {}", "type declaration is not a statement"),
-        ("void foo() { run(); }", "method declaration is not a statement"),
-        ("", "expected a statement"),
+        ("class A {}", "type declaration is not a statement (line 1)"),
+        ("void foo() { run(); }", "method declaration is not a statement (line 1)"),
+        ("", "expected a statement (line 1)"),
         ('x = "unclosed;', "unterminated string literal (line 1)"),
-        ("a[(b]);", "']' at token 4 does not close the innermost pair"),
+        ("a[(b]);", "']' does not close the innermost pair (line 1)"),
+        # The parser names the line where it failed, and an unclosed delimiter names itself.
+        ("a();\nb();\nint foo() { return 1; }", "unexpected '{' in statement (line 3)"),
+        ("x = 1;\ny = (2;\nz = 3;", "unclosed '(' (line 2)"),
+        ("x = 1;\n\ny = 2\n// no ';'", "statement not terminated by ';' (line 3)"),
+        ("f();\ntry {\n    g();\n}", "try without catch, finally, or resources (line 2)"),
+        ("switch (k) {\n  case 1 -> if (a) f();\n  case 2 -> g();\n}", "'if' statement cannot follow '->' (line 2)"),
     ],
 )
 def test_invalid_fragment_carries_the_lexer_or_parser_message(text, message):
