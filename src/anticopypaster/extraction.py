@@ -413,15 +413,15 @@ def verify_by_inlining(
 def _argument_renaming(plan: ExtractionPlan, tokens: Tokens, at: int) -> dict[str, str] | None:
     """Each parameter mapped to its argument in the call named by tokens[at]."""
     texts, match = tokens.texts, tokens.pairs[0]
-    close = match[at + 1]
-    if close < 0:
+    close = at + 1 + match[at + 1]
+    if close == at + 1:
         return None
     args: list[str] = []
     k = at + 2
     while k < close:
         end = k  # past the argument's last token: skip each bracketed group whole
         while end < close and texts[end] != ",":
-            end = max(match[end], end) + 1
+            end += max(match[end], 0) + 1
         args.append("".join(texts[k:end]))
         k = end + 1
     if len(args) != len(plan.parameter_list):

@@ -5,7 +5,8 @@ pass over the matches, and a column is counted from the gaps where read.
 Each `Tokens` keeps the text it was lexed from, so it can serve as a file's
 previous revision: given one, `tokenize` lexes only a window around the
 change and reuses the old columns on either side (the incremental lexing of
-Wagner & Graham, PLDI 1997).
+Wagner & Graham, PLDI 1997), and pairs only the window when the previous
+revision was paired: partners are offsets, so the rest copies as slices.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from functools import cached_property
 from itertools import accumulate, chain, compress, count, repeat
 from operator import add, itemgetter
 from typing import NamedTuple
+from weakref import ref
 
 from .errors import LexError
 
@@ -114,7 +116,7 @@ def _kind(lexeme: str) -> TokenKind | None:
 
 
 def normalize_newlines(text: str) -> str:
-    return text.replace("\r\n", "\n").replace("\r", "\n")
+    return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
 
 
 @dataclass
@@ -123,8 +125,10 @@ class Tokens:
 
     `gaps[i]` is the text between token i - 1, or the start, and token i.
     `text` is the newline-normalized source the columns were lexed from.
-    `pairs` is `match_delimiters(texts)`, paired when first read and kept
-    with the columns, as compactly as `lines`.
+    `pairs` is `match_delimiters(texts)`, paired when first read or spliced
+    by `tokenize`, and kept as compactly as `lines`. On tokens spliced from a
+    revision, `window` is (a weak reference to it, k, old_end, new_end): only
+    tokens[k:new_end] were lexed again; from new_end on, token i is its token i - new_end + old_end.
     """
 
     texts: tuple[str, ...] = ()
@@ -132,12 +136,13 @@ class Tokens:
     lines: array = field(default_factory=lambda: array("i"))
     gaps: tuple[str, ...] = ()
     text: str = field(default="", repr=False)
+    window: tuple | None = field(default=None, repr=False, compare=False)
 
     def __len__(self) -> int:
         return len(self.texts)
 
     @cached_property
-    def pairs(self) -> tuple[array, bool]:
+    def pairs(self) -> tuple[array, bool, bool]:
         return match_delimiters(self.texts)
 
     def column(self, i: int) -> int:
@@ -195,8 +200,8 @@ def tokenize(text: str, previous: Tokens | None = None) -> Tokens:
 
     Raises LexError with the starting line for unterminated block
     comments, string/char literals and text blocks, and for a character
-    that starts no token. `previous`, the tokens of an earlier revision,
-    lets it lex only a window around the change from `previous.text`, to the same result.
+    that starts no token. `previous`, the tokens of an earlier revision, lets it lex (and pair,
+    if `previous` was paired) only a window around the change from `previous.text`, to the same result.
     """
     text = normalize_newlines(text)
     end = len(text)
@@ -221,9 +226,11 @@ def tokenize(text: str, previous: Tokens | None = None) -> Tokens:
             line -= 1
     else:
         k, at = 0, 0
-    # Stop at a line start in the unchanged tail where both lexes are between tokens.
-    stop = text.find("\n", end - suffix) + 1 or end
-    delta = len(old_text) - end
+    # Stop at a line start in the unchanged tail where both lexes are between tokens: at the tail's
+    # own start when both texts start a line there, so that a window of whole lines holds only the change.
+    stop, delta = end - suffix, len(old_text) - end
+    if not stop or text[stop - 1] != "\n" or old_text[stop + delta - 1 : stop + delta] != "\n":
+        stop = text.find("\n", stop) + 1 or end
     while True:
         window, gap, error = _lex(text, start, stop, line)
         if stop == end and error:
@@ -234,7 +241,7 @@ def tokenize(text: str, previous: Tokens | None = None) -> Tokens:
             break
         stop = text.find("\n", start + 2 * (stop - start)) + 1 or end
     # Join the gaps on either side of the window to the old ones; past the last token there is none.
-    gaps = [*window.gaps, gap + "".join(old.gaps[j : j + 1])[tail_at:], *old.gaps[j + 1 :]]
+    gaps = [*window.gaps, gap + "".join(old.gaps[j : j + 1])[tail_at:]]
     gaps[0] = "".join(old.gaps[k : k + 1])[:at] + gaps[0]
     if j == len(old):
         gaps.pop()
@@ -242,13 +249,42 @@ def tokenize(text: str, previous: Tokens | None = None) -> Tokens:
     shift = text.count("\n", start, stop) - old_text.count("\n", start, stop + delta)
     if shift:
         lines = array("i", map(add, lines, repeat(shift)))
-    return Tokens(
+    tokens = Tokens(
         old.texts[:k] + window.texts + old.texts[j:],
         old.kinds[:k] + window.kinds + old.kinds[j:],
         old.lines[:k] + window.lines + lines,
-        old.gaps[:k] + tuple(gaps),
+        old.gaps[:k] + tuple(gaps) + old.gaps[j + 1 :],
         text,
+        (ref(old), k, j, k + len(window)),
     )
+    if "pairs" in old.__dict__:
+        _splice_pairs(tokens, old)
+    return tokens
+
+
+def _splice_pairs(tokens: Tokens, old: Tokens) -> None:
+    """Give `tokens` a pair table spliced from that of `old`, the revision it was spliced from.
+
+    When each window pairs, and nests, among itself, every other pair keeps its offset but those
+    enclosing the window, whose closers a walk of the tail finds by jumping over its own pairs.
+    Otherwise the file pairs when read.
+    """
+    table, braces_paired, nested = old.pairs
+    _, k, old_end, new_end = tokens.window
+    inner = _own_pairs(tokens.texts[k:new_end])
+    if not nested or inner is None or _own_pairs(old.texts[k:old_end]) is None:
+        return
+    spliced = table[:k] + inner + table[old_end:]
+    shift, i, n = new_end - old_end, old_end, len(table)
+    while shift and i < n:
+        offset = table[i]
+        if offset > 0:
+            i += offset
+        elif i + offset < k:
+            spliced[i + shift] = offset - shift
+            spliced[i + offset] += shift
+        i += 1
+    tokens.pairs = spliced, braces_paired, True
 
 
 def _split_at_line(tokens: Tokens, line: int) -> tuple[int, int]:
@@ -306,27 +342,37 @@ _OPENER_OF = {")": "(", "]": "[", "}": "{"}
 _DELIMITERS = frozenset("()[]{}")
 
 
-def match_delimiters(texts: tuple[str, ...]) -> tuple[array, bool]:
-    """Index of each delimiter's partner token, -1 where there is none, and whether every brace has one.
+def match_delimiters(texts: tuple[str, ...]) -> tuple[array, bool, bool]:
+    """Offset from each token to its partner, 0 for none; whether every brace has one; whether the pairs nest.
 
     `(`, `[` and `{` are each matched by their own depth, so a stray
     token of one kind never shifts the pairs of another: in `( { ) }`
-    the parens pair and the braces pair. Unmatched delimiters and all
-    other tokens map to -1.
+    the parens pair and the braces pair, and the pairs do not nest. One
+    stack serves every kind until a closer meets another kind's opener;
+    then the pairing starts again with a stack per kind, which never does.
     """
-    match = array("i", [-1]) * len(texts)
-    pending: dict[str, list[int]] = {"(": [], "[": [], "{": []}
-    braces_paired = True
-    for i in compress(count(), map(_DELIMITERS.__contains__, texts)):
-        text = texts[i]
-        if text in pending:
-            pending[text].append(i)
-        else:
-            stack = pending[_OPENER_OF[text]]
-            if stack:
+    for nested, pending in ((True, dict.fromkeys("([{", [])), (False, {"(": [], "[": [], "{": []})):
+        match, braces_paired = array("i", [0]) * len(texts), True
+        for i in compress(count(), map(_DELIMITERS.__contains__, texts)):
+            text = texts[i]
+            if text in pending:
+                pending[text].append(i)
+                continue
+            opener = _OPENER_OF[text]
+            stack = pending[opener]
+            if not stack:
+                braces_paired = braces_paired and text != "}"
+            elif texts[stack[-1]] != opener:
+                break
+            else:
                 j = stack.pop()
-                match[i] = j
-                match[j] = i
-            elif text == "}":
-                braces_paired = False
-    return match, braces_paired and not pending["{"]
+                match[i] = j - i
+                match[j] = i - j
+        else:
+            return match, braces_paired and "{" not in map(texts.__getitem__, pending["{"]), nested
+
+
+def _own_pairs(texts: tuple[str, ...]) -> array | None:
+    """`match_delimiters(texts)`'s table when every delimiter of `texts` pairs, and nests, among them; else None."""
+    table, _, nested = match_delimiters(texts)
+    return table if nested and len(texts) - table.count(0) == sum(map(_DELIMITERS.__contains__, texts)) else None

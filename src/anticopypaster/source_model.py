@@ -13,10 +13,11 @@ demand: the locals of either by `local_declarations`, and the parameter
 or local that each name means at a point of a method's body by
 `method_declarations`. Every reader jumps through the one delimiter
 table that its `Tokens` keep (`Tokens.pairs`). When a file is indexed
-again, a method whose run, from its `header` (the member's first token)
-to its closing `}`, has the same token texts and gaps, and whose body
-lines read the same, keeps these facts at its new place instead of
-building them again.
+again from the revision `tokenize` spliced it from, a method whose run,
+from its `header` (the member's first token) to its `}`, lies wholly before
+or past the window lexed again is carried: the walk meets it at its new
+place and takes its name, braces and facts from the old unit, so only the
+members that the window touches are parsed and measured again.
 
 Method detection is header-pattern plus brace matching, not a full
 grammar: constructors count as methods, bodiless declarations are
@@ -254,10 +255,11 @@ def _read_type(tokens: Tokens, j: int) -> tuple[str, int] | None:
     """The type that tokens[j] starts, rendered, and the index just past it.
 
     A type is a primitive or a qualified name whose parts may take type
-    arguments (`Outer<K>.Inner`), then array pairs and `...`. Annotations,
-    which it keeps, may come before a part after the first, a type
-    argument, a `[]` or the `...`. None when tokens[j] cannot start one or
-    its type arguments do not close before a `;`, `{`, `}` or `)`.
+    arguments (`Outer<K>.Inner`), then array pairs and `...`, which renders
+    as one pair more. Annotations, which it keeps, may come before a part
+    after the first, a type argument, a `[]` or the `...`. None when
+    tokens[j] cannot start one or its type arguments do not close before a
+    `;`, `{`, `}` or `)`.
     """
     texts, kinds = tokens.texts, tokens.kinds
     n = len(texts)
@@ -280,7 +282,8 @@ def _read_type(tokens: Tokens, j: int) -> tuple[str, int] | None:
     j = _skip_dims(tokens, j)[0]
     k = _skip_modifiers(tokens, j, n, ())
     if k < n and texts[k] == "...":
-        j = k + 1
+        # A varargs parameter is an array inside the body, and may be passed as one.
+        return _render_type(texts[start:k], kinds[start:k]) + "[]", k + 1
     return _render_type(texts[start:j], kinds[start:j]), j
 
 
@@ -349,9 +352,9 @@ def _try_declaration(tokens: Tokens, j: int, found: list[tuple[str, str, int]]) 
             j += 1
             while j < n and texts[j] not in (",", ";", ")", "]", "}"):
                 if texts[j] in ("(", "[", "{"):
-                    j = match[j]
-                    if j < 0:
+                    if not match[j]:
                         return
+                    j += match[j]
                 j += 1
             if j >= n:
                 return
@@ -371,8 +374,8 @@ def index_file(
     and own their methods; a record's components are fields of its
     context. Raises IndexingError when braces are unbalanced at file scope
     or classes nest deeper than the interpreter's recursion limit.
-    `previous`, the methods of the file's last indexed revision, lets a
-    method whose run and body lines are unchanged keep its facts.
+    `previous`, the methods indexed from the revision `tokens` were spliced
+    from, lets each method whose run lies outside the window lexed again be carried with its facts.
     """
     if not tokens.pairs[1]:
         raise IndexingError("unbalanced braces at file scope")
@@ -386,7 +389,7 @@ def index_file(
 
 _FIELD_MODIFIERS = frozenset({"public", "private", "protected", "static", "final", "transient", "volatile"})
 _METHOD_MODIFIERS = _FIELD_MODIFIERS | {"abstract", "synchronized", "native", "strictfp", "default"}
-# What a method whose run is unchanged keeps.
+# What a method whose run is carried keeps.
 _KEPT_FACTS = ("bag", "bag_size", "symbol_count", "area")
 
 
@@ -399,8 +402,8 @@ def _skip_annotation(tokens: Tokens, i: int, end: int) -> int:
     if i < end and kinds[i] in (TokenKind.IDENTIFIER, TokenKind.KEYWORD):
         i += 1
     if i < end and texts[i] == "(":
-        close = tokens.pairs[0][i]
-        i = end if close < 0 else min(close + 1, end)
+        offset = tokens.pairs[0][i]
+        i = min(i + offset + 1, end) if offset else end
     return i
 
 
@@ -414,16 +417,18 @@ def _skip_modifiers(tokens: Tokens, i: int, end: int, words: Container[str]) -> 
 
 class _Indexer:
     def __init__(self, tokens: Tokens, file_path: str, previous: Sequence[MethodUnit]):
-        # An unchanged method starts at its old token, or past the edit, shifted by the change in token count.
-        self.previous = {m.header: m for m in previous}
-        self.shift = len(tokens) - len(previous[0].tokens) if previous else 0
-        self.old_lines = previous[0].tokens.text.split("\n") if previous else []
+        # The previous revision's methods whose runs lie before or past the window, by where each run now starts.
+        self.carried: dict[int, MethodUnit] = {}
+        if previous and tokens.window and tokens.window[0]() is previous[0].tokens:
+            _, k, old_end, new_end = tokens.window
+            past = {m.header + new_end - old_end: m for m in previous if m.header >= old_end}
+            self.carried = {**{m.header: m for m in previous if m.body[1] < k}, **past}
         self.tokens = tokens
         self.texts = tokens.texts
         self.kinds = tokens.kinds
         self.match = tokens.pairs[0]
-        self.lines = tokens.text.split("\n")
         self.file_path = file_path
+        self.lines: list[str] = []  # the text's lines, split only to measure a method anew
         self.methods: list[MethodUnit] = []
         self.classes: list[ClassContext] = []
         self.ids: set[str] = set()
@@ -468,10 +473,10 @@ class _Indexer:
         if self.pos >= len(texts):
             raise IndexingError(f"class body missing for {texts[name]}")
         ctx = ClassContext(texts[name], set(), set(), self.file_path)
-        if components >= 0 and 0 <= self.match[components] < self.pos:
-            ctx.field_names.update(_parse_parameters(self.tokens, components + 1, self.match[components]))
+        if components >= 0 and components < components + self.match[components] < self.pos:
+            ctx.field_names.update(_parse_parameters(self.tokens, components + 1, components + self.match[components]))
         self.classes.append(ctx)
-        body_end = self.match[self.pos]
+        body_end = self.pos + self.match[self.pos]
         self.pos += 1
         if declared_as == "enum":
             self._skip_enum_constants(body_end)
@@ -487,9 +492,9 @@ class _Indexer:
                 self.pos = i + 1
                 return
             if text in ("(", "{"):
-                if self.match[i] < 0:
+                if not self.match[i]:
                     break
-                i = self.match[i]
+                i += self.match[i]
             i += 1
         self.pos = body_end
 
@@ -497,6 +502,12 @@ class _Indexer:
         texts = self.texts
         # Skip annotations so the first '(' found belongs to a parameter list.
         i = member_start = _skip_modifiers(self.tokens, self.pos, body_end, ())
+        old = self.carried.get(member_start)
+        if old and (close := old.body[1] + member_start - old.header) < body_end:
+            # Its run is as it was, so it parses as it did, each brace moved as far as its first token.
+            self._add_method(ctx, old.name, member_start, close - old.body[1] + old.body[0] - 1, close, old)
+            self.pos = close + 1
+            return
         saw_assign = False
         while i < body_end:
             text = texts[i]
@@ -512,9 +523,9 @@ class _Indexer:
                 saw_assign = True
             elif text in "([":
                 # Jump to the partner; a stray or unmatched one runs to the end of the body.
-                i = self.match[i]
-                if i < 0:
+                if not self.match[i]:
                     break
+                i += self.match[i]
             elif text in ")]":
                 break
             elif text == ";":
@@ -522,7 +533,7 @@ class _Indexer:
                 self.pos = i + 1
                 return
             elif text == "{":
-                close = self.match[i]
+                close = i + self.match[i]
                 if saw_assign:
                     i = close + 1
                     continue
@@ -546,44 +557,35 @@ class _Indexer:
             ctx.method_names.add(texts[paren - 1])
 
     def _finish_braced_member(self, ctx: ClassContext, start: int, open_brace: int, close_brace: int) -> None:
-        tokens, texts, lines = self.tokens, self.texts, self.tokens.lines
+        texts = self.texts
         paren = next((k for k in range(start, open_brace) if texts[k] == "("), start)
         if paren == start or self.kinds[paren - 1] is not TokenKind.IDENTIFIER:
             return  # initializer block or unrecognized construct
         name = texts[paren - 1]
-        close_paren = self.match[paren]
-        if close_paren < 0 or close_paren >= open_brace:
+        close_paren = paren + self.match[paren]
+        if close_paren <= paren or close_paren >= open_brace:
             return
-        lo, hi = open_brace + 1, close_brace
-        start_line, end_line = (lines[lo], lines[hi - 1]) if lo < hi else (lines[open_brace],) * 2
-        kept = self.previous and self._kept(start, close_brace, start_line, end_line)
+        self._add_method(ctx, name, start, open_brace, close_brace, None)
+
+    def _add_method(self, ctx: ClassContext, name: str, start: int, brace: int, close: int, old: MethodUnit | None) -> None:
+        """Record the method whose run is tokens[start:close + 1]; `old`, a unit of that run, lends its facts."""
+        tokens, lines = self.tokens, self.tokens.lines
+        lo, hi = brace + 1, close
+        start_line, end_line = (lines[lo], lines[hi - 1]) if lo < hi else (lines[brace],) * 2
+        kept = old and {fact: getattr(old, fact) for fact in _KEPT_FACTS}
+        if not (kept or self.lines):
+            self.lines = tokens.text.split("\n")
         facts = kept or _facts(tokens, lo, hi, self.lines, start_line, end_line)
         method_id = f"{self.file_path}:{start_line}:{name}"
         if method_id in self.ids:
             # Overloads whose bodies start on one line; their braces' columns differ.
-            method_id += f":{tokens.column(open_brace)}"
+            method_id += f":{tokens.column(brace)}"
         self.ids.add(method_id)
         self.methods.append(MethodUnit(
             id=method_id, name=name, tokens=tokens, body=(lo, hi), start_line=start_line,
             end_line=end_line, owner=ctx, header=start, **facts,
         ))
         ctx.method_names.add(name)
-
-    def _kept(self, start: int, close: int, start_line: int, end_line: int) -> dict | None:
-        """The facts of the previous revision's method with the same run, tokens[start:close + 1], and body lines.
-
-        The same texts and gaps make its lines shift as one; `symbol_count`
-        also reads the text around the run on its first and last body lines.
-        """
-        for old in filter(None, map(self.previous.get, (start, start - self.shift))):
-            first, end = old.header, old.body[1] + 1
-            if (
-                old.tokens.texts[first:end] == self.texts[start : close + 1]
-                and old.tokens.gaps[first + 1 : end] == self.tokens.gaps[start + 1 : close + 1]
-                and self.old_lines[old.start_line - 1 : old.end_line] == self.lines[start_line - 1 : end_line]
-            ):
-                return {name: getattr(old, name) for name in _KEPT_FACTS}
-        return None
 
 
 def _parse_parameters(tokens: Tokens, i: int, end: int) -> dict[str, LocalDecl]:
@@ -630,12 +632,12 @@ def method_declarations(method: MethodUnit, at: int) -> dict[str, LocalDecl]:
     in_scope: dict[str, LocalDecl] = {}
     k = at - 1
     while k >= lo:
-        if texts[k] == "}" and match[k] >= lo:
-            k = match[k]
+        if texts[k] == "}" and k + match[k] >= lo:
+            k += match[k]
         elif k in ahead:
             in_scope.setdefault(texts[k], ahead[k])
         k -= 1
-    return _parse_parameters(tokens, paren + 1, match[paren]) | in_scope
+    return _parse_parameters(tokens, paren + 1, paren + match[paren]) | in_scope
 
 
 def source_position(method: MethodUnit) -> tuple[str, int]:

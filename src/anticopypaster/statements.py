@@ -65,7 +65,7 @@ class _Parser:
 
     def _skip_parenthesized(self) -> None:
         self._expect("(")
-        self.pos = self.match[self.pos - 1] + 1  # parse_statements checked every pair
+        self.pos += self.match[self.pos - 1]  # parse_statements checked every pair
 
     def parse_all(self) -> tuple[str, ...]:
         self._statement()
@@ -230,7 +230,7 @@ class _Parser:
             if text in "([{":
                 if text == "{" and not brace_ok:
                     raise StatementParseError("unexpected '{' in statement", self.pos)
-                self.pos = self.match[self.pos]  # parse_statements checked every pair
+                self.pos += self.match[self.pos]  # parse_statements checked every pair
             self.pos += 1
 
     def _scan_label(self) -> str:
@@ -242,8 +242,7 @@ class _Parser:
             if text in (":", "->"):
                 self.pos += 1
                 return text
-            close = self.match[self.pos]
-            self.pos = close + 1 if close > self.pos else self.pos + 1
+            self.pos += max(self.match[self.pos], 0) + 1
 
     def _arrow_body(self) -> None:
         """The one statement after 'case ... ->': a block, a throw or an expression."""
@@ -272,7 +271,7 @@ def parse_statements(tokens: Tokens) -> tuple[str, ...]:
     for i, text in enumerate(texts):
         if text in ("(", "[", "{"):
             open_at.append(i)
-        elif text in (")", "]", "}") and (not open_at or match[open_at.pop()] != i):
+        elif text in (")", "]", "}") and (not open_at or open_at.pop() != i + match[i]):
             raise StatementParseError(f"{text!r} does not close the innermost pair", i)
     if open_at:
         raise StatementParseError(f"unclosed {texts[open_at[0]]!r}", open_at[0])

@@ -11,18 +11,18 @@ extraction read them instead of lexing the file again or visiting every
 method. So `files[p]` is written only together with
 `refresh_index(session, [p])`, as `apply_edit` does. The stored tokens
 carry the text they were lexed from, so they are the previous revision a
-refresh splices from: only the changed span is lexed again. A save
-re-measures only the methods whose run changed: the file's other methods
-keep their facts, their vectors unless their bags name a field or method
-that came or went, and their indexed words while their ids are, and the
-distribution is updated by the vectors that changed instead of being
-sorted anew. A project without methods has an empty distribution.
+refresh splices from: only the changed span is lexed and paired again. A
+save parses and measures only the members that span touches: the file's
+other methods are carried with their facts, their vectors unless their
+bags name a field or method that came or went (compared once per class),
+and their indexed words while their ids are, and the distribution is
+updated by the vectors that changed instead of being sorted anew. A
+project without methods has an empty distribution.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from collections import Counter
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fnmatch import fnmatch
@@ -155,14 +155,15 @@ def _file_range(methods: list[MethodUnit], path: str) -> tuple[int, int]:
 
 
 def _index_files(session: ProjectSession, rel_paths: list[str]) -> tuple[list[tuple], list[tuple]]:
-    """Index each file again, or drop a deleted one; return its old and its new methods' vectors.
+    """Index each file again, or drop a deleted one; return the vectors that went and those that came.
 
     A file's stored tokens and methods are its previous revision. One that
     lexes keeps its new tokens even when indexing then fails; one that does
     not has none. Warnings name the file; indexing and lexing errors carry
     no path. A file's methods go in after those of the files sorting before
     it, in the order of their first lines, so `session.methods` stays in
-    source_position order without a sort.
+    source_position order without a sort. A carried method whose vector is
+    kept is in neither list.
     """
     keywords, index, methods = session.settings.keywords, session.index, session.methods
     removed, added = [], []
@@ -177,43 +178,44 @@ def _index_files(session: ProjectSession, rel_paths: list[str]) -> tuple[list[tu
                 new = index_file(tokens, rel, old)[0]
         except EngineError as exc:
             session.warnings.append(f"{rel}: {exc}")
-        # A kept method shares its old unit's bag.
+        # A carried method shares its old unit's bag.
         was = {id(m.bag): m for m in old}
-        pairs = [(m, was.get(id(m.bag))) for m in new]
-        carried = {m.id for m, prior in pairs if prior is not None and prior.id == m.id}
+        priors = [was.pop(id(m.bag), None) for m in new]
+        kept = {m.id for m, prior in zip(new, priors) if prior is not None and prior.id == m.id}
         for method in old:
-            if method.id not in carried:
+            if method.id not in kept:
                 index.remove(method)
-        for method, prior in pairs:
+        removed += [m.vector for m in was.values()]
+        renamed: dict[tuple[int, int], set[str]] = {}  # per old and new class: the names that came or went
+        for method, prior in zip(new, priors):
+            if prior is not None and (key := (id(prior.owner), id(method.owner))) not in renamed:
+                then, now = prior.owner, method.owner
+                renamed[key] = (then.field_names ^ now.field_names) | (then.method_names ^ now.method_names)
             # The vector reads the class only through the field and method names in the method's bag.
-            if prior is None or method.bag.keys() & (
-                (prior.owner.field_names ^ method.owner.field_names)
-                | (prior.owner.method_names ^ method.owner.method_names)
-            ):
-                method.vector = vector_values(method_vector(method, keywords))
-            else:
+            if prior is not None and not (renamed[key] and method.bag.keys() & renamed[key]):
                 method.vector = prior.vector
-            if method.id in carried:
+            else:
+                method.vector = vector_values(method_vector(method, keywords))
+                if prior is None or method.vector != prior.vector:
+                    added.append(method.vector)
+                    removed.extend([prior.vector] if prior else [])
+            if method.id in kept:
                 index.methods[method.id] = method
             else:
                 index.add(method)
         methods[lo:lo] = new
-        removed += [m.vector for m in old]
-        added += [m.vector for m in new]
     return removed, added
 
 
 def refresh_index(session: ProjectSession, changed_paths: list[str]) -> None:
     """Re-index only the changed files and update the distribution by the vectors that changed.
 
-    A changed file is lexed again only where its text differs from that
-    of its stored tokens, and only its changed methods are measured again.
-    Deleted files lose their methods, tokens and indexed words; pending
-    events that point at them surface as FileMissing at the next tick.
-    Untouched files keep their method ids, which are content-position
-    based.
+    A changed file is lexed and paired again only where its text differs
+    from that of its stored tokens, and only the members whose runs that
+    window touches are parsed and measured again. Deleted files lose their
+    methods, tokens and indexed words; pending events that point at them
+    surface as FileMissing at the next tick. Untouched files keep their
+    method ids, which are content-position based.
     """
-    removed, added = map(Counter, _index_files(session, sorted(set(changed_paths))))
-    session.distribution = update_distributions(
-        session.distribution, list((removed - added).elements()), list((added - removed).elements())
-    )
+    removed, added = _index_files(session, sorted(set(changed_paths)))
+    session.distribution = update_distributions(session.distribution, removed, added)

@@ -230,7 +230,7 @@ def declarations_in_scope(method: MethodUnit, at: int) -> dict[str, LocalDecl]:
     opens = [o for o in range(lo, at) if tokens.texts[o] == "{"]
     in_scope = parameters_of(method)
     for name, declared_type, k in sorted(_candidate_scan(tokens, lo, hi), key=lambda item: item[2]):
-        if k < at and min((match[o] for o in opens if o < k < match[o]), default=at) >= at:
+        if k < at and min((o + match[o] for o in opens if o < k < o + match[o]), default=at) >= at:
             in_scope[name] = LocalDecl(declared_type, k)
     return in_scope
 

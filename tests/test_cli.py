@@ -655,6 +655,15 @@ def test_extract_names_each_copy_it_leaves_alone_on_stderr(fixture, at, name, no
     assert err == f"note: {note}\n"
 
 
+def test_extract_passes_a_varargs_parameter_as_an_array(capsys):
+    """`int... xs` becomes `int[] xs`, which javac takes before `int n`, and `g`'s `int[] xs` copy is rewritten too."""
+    root, fragment = FIXTURES_DIR / "varargs" / "project", FIXTURES_DIR / "varargs" / "fragment.java"
+    assert run_command(["extract", str(root), "--fragment", str(fragment), "--at", "A.java:3", "--name", "bump"]) == 0
+    out, err = capsys.readouterr()
+    assert out == (GOLDEN_DIR / "extract_varargs.diff").read_text(encoding="utf-8")
+    assert "private int bump(int[] xs, int n) {" in out and err == ""
+
+
 def test_extract_at_a_run_that_does_not_start_a_statement_exits_three(capsys):
     assert run_command(_extract_mid_statement("A.java:10")) == 3
     out, err = capsys.readouterr()

@@ -424,6 +424,17 @@ def test_a_copy_whose_variable_has_another_type_is_left_alone():
     assert verify_by_inlining(plan, session.files, result.sources, result).all_equivalent
 
 
+def test_a_varargs_parameter_is_passed_as_the_array_it_is_inside_the_body():
+    """`h`'s `int... xs` is an `int[]` in its body: the new method takes one, last or not, and `g`'s copy matches it."""
+    session, _, plan = _plan_fixture("varargs", "A.java", 3, "bump")
+    assert plan.signature == "private int bump(int[] xs, int n)"
+    assert [s.method_id for s in plan.target_sites] == ["A.java:3:h", "A.java:9:g"]
+    assert plan.left_alone == ()
+    result = apply_extraction(plan, session.files, session.tokens)
+    assert result.diff == (GOLDEN_DIR / "extract_varargs.diff").read_text(encoding="utf-8")
+    assert verify_by_inlining(plan, session.files, result.sources, result).all_equivalent
+
+
 def test_a_copy_whose_variable_is_a_field_is_left_alone():
     """In `g`, `n` is the field that `f`'s parameter hides; the new method would take it as an argument."""
     _, _, plan = _plan_fixture("field_site", "A.java", 5, "bump")
@@ -447,6 +458,7 @@ EXTRACT_FIXTURES = [
     ("throws_clause", "T.java", 6, "count"),
     ("cross_site_types", "A.java", 3, "bump"),
     ("field_site", "A.java", 5, "bump"),
+    ("varargs", "A.java", 3, "bump"),
 ]
 
 

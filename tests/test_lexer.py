@@ -234,12 +234,18 @@ def _per_kind_depth_partners(texts: list[str]) -> list[int]:
 
 @given(st.lists(st.sampled_from(list("(){}[]") + ["x", ";", "+"]), max_size=30))
 def test_match_delimiters_agrees_with_a_per_kind_depth_scan(texts):
-    assert match_delimiters(tuple(texts))[0].tolist() == _per_kind_depth_partners(texts)
+    partners = _per_kind_depth_partners(texts)
+    table, _, nested = match_delimiters(tuple(texts))
+    assert table.tolist() == [p - i if p >= 0 else 0 for i, p in enumerate(partners)]
+    # Pairs said to nest never cross: a pair opened inside another closes inside it.
+    pairs = [(i, p) for i, p in enumerate(partners) if i < p]
+    assert not nested or not any(a < c < b < d for a, b in pairs for c, d in pairs)
 
 
 def test_match_delimiters_pairs_each_kind_on_its_own():
     tokens = tokenize("( { ) } ]")
-    assert match_delimiters(tokens.texts) == (array("i", [2, 3, 0, 1, -1]), True)
+    assert match_delimiters(tokens.texts) == (array("i", [2, 2, -2, -2, 0]), True, False)
+    assert match_delimiters(tokenize("( { } ) ]").texts) == (array("i", [3, 1, -1, -3, 0]), True, True)
     # A revision pairs its delimiters once, on first read, and keeps the table.
     assert tokens.pairs == match_delimiters(tokens.texts)
     assert tokens.pairs is tokens.pairs
@@ -424,14 +430,31 @@ def _assert_splice_is_a_full_lex(old: str, new: str) -> None:
     )
 )
 def test_splicing_a_spliced_revision_gives_a_full_lex(revisions):
-    """The spliced columns serve as the previous revision of the next save."""
+    """The spliced columns, and the pair table spliced with them, serve as the previous revision of the next save."""
     (old, middle), new = revisions
     try:
         old_tokens = tokenize(old)
+        old_tokens.pairs
         middle_tokens = tokenize(middle, old_tokens)
     except LexError:
         return
-    assert _lex_outcome(new, middle_tokens) == _lex_outcome(new)
+    assert middle_tokens.pairs == match_delimiters(middle_tokens.texts)
+    spliced = _lex_outcome(new, middle_tokens)
+    assert spliced == _lex_outcome(new)
+    if isinstance(spliced, Tokens):
+        assert spliced.pairs == match_delimiters(spliced.texts)
+
+
+def test_a_splice_pairs_only_a_paired_revision_and_keeps_none_alive():
+    old = tokenize("class A {\n    void f() { g(1); }\n    void h() { }\n}\n")
+    assert "pairs" not in tokenize(old.text.replace("g(1)", "g(2)"), old).__dict__
+    old.pairs
+    new = tokenize(old.text.replace("g(1);", "g(1); k(2, (3));"), old)
+    assert new.__dict__["pairs"] == match_delimiters(new.texts)
+    assert new.window[1:] == (3, 14, 23)  # line 2, `void` to `}`, lexed again
+    revision = new.window[0]
+    del old
+    assert revision() is None
 
 
 @given(st.sampled_from(_JAVA_SOURCES).flatmap(lambda old: st.tuples(st.just(old), _edited(old))))

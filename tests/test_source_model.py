@@ -215,7 +215,7 @@ class A {
         ("e", "String @NonNull[]"),
         ("g", "java.lang.@A String"),
         ("h", "int[][]"),
-        ("i", "String @A..."),
+        ("i", "String @A[]"),
     ]
 
 
@@ -225,7 +225,7 @@ def test_dimensions_after_a_parameter_or_component_name_join_its_type():
     assert [(name, d.declared_type) for name, d in parameters_of(method).items()] == [
         ("xs", "int[]"),
         ("rows", "String[][][]"),
-        ("ns", "int..."),
+        ("ns", "int[]"),
     ]
     assert record.field_names == {"xs", "rows"}
 
@@ -741,19 +741,20 @@ def _without_type_annotations(declared_type: str) -> str:
 @example(("java.util.Map.Entry<K,V>[] e[], List<@X String> f, Outer<K>.Inner g", [1, 0, 0]))
 @example(("List<@Size(max = 3) String> names, String @X [] a, int[] xs", [0, 0, 0]))
 def test_parameters_and_record_components_equal_the_comma_splitting_oracle(listed):
-    """Only dimensions after a name and annotations inside a type, both now kept, differ."""
+    """Only dimensions after a name and annotations inside a type, both now kept, and a varargs `...`, now `[]`, differ."""
     text, dims = listed
     source = f"class A {{ void f({text}) {{ }} }} record R({text}) {{ }}"
     tokens = tokenize(source)
     match = tokens.pairs[0]
     (method,), (_, record) = index_file(tokenize(source), "A.java")
     opens = [k for k, tok in enumerate(tokens) if tok.text == "(" and tokens[k - 1].text in ("f", "R")]
-    expected = comma_split_parameters(tokens, opens[0] + 1, match[opens[0]])
+    expected = comma_split_parameters(tokens, opens[0] + 1, opens[0] + match[opens[0]])
     # A name declared twice, which javac rejects, keeps its first declaration.
     first: dict[str, str] = {}
     for p, k in zip(expected, dims):
-        first.setdefault(p.name, p.declared_type + "[]" * k)
+        # A varargs parameter's `...` reads as the `[]` it is inside the body.
+        first.setdefault(p.name, p.declared_type.replace("...", "[]") + "[]" * k)
     declared = parameters_of(method)
     assert [(name, _without_type_annotations(d.declared_type)) for name, d in declared.items()] == list(first.items())
     assert len(expected) == len(dims)
-    assert record.field_names == {p.name for p in comma_split_parameters(tokens, opens[1] + 1, match[opens[1]])}
+    assert record.field_names == {p.name for p in comma_split_parameters(tokens, opens[1] + 1, opens[1] + match[opens[1]])}
